@@ -1,6 +1,7 @@
 """Gap-probability generating functions: Nystrom Fredholm determinants and
-trace corrections for the bulk kernels, the exact finite-N circular-unitary
-generating function, and the beta = 1, 4 combination formulas."""
+trace corrections for the bulk kernels from one cached symmetric eigensolve
+per (kernel, s, order), the exact finite-N circular-unitary generating
+function, and the beta = 1, 4 combination formulas."""
 
 from __future__ import annotations
 
@@ -35,17 +36,67 @@ def _gl_cached(n: int):
     return rule.nodes, rule.weights
 
 
-def _nystrom_matrix(kernel: KernelSpec, s: float, xi: float, n: int):
+_SINE = KernelSpec("sine")
+_K = {+1: KernelSpec("plus"), -1: KernelSpec("minus")}
+# the 1/N^2 correction kernel paired with each bulk kernel
+_PAIR = {_SINE: KernelSpec("l"), _K[+1]: KernelSpec("l_plus"), _K[-1]: KernelSpec("l_minus")}
+
+
+def _symmetrised(kernel: KernelSpec, s: float, n: int) -> np.ndarray:
+    """sqrt(w) K sqrt(w) on (0, s): bitwise symmetric for a symmetric kernel."""
     x01, w01 = _gl_cached(n)
     x = s * x01
     sw = np.sqrt(s * w01)
-    K = kernel_eval(kernel, x[:, None], x[None, :])
-    return np.eye(n) - xi * (sw[:, None] * K * sw[None, :]), x, sw
+    return np.outer(sw, sw) * kernel_eval(kernel, x[:, None], x[None, :])
 
 
-def _det_fixed(kernel: KernelSpec, s: float, xi: float, n: int) -> float:
-    M, _, _ = _nystrom_matrix(kernel, s, xi, n)
-    return float(np.linalg.det(M))
+@lru_cache(maxsize=256)
+def _spectrum(kernel: KernelSpec, kernel_l: KernelSpec | None, s: float, n: int):
+    """Eigenvalues lam of A = sqrt(w) K sqrt(w) = V diag(lam) V^T on (0, s) and,
+    given L, d = diag(V^T B V) with B = sqrt(w) L sqrt(w); V is not kept."""
+    lam, V = np.linalg.eigh(_symmetrised(kernel, s, n))
+    lam.flags.writeable = False
+    if kernel_l is None:
+        return lam, None
+    d = np.einsum("ij,ij->j", V, _symmetrised(kernel_l, s, n) @ V)
+    d.flags.writeable = False
+    return lam, d
+
+
+def _det_fixed(kernel: KernelSpec, s: float, xi: float, n: int,
+               kernel_l: KernelSpec | None = None) -> float:
+    """Order-n det(I - xi K) = prod_j (1 - xi lam_j), from the entry its paired
+    correction also uses; given L, -det(I - xi K) Tr((I - xi K)^{-1} xi L) =
+    -xi sum_j d_j prod_{i != j} (1 - xi lam_i), by prefix and suffix products
+    so that it stays finite as 1 - xi lam_j -> 0."""
+    lam, d = _spectrum(kernel, _PAIR.get(kernel) if kernel_l is None else kernel_l, s, n)
+    f = 1.0 - xi * lam
+    if kernel_l is None:
+        return float(np.prod(f))
+    before = np.concatenate(([1.0], np.cumprod(f[:-1])))
+    after = np.concatenate((np.cumprod(f[:0:-1])[::-1], [1.0]))
+    return -xi * float(np.dot(d, before * after))
+
+
+def _doubled(kernel: KernelSpec, kernel_l: KernelSpec | None, s: float, xi: float,
+             n: int, converge: bool) -> float:
+    if s < 0:
+        raise ValueError("s must be nonnegative")
+    if s == 0.0 or xi == 0.0:
+        return 1.0 if kernel_l is None else 0.0
+    n = max(n, 16)
+    val = _det_fixed(kernel, s, xi, n, kernel_l)
+    if not converge:
+        return val
+    while n < 256:
+        n *= 2
+        new = _det_fixed(kernel, s, xi, n, kernel_l)
+        if abs(new - val) < 1e-10:
+            return new
+        val = new
+    what = "Fredholm determinant" if kernel_l is None else "trace correction"
+    warnings.warn(f"{what} not converged at order {n}", AccuracyWarning)
+    return val
 
 
 def fredholm_det(kernel: KernelSpec, s: float, xi: float, n: int = 64,
@@ -55,22 +106,7 @@ def fredholm_det(kernel: KernelSpec, s: float, xi: float, n: int = 64,
     With converge=True the order doubles (up to 256) until the value moves by
     less than 1e-10; an AccuracyWarning is issued if that is never reached.
     """
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    if s == 0.0 or xi == 0.0:
-        return 1.0
-    n = max(n, 16)
-    val = _det_fixed(kernel, s, xi, n)
-    if not converge:
-        return val
-    while n < 256:
-        n *= 2
-        new = _det_fixed(kernel, s, xi, n)
-        if abs(new - val) < 1e-10:
-            return new
-        val = new
-    warnings.warn(f"Fredholm determinant not converged at order {n}", AccuracyWarning)
-    return val
+    return _doubled(kernel, None, s, xi, n, converge)
 
 
 def fredholm_trace_correction(kernel_k: KernelSpec, kernel_l: KernelSpec, s: float,
@@ -78,34 +114,7 @@ def fredholm_trace_correction(kernel_k: KernelSpec, kernel_l: KernelSpec, s: flo
     """-det(I - xi K) Tr((I - xi K)^{-1} xi L) on (0, s), shared Nystrom grid."""
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must lie in [0, 1]")
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    if s == 0.0 or xi == 0.0:
-        return 0.0
-
-    def value(order):
-        M, x, sw = _nystrom_matrix(kernel_k, s, xi, order)
-        L = xi * (sw[:, None] * kernel_eval(kernel_l, x[:, None], x[None, :]) * sw[None, :])
-        return -float(np.linalg.det(M)) * float(np.trace(np.linalg.solve(M, L)))
-
-    n = max(n, 16)
-    val = value(n)
-    if not converge:
-        return val
-    while n < 256:
-        n *= 2
-        new = value(n)
-        if abs(new - val) < 1e-10:
-            return new
-        val = new
-    warnings.warn(f"trace correction not converged at order {n}", AccuracyWarning)
-    return val
-
-
-_K = {+1: KernelSpec("plus"), -1: KernelSpec("minus")}
-_L = {+1: KernelSpec("l_plus"), -1: KernelSpec("l_minus")}
-_SINE = KernelSpec("sine")
-_LKER = KernelSpec("l")
+    return _doubled(kernel_k, kernel_l, s, xi, n, converge)
 
 
 def e_pm(sign: int, order: int, s: float, xi: float, n: int = 64,
@@ -116,7 +125,7 @@ def e_pm(sign: int, order: int, s: float, xi: float, n: int = 64,
     if order == 0:
         return fredholm_det(_K[sign], s / 2.0, xi, n, converge)
     if order == 1:
-        return fredholm_trace_correction(_K[sign], _L[sign], s / 2.0, xi, n, converge)
+        return fredholm_trace_correction(_K[sign], _PAIR[_K[sign]], s / 2.0, xi, n, converge)
     raise ValueError("order must be 0 or 1")
 
 
@@ -137,18 +146,16 @@ def e_bulk(beta: int, order: int, s: float, xi: float, n: int = 64,
     if beta == 2:
         if order == 0:
             return fredholm_det(_SINE, s, xi, n, converge)
-        return fredholm_trace_correction(_SINE, _LKER, s, xi, n, converge)
+        return fredholm_trace_correction(_SINE, _PAIR[_SINE], s, xi, n, converge)
     if beta == 1:
         xh = 2.0 * xi - xi * xi
-        minus = e_pm(-1, order, s, xh, n, converge)
-        plus = e_pm(+1, order, s, xh, n, converge)
-        return ((1.0 - xi) * minus + plus) / (2.0 - xi)
+        return ((1.0 - xi) * e_pm(-1, order, s, xh, n, converge)
+                + e_pm(+1, order, s, xh, n, converge)) / (2.0 - xi)
     if beta == 4:
         # orthogonal-group dimension 2N+1: operators act on (0, s) and the
         # correction picks up a further factor 1/4
-        minus = e_pm(-1, order, 2.0 * s, xi, n, converge)
-        plus = e_pm(+1, order, 2.0 * s, xi, n, converge)
-        return (minus + plus) / (2.0 if order == 0 else 8.0)
+        return (e_pm(-1, order, 2.0 * s, xi, n, converge)
+                + e_pm(+1, order, 2.0 * s, xi, n, converge)) / (2.0 if order == 0 else 8.0)
     raise ValueError("beta must be 1, 2, or 4")
 
 
@@ -195,43 +202,35 @@ def extract_correction(N_list, s: float, xi: float) -> CorrectionEstimate:
         warnings.warn("non-monotone data; fit may be unreliable", AccuracyWarning)
     h = 1.0 / Ns ** 2
     # exact three-term fit {1, h, h^2} through the finest three values
-    A = np.vander(h[-3:], 3, increasing=True)
-    c = np.linalg.solve(A, F[-3:])
-    e0, e1 = float(c[0]), float(c[1])
-    # pairwise Richardson limits; their defect from the limit decays like N^-4
+    e0, e1, _ = map(float, np.linalg.solve(np.vander(h[-3:], 3, increasing=True), F[-3:]))
+    # pairwise Richardson limits: R_k - e0 = -e2 h_k h_{k+1}, so each ratio of
+    # neighbouring defects gives the order, 4, over N_{k+2} / N_k
     R = (F[1:] * h[:-1] - F[:-1] * h[1:]) / (h[:-1] - h[1:])
-    if Ns.size >= 4:
-        d = np.abs(np.diff(R))
-        orders = np.log(d[:-1] / d[1:]) / np.log(Ns[1:-1] / Ns[:-2])
-    else:
-        d = np.abs(R - e0)
-        orders = np.log(d[:-1] / d[1:]) / np.log(Ns[1:-1] / Ns[:-2])
+    d = np.abs(R - e0)
+    orders = 2.0 * np.log(d[:-1] / d[1:]) / np.log(Ns[2:] / Ns[:-2])
     return CorrectionEstimate(e0, e1, float(np.mean(orders)))
+
+
+def _identity_residual(e, c: float, s_grid, n_cheb: int) -> float:
+    """Max over s_grid of |E_1 + (s^2/c)(d^2/ds^2) E_0|, E_order(s) = e(order, s)."""
+    s_grid = np.asarray(s_grid, float)
+    hi = 1.05 * float(s_grid.max())
+    xs = chebyshev_points(n_cheb, 0.0, hi)
+    d2 = spectral_derivative(np.array([e(0, s) for s in xs]), 2, 0.0, hi)
+    resid = np.array([e(1, s) for s in xs]) + xs ** 2 / c * d2
+    return float(np.max(np.abs(chebyshev_interpolate(resid, 0.0, hi, s_grid))))
 
 
 def verify_gap_identity(beta: int, s_grid, xi: float, n_cheb: int = 64,
                         n_quad: int = 64) -> float:
     """Max residual of E_1 = -(s^2 / c_beta)(d^2/ds^2) E_0 with
     c_beta = 12, 6, 24 for beta = 2, 1, 4."""
-    c = {1: 6.0, 2: 12.0, 4: 24.0}[beta]
-    s_grid = np.asarray(s_grid, float)
-    hi = 1.05 * float(s_grid.max())
-    xs = chebyshev_points(n_cheb, 0.0, hi)
-    e0 = np.array([e_bulk(beta, 0, s, xi, n_quad) for s in xs])
-    d2 = spectral_derivative(e0, 2, 0.0, hi)
-    e1 = np.array([e_bulk(beta, 1, s, xi, n_quad) for s in xs])
-    resid = e1 + xs ** 2 / c * d2
-    return float(np.max(np.abs(chebyshev_interpolate(resid, 0.0, hi, s_grid))))
+    return _identity_residual(lambda order, s: e_bulk(beta, order, s, xi, n_quad),
+                              {1: 6.0, 2: 12.0, 4: 24.0}[beta], s_grid, n_cheb)
 
 
 def verify_pm_identity(sign: int, s_grid, xi: float, n_cheb: int = 64,
                        n_quad: int = 64) -> float:
     """Max residual of E_1^+- = -(s^2/6)(d^2/ds^2) E_0^+-."""
-    s_grid = np.asarray(s_grid, float)
-    hi = 1.05 * float(s_grid.max())
-    xs = chebyshev_points(n_cheb, 0.0, hi)
-    e0 = np.array([e_pm(sign, 0, s, xi, n_quad) if s > 0 else 1.0 for s in xs])
-    d2 = spectral_derivative(e0, 2, 0.0, hi)
-    e1 = np.array([e_pm(sign, 1, s, xi, n_quad) if s > 0 else 0.0 for s in xs])
-    resid = e1 + xs ** 2 / 6.0 * d2
-    return float(np.max(np.abs(chebyshev_interpolate(resid, 0.0, hi, s_grid))))
+    return _identity_residual(lambda order, s: e_pm(sign, order, s, xi, n_quad),
+                              6.0, s_grid, n_cheb)

@@ -201,21 +201,12 @@ def chebyshev_interpolate(values, lo: float, hi: float, x):
     w[0] *= 0.5
     w[-1] *= 0.5
     xq = np.atleast_1d(np.asarray(x, float))
-    num = np.zeros_like(xq)
-    den = np.zeros_like(xq)
-    exact = np.full(xq.shape, -1, dtype=int)
     diff = xq[:, None] - nodes[None, :]
     hit = np.isclose(diff, 0.0, atol=1e-14)
-    for i, row in enumerate(hit):
-        k = np.nonzero(row)[0]
-        if k.size:
-            exact[i] = k[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         r = w[None, :] / diff
         num = np.nansum(np.where(np.isfinite(r), r, 0.0) * v[None, :], axis=1)
         den = np.nansum(np.where(np.isfinite(r), r, 0.0), axis=1)
-    out = num / den
-    for i, k in enumerate(exact):
-        if k >= 0:
-            out[i] = v[k]
+    # a query within 1e-14 of a node takes that (first) node's sample
+    out = np.where(hit.any(axis=1), v[hit.argmax(axis=1)], num / den)
     return out if np.ndim(x) else float(out[0])

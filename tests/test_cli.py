@@ -101,6 +101,14 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_full_registry_passes(self, capsys):
+        code, out = run(["verify"], capsys)
+        assert code == 0
+        assert "FAIL" not in out
+        lines = out.strip().splitlines()
+        assert len(lines) == len(cli._identity_registry()) == 20
+        assert all(line.endswith("pass") for line in lines)
+
     def test_known_r4_defect_reported(self, capsys):
         # the stored r2/r4 coefficients agree exactly with the CβE oracle
         code, out = run(["verify", "--identity", "sff-zeros-r4"], capsys)

@@ -7,8 +7,9 @@ import pytest
 from circbeta import (AccuracyWarning, E_CUE_SMALL_S, KernelSpec, e_bulk,
                       e_finite_cue, e_pm, extract_correction, fredholm_det,
                       fredholm_trace_correction, gap_probabilities,
-                      gauss_legendre, verify_gap_identity, verify_pm_identity)
-from circbeta.gap import _det_fixed
+                      gauss_legendre, kernel_eval, verify_gap_identity,
+                      verify_pm_identity)
+from circbeta.gap import _det_fixed, _spectrum, _symmetrised
 from circbeta.spacing import P0_BETA1
 
 SINE = KernelSpec("sine")
@@ -134,6 +135,16 @@ class TestExtractCorrection:
         assert est.residual_order == pytest.approx(4.0, abs=0.3)
         assert est.E0 == pytest.approx(e_bulk(2, 0, 0.8, 0.5), abs=1e-8)
 
+    def test_five_values(self):
+        est = extract_correction([20, 40, 80, 160, 320], 1.1, 0.7)
+        assert est.residual_order == pytest.approx(4.0, abs=0.3)
+        assert est.E0 == pytest.approx(e_bulk(2, 0, 1.1, 0.7), abs=1e-7)
+
+    def test_four_values_not_geometric(self):
+        est = extract_correction([20, 30, 60, 80], 1.0, 1.0)
+        assert est.residual_order == pytest.approx(4.0, abs=0.3)
+        assert est.E0 == pytest.approx(e_bulk(2, 0, 1.0, 1.0), abs=1e-7)
+
     def test_needs_three(self):
         with pytest.raises(ValueError):
             extract_correction([10, 20], 1.0, 1.0)
@@ -151,3 +162,91 @@ def test_pm_against_beta1_combination():
     xh = 2 * xi - xi * xi
     want = ((1 - xi) * e_pm(-1, 0, s, xh) + e_pm(+1, 0, s, xh)) / (2 - xi)
     assert e_bulk(1, 0, s, xi) == pytest.approx(want, rel=1e-13)
+
+
+def _lu_pair(kernel, kernel_l, s, xi, n=64):
+    """det(I - xi A) and -det(I - xi A) Tr((I - xi A)^{-1} xi B) by LU."""
+    rule = gauss_legendre(n, 0.0, 1.0)
+    x = s * rule.nodes
+    sw = np.sqrt(s * rule.weights)
+    M = np.eye(n) - xi * (sw[:, None] * kernel_eval(kernel, x[:, None], x[None, :])
+                          * sw[None, :])
+    B = xi * (sw[:, None] * kernel_eval(kernel_l, x[:, None], x[None, :]) * sw[None, :])
+    e0 = float(np.linalg.det(M))
+    return e0, -e0 * float(np.trace(np.linalg.solve(M, B)))
+
+
+PM = {+1: (KernelSpec("plus"), KernelSpec("l_plus")),
+      -1: (KernelSpec("minus"), KernelSpec("l_minus"))}
+
+
+def _lu_bulk(beta, s, xi):
+    if beta == 2:
+        return _lu_pair(SINE, LKER, s, xi)
+    if beta == 1:
+        xh = 2 * xi - xi * xi
+        m, p = _lu_pair(*PM[-1], s / 2, xh), _lu_pair(*PM[+1], s / 2, xh)
+        return tuple(((1 - xi) * a + b) / (2 - xi) for a, b in zip(m, p))
+    m, p = _lu_pair(*PM[-1], s, xi), _lu_pair(*PM[+1], s, xi)
+    return (m[0] + p[0]) / 2, (m[1] + p[1]) / 8
+
+
+class TestSpectralEngine:
+    s_values = (0.05, 0.7, 1.6, 2.4, 3.15)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    @pytest.mark.parametrize("xi", [0.3, 0.5, 1.0])
+    def test_e_bulk_against_lu(self, beta, xi):
+        for s in self.s_values:
+            want = _lu_bulk(beta, s, xi)
+            assert abs(e_bulk(beta, 0, s, xi) - want[0]) <= 1e-13
+            assert abs(e_bulk(beta, 1, s, xi) - want[1]) <= 1e-13
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("xi", [0.3, 0.5, 1.0])
+    def test_e_pm_against_lu(self, sign, xi):
+        for s in self.s_values:
+            want = _lu_pair(*PM[sign], s / 2, xi)
+            assert abs(e_pm(sign, 0, s, xi) - want[0]) <= 1e-13
+            assert abs(e_pm(sign, 1, s, xi) - want[1]) <= 1e-13
+
+    @pytest.mark.parametrize("xi", [0.3, 0.5, 1.0])
+    def test_fredholm_against_lu(self, xi):
+        for s in self.s_values:
+            want = _lu_pair(SINE, LKER, s, xi)
+            assert abs(fredholm_det(SINE, s, xi, converge=False) - want[0]) <= 1e-13
+            got = fredholm_trace_correction(SINE, LKER, s, xi, converge=False)
+            assert abs(got - want[1]) <= 1e-13
+
+    @pytest.mark.parametrize("s, gap", [(3.15, 1e-7), (6.3, 1e-14)])
+    def test_near_singular_corner_finite(self, s, gap):
+        # beta = 4, xi = 1: e_bulk(4, ., s, .) uses the plus kernel on (0, s),
+        # where 1 - lam_max is ~5e-8 at s = 3.15 and ~3e-15 at s = 6.3
+        lam, _ = _spectrum(*PM[+1], s, 64)
+        assert 0.0 < 1.0 - lam.max() < gap
+        e1 = e_bulk(4, 1, s, 1.0)
+        assert math.isfinite(e1)
+        assert abs(e1 - _lu_bulk(4, s, 1.0)[1]) <= 1e-13
+
+    @pytest.mark.parametrize("family", ["cue", "sine", "l", "plus", "minus",
+                                        "l_plus", "l_minus"])
+    def test_matrix_bitwise_symmetric(self, family):
+        kernel = KernelSpec(family, 9 if family == "cue" else None)
+        for s, n in ((0.3, 16), (3.15, 64), (6.3, 256)):
+            A = _symmetrised(kernel, s, n)
+            assert np.array_equal(A, A.T)
+
+    def test_cached_arrays_read_only(self):
+        lam, d = _spectrum(SINE, LKER, 1.3, 64)
+        assert not lam.flags.writeable and not d.flags.writeable
+        with pytest.raises(ValueError):
+            lam[0] = 0.0
+        assert _spectrum.cache_info().maxsize is not None
+
+    def test_one_eigensolve_serves_every_xi_and_order(self):
+        e_bulk(2, 0, 2.345, 0.5)
+        misses = _spectrum.cache_info().misses
+        for xi in (0.25, 0.5, 1.0):
+            e_bulk(2, 1, 2.345, xi)
+            e_bulk(2, 0, 2.345, xi)
+        assert _spectrum.cache_info().misses == misses

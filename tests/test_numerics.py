@@ -250,3 +250,41 @@ def test_chebyshev_interpolation():
                          - (np.sin(q) + q ** 3))) < 1e-12
     # exact at the nodes themselves
     assert chebyshev_interpolate(vals, -1.0, 2.0, xs[3]) == pytest.approx(vals[3])
+
+
+def _interpolate_row_loops(values, lo, hi, x):
+    """Reference: node hits found and patched one row at a time."""
+    v = np.asarray(values, float)
+    n = v.size
+    nodes = chebyshev_points(n, lo, hi)
+    w = (-1.0) ** np.arange(n)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    xq = np.atleast_1d(np.asarray(x, float))
+    exact = np.full(xq.shape, -1, dtype=int)
+    diff = xq[:, None] - nodes[None, :]
+    for i, row in enumerate(np.isclose(diff, 0.0, atol=1e-14)):
+        k = np.nonzero(row)[0]
+        if k.size:
+            exact[i] = k[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = w[None, :] / diff
+        num = np.nansum(np.where(np.isfinite(r), r, 0.0) * v[None, :], axis=1)
+        den = np.nansum(np.where(np.isfinite(r), r, 0.0), axis=1)
+    out = num / den
+    for i, k in enumerate(exact):
+        if k >= 0:
+            out[i] = v[k]
+    return out
+
+
+def test_chebyshev_interpolation_matches_row_loops():
+    xs = chebyshev_points(33, 0.0, 3.3)
+    vals = np.cos(2.0 * xs) * np.exp(-xs)
+    q = np.concatenate((np.linspace(0.0, 3.3, 41), xs[::4], xs[1::5] + 5e-15,
+                        xs[2::5] - 2e-14, np.random.default_rng(7).uniform(0.0, 3.3, 50)))
+    got = chebyshev_interpolate(vals, 0.0, 3.3, q)
+    assert np.array_equal(got, _interpolate_row_loops(vals, 0.0, 3.3, q))
+    for xq in (xs[5], xs[5] + 5e-15, 1.234):
+        assert chebyshev_interpolate(vals, 0.0, 3.3, xq) == \
+            _interpolate_row_loops(vals, 0.0, 3.3, xq)[0]
