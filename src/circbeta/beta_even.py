@@ -1,7 +1,7 @@
 """Two-point correlation of the circular ensemble at even beta via the
 beta-dimensional integral representation, Selberg/Morris constants, the
-evenness-in-N factor, the correction-to-limit identity, and the moment-integral
-recurrence verification."""
+evenness-in-N factor, the Richardson estimate of the 1/N^2 correction, and the
+moment-integral recurrence verification."""
 
 from __future__ import annotations
 
@@ -17,8 +17,7 @@ from scipy.special import gammaln
 
 from .correlations import rho2_bulk_term
 from .gap import AccuracyWarning
-from .numerics import (chebyshev_interpolate, chebyshev_points, gauss_jacobi,
-                       gauss_legendre, spectral_derivative)
+from .numerics import gauss_jacobi, gauss_legendre
 
 F = Fraction
 TWO_PI = 2.0 * math.pi
@@ -330,29 +329,15 @@ def rho2_even_beta(beta: int, x: float, N: int | float | None = None,
     return float(got.real)
 
 
-def verify_421(beta: int, x_grid=None, N_pair=(32, 64), quad_order=None,
-               n_cheb: int = 96) -> float:
-    """Richardson estimate of the 1/N^2 coefficient of the two-point function
-    against -(1/(6 beta)) (d^2/dx^2)(x^2 rho_0(x)); returns the max residual."""
-    if x_grid is None:
-        x_grid = np.linspace(0.2, 2.0, 7)
-    x_grid = np.asarray(x_grid, float)
+def rho2_correction_estimate(beta: int, x: float, N_pair=(32, 64)) -> float:
+    """Two-point Richardson estimate of the 1/N^2 coefficient of the two-point
+    function at separation x, from N in N_pair."""
     n1, n2 = N_pair
     if n1 < 16:
         raise ValueError("need N >= 16")
-    lo, hi = 0.5 * x_grid.min(), 1.1 * x_grid.max()
-    xs = chebyshev_points(n_cheb, lo, hi)
-    rho0 = np.array([rho2_even_beta(beta, x, None, quad_order,
-                                    check_convergence=False) for x in xs])
-    d2 = spectral_derivative(xs ** 2 * rho0, 2, lo, hi)
-    rhs = chebyshev_interpolate(-d2 / (6.0 * beta), lo, hi, x_grid)
-    worst = 0.0
-    for x, r in zip(x_grid, rhs):
-        f1 = rho2_even_beta(beta, x, n1, quad_order, check_convergence=False)
-        f2 = rho2_even_beta(beta, x, n2, quad_order, check_convergence=False)
-        est = (f1 - f2) / (1.0 / n1 ** 2 - 1.0 / n2 ** 2)
-        worst = max(worst, abs(est - r))
-    return worst
+    f1 = rho2_even_beta(beta, x, n1, check_convergence=False)
+    f2 = rho2_even_beta(beta, x, n2, check_convergence=False)
+    return (f1 - f2) / (1.0 / n1 ** 2 - 1.0 / n2 ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import beta_even, correlations, gap, sff, spacing
+from . import beta_even, correlations, gap, numerics, sff, spacing
 
 FMT = "{:.17g}"
 
@@ -127,60 +127,88 @@ def cmd_fig1(args):
                                              "surmise_correction"], rows)
 
 
+def _each(f):
+    """f(order, x) evaluated node by node, as f(order, xs)."""
+    return lambda order, xs: np.array([f(order, x) for x in xs])
+
+
+def _orders(f):
+    """(Q0, Q1) samplers for numerics.correction_residual from f(order, xs)."""
+    return (lambda xs: f(0, xs)), (lambda xs: f(1, xs))
+
+
+def _cheb(beta, tol, c, powers, span, samplers):
+    """Registry entry whose residual is the largest over the (Q0, Q1) samplers
+    of Q1 - c x^outer (x^inner Q0)'', powers = (outer, inner), on span =
+    (lo, hi, grid, n_cheb): a Chebyshev interval reaching past the grid."""
+    return beta, tol, lambda: max(numerics.correction_residual(q0, q1, c, *span, *powers)
+                                  for q0, q1 in samplers)
+
+
 def _identity_registry():
-    s31 = np.linspace(0.1, 3.0, 31)
+    c = numerics.correction_factor
+    gap_s = (0.0, 1.05 * 3.0, np.linspace(0.1, 3.0, 31), 64)
+    spacing_s = (0.0, 1.1 * 2.5, np.linspace(0.2, 2.5, 24), 64)
+    rho2_x = (0.1, 1.1 * 3.0, np.linspace(0.2, 3.0, 15), 96)
+    even_x = (0.1, 1.1 * 2.0, np.linspace(0.2, 2.0, 7), 32)
+
+    def e_bulk(beta):
+        return [_orders(_each(lambda o, s, xi=xi: gap.e_bulk(beta, o, s, xi)))
+                for xi in (0.5, 1.0)]
+
+    def p_bulk(beta):
+        # the samples p_bulk interpolates, taken on the engine's own nodes
+        hi = spacing_s[1]
+        return [_orders(lambda o, xs, xi=xi: spacing._p_samples(beta, o, xi, hi, 64, 64))
+                for xi in (0.5, 1.0)]
+
+    def rho2(beta):
+        return [_orders(lambda o, xs: correlations.rho2_bulk_term(beta, o, xs))]
+
+    def rho2_even(beta, N_pair):
+        return [(lambda xs: np.array([beta_even.rho2_even_beta(
+                     beta, x, None, check_convergence=False) for x in xs]),
+                 lambda xs: np.array([beta_even.rho2_correction_estimate(
+                     beta, x, N_pair) for x in xs]))]
+
+    e_pm = [_orders(_each(lambda o, s, sg=sg: gap.e_pm(sg, o, s, 0.8))) for sg in (+1, -1)]
+    rho2_second = [(lambda xs: correlations.rho2_bulk_term(2, 0, xs),
+                    lambda xs: correlations.rho2_bulk_term(2, 2, xs))]
     entries = {
-        "e-corr-beta2": (2, 1e-6, lambda: max(
-            gap.verify_gap_identity(2, s31, xi) for xi in (0.5, 1.0))),
-        "e-corr-beta1": (1, 1e-5, lambda: max(
-            gap.verify_gap_identity(1, s31, xi) for xi in (0.5, 1.0))),
-        "e-corr-beta4": (4, 1e-5, lambda: max(
-            gap.verify_gap_identity(4, s31, xi) for xi in (0.5, 1.0))),
-        "e-corr-pm": (1, 1e-5, lambda: max(
-            gap.verify_pm_identity(sg, s31, 0.8) for sg in (+1, -1))),
-        "p-corr-beta2": (2, 1e-4, lambda: spacing.verify_spacing_identity(
-            2, np.linspace(0.2, 2.5, 24), (0.5, 1.0))),
-        "p-corr-beta1": (1, 1e-4, lambda: spacing.verify_spacing_identity(
-            1, np.linspace(0.2, 2.5, 24), (0.5, 1.0))),
-        "p-corr-beta4": (4, 1e-4, lambda: spacing.verify_spacing_identity(
-            4, np.linspace(0.2, 2.5, 24), (0.5, 1.0))),
+        "e-corr-beta2": _cheb(2, 1e-6, c(2), (2, 0), gap_s, e_bulk(2)),
+        "e-corr-beta1": _cheb(1, 1e-5, c(1), (2, 0), gap_s, e_bulk(1)),
+        "e-corr-beta4": _cheb(4, 1e-5, c(4), (2, 0), gap_s, e_bulk(4)),
+        "e-corr-pm": _cheb(1, 1e-5, c(1), (2, 0), gap_s, e_pm),
+        "p-corr-beta2": _cheb(2, 1e-4, c(2), (0, 2), spacing_s, p_bulk(2)),
+        "p-corr-beta1": _cheb(1, 1e-4, c(1), (0, 2), spacing_s, p_bulk(1)),
+        "p-corr-beta4": _cheb(4, 1e-4, c(4), (0, 2), spacing_s, p_bulk(4)),
         "p-series-beta2": (2, 0.5, lambda: 0.0
                            if spacing.spacing_series_identity_holds(2) else 1.0),
         "p-series-beta1": (1, 0.5, lambda: 0.0
                            if spacing.spacing_series_identity_holds(1) else 1.0),
-        "rho2-corr-beta1": (1, 1e-7, lambda: correlations.verify_rho2_identity(1)),
-        "rho2-corr-beta2": (2, 1e-8, lambda: correlations.verify_rho2_identity(2)),
-        "rho2-corr-beta4": (4, 1e-7, lambda: correlations.verify_rho2_identity(4)),
-        "rho2-second-beta2": (2, 1e-8, lambda: correlations.verify_rho2_identity(
-            2, "second_order_beta2")),
+        "rho2-corr-beta1": _cheb(1, 1e-7, c(1), (0, 2), rho2_x, rho2(1)),
+        "rho2-corr-beta2": _cheb(2, 1e-8, c(2), (0, 2), rho2_x, rho2(2)),
+        "rho2-corr-beta4": _cheb(4, 1e-7, c(4), (0, 2), rho2_x, rho2(4)),
+        "rho2-second-beta2": _cheb(2, 1e-8, -np.pi ** 2 / 60, (2, 2), rho2_x, rho2_second),
         "sff-x6-beta1": (1, 1e-10, lambda: max(sff.verify_x6(1).residual1,
                                                sff.verify_x6(1).residual2)),
         "sff-x6-beta4": (4, 1e-10, lambda: max(sff.verify_x6(4).residual1,
                                                sff.verify_x6(4).residual2)),
         "sff-symmetry": (None, 1e-10, _sff_symmetry_residual),
         "sff-zeros-r4": (None, 1e-10, _r4_oracle_residual),
-        "rho2-even-corr-beta2": (2, 5e-3, lambda: beta_even.verify_421(2)),
-        "rho2-even-corr-beta4": (4, 1e-2, lambda: beta_even.verify_421(
-            4, N_pair=(24, 48))),
+        "rho2-even-corr-beta2": _cheb(2, 5e-3, c(2), (0, 2), even_x, rho2_even(2, (32, 64))),
+        "rho2-even-corr-beta4": _cheb(4, 1e-2, c(4), (0, 2), even_x, rho2_even(4, (24, 48))),
         "moment-recurrence-beta2": (2, 1e-8,
                                     lambda: beta_even.verify_moment_recurrence(2)),
     }
     return entries
 
 
-def _root_deviation(names):
-    worst = 0.0
-    for name in names:
-        roots = np.roots([float(c) for c in reversed(sff.POLYNOMIALS[name])])
-        worst = max(worst, float(np.max(np.abs(np.abs(roots) - 1.0))))
-    return worst
-
-
 def _sff_symmetry_residual():
     rep = sff.check_functional_symmetry_and_zeros()
     if not rep.antisymmetry_ok:
         return 1.0
-    return _root_deviation(("p2", "p4", "q2", "q4", "r2"))
+    return sff.root_modulus_deviation(("p2", "p4", "q2", "q4", "r2"))
 
 
 def _r4_oracle_residual():

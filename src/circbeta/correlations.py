@@ -1,14 +1,12 @@
 """n-point correlation functions: determinants for beta = 2, Pfaffians for
-beta = 1, 4, the closed-form bulk expansion terms, and the differential
-identities tying the 1/N^2 correction to the limit."""
+beta = 1, 4, and the closed-form bulk expansion terms."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .kernels import pfaffian_entries, _cue_scaled, _sinc_pi
-from .numerics import (chebyshev_points, sine_integral, spectral_derivative,
-                       chebyshev_interpolate)
+from .numerics import sine_integral
 
 
 def rho_n_cue(N: int, angles) -> float:
@@ -167,36 +165,3 @@ def rho2_bulk_term(beta: int, order: int, x):
         return val if np.ndim(x) else float(val)
     raise ValueError("beta must be 1, 2, or 4")
 
-
-_C_RHO2 = {1: -1.0 / 6.0, 2: -1.0 / 12.0, 4: -1.0 / 24.0}
-
-
-def verify_rho2_identity(beta: int, which: str = "first_order", grid=None,
-                         n_cheb: int = 96) -> float:
-    """Max residual of the correction-to-limit differential identity.
-
-    which = "first_order": rho_1 = c_beta (d^2/dx^2)(x^2 rho_0), with
-    c_1 = -1/6, c_2 = -1/12, c_4 = -1/24.
-    which = "second_order_beta2": rho_2 = -((pi x)^2 / 60)(x^2 rho_0)''.
-    """
-    if grid is None:
-        grid = np.linspace(0.2, 3.0, 15)
-    grid = np.asarray(grid, float)
-    if np.any(grid <= 0):
-        raise ValueError("grid must avoid x <= 0")
-    lo, hi = 0.5 * grid.min(), 1.1 * grid.max()
-    xs = chebyshev_points(n_cheb, lo, hi)
-    g = xs ** 2 * rho2_bulk_term(beta, 0, xs)
-    d2 = spectral_derivative(g, 2, lo, hi)
-    if which == "first_order":
-        lhs = rho2_bulk_term(beta, 1, xs)
-        rhs = _C_RHO2[beta] * d2
-    elif which == "second_order_beta2":
-        if beta != 2:
-            raise ValueError("second-order identity is available for beta = 2 only")
-        lhs = rho2_bulk_term(2, 2, xs)
-        rhs = -(np.pi * xs) ** 2 / 60.0 * d2
-    else:
-        raise ValueError(f"unknown identity {which!r}")
-    resid = lhs - rhs
-    return float(np.max(np.abs(chebyshev_interpolate(resid, lo, hi, grid))))

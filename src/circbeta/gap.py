@@ -12,8 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import KernelSpec, kernel_eval
-from .numerics import (chebyshev_interpolate, chebyshev_points, gauss_legendre,
-                       spectral_derivative)
+from .numerics import gauss_legendre
 
 
 class AccuracyWarning(UserWarning):
@@ -192,7 +191,7 @@ class CorrectionEstimate:
 def extract_correction(N_list, s: float, xi: float) -> CorrectionEstimate:
     """Richardson extrapolation of e_finite_cue(N, 2 pi s / N, xi) in powers
     of 1/N^2: limit, first correction, and the empirical order of what is
-    left after removing them."""
+    left after removing them. The values of N must be distinct."""
     Ns = np.asarray(sorted(N_list), float)
     if Ns.size < 3:
         raise ValueError("need at least 3 values of N")
@@ -200,6 +199,8 @@ def extract_correction(N_list, s: float, xi: float) -> CorrectionEstimate:
     diffs = np.diff(F)
     if np.any(diffs == 0) or np.any(np.sign(diffs) != np.sign(diffs[0])):
         warnings.warn("non-monotone data; fit may be unreliable", AccuracyWarning)
+    if np.any(np.diff(Ns) == 0):
+        raise ValueError("values of N must be distinct")
     h = 1.0 / Ns ** 2
     # exact three-term fit {1, h, h^2} through the finest three values
     e0, e1, _ = map(float, np.linalg.solve(np.vander(h[-3:], 3, increasing=True), F[-3:]))
@@ -210,27 +211,3 @@ def extract_correction(N_list, s: float, xi: float) -> CorrectionEstimate:
     orders = 2.0 * np.log(d[:-1] / d[1:]) / np.log(Ns[2:] / Ns[:-2])
     return CorrectionEstimate(e0, e1, float(np.mean(orders)))
 
-
-def _identity_residual(e, c: float, s_grid, n_cheb: int) -> float:
-    """Max over s_grid of |E_1 + (s^2/c)(d^2/ds^2) E_0|, E_order(s) = e(order, s)."""
-    s_grid = np.asarray(s_grid, float)
-    hi = 1.05 * float(s_grid.max())
-    xs = chebyshev_points(n_cheb, 0.0, hi)
-    d2 = spectral_derivative(np.array([e(0, s) for s in xs]), 2, 0.0, hi)
-    resid = np.array([e(1, s) for s in xs]) + xs ** 2 / c * d2
-    return float(np.max(np.abs(chebyshev_interpolate(resid, 0.0, hi, s_grid))))
-
-
-def verify_gap_identity(beta: int, s_grid, xi: float, n_cheb: int = 64,
-                        n_quad: int = 64) -> float:
-    """Max residual of E_1 = -(s^2 / c_beta)(d^2/ds^2) E_0 with
-    c_beta = 12, 6, 24 for beta = 2, 1, 4."""
-    return _identity_residual(lambda order, s: e_bulk(beta, order, s, xi, n_quad),
-                              {1: 6.0, 2: 12.0, 4: 24.0}[beta], s_grid, n_cheb)
-
-
-def verify_pm_identity(sign: int, s_grid, xi: float, n_cheb: int = 64,
-                       n_quad: int = 64) -> float:
-    """Max residual of E_1^+- = -(s^2/6)(d^2/ds^2) E_0^+-."""
-    return _identity_residual(lambda order, s: e_pm(sign, order, s, xi, n_quad),
-                              6.0, s_grid, n_cheb)

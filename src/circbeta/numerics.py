@@ -1,24 +1,15 @@
-"""Quadrature rules, special functions, adaptive ODE integration, and
-Chebyshev spectral differentiation shared by the other modules."""
+"""Quadrature rules, the sine integral, Chebyshev spectral differentiation,
+and the one engine that checks every correction-to-limit identity, shared by
+the other modules."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
 from scipy.special import roots_jacobi, sici
-
-
-class IntegrationFailure(RuntimeError):
-    """ODE integration broke down; ``t_last`` holds the last good abscissa."""
-
-    def __init__(self, message: str, t_last: float):
-        super().__init__(message)
-        self.t_last = t_last
 
 
 @dataclass(frozen=True)
@@ -64,90 +55,9 @@ def gauss_jacobi(n: int, a_exp: float, b_exp: float) -> QuadratureRule:
                           w / 2.0 ** (a_exp + b_exp + 1.0), a_exp, b_exp)
 
 
-def clenshaw_curtis(n: int, lo: float, hi: float) -> QuadratureRule:
-    """(n+1)-point Clenshaw-Curtis rule on (lo, hi), nodes ascending."""
-    if n < 2:
-        raise ValueError("need n >= 2 panels")
-    j = np.arange(n + 1)
-    theta = j * np.pi / n
-    x = np.cos(theta)
-    w = np.zeros(n + 1)
-    for m in range(n + 1):
-        acc = 1.0
-        for k in range(1, n // 2 + 1):
-            b = 1.0 if 2 * k == n else 2.0
-            acc -= b * math.cos(2 * k * theta[m]) / (4 * k * k - 1)
-        w[m] = 2.0 * acc / n
-    w[0] /= 2.0
-    w[-1] /= 2.0
-    half = 0.5 * (hi - lo)
-    return QuadratureRule("legendre", lo, hi, (half * x + 0.5 * (hi + lo))[::-1],
-                          (half * w)[::-1])
-
-
 def sine_integral(x):
     """Si(x) = integral of sin(t)/t from 0 to x."""
     return sici(x)[0]
-
-
-# Bernoulli numbers B_2 .. B_12 for the asymptotic tail of psi
-_BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730)
-
-
-def digamma(z: float) -> float:
-    """psi(z) by upward recurrence to z >= 10 plus the 6-term asymptotic series."""
-    z = float(z)
-    if z <= 0 and z == round(z):
-        raise ValueError(f"digamma pole at z = {z}")
-    acc = 0.0
-    if z < 0:
-        # reflection: psi(1-z) = psi(z) + pi cot(pi z)
-        acc = -math.pi / math.tan(math.pi * z)
-        z = 1.0 - z
-    while z < 10.0:
-        acc -= 1.0 / z
-        z += 1.0
-    inv2 = 1.0 / (z * z)
-    tail = 0.0
-    p = inv2
-    for k, b in enumerate(_BERNOULLI, start=1):
-        tail += b / (2 * k) * p
-        p *= inv2
-    return acc + math.log(z) - 0.5 / z - tail
-
-
-def harmonic_number(n: int) -> float:
-    return float(np.sum(1.0 / np.arange(1, n + 1)))
-
-
-@dataclass(frozen=True)
-class OdeProblem:
-    dimension: int
-    rhs: Callable[[float, np.ndarray], np.ndarray]
-    t0: float
-    state0: np.ndarray
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    t: np.ndarray
-    states: np.ndarray          # shape (len(t), dimension)
-    dense: object = field(repr=False, default=None)
-
-    def __call__(self, t):
-        return self.dense(t)
-
-
-def ode_integrate(problem: OdeProblem, t_end: float, tol: float) -> Trajectory:
-    """Adaptive embedded Runge-Kutta 5(4) trajectory with dense output."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    sol = solve_ivp(problem.rhs, (problem.t0, t_end), np.asarray(problem.state0, float),
-                    method="RK45", rtol=tol, atol=tol * 1e-2, dense_output=True)
-    if not sol.success:
-        t_last = float(sol.t[-1]) if sol.t.size else problem.t0
-        raise IntegrationFailure(sol.message, t_last)
-    return Trajectory(sol.t, sol.y.T, sol.sol)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +100,25 @@ def spectral_derivative(values, order: int, lo: float, hi: float) -> np.ndarray:
     if order == 2:
         D = D @ D
     return D @ v
+
+
+def correction_factor(beta):
+    """-1/(6 beta): the factor that ties each first 1/N^2 correction to a second
+    derivative of its limit; exact when beta is a Fraction."""
+    return -1 / (6 * beta)
+
+
+def correction_residual(q0, q1, c, lo: float, hi: float, grid, n_cheb: int,
+                        outer: int, inner: int) -> float:
+    """Max over grid of |Q_1 - c x^outer (d^2/dx^2)(x^inner Q_0)|.
+
+    q0 and q1 map the array of n_cheb Chebyshev points on [lo, hi] to samples
+    of Q_0 and Q_1; the residual is formed there and interpolated to grid.
+    """
+    xs = chebyshev_points(n_cheb, lo, hi)
+    d2 = spectral_derivative(xs ** inner * q0(xs), 2, lo, hi)
+    resid = q1(xs) - c * xs ** outer * d2
+    return float(np.max(np.abs(chebyshev_interpolate(resid, lo, hi, grid))))
 
 
 def chebyshev_interpolate(values, lo: float, hi: float, x):

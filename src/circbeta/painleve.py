@@ -11,8 +11,18 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
-from .numerics import IntegrationFailure, OdeProblem, clenshaw_curtis, ode_integrate
+from .numerics import gauss_legendre
+
+
+class IntegrationFailure(RuntimeError):
+    """ODE integration broke down; ``t_last`` holds the last good abscissa."""
+
+    def __init__(self, message: str, t_last: float):
+        super().__init__(message)
+        self.t_last = t_last
+
 
 # Exact series coefficients of sigma_0 at t = 0 as polynomials in xi over
 # powers of pi: each coefficient is a dict {(xi_power, pi_power): Fraction}
@@ -140,6 +150,8 @@ def solve_sigma0(xi: float, t_max: float, tol: float = 1e-12,
         raise ValueError("t_max beyond supported range")
     if t_max <= t0 and xi > 0.0:
         raise ValueError("t_max must exceed the series start point")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     if xi == 0.0:
         grid = np.linspace(t0, max(t_max, t0), 32)
         z = np.zeros_like(grid)
@@ -159,14 +171,18 @@ def solve_sigma0(xi: float, t_max: float, tol: float = 1e-12,
                          -(t * spp + 6.0 * t * sp * sp + 4.0 * t * t * sp
                            - 4.0 * s * (t + sp)) / (t * t)])
 
-    traj = ode_integrate(OdeProblem(3, rhs, t0, y0), t_max, tol)
-    s0, sp, spp = traj.states.T
+    # adaptive embedded Runge-Kutta 5(4) with dense output for e_tau
+    traj = solve_ivp(rhs, (t0, t_max), y0, method="RK45", rtol=tol, atol=tol * 1e-2,
+                     dense_output=True)
+    if not traj.success:
+        raise IntegrationFailure(traj.message, float(traj.t[-1]) if traj.t.size else t0)
+    s0, sp, spp = traj.y
     resid = _residual_d1y(traj.t, s0, sp, spp)
     bad = np.abs(resid) > residual_tol
     if np.any(bad):
         raise IntegrationFailure("sigma residual exceeded tolerance",
                                  float(traj.t[np.argmax(bad)]))
-    return SigmaSolution(xi, traj.t, s0, sp, spp, resid, t0, _dense=traj.dense)
+    return SigmaSolution(xi, traj.t, s0, sp, spp, resid, t0, _dense=traj.sol)
 
 
 def sigma1_from_sigma0(sol: SigmaSolution) -> SigmaSolution:
@@ -179,7 +195,7 @@ def sigma1_from_sigma0(sol: SigmaSolution) -> SigmaSolution:
 
 
 def _tail_integral(sol: SigmaSolution, a: float, b: float, order: int, n: int = 128) -> float:
-    rule = clenshaw_curtis(n, a, b)
+    rule = gauss_legendre(n, a, b)
     y = sol._dense(rule.nodes)
     t = rule.nodes
     if order == 0:

@@ -9,8 +9,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import digamma
 
-from .numerics import digamma
+from .numerics import correction_factor
 
 F = Fraction
 TWO_PI = 2.0 * math.pi
@@ -28,13 +29,14 @@ def sff_exact(beta: int, N: int, k: int) -> float:
             v = 2.0 * k - k * (digamma(k + (N + 1) / 2.0) - digamma((N + 1) / 2.0))
         else:
             v = 2.0 * N - k * (digamma(k + (N + 1) / 2.0) - digamma(k + (1 - N) / 2.0))
-        return v / TWO_PI
+        return float(v) / TWO_PI
     if beta == 4:
         if k >= 2 * N - 1:
             return N / TWO_PI
         arg = -N + k + 0.5
-        psi = digamma(arg) if arg > 0 else digamma(1.0 - arg)  # reflection
-        return (k / 2.0) * (1.0 + 0.5 * (digamma(N + 0.5) - psi)) / TWO_PI
+        # psi(z) = psi(1 - z) at half-integers z, so stay on the positive side
+        psi = digamma(arg) if arg > 0 else digamma(1.0 - arg)
+        return float((k / 2.0) * (1.0 + 0.5 * (digamma(N + 0.5) - psi))) / TWO_PI
     raise ValueError("beta must be 1, 2, or 4")
 
 
@@ -71,10 +73,6 @@ def _s0_derivs_beta4(t: float):
     return s0, d2, d3, d4
 
 
-X6_C = {1: -1.0 / 6.0, 4: -1.0 / 24.0}
-X6_D = {1: 7.0 / 360.0, 4: 7.0 / 5760.0}
-
-
 def sff_bulk_term(beta: int, order: int, tau: float) -> float:
     """Bulk expansion term S_order(tau); order 0 is the limit curve."""
     t = abs(float(tau))
@@ -90,7 +88,7 @@ def sff_bulk_term(beta: int, order: int, tau: float) -> float:
                 return (t / 6.0) * (1.0 - 1.0 / (1.0 + 2.0 * t) ** 2)
             return 4.0 * t * t / (3.0 * (4.0 * t * t - 1.0) ** 2)
         _, d2, d3, d4 = _s0_derivs_beta1(t)
-        return X6_D[1] * (t ** 4 * d4 + 8.0 * t ** 3 * d3 + 12.0 * t * t * d2)
+        return _d_coeff(beta / 2) * (t ** 4 * d4 + 8.0 * t ** 3 * d3 + 12.0 * t * t * d2)
     if beta == 4:
         if t == 1.0:
             raise ValueError("logarithmic singularity at tau = 1 for beta = 4")
@@ -101,7 +99,7 @@ def sff_bulk_term(beta: int, order: int, tau: float) -> float:
                 return 0.0
             return (t / 96.0) * (1.0 - 1.0 / (t - 1.0) ** 2)
         _, d2, d3, d4 = _s0_derivs_beta4(t)
-        return X6_D[4] * (t ** 4 * d4 + 8.0 * t ** 3 * d3 + 12.0 * t * t * d2)
+        return _d_coeff(beta / 2) * (t ** 4 * d4 + 8.0 * t ** 3 * d3 + 12.0 * t * t * d2)
     raise ValueError("beta must be 1, 2, or 4")
 
 
@@ -311,11 +309,6 @@ def oracle_series_coefficients(kappa) -> dict:
     return coeffs
 
 
-def _c_coeff(kappa):
-    one = F(1) if isinstance(kappa, Fraction) else 1.0
-    return -one / (12 * kappa)
-
-
 def _d_coeff(kappa):
     one = F(1) if isinstance(kappa, Fraction) else 1.0
     if kappa == one:
@@ -355,12 +348,12 @@ def verify_x6(beta: float, tau_grid=None) -> X6Report:
             _, d2, d3, d4 = derivs(float(t))
             s1 = sff_bulk_term(beta, 1, float(t))
             s2 = sff_bulk_term(beta, 2, float(t))
-            r1 = max(r1, abs(s1 - X6_C[beta] * t * t * d2))
-            r2 = max(r2, abs(s2 - X6_D[beta] * (t ** 4 * d4 + 8 * t ** 3 * d3
+            r1 = max(r1, abs(s1 - correction_factor(beta) * t * t * d2))
+            r2 = max(r2, abs(s2 - _d_coeff(beta / 2) * (t ** 4 * d4 + 8 * t ** 3 * d3
                                                 + 12 * t * t * d2)))
         return X6Report(r1, r2)
     kappa = F(beta).limit_denominator(10 ** 6) / 2
-    c, d = _c_coeff(kappa), _d_coeff(kappa)
+    c, d = correction_factor(2 * kappa), _d_coeff(kappa)
     r1 = 0.0
     for m in SERIES_POWERS[1]:
         lhs = series_coefficient(1, m, kappa)
@@ -393,6 +386,15 @@ def _antisymmetry_holds(order: int, m: int, tau8: str) -> bool:
     return True
 
 
+def root_modulus_deviation(names) -> float:
+    """Largest ||z| - 1| over the zeros of the named POLYNOMIALS."""
+    worst = 0.0
+    for name in names:
+        roots = np.roots([float(c) for c in reversed(POLYNOMIALS[name])])
+        worst = max(worst, float(np.max(np.abs(np.abs(roots) - 1.0))))
+    return worst
+
+
 @dataclass(frozen=True)
 class SymmetryReport:
     antisymmetry_ok: bool
@@ -415,8 +417,5 @@ def check_functional_symmetry_and_zeros() -> SymmetryReport:
              for order, powers in SERIES_POWERS.items() for m in powers)
     p6_ok = _antisymmetry_holds(0, 8, "p6")
     p4_ok = _antisymmetry_holds(0, 8, "p4")
-    worst = 0.0
-    for name in ("p2", "p4", "q2", "q4", "r2", "r4"):
-        roots = np.roots([float(c) for c in reversed(POLYNOMIALS[name])])
-        worst = max(worst, float(np.max(np.abs(np.abs(roots) - 1.0))))
-    return SymmetryReport(ok, p6_ok, p4_ok, worst)
+    return SymmetryReport(ok, p6_ok, p4_ok,
+                          root_modulus_deviation(("p2", "p4", "q2", "q4", "r2", "r4")))

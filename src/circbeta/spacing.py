@@ -1,6 +1,6 @@
 """Spacing-distribution generating functions from the gap data, golden
 small-s series tables in exact rational-pi arithmetic, the Wigner-surmise
-approximation, and the correction-to-limit identity checks."""
+approximation, and the exact series form of the correction-to-limit identity."""
 
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import correlations, gap
-from .numerics import chebyshev_interpolate, chebyshev_points, spectral_derivative
+from .numerics import (chebyshev_interpolate, chebyshev_points, correction_factor,
+                       spectral_derivative)
 
 F = Fraction
 
@@ -132,14 +133,6 @@ P1_BETA1 = SeriesTable("p1_beta1", (
     (9, 0, 10, 0, F(-1, 435456)),
 ))
 
-TABLES = {t.name: t for t in (E_CUE_SMALL_S, P0_BETA2, P1_BETA2, P2_BETA2,
-                              P0_BETA1, P1_BETA1)}
-
-
-def eval_series(table: SeriesTable, s: float, xi: float, N: float | None = None) -> float:
-    return table(s, xi, N)
-
-
 # ---------------------------------------------------------------------------
 # Spacing generating function from the gap pipelines
 
@@ -172,36 +165,14 @@ def p_bulk(beta: int, order: int, s: float, xi: float, n_cheb: int = 64,
     return float(chebyshev_interpolate(samples, 0.0, hi, s))
 
 
-def verify_spacing_identity(beta: int, s_grid, xi_grid, n_cheb: int = 64,
-                            n_quad: int = 64) -> float:
-    """Max residual of P_1 = -(1/(6 beta)) (d^2/ds^2)(s^2 P_0) over the grids."""
-    s_grid = np.asarray(s_grid, float)
-    worst = 0.0
-    hi = 1.1 * float(s_grid.max())
-    xs = chebyshev_points(n_cheb, 0.0, hi)
-    for xi in np.atleast_1d(xi_grid):
-        p0 = _p_samples(beta, 0, float(xi), float(hi), n_cheb, n_quad)
-        p1 = _p_samples(beta, 1, float(xi), float(hi), n_cheb, n_quad)
-        d2 = spectral_derivative(xs ** 2 * p0, 2, 0.0, hi)
-        resid = p1 + d2 / (6.0 * beta)
-        worst = max(worst, float(np.max(np.abs(
-            chebyshev_interpolate(resid, 0.0, hi, s_grid)))))
-    return worst
-
-
-def series_identity_max_power(beta: int) -> int:
-    return 9
-
-
 def spacing_series_identity_holds(beta: int) -> bool:
     """Exact check that -(1/(6 beta))(s^2 P_0)'' reproduces P_1 term by term."""
-    if beta == 2:
-        lhs = P0_BETA2.s_squared().second_derivative().scaled(F(-1, 12))
-        return tables_match_through(lhs, P1_BETA2, 9)
-    if beta == 1:
-        lhs = P0_BETA1.s_squared().second_derivative().scaled(F(-1, 6))
-        return tables_match_through(lhs, P1_BETA1, 9)
-    raise ValueError("series tables exist for beta = 1, 2 only")
+    tables = {2: (P0_BETA2, P1_BETA2), 1: (P0_BETA1, P1_BETA1)}
+    if beta not in tables:
+        raise ValueError("series tables exist for beta = 1, 2 only")
+    p0, p1 = tables[beta]
+    lhs = p0.s_squared().second_derivative().scaled(correction_factor(F(beta)))
+    return tables_match_through(lhs, p1, 9)
 
 
 # ---------------------------------------------------------------------------

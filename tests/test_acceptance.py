@@ -12,7 +12,8 @@ from fractions import Fraction as F
 import numpy as np
 
 import circbeta as cb
-from circbeta.sff import POLYNOMIALS
+from circbeta.cli import _identity_registry
+from circbeta.sff import POLYNOMIALS, root_modulus_deviation
 from circbeta.spacing import P0_BETA1, P0_BETA2, P1_BETA1, P1_BETA2, tables_match_through
 
 
@@ -42,8 +43,8 @@ def test_criterion_1_route_equivalence():
 
 def test_criterion_2_correction_identity():
     t0 = time.time()
-    grid = np.linspace(0.1, 3.0, 31)
-    worst = max(cb.verify_gap_identity(2, grid, xi) for xi in (0.5, 1.0))
+    # E_1 = -(s^2/12) E_0'' at xi = 0.5, 1 on 31 points of [0.1, 3]
+    worst = _identity_registry()["e-corr-beta2"][2]()
     ok = worst <= 1e-6
     report(2, ok, f"max residual {worst:.2e} <= 1e-6", t0, 10.0)
     assert ok
@@ -84,8 +85,10 @@ def test_criterion_5_pfaffian_corrections():
             vals = np.array([cb.rho2_bulk_finite(beta, int(N), x) for N in Ns])
             fit = np.linalg.solve(A, vals)
             worst = max(worst, abs(fit[1] - cb.rho2_bulk_term(beta, 1, x)))
-    r1 = cb.verify_rho2_identity(1)
-    r4 = cb.verify_rho2_identity(4)
+    # rho_1 = -(1/(6 beta))(x^2 rho_0)'' on 15 points of [0.2, 3]
+    registry = _identity_registry()
+    r1 = registry["rho2-corr-beta1"][2]()
+    r4 = registry["rho2-corr-beta4"][2]()
     ok = worst <= 1e-3 and r1 <= 1e-7 and r4 <= 1e-7
     report(5, ok, f"Richardson {worst:.2e}<=1e-3; identities {r1:.1e},{r4:.1e}<=1e-7",
            t0, 20.0)
@@ -110,9 +113,8 @@ def test_criterion_6_structure_functions():
     x64 = cb.verify_x6(4)
     closed = max(x61.residual1, x61.residual2, x64.residual1, x64.residual2)
     rep = cb.check_functional_symmetry_and_zeros()
-    zero_dev = {name: float(np.max(np.abs(np.abs(np.roots(
-        [float(c) for c in reversed(POLYNOMIALS[name])])) - 1.0)))
-        for name in ("p2", "p4", "q2", "q4", "r2")}
+    zero_dev = {name: root_modulus_deviation((name,))
+                for name in ("p2", "p4", "q2", "q4", "r2")}
     zeros_ok = max(zero_dev.values()) <= 1e-10
     oracle_ok = True
     for kap in ORACLE_KAPPAS:
@@ -138,8 +140,11 @@ def test_criterion_7_even_beta_pipeline():
     for x in (0.3, 0.7, 1.2):
         want = 1 - (np.sin(np.pi * x) / (20 * np.sin(np.pi * x / 20))) ** 2
         worst_det = max(worst_det, abs(cb.rho2_even_beta(2, x, 20) - want))
-    r2 = cb.verify_421(2, N_pair=(32, 64))
-    r4 = cb.verify_421(4, N_pair=(24, 48))
+    # Richardson 1/N^2 coefficient against -(1/(6 beta))(x^2 rho_0)'', N = 32, 64
+    # at beta = 2 and N = 24, 48 at beta = 4
+    registry = _identity_registry()
+    r2 = registry["rho2-even-corr-beta2"][2]()
+    r4 = registry["rho2-even-corr-beta4"][2]()
     rec = cb.verify_moment_recurrence(2)
     c1_ok = True
     for N in (12, 37):

@@ -4,12 +4,14 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from circbeta import (leading_xi_coefficient, leading_xi_coefficient_exact,
+from circbeta import (correction_factor, correction_residual,
+                      leading_xi_coefficient, leading_xi_coefficient_exact,
                       leading_xi_s_power, evenness_factor, gauss_legendre,
                       moment_integral, morris, recurrence_sides,
                       rho2_bulk_term, rho2_correction_limit, rho2_even_beta,
-                      selberg, v2_coefficient, verify_421, verify_moment_recurrence)
-from circbeta.beta_even import evenness_factor_exact, selberg_exact
+                      selberg, v2_coefficient, verify_moment_recurrence)
+from circbeta.beta_even import (evenness_factor_exact, rho2_correction_estimate,
+                                selberg_exact)
 from circbeta.spacing import P0_BETA2
 
 
@@ -194,12 +196,22 @@ class TestRho2EvenBeta:
             assert a == pytest.approx(b, rel=1e-11)
 
 
+def even_identity_residual(beta, N_pair):
+    """Max residual of the Richardson 1/N^2 coefficient against
+    -(1/(6 beta)) (x^2 rho_0)'' on 32 Chebyshev nodes over [0.1, 2.2]."""
+    each = lambda f: lambda xs: np.array([f(x) for x in xs])
+    return correction_residual(
+        each(lambda x: rho2_even_beta(beta, x, check_convergence=False)),
+        each(lambda x: rho2_correction_estimate(beta, x, N_pair)),
+        correction_factor(beta), 0.1, 2.2, np.linspace(0.2, 2.0, 7), 32, 0, 2)
+
+
 class TestVerify421:
     def test_beta2(self):
-        assert verify_421(2, N_pair=(32, 64)) < 5e-3
+        assert even_identity_residual(2, (32, 64)) < 5e-3
 
     def test_beta4(self):
-        assert verify_421(4, N_pair=(24, 48)) < 1e-2
+        assert even_identity_residual(4, (24, 48)) < 1e-2
 
     def test_beta4_against_pfaffian_closed_form(self):
         for x in (0.4, 0.9, 1.6):
@@ -218,7 +230,7 @@ class TestVerify421:
 
     def test_small_N_rejected(self):
         with pytest.raises(ValueError):
-            verify_421(2, N_pair=(8, 16))
+            rho2_correction_estimate(2, 0.5, N_pair=(8, 16))
 
 
 class TestMomentIntegrals:

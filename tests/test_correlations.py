@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circbeta import (pfaffian, rho2_bulk_finite, rho2_bulk_term, rho_n_cue,
-                      rho_n_pfaffian, sine_integral, verify_rho2_identity)
+from circbeta import (correction_factor, correction_residual, pfaffian,
+                      rho2_bulk_finite, rho2_bulk_term, rho_n_cue, rho_n_pfaffian,
+                      sine_integral)
 from circbeta.correlations import _pfaffian_combinatorial
 
 
@@ -138,19 +139,30 @@ class TestBulkTerms:
         assert abs(rho2_bulk_term(4, 0, 20.0) - 0.25) < 2e-2
 
 
+def rho2_identity_residual(beta, order, c, outer):
+    """Max residual of rho_order = c x^outer (x^2 rho_0)'' on 96 Chebyshev
+    nodes over [0.1, 3.3], checked at 15 points of [0.2, 3]."""
+    return correction_residual(lambda xs: rho2_bulk_term(beta, 0, xs),
+                               lambda xs: rho2_bulk_term(beta, order, xs), c,
+                               0.1, 1.1 * 3.0, np.linspace(0.2, 3.0, 15), 96, outer, 2)
+
+
 class TestDifferentialIdentities:
     def test_beta2_first_order(self):
-        assert verify_rho2_identity(2) < 1e-8
+        assert rho2_identity_residual(2, 1, correction_factor(2), 0) < 1e-8
 
     def test_beta1_first_order(self):
-        assert verify_rho2_identity(1) < 1e-7
+        assert rho2_identity_residual(1, 1, correction_factor(1), 0) < 1e-7
 
     def test_beta4_first_order(self):
-        assert verify_rho2_identity(4) < 1e-7
+        assert rho2_identity_residual(4, 1, correction_factor(4), 0) < 1e-7
 
     def test_beta2_second_order(self):
-        assert verify_rho2_identity(2, "second_order_beta2") < 1e-8
+        # rho_2 = -((pi x)^2 / 60)(x^2 rho_0)''
+        assert rho2_identity_residual(2, 2, -np.pi ** 2 / 60, 2) < 1e-8
 
     def test_second_order_restricted(self):
-        with pytest.raises(ValueError):
-            verify_rho2_identity(1, "second_order_beta2")
+        # the second-order term, and with it the identity, exists for beta = 2 only
+        for beta in (1, 4):
+            with pytest.raises(ValueError):
+                rho2_bulk_term(beta, 2, 0.5)

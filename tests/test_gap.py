@@ -4,11 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from circbeta import (AccuracyWarning, E_CUE_SMALL_S, KernelSpec, e_bulk,
-                      e_finite_cue, e_pm, extract_correction, fredholm_det,
-                      fredholm_trace_correction, gap_probabilities,
-                      gauss_legendre, kernel_eval, verify_gap_identity,
-                      verify_pm_identity)
+from circbeta import (AccuracyWarning, E_CUE_SMALL_S, KernelSpec, correction_factor,
+                      correction_residual, e_bulk, e_finite_cue, e_pm,
+                      extract_correction, fredholm_det, fredholm_trace_correction,
+                      gap_probabilities, gauss_legendre, kernel_eval)
 from circbeta.gap import _det_fixed, _spectrum, _symmetrised
 from circbeta.spacing import P0_BETA1
 
@@ -88,24 +87,34 @@ class TestEBulk:
         assert 0.0 < r.E0 < 1.0 and r.quad_order == 64
 
 
+def gap_identity_residual(e, beta, s_grid):
+    """Max residual of E_1 = -(s^2 / (6 beta)) E_0'' on 64 Chebyshev nodes,
+    E_order(s) = e(order, s)."""
+    sample = lambda order: lambda xs: np.array([e(order, s) for s in xs])
+    return correction_residual(sample(0), sample(1), correction_factor(beta),
+                               0.0, 1.05 * s_grid.max(), s_grid, 64, 2, 0)
+
+
 class TestIdentities:
     s_grid = np.linspace(0.1, 3.0, 31)
 
     @pytest.mark.parametrize("xi", [0.25, 0.5, 1.0])
     def test_beta2(self, xi):
-        assert verify_gap_identity(2, self.s_grid, xi) < 1e-6
+        assert gap_identity_residual(lambda o, s: e_bulk(2, o, s, xi), 2, self.s_grid) < 1e-6
 
     @pytest.mark.parametrize("xi", [0.25, 0.5, 1.0])
     def test_beta1(self, xi):
-        assert verify_gap_identity(1, self.s_grid, xi) < 1e-5
+        assert gap_identity_residual(lambda o, s: e_bulk(1, o, s, xi), 1, self.s_grid) < 1e-5
 
     @pytest.mark.parametrize("xi", [0.25, 0.5, 1.0])
     def test_beta4(self, xi):
-        assert verify_gap_identity(4, self.s_grid, xi) < 1e-5
+        assert gap_identity_residual(lambda o, s: e_bulk(4, o, s, xi), 4, self.s_grid) < 1e-5
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_pm_level(self, sign):
-        assert verify_pm_identity(sign, self.s_grid, 0.8) < 1e-5
+        # the +- kernels carry the beta = 1 factor, -1/6
+        assert gap_identity_residual(lambda o, s: e_pm(sign, o, s, 0.8), 1,
+                                     self.s_grid) < 1e-5
 
 
 class TestFiniteCue:
@@ -148,6 +157,11 @@ class TestExtractCorrection:
     def test_needs_three(self):
         with pytest.raises(ValueError):
             extract_correction([10, 20], 1.0, 1.0)
+
+    @pytest.mark.parametrize("N_list", [[10, 20, 20, 40], [20, 40, 80, 80]])
+    def test_rejects_repeated_N(self, N_list):
+        with pytest.warns(AccuracyWarning), pytest.raises(ValueError, match="distinct"):
+            extract_correction(N_list, 1.0, 1.0)
 
     def test_warns_on_degenerate_data(self):
         with warnings.catch_warnings():

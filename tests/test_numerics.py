@@ -1,17 +1,11 @@
-import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.special import digamma as scipy_digamma
 
-from circbeta import (IntegrationFailure, OdeProblem, chebyshev_interpolate,
-                      chebyshev_points, clenshaw_curtis, digamma,
-                      gauss_jacobi, gauss_legendre, harmonic_number,
-                      ode_integrate, sine_integral, spectral_derivative)
-
-EULER_GAMMA = 0.5772156649015328606
+from circbeta import (chebyshev_interpolate, chebyshev_points, correction_factor,
+                      correction_residual, gauss_jacobi, gauss_legendre, sine_integral,
+                      spectral_derivative)
 
 
 def adaptive_simpson(f, a, b, tol=1e-13):
@@ -115,88 +109,6 @@ class TestSineIntegral:
         assert sine_integral(np.pi) == pytest.approx(oracle, abs=1e-12)
 
 
-class TestDigamma:
-    def test_euler_constant(self):
-        assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-12)
-
-    def test_half_integer_identity(self):
-        # psi(n + 1/2) = -gamma - 2 log 2 + 2 H_{2n} - H_n at n = 3
-        n = 3
-        expect = -EULER_GAMMA - 2.0 * math.log(2.0) \
-            + 2.0 * harmonic_number(2 * n) - harmonic_number(n)
-        assert digamma(n + 0.5) == pytest.approx(expect, abs=1e-12)
-
-    def test_reflection_at_negative_half_integer(self):
-        N, k = 7, 3
-        assert digamma(-N + abs(k) + 0.5) == pytest.approx(
-            digamma(N + 0.5 - abs(k)), abs=1e-12)
-
-    def test_pole(self):
-        with pytest.raises(ValueError):
-            digamma(0.0)
-        with pytest.raises(ValueError):
-            digamma(-4.0)
-
-    @given(st.floats(min_value=0.5, max_value=20.0))
-    @settings(max_examples=50, deadline=None)
-    def test_recurrence(self, z):
-        assert digamma(z + 1.0) == pytest.approx(digamma(z) + 1.0 / z, abs=1e-12)
-
-    def test_against_scipy(self):
-        for z in np.linspace(0.1, 30.0, 40):
-            assert digamma(z) == pytest.approx(float(scipy_digamma(z)), abs=1e-12)
-
-
-def test_harmonic_number_asymptotics():
-    # H_n - (log n + gamma + 1/2n - sum B_2k/(2k n^2k), k<=3) = O(n^-8);
-    # the residual is ~1e-16 at n = 50, below double rounding, so the ratio
-    # test runs in 50-digit arithmetic with exact rational harmonic numbers
-    import mpmath
-    from fractions import Fraction
-    mpmath.mp.dps = 50
-    bern = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42))
-
-    def as_mpf(frac):
-        return mpmath.mpf(frac.numerator) / mpmath.mpf(frac.denominator)
-
-    def residual(n):
-        h = as_mpf(sum(Fraction(1, k) for k in range(1, n + 1)))
-        tail = as_mpf(sum(b / (2 * k * Fraction(n) ** (2 * k))
-                          for k, b in enumerate(bern, start=1)))
-        return h - (mpmath.log(n) + mpmath.euler + mpmath.mpf(1) / (2 * n) - tail)
-
-    r50, r100, r200 = residual(50), residual(100), residual(200)
-    assert float(r50 / r100) == pytest.approx(2.0 ** 8, rel=0.1)
-    assert float(r100 / r200) == pytest.approx(2.0 ** 8, rel=0.1)
-
-
-class TestOdeIntegrate:
-    def test_exponential(self):
-        prob = OdeProblem(1, lambda t, y: y, 0.0, np.array([1.0]))
-        traj = ode_integrate(prob, 1.0, 1e-12)
-        assert traj.states[-1, 0] == pytest.approx(math.e, abs=1e-10)
-
-    def test_constant(self):
-        prob = OdeProblem(2, lambda t, y: np.zeros(2), 0.0, np.array([2.0, -1.0]))
-        traj = ode_integrate(prob, 5.0, 1e-10)
-        assert np.allclose(traj.states, [2.0, -1.0])
-
-    def test_dense_output(self):
-        prob = OdeProblem(1, lambda t, y: np.array([math.cos(t)]), 0.0, np.array([0.0]))
-        traj = ode_integrate(prob, 3.0, 1e-12)
-        assert traj(1.3)[0] == pytest.approx(math.sin(1.3), abs=1e-9)
-
-    def test_failure_carries_last_t(self):
-        prob = OdeProblem(1, lambda t, y: y ** 2, 0.0, np.array([1.0]))
-        with pytest.raises(IntegrationFailure) as err:
-            ode_integrate(prob, 2.0, 1e-10)   # blows up at t = 1
-        assert 0.9 < err.value.t_last <= 1.05
-
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            ode_integrate(OdeProblem(1, lambda t, y: y, 0.0, np.array([1.0])), 1.0, 0.0)
-
-
 class TestSpectralDerivative:
     def test_quadratic(self):
         xs = chebyshev_points(32, 0.0, 2.0)
@@ -234,12 +146,31 @@ class TestSpectralDerivative:
             assert interp == pytest.approx(fd, abs=1e-5)
 
 
-def test_clenshaw_curtis():
-    r = clenshaw_curtis(32, 0.0, 1.0)
-    assert r.integrate(lambda x: x ** 5) == pytest.approx(1.0 / 6.0, abs=1e-13)
-    assert r.integrate(np.exp) == pytest.approx(math.e - 1.0, abs=1e-13)
-    r2 = clenshaw_curtis(64, 0.0, np.pi)
-    assert r2.integrate(np.sin) == pytest.approx(2.0, abs=1e-13)
+class TestCorrectionResidual:
+    grid = np.linspace(0.3, 2.0, 9)
+
+    @pytest.mark.parametrize("outer,inner", [(2, 0), (0, 2), (2, 2)])
+    def test_exact_relation_vanishes(self, outer, inner):
+        # Q0 = sin x; (x^inner sin x)'' by hand
+        d2 = {0: lambda x: -np.sin(x),
+              2: lambda x: 2 * np.sin(x) + 4 * x * np.cos(x) - x * x * np.sin(x)}[inner]
+        c = correction_factor(4)
+        q1 = lambda xs: c * xs ** outer * d2(xs)
+        r = correction_residual(np.sin, q1, c, 0.1, 2.2, self.grid, 48, outer, inner)
+        assert r < 1e-9
+
+    def test_wrong_factor_detected(self):
+        # the sign of c flipped: Q1 = -c x^2 sin''(x)
+        q1 = lambda xs: correction_factor(2) * xs ** 2 * np.sin(xs)
+        r = correction_residual(np.sin, q1, correction_factor(2), 0.1, 2.2,
+                                self.grid, 48, 2, 0)
+        assert r == pytest.approx(2 * np.max(self.grid ** 2 * np.sin(self.grid)) / 12,
+                                  rel=1e-9)
+
+    def test_factor_exact_for_fractions(self):
+        assert correction_factor(Fraction(2)) == Fraction(-1, 12)
+        assert correction_factor(Fraction(3, 2)) == Fraction(-1, 9)
+        assert correction_factor(4) == -1.0 / 24.0
 
 
 def test_chebyshev_interpolation():

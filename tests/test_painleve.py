@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from circbeta import (KernelSpec, OdeProblem, e_bulk, e_tau, fredholm_det,
-                      ode_integrate, sigma0_series, sigma1_from_sigma0,
-                      sigma1_series, solve_sigma0)
+from circbeta import (IntegrationFailure, KernelSpec, e_bulk, e_tau, fredholm_det,
+                      painleve, sigma0_series, sigma1_from_sigma0, sigma1_series,
+                      solve_sigma0)
 from circbeta.painleve import (_residual_d1y, _sigma0_coeffs_exact,
                                sigma1_series_exact)
 
@@ -79,9 +80,9 @@ class TestSolve:
             return np.array([sp, spp, -(t * spp + 6 * t * sp ** 2 + 4 * t * t * sp
                                         - 4 * s * (t + sp)) / t ** 2])
 
-        traj = ode_integrate(OdeProblem(3, rhs, t0, y0), 0.1, 1e-12)
+        traj = solve_ivp(rhs, (t0, 0.1), y0, method="RK45", rtol=1e-12, atol=1e-14)
         series_at = float(np.sum(c * 0.1 ** k))
-        assert traj.states[-1, 0] == pytest.approx(series_at, abs=1e-8)
+        assert traj.y[0, -1] == pytest.approx(series_at, abs=1e-8)
 
     def test_t0_sensitivity(self):
         a = e_tau(solve_sigma0(1.0, np.pi, t0=1e-2), 1.0, 0)
@@ -93,6 +94,21 @@ class TestSolve:
             solve_sigma0(1.0, 40.0)
         with pytest.raises(ValueError):
             solve_sigma0(1.2, np.pi)
+
+    def test_bad_tol(self):
+        with pytest.raises(ValueError):
+            solve_sigma0(1.0, np.pi, tol=0.0)
+
+    def test_integration_failure_carries_last_t(self, monkeypatch):
+        # y' = y^2 from y(t0) = 1 in place of the sigma system: it blows up
+        # at t0 + 1, where the solver stops
+        def blowing_up(fun, t_span, y0, **kwargs):
+            return solve_ivp(lambda t, y: y ** 2, t_span, np.ones(1), **kwargs)
+
+        monkeypatch.setattr(painleve, "solve_ivp", blowing_up)
+        with pytest.raises(IntegrationFailure) as err:
+            solve_sigma0(1.0, 2.0, tol=1e-10)
+        assert 0.9 < err.value.t_last - 1e-2 <= 1.05
 
 
 class TestSigma1:

@@ -9,7 +9,7 @@ from circbeta import (cbe_trace_moment, check_functional_symmetry_and_zeros,
                       oracle_series_coefficients, series_coefficient,
                       sff_bulk_scaled, sff_bulk_term, sff_exact, sff_series,
                       verify_x6)
-from circbeta.sff import (_SERIES, ORACLE_ORDER, POLYNOMIALS, SERIES_POWERS, X6_D,
+from circbeta.sff import (_SERIES, ORACLE_ORDER, POLYNOMIALS, SERIES_POWERS, _d_coeff,
                           cbe_moment_expansion)
 
 
@@ -140,7 +140,8 @@ class TestSeries:
 
     def test_second_order_taylor_from_relation(self):
         for kappa, d in ((F(1, 2), F(7, 360)), (F(2), F(7, 5760))):
-            assert float(d) == (X6_D[1] if kappa == F(1, 2) else X6_D[4])
+            # the float coefficient the beta = 1, 4 closed forms use
+            assert _d_coeff(float(kappa)) == float(d)
             for m in SERIES_POWERS[2]:
                 want = d * m * (m - 1) * (m + 1) * (m + 2) \
                     * series_coefficient(0, m, kappa)

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from circbeta import (E_CUE_SMALL_S, P0_BETA1, P0_BETA2, P1_BETA1, P1_BETA2,
-                      P2_BETA2, eval_series, gauss_legendre, p_bulk,
-                      rho2_bulk_term, spacing_series_identity_holds,
-                      surmise_correction, verify_spacing_identity,
+                      P2_BETA2, correction_factor, correction_residual,
+                      gauss_legendre, p_bulk, rho2_bulk_term,
+                      spacing_series_identity_holds, surmise_correction,
                       wigner_surmise)
-from circbeta.spacing import SeriesTable, tables_match_through
+from circbeta.spacing import SeriesTable, _p_samples, tables_match_through
 
 
 def poly_mul(p, q):
@@ -92,20 +92,20 @@ class TestTableChecksums:
 class TestEvalSeries:
     def test_limit_value(self):
         s, xi = 0.2, 1.0
-        got = eval_series(E_CUE_SMALL_S, s, xi)
+        got = E_CUE_SMALL_S(s, xi)
         partial = (1 - s + np.pi ** 2 * s ** 4 / 36 - 2 * np.pi ** 4 * s ** 6 / 1350
                    + 3 * np.pi ** 6 * s ** 8 / 52920 - np.pi ** 6 * s ** 9 / 291600)
         assert got == pytest.approx(partial, abs=1e-7)
 
     def test_constant_terms(self):
-        assert eval_series(E_CUE_SMALL_S, 0.0, 0.7, 12) == 1.0
+        assert E_CUE_SMALL_S(0.0, 0.7, 12) == 1.0
         for table in (P0_BETA2, P1_BETA2, P2_BETA2, P0_BETA1, P1_BETA1):
-            assert eval_series(table, 0.0, 0.7) == 0.0
+            assert table(0.0, 0.7) == 0.0
 
     def test_second_correction_leading_term(self):
         want = -np.pi ** 4 * 0.1 ** 4 / 15 + np.pi ** 6 * 0.1 ** 6 / 45 \
             - np.pi ** 8 * 0.1 ** 8 * 2 / 675
-        assert eval_series(P2_BETA2, 0.1, 0.0) == pytest.approx(want, rel=1e-7)
+        assert P2_BETA2(0.1, 0.0) == pytest.approx(want, rel=1e-7)
 
 
 class TestSeriesIdentities:
@@ -131,18 +131,18 @@ class TestPBulk:
         lead = np.pi ** 2 * s ** 2 / 3 - 2 * np.pi ** 4 * s ** 4 / 45
         assert p_bulk(2, 0, s, 1.0) == pytest.approx(lead, rel=1e-3)
         assert p_bulk(2, 0, s, 1.0) == pytest.approx(
-            eval_series(P0_BETA2, s, 1.0), rel=1e-4)
+            P0_BETA2(s, 1.0), rel=1e-4)
 
     def test_beta2_order1_small_s(self):
         s = 0.1
         lead = -np.pi ** 2 * s ** 2 / 3 + np.pi ** 4 * s ** 4 / 9
         assert p_bulk(2, 1, s, 1.0) == pytest.approx(lead, rel=1e-3)
         assert p_bulk(2, 1, s, 1.0) == pytest.approx(
-            eval_series(P1_BETA2, s, 1.0), rel=1e-4)
+            P1_BETA2(s, 1.0), rel=1e-4)
 
     def test_beta1_order0_small_s(self):
         s = 0.1
-        want = eval_series(P0_BETA1, s, 1.0)
+        want = P0_BETA1(s, 1.0)
         assert p_bulk(1, 0, s, 1.0) == pytest.approx(want, rel=1e-4)
 
     def test_positivity_and_level_repulsion(self):
@@ -175,14 +175,25 @@ class TestPBulk:
             assert abs(val) < 1e-3
 
 
+def spacing_identity_residual(beta, s_grid, xi_grid):
+    """Max residual of P_1 = -(1/(6 beta)) (s^2 P_0)'' over the grids, from the
+    samples p_bulk interpolates."""
+    hi = 1.1 * s_grid.max()
+    return max(correction_residual(
+        lambda xs: _p_samples(beta, 0, xi, hi, 64, 64),
+        lambda xs: _p_samples(beta, 1, xi, hi, 64, 64),
+        correction_factor(beta), 0.0, hi, s_grid, 64, 0, 2) for xi in xi_grid)
+
+
 class TestSpacingIdentity:
     def test_beta2(self):
-        r = verify_spacing_identity(2, np.linspace(0.2, 2.5, 24), (0.5, 1.0))
+        r = spacing_identity_residual(2, np.linspace(0.2, 2.5, 24), (0.5, 1.0))
         assert r < 1e-4
 
     @pytest.mark.parametrize("beta,cb", [(1, 6.0), (4, 24.0)])
     def test_other_betas(self, beta, cb):
-        r = verify_spacing_identity(beta, np.linspace(0.2, 2.5, 24), (0.5, 1.0))
+        assert correction_factor(beta) == -1.0 / cb
+        r = spacing_identity_residual(beta, np.linspace(0.2, 2.5, 24), (0.5, 1.0))
         assert r < 1e-4
 
 
