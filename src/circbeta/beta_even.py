@@ -106,7 +106,7 @@ def v2_coefficient(n: int, kappa: float) -> float:
 _CHUNK = 500_000
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=2)   # each entry holds up to 2.5M x beta int64s
 def _combo_array(n: int, beta: int):
     if math.comb(n, beta) > 2_500_000:
         return None

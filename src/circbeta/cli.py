@@ -68,10 +68,9 @@ def cmd_gap(args):
 
 def cmd_spacing(args):
     grid = _grid(args, "s", np.linspace(0.1, 3.0, 30))
-    rows = [[float(s),
-             spacing.p_bulk(args.beta, 0, float(s), args.xi, n_quad=args.quad),
-             spacing.p_bulk(args.beta, 1, float(s), args.xi, n_quad=args.quad)]
-            for s in grid]
+    p0, p1 = (spacing.p_bulk(args.beta, order, grid, args.xi, n_quad=args.quad)
+              for order in (0, 1))
+    rows = [[float(s), float(a), float(b)] for s, a, b in zip(grid, p0, p1)]
     return _emit(args, "spacing", {"beta": args.beta, "xi": args.xi, "quad": args.quad},
                  ["s", "P0", "P1"], rows)
 
@@ -120,9 +119,9 @@ def cmd_rho2(args):
 
 def cmd_fig1(args):
     grid = args.range if args.range is not None else np.linspace(0.0, 3.0, 61)
-    rows = [[float(s),
-             spacing.p_bulk(2, 1, float(s), 1.0) if s > 0 else 0.0,
-             spacing.surmise_correction(float(s))] for s in grid]
+    exact = np.where(grid > 0, spacing.p_bulk(2, 1, np.maximum(grid, 0.0), 1.0), 0.0)
+    rows = [[float(s), float(e), spacing.surmise_correction(float(s))]
+            for s, e in zip(grid, exact)]
     return _emit(args, "fig1", {"xi": 1.0}, ["s", "exact_correction",
                                              "surmise_correction"], rows)
 
@@ -159,7 +158,7 @@ def _identity_registry():
     def p_bulk(beta):
         # the samples p_bulk interpolates, taken on the engine's own nodes
         hi = spacing_s[1]
-        return [_orders(lambda o, xs, xi=xi: spacing._p_samples(beta, o, xi, hi, 64, 64))
+        return [_orders(lambda o, xs, xi=xi: spacing._p_samples(beta, xi, hi, 64, None)[o])
                 for xi in (0.5, 1.0)]
 
     def rho2(beta):
@@ -255,7 +254,7 @@ def cmd_verify(args):
 def _add_common(p, with_range=True):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
-    p.add_argument("--quad", type=int, default=64)
+    p.add_argument("--quad", type=int, default=None, help="starting quadrature order")
     if with_range:
         p.add_argument("--range", type=_parse_range, default=None,
                        help="grid as lo:hi:count")

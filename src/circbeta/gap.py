@@ -26,15 +26,10 @@ class GapResult:
     beta: int
     E0: float
     E1: float
-    quad_order: int
+    quad_order: int   # largest certified Nystrom order; 0 if none was needed
 
 
-@lru_cache(maxsize=256)
-def _gl_cached(n: int):
-    rule = gauss_legendre(n, 0.0, 1.0)
-    return rule.nodes, rule.weights
-
-
+_gauss_legendre = lru_cache(maxsize=16)(gauss_legendre)
 _SINE = KernelSpec("sine")
 _K = {+1: KernelSpec("plus"), -1: KernelSpec("minus")}
 # the 1/N^2 correction kernel paired with each bulk kernel
@@ -43,9 +38,9 @@ _PAIR = {_SINE: KernelSpec("l"), _K[+1]: KernelSpec("l_plus"), _K[-1]: KernelSpe
 
 def _symmetrised(kernel: KernelSpec, s: float, n: int) -> np.ndarray:
     """sqrt(w) K sqrt(w) on (0, s): bitwise symmetric for a symmetric kernel."""
-    x01, w01 = _gl_cached(n)
-    x = s * x01
-    sw = np.sqrt(s * w01)
+    rule = _gauss_legendre(n, 0.0, 1.0)
+    x = s * rule.nodes
+    sw = np.sqrt(s * rule.weights)
     return np.outer(sw, sw) * kernel_eval(kernel, x[:, None], x[None, :])
 
 
@@ -78,24 +73,29 @@ def _det_fixed(kernel: KernelSpec, s: float, xi: float, n: int,
 
 
 def _doubled(kernel: KernelSpec, kernel_l: KernelSpec | None, s: float, xi: float,
-             n: int, converge: bool) -> float:
+             n: int | None, converge: bool = True) -> tuple[float, int]:
+    """(value, order): the order-n value (n defaults to and is at least 16) or,
+    with converge, the first order-2n value within 1e-10 of the order-n one,
+    doubling n up to 256. The order is 0 where no quadrature is needed."""
     if s < 0:
         raise ValueError("s must be nonnegative")
+    if kernel_l is not None and not 0.0 <= xi <= 1.0:
+        raise ValueError("xi must lie in [0, 1]")
     if s == 0.0 or xi == 0.0:
-        return 1.0 if kernel_l is None else 0.0
-    n = max(n, 16)
+        return (1.0 if kernel_l is None else 0.0), 0
+    n = 16 if n is None else max(n, 16)
     val = _det_fixed(kernel, s, xi, n, kernel_l)
     if not converge:
-        return val
+        return val, n
     while n < 256:
         n *= 2
         new = _det_fixed(kernel, s, xi, n, kernel_l)
         if abs(new - val) < 1e-10:
-            return new
+            return new, n
         val = new
     what = "Fredholm determinant" if kernel_l is None else "trace correction"
     warnings.warn(f"{what} not converged at order {n}", AccuracyWarning)
-    return val
+    return val, n
 
 
 def fredholm_det(kernel: KernelSpec, s: float, xi: float, n: int = 64,
@@ -105,61 +105,57 @@ def fredholm_det(kernel: KernelSpec, s: float, xi: float, n: int = 64,
     With converge=True the order doubles (up to 256) until the value moves by
     less than 1e-10; an AccuracyWarning is issued if that is never reached.
     """
-    return _doubled(kernel, None, s, xi, n, converge)
+    return _doubled(kernel, None, s, xi, n, converge)[0]
 
 
 def fredholm_trace_correction(kernel_k: KernelSpec, kernel_l: KernelSpec, s: float,
                               xi: float, n: int = 64, converge: bool = True) -> float:
     """-det(I - xi K) Tr((I - xi K)^{-1} xi L) on (0, s), shared Nystrom grid."""
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError("xi must lie in [0, 1]")
-    return _doubled(kernel_k, kernel_l, s, xi, n, converge)
+    return _doubled(kernel_k, kernel_l, s, xi, n, converge)[0]
 
 
-def e_pm(sign: int, order: int, s: float, xi: float, n: int = 64,
-         converge: bool = False) -> float:
-    """E_order^+- (s; xi): Fredholm data of the +- kernels on (0, s/2)."""
+def e_pm(sign: int, order: int, s: float, xi: float, n: int | None = None) -> float:
+    """E_order^+- (s; xi): Fredholm data of the +- kernels on (0, s/2), the
+    Nystrom order doubling from n (default 16) until certified to 1e-10."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    if order == 0:
-        return fredholm_det(_K[sign], s / 2.0, xi, n, converge)
-    if order == 1:
-        return fredholm_trace_correction(_K[sign], _PAIR[_K[sign]], s / 2.0, xi, n, converge)
-    raise ValueError("order must be 0 or 1")
+    if order not in (0, 1):
+        raise ValueError("order must be 0 or 1")
+    return _doubled(_K[sign], _PAIR[_K[sign]] if order else None, s / 2.0, xi, n)[0]
 
 
-def e_bulk(beta: int, order: int, s: float, xi: float, n: int = 64,
-           converge: bool = False) -> float:
-    """Bulk gap generating function term E_order for beta in {1, 2, 4}.
-
-    order 0 is the limit, order 1 the coefficient of 1/N^2.
-    """
+def _e_bulk(beta: int, order: int, s: float, xi: float, n: int | None):
+    """(E_order, the largest Nystrom order certified over the kernels used)."""
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must lie in [0, 1]")
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    if xi == 0.0 or s == 0.0:
-        return 1.0 if order == 0 else 0.0
     if beta == 2:
-        if order == 0:
-            return fredholm_det(_SINE, s, xi, n, converge)
-        return fredholm_trace_correction(_SINE, _PAIR[_SINE], s, xi, n, converge)
+        return _doubled(_SINE, _PAIR[_SINE] if order else None, s, xi, n)
+    if beta not in (1, 4):
+        raise ValueError("beta must be 1, 2, or 4")
+    # beta = 4: orthogonal-group dimension 2N+1, so the +- operators act on
+    # (0, s) and the correction picks up a further factor 1/4
+    span, x = (s / 2.0, 2.0 * xi - xi * xi) if beta == 1 else (s, xi)
+    (em, nm), (ep, np_) = (_doubled(k, _PAIR[k] if order else None, span, x, n)
+                           for k in (_K[-1], _K[+1]))
     if beta == 1:
-        xh = 2.0 * xi - xi * xi
-        return ((1.0 - xi) * e_pm(-1, order, s, xh, n, converge)
-                + e_pm(+1, order, s, xh, n, converge)) / (2.0 - xi)
-    if beta == 4:
-        # orthogonal-group dimension 2N+1: operators act on (0, s) and the
-        # correction picks up a further factor 1/4
-        return (e_pm(-1, order, 2.0 * s, xi, n, converge)
-                + e_pm(+1, order, 2.0 * s, xi, n, converge)) / (2.0 if order == 0 else 8.0)
-    raise ValueError("beta must be 1, 2, or 4")
+        return ((1.0 - xi) * em + ep) / (2.0 - xi), max(nm, np_)
+    return (em + ep) / (2.0 if order == 0 else 8.0), max(nm, np_)
 
 
-def gap_probabilities(beta: int, s: float, xi: float, n: int = 64) -> GapResult:
-    return GapResult(s, xi, beta, e_bulk(beta, 0, s, xi, n), e_bulk(beta, 1, s, xi, n), n)
+def e_bulk(beta: int, order: int, s: float, xi: float, n: int | None = None) -> float:
+    """Bulk gap generating function term E_order for beta in {1, 2, 4}.
+
+    order 0 is the limit, order 1 the coefficient of 1/N^2. The Nystrom order
+    doubles from n (default 16) until certified to 1e-10.
+    """
+    return _e_bulk(beta, order, s, xi, n)[0]
+
+
+def gap_probabilities(beta: int, s: float, xi: float, n: int | None = None) -> GapResult:
+    (e0, n0), (e1, n1) = _e_bulk(beta, 0, s, xi, n), _e_bulk(beta, 1, s, xi, n)
+    return GapResult(s, xi, beta, e0, e1, max(n0, n1))
 
 
 def e_finite_cue(N: int, phi: float, xi: float) -> float:

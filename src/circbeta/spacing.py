@@ -137,21 +137,25 @@ P1_BETA1 = SeriesTable("p1_beta1", (
 # Spacing generating function from the gap pipelines
 
 @lru_cache(maxsize=64)
-def _p_samples(beta: int, order: int, xi: float, s_max: float, n_cheb: int, n_quad: int):
+def _p_samples(beta: int, xi: float, s_max: float, n_cheb: int, n_quad: int | None):
+    """(P_0, P_1) samples on the n_cheb Chebyshev nodes of [0, s_max]; both
+    orders are taken at each node in turn, so they share its eigensolves."""
     xs = chebyshev_points(n_cheb, 0.0, s_max)
-    e = np.array([gap.e_bulk(beta, order, s, xi, n_quad) for s in xs])
-    d2 = spectral_derivative(e, 2, 0.0, s_max)
-    return d2 / xi ** 2
+    e = np.array([[gap.e_bulk(beta, order, s, xi, n_quad) for order in (0, 1)]
+                  for s in xs])
+    return tuple(spectral_derivative(e[:, k], 2, 0.0, s_max) / xi ** 2 for k in (0, 1))
 
 
-def p_bulk(beta: int, order: int, s: float, xi: float, n_cheb: int = 64,
-           n_quad: int = 64, s_max: float = 3.0) -> float:
-    """Spacing generating function term P_order(s; xi) = E_order''(s; xi)/xi^2.
+def p_bulk(beta: int, order: int, s, xi: float, n_cheb: int = 64,
+           n_quad: int | None = None, s_max: float = 3.0):
+    """Spacing generating function term P_order(s; xi) = E_order''(s; xi)/xi^2
+    at a scalar or an array s, interpolated on one Chebyshev interval
+    [0, max(s_max, 1.1 max(s))]; n_quad is the starting Nystrom order.
 
     At xi = 0 the generating function reduces to the two-point correlation,
     which is returned from the closed forms directly.
     """
-    if s < 0:
+    if np.any(s < 0):
         raise ValueError("s must be nonnegative")
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must lie in [0, 1]")
@@ -160,9 +164,9 @@ def p_bulk(beta: int, order: int, s: float, xi: float, n_cheb: int = 64,
             # density-one variables: 4 rho(2x) in the closed-form convention
             return 4.0 * correlations.rho2_bulk_term(4, order, 2.0 * s)
         return correlations.rho2_bulk_term(beta, order, s)
-    hi = max(s_max, 1.1 * s)
-    samples = _p_samples(beta, order, float(xi), float(hi), n_cheb, n_quad)
-    return float(chebyshev_interpolate(samples, 0.0, hi, s))
+    hi = max(s_max, 1.1 * float(np.max(s)))
+    samples = _p_samples(beta, float(xi), float(hi), n_cheb, n_quad)[order]
+    return chebyshev_interpolate(samples, 0.0, hi, s)
 
 
 def spacing_series_identity_holds(beta: int) -> bool:

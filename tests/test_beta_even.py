@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,8 +11,8 @@ from circbeta import (correction_factor, correction_residual,
                       moment_integral, morris, recurrence_sides,
                       rho2_bulk_term, rho2_correction_limit, rho2_even_beta,
                       selberg, v2_coefficient, verify_moment_recurrence)
-from circbeta.beta_even import (evenness_factor_exact, rho2_correction_estimate,
-                                selberg_exact)
+from circbeta.beta_even import (_combo_array, evenness_factor_exact,
+                                rho2_correction_estimate, selberg_exact)
 from circbeta.spacing import P0_BETA2
 
 
@@ -179,6 +180,13 @@ class TestRho2EvenBeta:
         assert abs(fin - lim) < 5e-2
         finer = rho2_even_beta(6, 0.7, 16, quad_order=32, check_convergence=False)
         assert abs(fin - finer) < 5e-2
+
+    def test_combination_cache_bounded(self):
+        # one table holds up to 2.5M x beta int64s, 120 MB at beta = 6
+        for n in (12, 13, 14):
+            assert _combo_array(n, 6).shape == (math.comb(n, 6), 6)
+        info = _combo_array.cache_info()
+        assert info.maxsize == 2 and info.currsize == 2
 
     def test_even_in_N_continued(self):
         # real (and negated) N through the Gamma-free prefactor reduction

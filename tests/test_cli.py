@@ -5,7 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from circbeta import cli, sff_bulk_term
+from circbeta import cli, gap, rho2_even_beta, sff_bulk_term, spacing
 
 try:
     from importlib.resources import files
@@ -55,6 +55,21 @@ class TestCommands:
         assert doc["columns"] == ["s", "P0", "P1"]
         if SCHEMA is not None:
             jsonschema.validate(doc, SCHEMA)
+
+    def test_rho2_beta6_at_engine_default_order(self, capsys):
+        code, out = run(["rho2", "--beta", "6", "--x", "0.7"], capsys)
+        assert code == 0
+        row = out.strip().splitlines()[1].split(",")
+        assert float(row[1]) == rho2_even_beta(6, 0.7, None)
+
+    @pytest.mark.parametrize("argv, most", [(["spacing", "--beta", "1"], 252),
+                                            (["fig1"], 126)])
+    def test_one_sweep_per_curve(self, argv, most, capsys):
+        # one Chebyshev interval for the grid, both orders from each eigensolve
+        gap._spectrum.cache_clear()
+        spacing._p_samples.cache_clear()
+        assert run(argv, capsys)[0] == 0
+        assert gap._spectrum.cache_info().misses <= most
 
     def test_sff_exact_column(self, capsys):
         code, out = run(["sff", "--beta", "4", "--N", "40", "--range", "0.2:0.6:3"],

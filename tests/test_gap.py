@@ -84,7 +84,7 @@ class TestEBulk:
     def test_result_record(self):
         r = gap_probabilities(2, 1.0, 1.0)
         assert r.E0 == pytest.approx(e_bulk(2, 0, 1.0, 1.0))
-        assert 0.0 < r.E0 < 1.0 and r.quad_order == 64
+        assert 0.0 < r.E0 < 1.0 and r.quad_order == 32
 
 
 def gap_identity_residual(e, beta, s_grid):
@@ -194,14 +194,14 @@ PM = {+1: (KernelSpec("plus"), KernelSpec("l_plus")),
       -1: (KernelSpec("minus"), KernelSpec("l_minus"))}
 
 
-def _lu_bulk(beta, s, xi):
+def _lu_bulk(beta, s, xi, n=64):
     if beta == 2:
-        return _lu_pair(SINE, LKER, s, xi)
+        return _lu_pair(SINE, LKER, s, xi, n)
     if beta == 1:
         xh = 2 * xi - xi * xi
-        m, p = _lu_pair(*PM[-1], s / 2, xh), _lu_pair(*PM[+1], s / 2, xh)
+        m, p = _lu_pair(*PM[-1], s / 2, xh, n), _lu_pair(*PM[+1], s / 2, xh, n)
         return tuple(((1 - xi) * a + b) / (2 - xi) for a, b in zip(m, p))
-    m, p = _lu_pair(*PM[-1], s, xi), _lu_pair(*PM[+1], s, xi)
+    m, p = _lu_pair(*PM[-1], s, xi, n), _lu_pair(*PM[+1], s, xi, n)
     return (m[0] + p[0]) / 2, (m[1] + p[1]) / 8
 
 
@@ -215,6 +215,15 @@ class TestSpectralEngine:
             want = _lu_bulk(beta, s, xi)
             assert abs(e_bulk(beta, 0, s, xi) - want[0]) <= 1e-13
             assert abs(e_bulk(beta, 1, s, xi) - want[1]) <= 1e-13
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_large_s_certified_against_order_256(self, beta):
+        # a fixed order 16 misses by up to 2e-3 here; the doubling must go on
+        for s in (5.0, 10.0, 20.0):
+            want = _lu_bulk(beta, s, 0.5, 256)
+            assert abs(e_bulk(beta, 0, s, 0.5) - want[0]) <= 1e-10
+            assert abs(e_bulk(beta, 1, s, 0.5) - want[1]) <= 1e-10
+        assert gap_probabilities(beta, 20.0, 0.5).quad_order > 32
 
     @pytest.mark.parametrize("sign", [+1, -1])
     @pytest.mark.parametrize("xi", [0.3, 0.5, 1.0])

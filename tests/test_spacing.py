@@ -167,6 +167,15 @@ class TestPBulk:
             assert p_bulk(beta, 0, s, 1e-3) == pytest.approx(
                 p_bulk(beta, 0, s, 0.0), abs=5e-3)
 
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    @pytest.mark.parametrize("xi", [0.0, 0.7])
+    def test_array_matches_scalar_calls(self, beta, xi):
+        grid = np.linspace(0.05, 3.2, 19)
+        for order in (0, 1):
+            got = p_bulk(beta, order, grid, xi, s_max=3.6)
+            want = [p_bulk(beta, order, float(s), xi, s_max=3.6) for s in grid]
+            assert np.array_equal(got, want)
+
     def test_moment_nulls_of_correction(self):
         rule = gauss_legendre(200, 1e-3, 4.0)
         for j in (0, 1):
@@ -180,8 +189,8 @@ def spacing_identity_residual(beta, s_grid, xi_grid):
     samples p_bulk interpolates."""
     hi = 1.1 * s_grid.max()
     return max(correction_residual(
-        lambda xs: _p_samples(beta, 0, xi, hi, 64, 64),
-        lambda xs: _p_samples(beta, 1, xi, hi, 64, 64),
+        lambda xs: _p_samples(beta, xi, hi, 64, None)[0],
+        lambda xs: _p_samples(beta, xi, hi, 64, None)[1],
         correction_factor(beta), 0.0, hi, s_grid, 64, 0, 2) for xi in xi_grid)
 
 
