@@ -8,7 +8,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,7 +16,7 @@ from scipy.special import gammaln
 
 from .correlations import rho2_bulk_term
 from .gap import AccuracyWarning
-from .numerics import gauss_jacobi, gauss_legendre
+from .numerics import gauss_jacobi, gauss_legendre, inverse_square_fit
 
 F = Fraction
 TWO_PI = 2.0 * math.pi
@@ -126,59 +125,22 @@ def _combo_chunks(n: int, beta: int):
         yield np.array(block, dtype=np.int64)
 
 
-def _tensor_integral(beta: int, f, n_nodes: int, inserts=None):
+def _tensor_integral(beta: int, f, n_nodes: int) -> complex:
     """Tensor Gauss-Jacobi evaluation; ties vanish through the coupling factor,
-    so the sum reduces to beta! times the sum over node combinations.
-
-    ``inserts`` is an optional list of exponent tuples; for each, the value of
-    the symmetrized distinct-index sum of monomials is returned alongside."""
+    so the sum reduces to beta! times the sum over node combinations."""
     rule = gauss_jacobi(n_nodes, -1.0 + 2.0 / beta, -1.0 + 2.0 / beta)
     u, w = rule.nodes, rule.weights
     g = w * f(u)
     logp = np.log(np.abs(u[:, None] - u[None, :])
                   + np.eye(n_nodes)) * (4.0 / beta)
-    base_total = 0.0 + 0.0j
-    ins_totals = [0.0 + 0.0j] * (len(inserts) if inserts else 0)
-    fact = math.factorial(beta)
+    total = 0.0 + 0.0j
     for combs in _combo_chunks(n_nodes, beta):
-        G = np.prod(g[combs], axis=1)
+        G = np.prod(g[combs], axis=1)   # before L, so g[combs] is freed first
         L = np.zeros(len(combs))
         for a, b in itertools.combinations(range(beta), 2):
             L += logp[combs[:, a], combs[:, b]]
-        contrib = G * np.exp(L)
-        base_total += fact * np.sum(contrib)
-        if inserts:
-            uc = u[combs]
-            for idx, expo in enumerate(inserts):
-                ins_totals[idx] += fact * np.sum(contrib * _distinct_sum(uc, expo))
-    if inserts:
-        return base_total, ins_totals
-    return base_total
-
-
-def _distinct_sum(uc: np.ndarray, expo) -> np.ndarray:
-    """sum over ordered distinct index tuples of prod u^(expo_i), vectorized
-    over the combination axis, via power sums (m <= 3)."""
-    m = len(expo)
-    p = {}
-
-    def ps(a):
-        if a not in p:
-            p[a] = np.sum(uc ** a, axis=1)
-        return p[a]
-
-    if m == 0:
-        return np.ones(uc.shape[0])
-    if m == 1:
-        return ps(expo[0])
-    if m == 2:
-        a, b = expo
-        return ps(a) * ps(b) - ps(a + b)
-    if m == 3:
-        a, b, c = expo
-        return (ps(a) * ps(b) * ps(c) - ps(a + b) * ps(c) - ps(a + c) * ps(b)
-                - ps(b + c) * ps(a) + 2.0 * ps(a + b + c))
-    raise NotImplementedError("m <= 3 only")
+        total += np.sum(G * np.exp(L))
+    return math.factorial(beta) * total
 
 
 # -- beta = 2: moment-determinant (Andreief) reduction, weight is flat -------
@@ -193,18 +155,14 @@ def _integral_beta2(f, n_nodes: int) -> complex:
 
 # -- beta = 4: de Bruijn Pfaffian of pair integrals, panel split at 1/2 ------
 
-@lru_cache(maxsize=8)
-def _beta4_rules(n: int):
-    gjl = gauss_jacobi(n, -0.5, 0.0)          # weight t^(-1/2) on (0,1)
-    leg = gauss_legendre(n, 0.0, 1.0)
-    gjj = gauss_jacobi(n, -0.5, -0.5)
-    return (gjl.nodes, gjl.weights, leg.nodes, leg.weights, gjj.nodes, gjj.weights)
-
-
 def _integral_beta4(f, n_nodes: int) -> complex:
     """24 Pf[Q], Q_jk = int_{0<=x<=y<=1} (x^j y^k - x^k y^j) h(x) h(y) dx dy
     with h(u) = f(u) u^(-1/2) (1-u)^(-1/2); spectrally accurate panel split."""
-    tl, wl, xg, wg, xj, wj = _beta4_rules(n_nodes)
+    gjl = gauss_jacobi(n_nodes, -0.5, 0.0)          # weight t^(-1/2) on (0,1)
+    leg = gauss_legendre(n_nodes, 0.0, 1.0)
+    gjj = gauss_jacobi(n_nodes, -0.5, -0.5)
+    tl, wl, xg, wg, xj, wj = (gjl.nodes, gjl.weights, leg.nodes, leg.weights,
+                              gjj.nodes, gjj.weights)
     fx = f(xj)
     M = np.array([np.sum(wj * xj ** p * fx) for p in range(4)])
     # left panel y in (0, 1/2): the y^(+-1/2) factors cancel between h(y) and
@@ -254,16 +212,6 @@ def _auto_method(beta: int) -> str:
     return {2: "hankel", 4: "pfaffian"}.get(beta, "tensor")
 
 
-def _log_prefactor_finite(beta: int, N: int) -> float:
-    kap = beta / 2.0
-    j = np.arange(N - 2)
-    log_m = float(np.sum(gammaln(kap * j + 2 * beta + 1) + gammaln(kap * (j + 1) + 1)
-                         - 2.0 * gammaln(kap * j + beta + 1) - gammaln(1 + kap)))
-    return (math.log(N - 1) - math.log(N) + N * gammaln(kap + 1)
-            - gammaln(beta * N / 2.0 + 1) + log_m
-            - selberg_log(beta, -1 + 2.0 / beta, -1 + 2.0 / beta, 2.0 / beta))
-
-
 def rho2_even_beta(beta: int, x: float, N: int | float | None = None,
                    quad_order: int | None = None, method: str = "auto",
                    check_convergence: bool | None = None) -> float:
@@ -271,9 +219,10 @@ def rho2_even_beta(beta: int, x: float, N: int | float | None = None,
     even beta, from the beta-dimensional integral representation; N = None
     gives the limit curve.
 
-    Integer N uses the Morris-product prefactor; real (including negative) N
-    uses the equivalent Gamma-free reduction through the evenness product,
-    which continues the formula off the integers."""
+    The finite-N prefactor is the Gamma-free reduction of the Morris-product
+    constant through the evenness product, so any real (including negative)
+    N is accepted and the value is even in N; its N -> oo form, with
+    (kappa N)^beta for the product, gives the limit."""
     if beta not in (2, 4, 6):
         raise ValueError("beta must be 2, 4, or 6")
     if method == "auto":
@@ -285,36 +234,20 @@ def rho2_even_beta(beta: int, x: float, N: int | float | None = None,
         raise ValueError("separation must stay within one period, |x| < N/2")
     if x == 0.0 and N is not None:
         return 0.0
-
-    def value(nn):
-        kap = beta / 2.0
-        if N is None:
-            f = lambda u: np.exp(2j * np.pi * x * u)
-            integral = _weighted_integral(beta, f, nn, method)
-            log_pre = (beta * math.log(kap) + 3.0 * gammaln(kap + 1)
-                       - gammaln(beta + 1) - gammaln(3.0 * kap + 1)
-                       - selberg_log(beta, -1 + 2.0 / beta, -1 + 2.0 / beta, 2.0 / beta))
-            pre = math.exp(log_pre) * np.exp(-1j * np.pi * beta * x) \
-                * (2.0 * np.pi * abs(x)) ** beta
-            return complex(pre * integral) if x >= 0 else complex(
-                np.conj(pre * integral))
+    kap = beta / 2.0
+    log_c = (3.0 * gammaln(kap + 1) - gammaln(beta + 1) - gammaln(3.0 * kap + 1)
+             - selberg_log(beta, -1 + 2.0 / beta, -1 + 2.0 / beta, 2.0 / beta))
+    if N is None:
+        f = lambda u: np.exp(2j * np.pi * x * u)
+        scale, chord, shift = kap ** beta, TWO_PI * x, x
+    else:
         theta = TWO_PI * x / N
         z = 1.0 - np.exp(1j * theta)
         f = lambda u: (1.0 - z * u) ** (N - 2)
-        integral = _weighted_integral(beta, f, nn, method)
-        if isinstance(N, (int, np.integer)):
-            log_pre = _log_prefactor_finite(beta, int(N))
-            scale = math.exp(log_pre)
-        else:
-            # Gamma-ratio block reduced to the product even in N
-            log_pre = (3.0 * gammaln(kap + 1) - gammaln(2 * kap + 1)
-                       - gammaln(3 * kap + 1)
-                       - selberg_log(beta, -1 + 2.0 / beta, -1 + 2.0 / beta,
-                                     2.0 / beta))
-            scale = math.exp(log_pre) * evenness_factor(2, kap, N)
-        pre = scale * (2.0 * math.sin(theta / 2.0)) ** beta \
-            * np.exp(-1j * np.pi * beta * x * (N - 2) / N)
-        return complex(pre * integral)
+        scale = evenness_factor(2, kap, N)
+        chord, shift = 2.0 * math.sin(theta / 2.0), x * (N - 2) / N
+    pre = math.exp(log_c) * scale * chord ** beta * np.exp(-1j * np.pi * beta * shift)
+    value = lambda nn: complex(pre * _weighted_integral(beta, f, nn, method))
 
     got = value(n_nodes)
     if check_convergence:
@@ -329,15 +262,14 @@ def rho2_even_beta(beta: int, x: float, N: int | float | None = None,
     return float(got.real)
 
 
-def rho2_correction_estimate(beta: int, x: float, N_pair=(32, 64)) -> float:
-    """Two-point Richardson estimate of the 1/N^2 coefficient of the two-point
-    function at separation x, from N in N_pair."""
-    n1, n2 = N_pair
-    if n1 < 16:
+def rho2_correction_estimate(beta: int, x: float, N_pair=(32, 48, 64)) -> float:
+    """Richardson estimate of the 1/N^2 coefficient of the two-point function
+    at separation x: the exact fit {1, 1/N^2, ..., 1/N^(2k-2)} through the k
+    values of N in N_pair (two or more, each at least 16)."""
+    if min(N_pair) < 16:
         raise ValueError("need N >= 16")
-    f1 = rho2_even_beta(beta, x, n1, check_convergence=False)
-    f2 = rho2_even_beta(beta, x, n2, check_convergence=False)
-    return (f1 - f2) / (1.0 / n1 ** 2 - 1.0 / n2 ** 2)
+    vals = [rho2_even_beta(beta, x, N, check_convergence=False) for N in N_pair]
+    return float(inverse_square_fit(N_pair, vals)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +277,13 @@ def rho2_correction_estimate(beta: int, x: float, N_pair=(32, 64)) -> float:
 
 def moment_integral(beta: int, theta: float, exponents=(), quad_order=None) -> complex:
     """I^(m)(a_1..a_m): the weighted integral with the distinct-index
-    symmetrized monomial sum inserted; exponents = () gives the base integral."""
+    symmetrized monomial sum inserted; exponents = () gives the base integral.
+
+    The sum is the coefficient of t_1...t_m in prod_j (1 + sum_i t_i u_j^a_i),
+    of degree <= beta in each t_i. So the integral of f(u) = e^(i theta u)
+    times 1 + sum_i t_i u^a_i, run through the engine of rho2_even_beta with
+    each t_i over the beta-th roots of unity and weighted by conj(t_1...t_m),
+    averages to it exactly: beta^m engine calls."""
     if beta not in (2, 4):
         raise NotImplementedError("moment integrals support beta = 2, 4")
     m = len(exponents)
@@ -353,12 +291,14 @@ def moment_integral(beta: int, theta: float, exponents=(), quad_order=None) -> c
         raise NotImplementedError("m <= 3 only")
     if m > beta:
         return 0.0 + 0.0j
-    nn = quad_order or _DEFAULT_ORDER[beta]
-    f = lambda u: np.exp(1j * theta * u)
-    if m == 0:
-        return complex(_tensor_integral(beta, f, nn))
-    base, (ins,) = _tensor_integral(beta, f, nn, inserts=[tuple(exponents)])
-    return complex(ins)
+    nn, method = quad_order or _DEFAULT_ORDER[beta], _auto_method(beta)
+    roots = [1j ** (4 * k // beta) for k in range(beta)]   # exact at beta = 2, 4
+    total = 0.0 + 0.0j
+    for ts in itertools.product(roots, repeat=m):
+        g = lambda u, ts=ts: np.exp(1j * theta * u) * (
+            1.0 + sum(t * u ** a for t, a in zip(ts, exponents)))
+        total += np.conj(np.prod(ts)) * _weighted_integral(beta, g, nn, method)
+    return complex(total / beta ** m)
 
 
 def _even(x: int) -> int:

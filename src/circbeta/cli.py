@@ -7,6 +7,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -37,9 +38,11 @@ def _emit(args, command, params, columns, rows):
             writer.writerow([FMT.format(v) if isinstance(v, float) else v for v in row])
         text = buf.getvalue()
     else:
+        # strict JSON: a non-finite value (such as rho1 at beta = 6) is null
         doc = {"command": command, "params": params, "columns": list(columns),
-               "rows": [[v for v in row] for row in rows]}
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+               "rows": [[None if isinstance(v, float) and not math.isfinite(v) else v
+                         for v in row] for row in rows]}
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -164,11 +167,11 @@ def _identity_registry():
     def rho2(beta):
         return [_orders(lambda o, xs: correlations.rho2_bulk_term(beta, o, xs))]
 
-    def rho2_even(beta, N_pair):
+    def rho2_even(beta):
         return [(lambda xs: np.array([beta_even.rho2_even_beta(
                      beta, x, None, check_convergence=False) for x in xs]),
-                 lambda xs: np.array([beta_even.rho2_correction_estimate(
-                     beta, x, N_pair) for x in xs]))]
+                 lambda xs: np.array([beta_even.rho2_correction_estimate(beta, x)
+                                      for x in xs]))]
 
     e_pm = [_orders(_each(lambda o, s, sg=sg: gap.e_pm(sg, o, s, 0.8))) for sg in (+1, -1)]
     rho2_second = [(lambda xs: correlations.rho2_bulk_term(2, 0, xs),
@@ -195,8 +198,8 @@ def _identity_registry():
                                                sff.verify_x6(4).residual2)),
         "sff-symmetry": (None, 1e-10, _sff_symmetry_residual),
         "sff-zeros-r4": (None, 1e-10, _r4_oracle_residual),
-        "rho2-even-corr-beta2": _cheb(2, 5e-3, c(2), (0, 2), even_x, rho2_even(2, (32, 64))),
-        "rho2-even-corr-beta4": _cheb(4, 1e-2, c(4), (0, 2), even_x, rho2_even(4, (24, 48))),
+        "rho2-even-corr-beta2": _cheb(2, 2e-5, c(2), (0, 2), even_x, rho2_even(2)),
+        "rho2-even-corr-beta4": _cheb(4, 4e-5, c(4), (0, 2), even_x, rho2_even(4)),
         "moment-recurrence-beta2": (2, 1e-8,
                                     lambda: beta_even.verify_moment_recurrence(2)),
     }

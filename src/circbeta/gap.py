@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import KernelSpec, kernel_eval
-from .numerics import gauss_legendre
+from .numerics import gauss_legendre, inverse_square_fit
 
 
 class AccuracyWarning(UserWarning):
@@ -29,7 +29,6 @@ class GapResult:
     quad_order: int   # largest certified Nystrom order; 0 if none was needed
 
 
-_gauss_legendre = lru_cache(maxsize=16)(gauss_legendre)
 _SINE = KernelSpec("sine")
 _K = {+1: KernelSpec("plus"), -1: KernelSpec("minus")}
 # the 1/N^2 correction kernel paired with each bulk kernel
@@ -38,7 +37,7 @@ _PAIR = {_SINE: KernelSpec("l"), _K[+1]: KernelSpec("l_plus"), _K[-1]: KernelSpe
 
 def _symmetrised(kernel: KernelSpec, s: float, n: int) -> np.ndarray:
     """sqrt(w) K sqrt(w) on (0, s): bitwise symmetric for a symmetric kernel."""
-    rule = _gauss_legendre(n, 0.0, 1.0)
+    rule = gauss_legendre(n, 0.0, 1.0)
     x = s * rule.nodes
     sw = np.sqrt(s * rule.weights)
     return np.outer(sw, sw) * kernel_eval(kernel, x[:, None], x[None, :])
@@ -199,7 +198,7 @@ def extract_correction(N_list, s: float, xi: float) -> CorrectionEstimate:
         raise ValueError("values of N must be distinct")
     h = 1.0 / Ns ** 2
     # exact three-term fit {1, h, h^2} through the finest three values
-    e0, e1, _ = map(float, np.linalg.solve(np.vander(h[-3:], 3, increasing=True), F[-3:]))
+    e0, e1, _ = map(float, inverse_square_fit(Ns[-3:], F[-3:]))
     # pairwise Richardson limits: R_k - e0 = -e2 h_k h_{k+1}, so each ratio of
     # neighbouring defects gives the order, 4, over N_{k+2} / N_k
     R = (F[1:] * h[:-1] - F[:-1] * h[1:]) / (h[:-1] - h[1:])

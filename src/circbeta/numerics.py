@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -32,27 +33,53 @@ class QuadratureRule:
         return float(np.sum(self.weights * f(self.nodes)))
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+# Each Gauss rule is built once per order (and Jacobi exponents) and shared as
+# read-only arrays. A Legendre entry holds the nodes and weights on (-1, 1),
+# mapped per call so that callers whose intervals vary share the entry of each
+# order, and the rule on (0, 1), which the quadrature engines ask for by the
+# thousand and which is returned as is.
+@lru_cache(maxsize=32)
+def _legendre(n: int):
+    x, w = _read_only(*leggauss(n))
+    return x, w, QuadratureRule("legendre", 0.0, 1.0, *_read_only(0.5 * x + 0.5, 0.5 * w))
+
+
+@lru_cache(maxsize=32)
+def _jacobi(n: int, a_exp: float, b_exp: float) -> QuadratureRule:
+    # scipy weight is (1-x)^alpha (1+x)^beta on (-1, 1); u = (1+x)/2
+    x, w = roots_jacobi(n, b_exp, a_exp)
+    return QuadratureRule("jacobi", 0.0, 1.0, *_read_only(
+        (x + 1.0) / 2.0, w / 2.0 ** (a_exp + b_exp + 1.0)), a_exp, b_exp)
+
+
 def gauss_legendre(n: int, lo: float, hi: float) -> QuadratureRule:
-    """n-point Gauss-Legendre rule on (lo, hi)."""
+    """n-point Gauss-Legendre rule on (lo, hi); the arrays are read-only."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ValueError(f"bad interval ({lo}, {hi})")
-    x, w = leggauss(n)
+    x, w, unit = _legendre(n)
+    if (lo, hi) == (0.0, 1.0):
+        return unit
     half = 0.5 * (hi - lo)
-    return QuadratureRule("legendre", lo, hi, half * x + 0.5 * (hi + lo), half * w)
+    return QuadratureRule("legendre", lo, hi,
+                          *_read_only(half * x + 0.5 * (hi + lo), half * w))
 
 
 def gauss_jacobi(n: int, a_exp: float, b_exp: float) -> QuadratureRule:
-    """n-point Gauss-Jacobi rule on (0, 1) for the weight u^a_exp (1-u)^b_exp."""
+    """n-point Gauss-Jacobi rule on (0, 1) for the weight u^a_exp (1-u)^b_exp;
+    the arrays are read-only."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if a_exp <= -1 or b_exp <= -1:
         raise ValueError(f"exponents must exceed -1, got ({a_exp}, {b_exp})")
-    # scipy weight is (1-x)^alpha (1+x)^beta on (-1, 1); u = (1+x)/2
-    x, w = roots_jacobi(n, b_exp, a_exp)
-    return QuadratureRule("jacobi", 0.0, 1.0, (x + 1.0) / 2.0,
-                          w / 2.0 ** (a_exp + b_exp + 1.0), a_exp, b_exp)
+    return _jacobi(n, a_exp, b_exp)
 
 
 def sine_integral(x):
@@ -100,6 +127,13 @@ def spectral_derivative(values, order: int, lo: float, hi: float) -> np.ndarray:
     if order == 2:
         D = D @ D
     return D @ v
+
+
+def inverse_square_fit(Ns, values) -> np.ndarray:
+    """Coefficients c_0, ..., c_{k-1} of sum_r c_r N^(-2r) through the k pairs
+    (N, value): the exact Richardson fit in powers of 1/N^2."""
+    h = 1.0 / np.asarray(Ns, float) ** 2
+    return np.linalg.solve(np.vander(h, h.size, increasing=True), np.asarray(values))
 
 
 def correction_factor(beta):

@@ -80,27 +80,23 @@ def sff_bulk_term(beta: int, order: int, tau: float) -> float:
         raise ValueError("order must be 0, 1, or 2")
     if beta == 2:
         return min(t, 1.0) if order == 0 else 0.0
+    if beta not in (1, 4):
+        raise ValueError("beta must be 1, 2, or 4")
+    if beta == 4 and t == 1.0:
+        raise ValueError("logarithmic singularity at tau = 1 for beta = 4")
+    s0, d2, d3, d4 = (_s0_derivs_beta1 if beta == 1 else _s0_derivs_beta4)(t)
+    if order == 0:
+        return s0
+    if order == 2:
+        # the second relation, S_2 = d(kappa) (tau^4 S_0'')''
+        return _d_coeff(beta / 2) * (t ** 4 * d4 + 8.0 * t ** 3 * d3 + 12.0 * t * t * d2)
     if beta == 1:
-        if order == 0:
-            return _s0_derivs_beta1(t)[0]
-        if order == 1:
-            if t <= 1.0:
-                return (t / 6.0) * (1.0 - 1.0 / (1.0 + 2.0 * t) ** 2)
-            return 4.0 * t * t / (3.0 * (4.0 * t * t - 1.0) ** 2)
-        _, d2, d3, d4 = _s0_derivs_beta1(t)
-        return _d_coeff(beta / 2) * (t ** 4 * d4 + 8.0 * t ** 3 * d3 + 12.0 * t * t * d2)
-    if beta == 4:
-        if t == 1.0:
-            raise ValueError("logarithmic singularity at tau = 1 for beta = 4")
-        if order == 0:
-            return _s0_derivs_beta4(t)[0]
-        if order == 1:
-            if t >= 2.0:
-                return 0.0
-            return (t / 96.0) * (1.0 - 1.0 / (t - 1.0) ** 2)
-        _, d2, d3, d4 = _s0_derivs_beta4(t)
-        return _d_coeff(beta / 2) * (t ** 4 * d4 + 8.0 * t ** 3 * d3 + 12.0 * t * t * d2)
-    raise ValueError("beta must be 1, 2, or 4")
+        if t <= 1.0:
+            return (t / 6.0) * (1.0 - 1.0 / (1.0 + 2.0 * t) ** 2)
+        return 4.0 * t * t / (3.0 * (4.0 * t * t - 1.0) ** 2)
+    if t >= 2.0:
+        return 0.0
+    return (t / 96.0) * (1.0 - 1.0 / (t - 1.0) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +126,7 @@ _SERIES = {
     (0, 5): (F(1), 2, Q2, 5),
     (0, 6): (F(1), 1, P4, 6),
     (0, 7): (F(1), 2, Q4, 7),
-    (0, 8): (F(1), 1, P6, 8),     # p6 reading; see series_coefficient(tau8=...)
+    (0, 8): (F(1), 1, P6, 8),
     (1, 2): (F(-1, 6), 1, ONE, 3),
     (1, 3): (F(-1, 2), 2, ONE, 4),
     (1, 4): (F(-1), 1, P2, 5),
@@ -151,22 +147,20 @@ def _poly_at(poly, kappa):
     return acc
 
 
-def series_coefficient(order: int, m: int, kappa, tau8: str = "p6"):
+def series_coefficient(order: int, m: int, kappa):
     """Coefficient of tau^m in the order-th expansion term; exact when kappa
-    is a Fraction. tau8 selects the tau^8 polynomial ("p6" or the literal "p4")."""
+    is a Fraction."""
     rec = _SERIES.get((order, m))
     if rec is None:
         raise ValueError(f"no stored coefficient at order {order}, power {m}")
     pref, e, poly, kpow = rec
-    if (order, m) == (0, 8) and tau8 == "p4":
-        poly = P4
     exact = isinstance(kappa, Fraction)
     one = F(1) if exact else 1.0
     pref = pref if exact else float(pref)
     return pref * (kappa - one) ** e * _poly_at(poly, kappa) / kappa ** kpow
 
 
-def sff_series(beta: float, order: int, tau: float, tau8: str = "p6") -> float:
+def sff_series(beta: float, order: int, tau: float) -> float:
     """Truncated small-tau series of the order-th expansion term."""
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -174,7 +168,7 @@ def sff_series(beta: float, order: int, tau: float, tau8: str = "p6") -> float:
         raise ValueError("order must be 0, 1, or 2")
     kappa = beta / 2.0
     t = abs(float(tau))
-    return float(sum(series_coefficient(order, m, kappa, tau8) * t ** m
+    return float(sum(series_coefficient(order, m, kappa) * t ** m
                      for m in SERIES_POWERS[order]))
 
 
@@ -325,45 +319,42 @@ class X6Report:
 def verify_x6(beta: float, tau_grid=None) -> X6Report:
     """Residuals of the two correction-to-limit differential relations.
 
-    For beta in {1, 4} the closed forms are compared on tau_grid with analytic
-    derivatives. For other beta the check is series-level: coefficients of the
-    stored expansions against the relations with c = -1/(12 kappa) and
-    d = (kappa^3 - 1)/(720 kappa^3 (kappa - 1)).
+    residual1 checks S_1 = c tau^2 S_0'' with c = -1/(12 kappa). For beta in
+    {1, 4} the closed-form S_1 is compared on tau_grid with the analytic S_0'';
+    for other beta the check is series-level, on the stored coefficients.
 
-    The first relation holds at every stored power for every kappa. The second
-    holds at tau^2 for every kappa, but at tau^3 and tau^4 only for kappa in
-    {1/2, 1, 2}: the stored second-correction coefficients there are those of
-    the exact CβE oracle (oracle_series_coefficients), so residual2 is nonzero
-    for other beta. The paper's abstract reports evidence that the relations
-    hold for general beta but does not state d, so which form it means is open.
+    residual2 checks S_2 = d(kappa) (tau^4 S_0'')'' with d = (kappa^3 - 1) /
+    (720 kappa^3 (kappa - 1)), always series-level, since the closed-form S_2
+    at beta = 1, 4 is defined by this relation. It is 0 for kappa in
+    {1/2, 1, 2}, where the exact CβE oracle (oracle_series_coefficients)
+    confirms the relation through tau^10. For other kappa it holds at tau^2
+    but not at tau^3 and tau^4, whose stored coefficients are the oracle's, so
+    residual2 is nonzero there. The paper's abstract reports evidence that the
+    relations hold for general beta but does not state d, so which form it
+    means is open.
     """
+    kappa = F(beta).limit_denominator(10 ** 6) / 2
+    c, d = correction_factor(2 * kappa), _d_coeff(kappa)
+    r2 = 0.0
+    for m in SERIES_POWERS[2]:
+        lhs = series_coefficient(2, m, kappa)
+        rhs = d * m * (m - 1) * (m + 1) * (m + 2) * series_coefficient(0, m, kappa)
+        r2 = max(r2, abs(float(lhs - rhs)))
+    r1 = 0.0
     if beta in (1, 4):
         if tau_grid is None:
             # beta = 4 has a logarithmic singularity at tau = 1
             tau_grid = np.linspace(0.1, 0.9, 9) if beta == 1 else \
                 np.concatenate([np.linspace(0.1, 0.9, 9), np.linspace(1.1, 1.9, 9)])
         derivs = _s0_derivs_beta1 if beta == 1 else _s0_derivs_beta4
-        r1 = r2 = 0.0
         for t in np.asarray(tau_grid, float):
-            _, d2, d3, d4 = derivs(float(t))
             s1 = sff_bulk_term(beta, 1, float(t))
-            s2 = sff_bulk_term(beta, 2, float(t))
-            r1 = max(r1, abs(s1 - correction_factor(beta) * t * t * d2))
-            r2 = max(r2, abs(s2 - _d_coeff(beta / 2) * (t ** 4 * d4 + 8 * t ** 3 * d3
-                                                + 12 * t * t * d2)))
+            r1 = max(r1, abs(s1 - correction_factor(beta) * t * t * derivs(float(t))[1]))
         return X6Report(r1, r2)
-    kappa = F(beta).limit_denominator(10 ** 6) / 2
-    c, d = correction_factor(2 * kappa), _d_coeff(kappa)
-    r1 = 0.0
     for m in SERIES_POWERS[1]:
         lhs = series_coefficient(1, m, kappa)
         rhs = c * m * (m - 1) * series_coefficient(0, m, kappa)
         r1 = max(r1, abs(float(lhs - rhs)))
-    r2 = 0.0
-    for m in SERIES_POWERS[2]:
-        lhs = series_coefficient(2, m, kappa)
-        rhs = d * m * (m - 1) * (m + 1) * (m + 2) * series_coefficient(0, m, kappa)
-        r2 = max(r2, abs(float(lhs - rhs)))
     return X6Report(r1, r2)
 
 
@@ -375,12 +366,12 @@ _SYMMETRY_KAPPAS = tuple(F(a, b) for a, b in
                           (4, 1), (11, 7), (17, 6), (23, 9)))
 
 
-def _antisymmetry_holds(order: int, m: int, tau8: str) -> bool:
+def _antisymmetry_holds(order: int, m: int) -> bool:
     """c(1/kappa) = (-1)^(m+1) kappa^(m + 2 order + 1) c(kappa), exactly."""
     for kap in _SYMMETRY_KAPPAS:
-        lhs = series_coefficient(order, m, 1 / kap, tau8)
+        lhs = series_coefficient(order, m, 1 / kap)
         rhs = (-1) ** (m + 1) * kap ** (m + 2 * order + 1) \
-            * series_coefficient(order, m, kap, tau8)
+            * series_coefficient(order, m, kap)
         if lhs != rhs:
             return False
     return True
@@ -398,8 +389,6 @@ def root_modulus_deviation(names) -> float:
 @dataclass(frozen=True)
 class SymmetryReport:
     antisymmetry_ok: bool
-    tau8_p6_symmetric: bool
-    tau8_p4_symmetric: bool
     max_root_modulus_deviation: float
 
 
@@ -413,9 +402,6 @@ def check_functional_symmetry_and_zeros() -> SymmetryReport:
     (oracle_series_coefficients) decides that this r4 is the true quartic, so
     max_root_modulus_deviation is r4's ~1.108.
     """
-    ok = all(_antisymmetry_holds(order, m, "p6")
+    ok = all(_antisymmetry_holds(order, m)
              for order, powers in SERIES_POWERS.items() for m in powers)
-    p6_ok = _antisymmetry_holds(0, 8, "p6")
-    p4_ok = _antisymmetry_holds(0, 8, "p4")
-    return SymmetryReport(ok, p6_ok, p4_ok,
-                          root_modulus_deviation(("p2", "p4", "q2", "q4", "r2", "r4")))
+    return SymmetryReport(ok, root_modulus_deviation(("p2", "p4", "q2", "q4", "r2", "r4")))

@@ -4,15 +4,17 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
-from circbeta import (correction_factor, correction_residual,
+from circbeta import (beta_even, correction_factor, correction_residual,
                       leading_xi_coefficient, leading_xi_coefficient_exact,
                       leading_xi_s_power, evenness_factor, gauss_legendre,
                       moment_integral, morris, recurrence_sides,
                       rho2_bulk_term, rho2_correction_limit, rho2_even_beta,
                       selberg, v2_coefficient, verify_moment_recurrence)
-from circbeta.beta_even import (_combo_array, evenness_factor_exact,
-                                rho2_correction_estimate, selberg_exact)
+from circbeta.beta_even import (_auto_method, _combo_array, _weighted_integral,
+                                evenness_factor_exact, rho2_correction_estimate,
+                                selberg_exact)
 from circbeta.spacing import P0_BETA2
 
 
@@ -43,12 +45,11 @@ class TestSelberg:
         assert selberg_exact(1, 2, 2, 1) == F(1, 30)
 
     def test_normalizes_weighted_integral(self):
-        # the coupled integral at coincidence equals the Selberg constant;
-        # the beta = 4 tensor value is kink-limited
-        for beta, rel in ((2, 1e-8), (4, 5e-3)):
+        # the coupled integral at coincidence equals the Selberg constant
+        for beta in (2, 4):
             got = moment_integral(beta, 0.0).real
             want = selberg(beta, -1 + 2 / beta, -1 + 2 / beta, 2 / beta)
-            assert got == pytest.approx(want, rel=rel)
+            assert got == pytest.approx(want, rel=1e-10)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -197,11 +198,25 @@ class TestRho2EvenBeta:
                 assert plus == pytest.approx(minus, abs=1e-10)
 
     def test_continued_matches_integer_route(self):
-        # Morris-product prefactor vs the evenness-product reduction
+        # the evenness-product prefactor against the Morris/Gamma-product one,
+        # (N-1)/N Gamma(kappa+1)^N / Gamma(kappa N + 1) M_{N-2}(beta, beta, kappa)
+        # / S_beta, rebuilt here around the same integral at integer N
+        x, order = 0.9, 32
         for beta in (2, 4):
-            a = rho2_even_beta(beta, 0.9, 20, check_convergence=False)
-            b = rho2_even_beta(beta, 0.9, 20.0 + 0e0, check_convergence=False)
-            assert a == pytest.approx(b, rel=1e-11)
+            kap = beta / 2
+            log_s = np.log(selberg(beta, -1 + 2 / beta, -1 + 2 / beta, 2 / beta))
+            for N in (16, 20, 64):
+                log_pre = (np.log((N - 1) / N) + N * gammaln(kap + 1)
+                           - gammaln(kap * N + 1) + np.log(morris(N - 2, beta, beta, kap))
+                           - log_s)
+                theta = 2 * np.pi * x / N
+                z = 1 - np.exp(1j * theta)
+                integral = _weighted_integral(beta, lambda u: (1 - z * u) ** (N - 2),
+                                              order, _auto_method(beta))
+                want = (np.exp(log_pre) * (2 * np.sin(theta / 2)) ** beta
+                        * np.exp(-1j * np.pi * beta * x * (N - 2) / N) * integral).real
+                got = rho2_even_beta(beta, x, N, order, check_convergence=False)
+                assert got == pytest.approx(want, rel=1e-11)
 
 
 def even_identity_residual(beta, N_pair):
@@ -216,10 +231,10 @@ def even_identity_residual(beta, N_pair):
 
 class TestVerify421:
     def test_beta2(self):
-        assert even_identity_residual(2, (32, 64)) < 5e-3
+        assert even_identity_residual(2, (32, 48, 64)) < 2e-5
 
     def test_beta4(self):
-        assert even_identity_residual(4, (24, 48)) < 1e-2
+        assert even_identity_residual(4, (32, 48, 64)) < 4e-5
 
     def test_beta4_against_pfaffian_closed_form(self):
         for x in (0.4, 0.9, 1.6):
@@ -241,7 +256,20 @@ class TestVerify421:
             rho2_correction_estimate(2, 0.5, N_pair=(8, 16))
 
 
+def distinct_monomials(a, us):
+    """sum over ordered distinct index tuples i of prod_k us[i_k]^a_k."""
+    return sum(np.prod([us[i] ** e for i, e in zip(idx, a)], axis=0)
+               for idx in itertools.permutations(range(len(us)), len(a)))
+
+
 class TestMomentIntegrals:
+    @pytest.mark.parametrize("a", [(), (1,), (2,), (1, 1), (3, 2)])
+    def test_beta2_against_2d_oracle(self, a):
+        for th in (1.0, 2.5):
+            oracle = tensor2(lambda X, Y: np.exp(1j * th * (X + Y)) * (X - Y) ** 2
+                             * distinct_monomials(a, (X, Y)))
+            assert abs(moment_integral(2, th, a) - oracle) < 1e-13
+
     def test_theta_derivative_relation(self):
         # I^(1)(1) = -i d/dtheta I[1], stencil oracle
         for beta in (2, 4):
@@ -284,9 +312,17 @@ class TestRecurrence:
         assert verify_moment_recurrence(2, cases=((2,), (3, 1)),
                                 thetas=(7.0, 4 * np.pi)) < 1e-8
 
-    def test_beta4_kink_limited(self):
+    def test_beta4_cases(self):
         assert verify_moment_recurrence(4, cases=((2,), (3,), (2, 1)),
-                                thetas=(1.0,)) < 1e-3
+                                        thetas=(1.0,)) < 1e-7
+
+    def test_no_node_combinations(self, monkeypatch):
+        # the moment integrals run through the hankel and pfaffian engines
+        def refuse(n, beta):
+            raise AssertionError("node combinations requested")
+        monkeypatch.setattr(beta_even, "_combo_array", refuse)
+        assert verify_moment_recurrence(2) < 1e-8
+        moment_integral(4, 1.0, (2, 1))
 
     def test_theta_zero_rhs_vanishes(self):
         lhs, rhs = recurrence_sides(2, 0.0, (3, 1))

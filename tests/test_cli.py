@@ -62,6 +62,19 @@ class TestCommands:
         row = out.strip().splitlines()[1].split(",")
         assert float(row[1]) == rho2_even_beta(6, 0.7, None)
 
+    def test_rho2_beta6_json_is_strict(self, capsys):
+        # the limit has no closed-form rho1 at beta = 6: null, never a NaN token
+        code, out = run(["rho2", "--beta", "6", "--x", "0.7", "--format", "json"], capsys)
+        assert code == 0
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+        doc = json.loads(out, parse_constant=refuse)
+        assert doc["columns"] == ["x", "rho0", "rho1"]
+        assert doc["rows"][0][2] is None
+        if SCHEMA is not None:
+            jsonschema.validate(doc, SCHEMA)
+
     @pytest.mark.parametrize("argv, most", [(["spacing", "--beta", "1"], 252),
                                             (["fig1"], 126)])
     def test_one_sweep_per_curve(self, argv, most, capsys):
