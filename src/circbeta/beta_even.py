@@ -305,14 +305,25 @@ def _even(x: int) -> int:
     return 1 if x % 2 == 0 else 0
 
 
+def _integrals(beta: int, quad_order):
+    """moment_integral(beta, theta, exponents, quad_order) as a function of
+    (theta, exponents) that computes each distinct pair once."""
+    return lru_cache(maxsize=None)(
+        lambda theta, expo: moment_integral(beta, theta, expo, quad_order))
+
+
 def recurrence_sides(beta: int, theta: float, a: tuple, quad_order=None):
     """Left and right sides of the moment-integral recurrence for a_1 >= 2."""
+    return _sides(beta, theta, a, _integrals(beta, quad_order))
+
+
+def _sides(beta: int, theta: float, a: tuple, integral):
     a = tuple(int(v) for v in a)
     m = len(a)
     if m < 1 or a[0] < 2:
         raise ValueError("need a_1 >= 2")
     rest = a[1:]
-    I = lambda *expo: moment_integral(beta, theta, expo, quad_order)
+    I = lambda *expo: integral(theta, expo)
     lhs = -1j * theta * (I(a[0] - 1, *rest) - I(*a))
     rhs = 0.0 + 0.0j
     for j in (1, 2):
@@ -344,19 +355,18 @@ def recurrence_sides(beta: int, theta: float, a: tuple, quad_order=None):
 DEFAULT_RECURRENCE_CASES = ((2,), (3,), (4,), (2, 1), (3, 1), (3, 2), (4, 1))
 
 
-def _initial_condition_residual(beta: int, theta: float, quad_order=None) -> float:
+def _initial_condition_residual(beta: int, theta: float, integral) -> float:
     """Index reduction I^(m)(0, rest) = (beta - m + 1) I^(m-1)(rest) and the
     power-sum partition identities tying theta-derivatives of the base
     integral to the distinct-index sums (stencil derivatives)."""
-    I = lambda *expo: moment_integral(beta, theta, expo, quad_order)
+    I = lambda *expo: integral(theta, expo)
     worst = 0.0
     for rest in ((1,), (2,), (1, 1)):
         if len(rest) + 1 > beta:
             continue
         worst = max(worst, abs(I(0, *rest) - (beta - len(rest)) * I(*rest)))
     h = 0.01
-    base = [moment_integral(beta, theta + k * h, (), quad_order)
-            for k in (-2, -1, 0, 1, 2)]
+    base = [integral(theta + k * h, ()) for k in (-2, -1, 0, 1, 2)]
     d1 = (base[0] - 8 * base[1] + 8 * base[3] - base[4]) / (12 * h)
     d2 = (-base[0] + 16 * base[1] - 30 * base[2] + 16 * base[3] - base[4]) \
         / (12 * h * h)
@@ -368,13 +378,15 @@ def _initial_condition_residual(beta: int, theta: float, quad_order=None) -> flo
 def verify_moment_recurrence(beta: int, cases=DEFAULT_RECURRENCE_CASES,
                              thetas=(1.0, 2.5), quad_order=None) -> float:
     """Max residual of the integration-by-parts recurrence over the cases and
-    theta values, together with its initial-condition identities."""
+    theta values, together with its initial-condition identities; each
+    distinct moment integral is computed once."""
+    integral = _integrals(beta, quad_order)
     worst = 0.0
     for th in thetas:
         for case in cases:
-            lhs, rhs = recurrence_sides(beta, th, case, quad_order)
+            lhs, rhs = _sides(beta, th, case, integral)
             worst = max(worst, abs(lhs - rhs))
-    worst = max(worst, _initial_condition_residual(beta, thetas[0], quad_order))
+    worst = max(worst, _initial_condition_residual(beta, thetas[0], integral))
     return worst
 
 

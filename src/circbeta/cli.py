@@ -61,10 +61,8 @@ def _grid(args, single, fallback):
 
 def cmd_gap(args):
     grid = _grid(args, "s", np.linspace(0.1, 3.0, 30))
-    rows = []
-    for s in grid:
-        r = gap.gap_probabilities(args.beta, float(s), args.xi, args.quad)
-        rows.append([float(s), r.E0, r.E1])
+    e0, e1 = (gap.e_bulk(args.beta, order, grid, args.xi, args.quad) for order in (0, 1))
+    rows = [[float(s), float(a), float(b)] for s, a, b in zip(grid, e0, e1)]
     return _emit(args, "gap", {"beta": args.beta, "xi": args.xi, "quad": args.quad},
                  ["s", "E0", "E1"], rows)
 
@@ -84,12 +82,20 @@ def cmd_sff(args):
     columns = ["tau"] + [f"S{o}" for o in orders]
     if args.N is not None:
         columns.append("exact_scaled")
-    rows = []
+    rows, singular = [], []
     for tau in grid:
-        row = [float(tau)] + [sff.sff_bulk_term(args.beta, o, float(tau)) for o in orders]
+        if sff.bulk_term_singular(args.beta, tau):
+            singular.append(float(tau))
+            row = [float(tau)] + [float("nan")] * len(orders)
+        else:
+            row = [float(tau)] + [sff.sff_bulk_term(args.beta, o, float(tau)) for o in orders]
         if args.N is not None:
             row.append(sff.sff_bulk_scaled(args.beta, args.N, float(tau)))
         rows.append(row)
+    if singular:
+        print(f"sff: the bulk terms at beta = {args.beta} are singular at tau = "
+              + ", ".join(FMT.format(t) for t in singular)
+              + f"; written as {'nan' if args.format == 'csv' else 'null'}", file=sys.stderr)
     if args.order is not None:
         columns = ["tau", "value"] + (["exact_scaled"] if args.N is not None else [])
     return _emit(args, "sff", {"beta": args.beta, "N": args.N, "order": args.order},
@@ -129,11 +135,6 @@ def cmd_fig1(args):
                                              "surmise_correction"], rows)
 
 
-def _each(f):
-    """f(order, x) evaluated node by node, as f(order, xs)."""
-    return lambda order, xs: np.array([f(order, x) for x in xs])
-
-
 def _orders(f):
     """(Q0, Q1) samplers for numerics.correction_residual from f(order, xs)."""
     return (lambda xs: f(0, xs)), (lambda xs: f(1, xs))
@@ -155,8 +156,7 @@ def _identity_registry():
     even_x = (0.1, 1.1 * 2.0, np.linspace(0.2, 2.0, 7), 32)
 
     def e_bulk(beta):
-        return [_orders(_each(lambda o, s, xi=xi: gap.e_bulk(beta, o, s, xi)))
-                for xi in (0.5, 1.0)]
+        return [_orders(lambda o, xs, xi=xi: gap.e_bulk(beta, o, xs, xi)) for xi in (0.5, 1.0)]
 
     def p_bulk(beta):
         # the samples p_bulk interpolates, taken on the engine's own nodes
@@ -173,7 +173,7 @@ def _identity_registry():
                  lambda xs: np.array([beta_even.rho2_correction_estimate(beta, x)
                                       for x in xs]))]
 
-    e_pm = [_orders(_each(lambda o, s, sg=sg: gap.e_pm(sg, o, s, 0.8))) for sg in (+1, -1)]
+    e_pm = [_orders(lambda o, xs, sg=sg: gap.e_pm(sg, o, xs, 0.8)) for sg in (+1, -1)]
     rho2_second = [(lambda xs: correlations.rho2_bulk_term(2, 0, xs),
                     lambda xs: correlations.rho2_bulk_term(2, 2, xs))]
     entries = {

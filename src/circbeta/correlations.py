@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import pfaffian_entries, _cue_scaled, _sinc_pi
+from .kernels import pfaffian_entries, _cue_scaled
 from .numerics import sine_integral
 
 
@@ -134,7 +134,7 @@ def rho2_bulk_term(beta: int, order: int, x):
     safe = np.where(u == 0.0, 1.0, u)
     sin_u, cos_u = np.sin(safe), np.cos(safe)
     si_u = sine_integral(safe)
-    sinc2 = _sinc_pi(xa) ** 2
+    sinc2 = np.sinc(xa) ** 2
     if beta == 2:
         if order == 0:
             val = 1.0 - sinc2

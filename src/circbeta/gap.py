@@ -1,7 +1,8 @@
 """Gap-probability generating functions: Nystrom Fredholm determinants and
-trace corrections for the bulk kernels from one cached symmetric eigensolve
-per (kernel, s, order), the exact finite-N circular-unitary generating
-function, and the beta = 1, 4 combination formulas."""
+trace corrections for the bulk kernels over whole arrays of s, from stacked
+symmetric eigensolves cached per sweep and order, the exact finite-N
+circular-unitary generating function, and the beta = 1, 4 combination
+formulas."""
 
 from __future__ import annotations
 
@@ -35,100 +36,135 @@ _K = {+1: KernelSpec("plus"), -1: KernelSpec("minus")}
 _PAIR = {_SINE: KernelSpec("l"), _K[+1]: KernelSpec("l_plus"), _K[-1]: KernelSpec("l_minus")}
 
 
-def _symmetrised(kernel: KernelSpec, s: float, n: int) -> np.ndarray:
-    """sqrt(w) K sqrt(w) on (0, s): bitwise symmetric for a symmetric kernel."""
+# Matrix entries per stacked eigensolve: a sweep over many s goes through
+# eigh in slices of at most this many entries (one matrix when it alone is
+# larger), which bounds the kernel temporaries and each cached spectrum.
+_STACK_ENTRIES = 16384
+
+
+def _symmetrised(kernel: KernelSpec, s, n: int) -> np.ndarray:
+    """sqrt(w) K sqrt(w) on (0, s), one matrix per entry of s (stacked along
+    the leading axes): bitwise symmetric for a symmetric kernel."""
     rule = gauss_legendre(n, 0.0, 1.0)
+    s = np.asarray(s, float)[..., None]
     x = s * rule.nodes
     sw = np.sqrt(s * rule.weights)
-    return np.outer(sw, sw) * kernel_eval(kernel, x[:, None], x[None, :])
+    return (sw[..., :, None] * sw[..., None, :]) * kernel_eval(
+        kernel, x[..., :, None], x[..., None, :])
 
 
-@lru_cache(maxsize=256)
-def _spectrum(kernel: KernelSpec, kernel_l: KernelSpec | None, s: float, n: int):
-    """Eigenvalues lam of A = sqrt(w) K sqrt(w) = V diag(lam) V^T on (0, s) and,
-    given L, d = diag(V^T B V) with B = sqrt(w) L sqrt(w); V is not kept."""
+@lru_cache(maxsize=128)
+def _spectrum(kernel: KernelSpec, kernel_l: KernelSpec | None, s: tuple, n: int):
+    """Eigenvalues lam of each A = sqrt(w) K sqrt(w) = V diag(lam) V^T on
+    (0, s), s over the tuple, and, given L, d = diag(V^T B V) with
+    B = sqrt(w) L sqrt(w); one row per s, V is not kept."""
     lam, V = np.linalg.eigh(_symmetrised(kernel, s, n))
     lam.flags.writeable = False
     if kernel_l is None:
         return lam, None
-    d = np.einsum("ij,ij->j", V, _symmetrised(kernel_l, s, n) @ V)
+    d = np.einsum("...ij,...ij->...j", V, _symmetrised(kernel_l, s, n) @ V)
     d.flags.writeable = False
     return lam, d
 
 
-def _det_fixed(kernel: KernelSpec, s: float, xi: float, n: int,
-               kernel_l: KernelSpec | None = None) -> float:
-    """Order-n det(I - xi K) = prod_j (1 - xi lam_j), from the entry its paired
-    correction also uses; given L, -det(I - xi K) Tr((I - xi K)^{-1} xi L) =
-    -xi sum_j d_j prod_{i != j} (1 - xi lam_i), by prefix and suffix products
-    so that it stays finite as 1 - xi lam_j -> 0."""
-    lam, d = _spectrum(kernel, _PAIR.get(kernel) if kernel_l is None else kernel_l, s, n)
-    f = 1.0 - xi * lam
+def _det_fixed(kernel: KernelSpec, s, xi: float, n: int,
+               kernel_l: KernelSpec | None = None) -> np.ndarray:
+    """Order-n det(I - xi K) = prod_j (1 - xi lam_j) at each s > 0 of the 1-d
+    array s, from the spectra its paired correction also uses; given L,
+    -det(I - xi K) Tr((I - xi K)^{-1} xi L) = -xi sum_j d_j prod_{i != j}
+    (1 - xi lam_i), by prefix and suffix products so that it stays finite as
+    1 - xi lam_j -> 0."""
+    s = np.atleast_1d(np.asarray(s, float))
+    pair = _PAIR.get(kernel) if kernel_l is None else kernel_l
+    step = max(1, _STACK_ENTRIES // (n * n))
+    spectra = [_spectrum(kernel, pair, tuple(s[i:i + step].tolist()), n)
+               for i in range(0, s.size, step)]
+    f = 1.0 - xi * np.concatenate([lam for lam, _ in spectra])
     if kernel_l is None:
-        return float(np.prod(f))
-    before = np.concatenate(([1.0], np.cumprod(f[:-1])))
-    after = np.concatenate((np.cumprod(f[:0:-1])[::-1], [1.0]))
-    return -xi * float(np.dot(d, before * after))
+        return np.prod(f, axis=-1)
+    d = np.concatenate([d for _, d in spectra])
+    ones = np.ones((s.size, 1))
+    before = np.concatenate((ones, np.cumprod(f[:, :-1], axis=-1)), axis=-1)
+    after = np.concatenate((np.cumprod(f[:, :0:-1], axis=-1)[:, ::-1], ones), axis=-1)
+    return -xi * np.einsum("kj,kj->k", d, before * after)
 
 
-def _doubled(kernel: KernelSpec, kernel_l: KernelSpec | None, s: float, xi: float,
-             n: int | None, converge: bool = True) -> tuple[float, int]:
-    """(value, order): the order-n value (n defaults to and is at least 16) or,
-    with converge, the first order-2n value within 1e-10 of the order-n one,
-    doubling n up to 256. The order is 0 where no quadrature is needed."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
+def _doubled(kernel: KernelSpec, kernel_l: KernelSpec | None, s, xi: float,
+             n: int | None, converge: bool = True):
+    """(values, orders) at each entry of s: the order-n value (n defaults to
+    and is at least 16) or, with converge, the first order-2n value within
+    1e-10 of the order-n one, doubling n up to 256 at each node on its own;
+    only the nodes not yet certified go on to the next order. The order is 0
+    where no quadrature is needed."""
+    s = np.asarray(s, float)
+    if not np.all((s >= 0.0) & (s < np.inf)):
+        raise ValueError("s must be finite and nonnegative")
     if kernel_l is not None and not 0.0 <= xi <= 1.0:
         raise ValueError("xi must lie in [0, 1]")
-    if s == 0.0 or xi == 0.0:
-        return (1.0 if kernel_l is None else 0.0), 0
+    flat = s.ravel()
+    val = np.full(flat.size, 1.0 if kernel_l is None else 0.0)
+    order = np.zeros(flat.size, int)
+    todo = np.flatnonzero((flat > 0.0) & (xi != 0.0))
     n = 16 if n is None else max(n, 16)
-    val = _det_fixed(kernel, s, xi, n, kernel_l)
-    if not converge:
-        return val, n
-    while n < 256:
-        n *= 2
-        new = _det_fixed(kernel, s, xi, n, kernel_l)
-        if abs(new - val) < 1e-10:
-            return new, n
-        val = new
-    what = "Fredholm determinant" if kernel_l is None else "trace correction"
-    warnings.warn(f"{what} not converged at order {n}", AccuracyWarning)
-    return val, n
+    if todo.size:
+        val[todo], order[todo] = _det_fixed(kernel, flat[todo], xi, n, kernel_l), n
+    if converge:
+        while todo.size and n < 256:
+            n *= 2
+            new = _det_fixed(kernel, flat[todo], xi, n, kernel_l)
+            done = np.abs(new - val[todo]) < 1e-10
+            val[todo], order[todo] = new, n
+            todo = todo[~done]
+        if todo.size:
+            what = "Fredholm determinant" if kernel_l is None else "trace correction"
+            warnings.warn(f"{what} not converged at order {n} at {todo.size} of "
+                          f"{flat.size} values of s", AccuracyWarning)
+    return val.reshape(s.shape), order.reshape(s.shape)
 
 
-def fredholm_det(kernel: KernelSpec, s: float, xi: float, n: int = 64,
-                 converge: bool = True) -> float:
-    """det(I - xi K restricted to (0, s)) by Nystrom discretization.
+def _scalar_or_array(values):
+    return values if values.ndim else float(values)
+
+
+def fredholm_det(kernel: KernelSpec, s, xi: float, n: int = 64,
+                 converge: bool = True):
+    """det(I - xi K restricted to (0, s)) by Nystrom discretization, at a
+    scalar or an array s.
 
     With converge=True the order doubles (up to 256) until the value moves by
     less than 1e-10; an AccuracyWarning is issued if that is never reached.
     """
-    return _doubled(kernel, None, s, xi, n, converge)[0]
+    return _scalar_or_array(_doubled(kernel, None, s, xi, n, converge)[0])
 
 
-def fredholm_trace_correction(kernel_k: KernelSpec, kernel_l: KernelSpec, s: float,
-                              xi: float, n: int = 64, converge: bool = True) -> float:
-    """-det(I - xi K) Tr((I - xi K)^{-1} xi L) on (0, s), shared Nystrom grid."""
-    return _doubled(kernel_k, kernel_l, s, xi, n, converge)[0]
+def fredholm_trace_correction(kernel_k: KernelSpec, kernel_l: KernelSpec, s,
+                              xi: float, n: int = 64, converge: bool = True):
+    """-det(I - xi K) Tr((I - xi K)^{-1} xi L) on (0, s), shared Nystrom grid,
+    at a scalar or an array s."""
+    return _scalar_or_array(_doubled(kernel_k, kernel_l, s, xi, n, converge)[0])
 
 
-def e_pm(sign: int, order: int, s: float, xi: float, n: int | None = None) -> float:
-    """E_order^+- (s; xi): Fredholm data of the +- kernels on (0, s/2), the
-    Nystrom order doubling from n (default 16) until certified to 1e-10."""
+def e_pm(sign: int, order: int, s, xi: float, n: int | None = None):
+    """E_order^+- (s; xi) at a scalar or an array s: Fredholm data of the +-
+    kernels on (0, s/2), the Nystrom order doubling from n (default 16) until
+    certified to 1e-10."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    return _doubled(_K[sign], _PAIR[_K[sign]] if order else None, s / 2.0, xi, n)[0]
+    half = np.asarray(s, float) / 2.0
+    return _scalar_or_array(_doubled(_K[sign], _PAIR[_K[sign]] if order else None,
+                                     half, xi, n)[0])
 
 
-def _e_bulk(beta: int, order: int, s: float, xi: float, n: int | None):
-    """(E_order, the largest Nystrom order certified over the kernels used)."""
+def _e_bulk(beta: int, order: int, s, xi: float, n: int | None):
+    """(E_order, the largest Nystrom order certified over the kernels used),
+    as arrays shaped like s."""
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must lie in [0, 1]")
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
+    s = np.asarray(s, float)
     if beta == 2:
         return _doubled(_SINE, _PAIR[_SINE] if order else None, s, xi, n)
     if beta not in (1, 4):
@@ -139,22 +175,23 @@ def _e_bulk(beta: int, order: int, s: float, xi: float, n: int | None):
     (em, nm), (ep, np_) = (_doubled(k, _PAIR[k] if order else None, span, x, n)
                            for k in (_K[-1], _K[+1]))
     if beta == 1:
-        return ((1.0 - xi) * em + ep) / (2.0 - xi), max(nm, np_)
-    return (em + ep) / (2.0 if order == 0 else 8.0), max(nm, np_)
+        return ((1.0 - xi) * em + ep) / (2.0 - xi), np.maximum(nm, np_)
+    return (em + ep) / (2.0 if order == 0 else 8.0), np.maximum(nm, np_)
 
 
-def e_bulk(beta: int, order: int, s: float, xi: float, n: int | None = None) -> float:
-    """Bulk gap generating function term E_order for beta in {1, 2, 4}.
+def e_bulk(beta: int, order: int, s, xi: float, n: int | None = None):
+    """Bulk gap generating function term E_order for beta in {1, 2, 4}, at a
+    scalar or an array s.
 
     order 0 is the limit, order 1 the coefficient of 1/N^2. The Nystrom order
-    doubles from n (default 16) until certified to 1e-10.
+    doubles from n (default 16) until certified to 1e-10, at each s on its own.
     """
-    return _e_bulk(beta, order, s, xi, n)[0]
+    return _scalar_or_array(_e_bulk(beta, order, s, xi, n)[0])
 
 
 def gap_probabilities(beta: int, s: float, xi: float, n: int | None = None) -> GapResult:
     (e0, n0), (e1, n1) = _e_bulk(beta, 0, s, xi, n), _e_bulk(beta, 1, s, xi, n)
-    return GapResult(s, xi, beta, e0, e1, max(n0, n1))
+    return GapResult(s, xi, beta, float(e0), float(e1), int(max(n0, n1)))
 
 
 def e_finite_cue(N: int, phi: float, xi: float) -> float:

@@ -7,32 +7,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_TAYLOR_CUT = 1e-4
-
-
-def _sinc_pi(d):
-    """sin(pi d)/(pi d) with a 6th-order Taylor patch near d = 0."""
-    d = np.asarray(d, float)
-    z = np.pi * d
-    small = np.abs(z) < _TAYLOR_CUT
-    zs = np.where(small, z, 1.0)
-    series = 1.0 - zs * zs / 6.0 + zs ** 4 / 120.0 - zs ** 6 / 5040.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        full = np.where(small, series, np.sin(z) / np.where(small, 1.0, z))
-    return full
-
 
 def _cue_scaled(d, N):
     """sin(pi d) / (N sin(pi d / N)): bulk-scaled finite-N kernel, unit density."""
     d = np.asarray(d, float)
     m = np.rint(d / N)
     e = d - m * N                       # distance to the nearest removable point
-    # sin(pi d) = (-1)^(mN) sin(pi e); N sin(pi d/N) = (-1)^m N sin(pi e/N)
+    # sin(pi d) = (-1)^(mN) sin(pi e); N sin(pi d/N) = (-1)^m N sin(pi e/N), and
+    # sin(pi e) / (N sin(pi e/N)) = sinc(e) / sinc(e/N) with |e/N| <= 1/2
     sign = np.where((np.rint(m * (N - 1)) % 2) == 0, 1.0, -1.0)
-    tiny = np.abs(e) < _TAYLOR_CUT / np.pi
-    safe_denom = np.where(tiny, 1.0, N * np.sin(np.pi * e / N))
-    out = np.where(tiny, _sinc_pi(e) / _sinc_pi(e / N), np.sin(np.pi * e) / safe_denom)
-    return sign * out
+    return sign * np.sinc(e) / np.sinc(e / N)
 
 
 _FAMILIES = ("cue", "sine", "l", "plus", "minus", "l_plus", "l_minus")
@@ -67,15 +51,15 @@ def kernel_eval(spec: KernelSpec, x, y):
     y = np.asarray(y, float)
     fam = spec.family
     if fam == "sine":
-        return _sinc_pi(x - y)
+        return np.sinc(x - y)
     if fam == "cue":
         return _cue_scaled(x - y, spec.N)
     if fam == "l":
         return _l_kernel(x - y)
     if fam == "plus":
-        return _sinc_pi(x - y) + _sinc_pi(x + y)
+        return np.sinc(x - y) + np.sinc(x + y)
     if fam == "minus":
-        return _sinc_pi(x - y) - _sinc_pi(x + y)
+        return np.sinc(x - y) - np.sinc(x + y)
     if fam == "l_plus":
         return _l_kernel(x - y) + _l_kernel(x + y)
     return _l_kernel(x - y) - _l_kernel(x + y)
@@ -84,7 +68,7 @@ def kernel_eval(spec: KernelSpec, x, y):
 def cue_kernel_bulk_expansion(x, y, order: int):
     """Term of the 1/N^2 expansion of the bulk-scaled finite-N kernel."""
     if order == 0:
-        return _sinc_pi(np.asarray(x, float) - np.asarray(y, float))
+        return np.sinc(np.asarray(x, float) - np.asarray(y, float))
     if order == 1:
         return _l_kernel(np.asarray(x, float) - np.asarray(y, float))
     raise ValueError("order must be 0 or 1")

@@ -73,6 +73,12 @@ def _s0_derivs_beta4(t: float):
     return s0, d2, d3, d4
 
 
+def bulk_term_singular(beta: int, tau: float) -> bool:
+    """Whether tau is the logarithmic singularity of the bulk terms: |tau| = 1
+    at beta = 4."""
+    return beta == 4 and abs(float(tau)) == 1.0
+
+
 def sff_bulk_term(beta: int, order: int, tau: float) -> float:
     """Bulk expansion term S_order(tau); order 0 is the limit curve."""
     t = abs(float(tau))
@@ -82,7 +88,7 @@ def sff_bulk_term(beta: int, order: int, tau: float) -> float:
         return min(t, 1.0) if order == 0 else 0.0
     if beta not in (1, 4):
         raise ValueError("beta must be 1, 2, or 4")
-    if beta == 4 and t == 1.0:
+    if bulk_term_singular(beta, t):
         raise ValueError("logarithmic singularity at tau = 1 for beta = 4")
     s0, d2, d3, d4 = (_s0_derivs_beta1 if beta == 1 else _s0_derivs_beta4)(t)
     if order == 0:

@@ -138,12 +138,11 @@ P1_BETA1 = SeriesTable("p1_beta1", (
 
 @lru_cache(maxsize=64)
 def _p_samples(beta: int, xi: float, s_max: float, n_cheb: int, n_quad: int | None):
-    """(P_0, P_1) samples on the n_cheb Chebyshev nodes of [0, s_max]; both
-    orders are taken at each node in turn, so they share its eigensolves."""
+    """(P_0, P_1) samples on the n_cheb Chebyshev nodes of [0, s_max], one gap
+    sweep per order; the order-1 sweep reuses the eigensolves of the order-0 one."""
     xs = chebyshev_points(n_cheb, 0.0, s_max)
-    e = np.array([[gap.e_bulk(beta, order, s, xi, n_quad) for order in (0, 1)]
-                  for s in xs])
-    return tuple(spectral_derivative(e[:, k], 2, 0.0, s_max) / xi ** 2 for k in (0, 1))
+    return tuple(spectral_derivative(gap.e_bulk(beta, order, xs, xi, n_quad), 2, 0.0, s_max)
+                 / xi ** 2 for order in (0, 1))
 
 
 def p_bulk(beta: int, order: int, s, xi: float, n_cheb: int = 64,

@@ -1,0 +1,26 @@
+import math
+
+import numpy as np
+import pytest
+
+
+class EighLog(list):
+    """Shapes of the arrays passed to np.linalg.eigh."""
+
+    @property
+    def matrices(self) -> int:
+        return sum(math.prod(shape[:-2]) for shape in self)
+
+
+@pytest.fixture
+def eigh_log(monkeypatch):
+    """Records every array passed to np.linalg.eigh while the test runs."""
+    log = EighLog()
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        log.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return log

@@ -316,6 +316,16 @@ class TestRecurrence:
         assert verify_moment_recurrence(4, cases=((2,), (3,), (2, 1)),
                                         thetas=(1.0,)) < 1e-7
 
+    def test_beta4_each_integral_once(self, monkeypatch):
+        # 148 moment integrals over the default cases, 57 of them distinct:
+        # 1581 pfaffian engine calls instead of 3541
+        calls = []
+        engine = beta_even._integral_beta4
+        monkeypatch.setattr(beta_even, "_integral_beta4",
+                            lambda f, n: calls.append(n) or engine(f, n))
+        assert verify_moment_recurrence(4) == pytest.approx(2.3386e-9, rel=1e-4)
+        assert len(calls) <= 1581
+
     def test_no_node_combinations(self, monkeypatch):
         # the moment integrals run through the hankel and pfaffian engines
         def refuse(n, beta):

@@ -77,12 +77,34 @@ class TestCommands:
 
     @pytest.mark.parametrize("argv, most", [(["spacing", "--beta", "1"], 252),
                                             (["fig1"], 126)])
-    def test_one_sweep_per_curve(self, argv, most, capsys):
+    def test_one_sweep_per_curve(self, argv, most, capsys, eigh_log):
         # one Chebyshev interval for the grid, both orders from each eigensolve
         gap._spectrum.cache_clear()
         spacing._p_samples.cache_clear()
         assert run(argv, capsys)[0] == 0
-        assert gap._spectrum.cache_info().misses <= most
+        assert eigh_log.matrices <= most
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sff_beta4_singular_point(self, fmt, capsys):
+        # tau = 1 on the default grid: S_0, S_1, S_2 written as nan / null
+        code = cli.main(["sff", "--beta", "4", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert len(captured.err.splitlines()) == 1 and "tau = 1" in captured.err
+        if fmt == "csv":
+            lines = captured.out.strip().splitlines()
+            rows = np.array([line.split(",") for line in lines[1:]], float)
+        else:
+            def refuse(token):
+                raise ValueError(f"non-standard JSON constant {token}")
+            doc = json.loads(captured.out, parse_constant=refuse)
+            if SCHEMA is not None:
+                jsonschema.validate(doc, SCHEMA)
+            rows = np.array(doc["rows"], float)
+        assert rows.shape == (41, 4)
+        singular = rows[:, 0] == 1.0
+        assert singular.sum() == 1 and np.all(np.isnan(rows[singular, 1:]))
+        assert np.all(np.isfinite(rows[~singular]))
 
     def test_sff_exact_column(self, capsys):
         code, out = run(["sff", "--beta", "4", "--N", "40", "--range", "0.2:0.6:3"],
@@ -129,8 +151,12 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
 
-    def test_full_registry_passes(self, capsys):
+    def test_full_registry_passes(self, capsys, eigh_log):
+        gap._spectrum.cache_clear()
+        spacing._p_samples.cache_clear()
         code, out = run(["verify"], capsys)
+        # e-corr-pm reuses the sweeps of e-corr-beta1
+        assert eigh_log.matrices <= 1260
         assert code == 0
         assert "FAIL" not in out
         lines = out.strip().splitlines()

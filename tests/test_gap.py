@@ -8,7 +8,7 @@ from circbeta import (AccuracyWarning, E_CUE_SMALL_S, KernelSpec, correction_fac
                       correction_residual, e_bulk, e_finite_cue, e_pm,
                       extract_correction, fredholm_det, fredholm_trace_correction,
                       gap_probabilities, gauss_legendre, kernel_eval)
-from circbeta.gap import _det_fixed, _spectrum, _symmetrised
+from circbeta.gap import _STACK_ENTRIES, _det_fixed, _e_bulk, _spectrum, _symmetrised
 from circbeta.spacing import P0_BETA1
 
 SINE = KernelSpec("sine")
@@ -245,7 +245,7 @@ class TestSpectralEngine:
     def test_near_singular_corner_finite(self, s, gap):
         # beta = 4, xi = 1: e_bulk(4, ., s, .) uses the plus kernel on (0, s),
         # where 1 - lam_max is ~5e-8 at s = 3.15 and ~3e-15 at s = 6.3
-        lam, _ = _spectrum(*PM[+1], s, 64)
+        lam, _ = _spectrum(*PM[+1], (s,), 64)
         assert 0.0 < 1.0 - lam.max() < gap
         e1 = e_bulk(4, 1, s, 1.0)
         assert math.isfinite(e1)
@@ -255,21 +255,82 @@ class TestSpectralEngine:
                                         "l_plus", "l_minus"])
     def test_matrix_bitwise_symmetric(self, family):
         kernel = KernelSpec(family, 9 if family == "cue" else None)
-        for s, n in ((0.3, 16), (3.15, 64), (6.3, 256)):
-            A = _symmetrised(kernel, s, n)
-            assert np.array_equal(A, A.T)
+        for n in (16, 64, 256):
+            A = _symmetrised(kernel, np.array([0.3, 3.15, 6.3]), n)
+            assert A.shape == (3, n, n)
+            assert np.array_equal(A, A.swapaxes(1, 2))
 
     def test_cached_arrays_read_only(self):
-        lam, d = _spectrum(SINE, LKER, 1.3, 64)
+        lam, d = _spectrum(SINE, LKER, (1.3,), 64)
         assert not lam.flags.writeable and not d.flags.writeable
         with pytest.raises(ValueError):
             lam[0] = 0.0
         assert _spectrum.cache_info().maxsize is not None
 
-    def test_one_eigensolve_serves_every_xi_and_order(self):
+    def test_one_eigensolve_serves_every_xi_and_order(self, eigh_log):
         e_bulk(2, 0, 2.345, 0.5)
-        misses = _spectrum.cache_info().misses
+        solved = eigh_log.matrices
         for xi in (0.25, 0.5, 1.0):
             e_bulk(2, 1, 2.345, xi)
             e_bulk(2, 0, 2.345, xi)
-        assert _spectrum.cache_info().misses == misses
+        assert eigh_log.matrices == solved
+
+
+class TestSweeps:
+    grid = np.array([0.0, 0.05, 0.7, 1.6, 2.4, 3.15])
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
+    def test_e_bulk_array_matches_scalar(self, beta, xi):
+        for order in (0, 1):
+            got = e_bulk(beta, order, self.grid, xi)
+            want = np.array([e_bulk(beta, order, s, xi) for s in self.grid])
+            assert got.shape == self.grid.shape
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
+    def test_e_pm_array_matches_scalar(self, sign, xi):
+        for order in (0, 1):
+            got = e_pm(sign, order, self.grid, xi)
+            want = np.array([e_pm(sign, order, s, xi) for s in self.grid])
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_scalar_in_scalar_out(self):
+        assert isinstance(e_bulk(1, 1, 1.2, 0.5), float)
+        assert isinstance(fredholm_det(SINE, 1.2, 0.5), float)
+        assert e_bulk(2, 0, [[0.5, 1.0]], 0.5).shape == (1, 2)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_mixed_grid_certified_per_node(self, beta):
+        s = np.array([0.5, 5.0, 20.0])
+        for order in (0, 1):
+            values, orders = _e_bulk(beta, order, s, 0.5, None)
+            # the s = 0.5 node stops where it would alone; s = 20 goes on
+            assert orders[0] == 32 and orders[2] > 32
+            for k in range(s.size):
+                assert _e_bulk(beta, order, s[k], 0.5, None)[1] == orders[k]
+                assert abs(values[k] - _lu_bulk(beta, s[k], 0.5, 256)[order]) <= 1e-10
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_rejects_bad_node(self, bad):
+        # a NaN would otherwise fail the s > 0 test and read as E_0 = 1
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            e_bulk(2, 0, [0.5, bad], 0.5)
+
+    def test_unconverged_node_warns(self):
+        # order 256 does not resolve the sine kernel on (0, 100)
+        with pytest.warns(AccuracyWarning, match="1 of 2"):
+            values, orders = _e_bulk(2, 1, np.array([0.5, 100.0]), 0.2, None)
+        assert orders.tolist() == [32, 256]
+        assert values[0] == e_bulk(2, 1, 0.5, 0.2)
+
+    def test_stacks_within_entry_budget(self, eigh_log):
+        _spectrum.cache_clear()
+        e_bulk(2, 1, np.linspace(0.0, 50.0, 66), 0.2)
+        sizes = [(math.prod(shape[:-2]), shape[-1]) for shape in eigh_log]
+        # a stack holds several matrices only while they fit the budget; one
+        # matrix of order 256 (65536 entries) goes alone
+        assert all(k * n * n <= max(_STACK_ENTRIES, n * n) for k, n in sizes)
+        assert {n for _, n in sizes} >= {16, 32, 64, 128, 256}
+        assert max(k for k, _ in sizes) == _STACK_ENTRIES // 16 ** 2
