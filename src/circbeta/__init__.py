@@ -6,8 +6,7 @@ from .numerics import (QuadratureRule, gauss_legendre, gauss_jacobi, sine_integr
                        chebyshev_points, chebyshev_diff_matrix,
                        spectral_derivative, chebyshev_interpolate,
                        correction_factor, correction_residual)
-from .kernels import (KernelSpec, PfaffianKernelEntries, kernel_eval,
-                      cue_kernel_bulk_expansion, pfaffian_entries)
+from .kernels import KernelSpec, PfaffianKernelEntries, kernel_eval, pfaffian_entries
 from .correlations import (rho_n_cue, rho_n_pfaffian, pfaffian,
                            rho2_bulk_term, rho2_bulk_finite)
 from .gap import (GapResult, CorrectionEstimate, AccuracyWarning, fredholm_det,

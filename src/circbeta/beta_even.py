@@ -16,7 +16,8 @@ from scipy.special import gammaln
 
 from .correlations import rho2_bulk_term
 from .gap import AccuracyWarning
-from .numerics import gauss_jacobi, gauss_legendre, inverse_square_fit
+from .numerics import (chebyshev_interpolate, chebyshev_points, gauss_jacobi, gauss_legendre,
+                       inverse_square_fit, spectral_derivative)
 
 F = Fraction
 TWO_PI = 2.0 * math.pi
@@ -275,7 +276,7 @@ def rho2_correction_estimate(beta: int, x: float, N_pair=(32, 48, 64)) -> float:
 # ---------------------------------------------------------------------------
 # Moment integrals and the integration-by-parts recurrence
 
-def moment_integral(beta: int, theta: float, exponents=(), quad_order=None) -> complex:
+def moment_integral(beta: int, theta: float, exponents=()) -> complex:
     """I^(m)(a_1..a_m): the weighted integral with the distinct-index
     symmetrized monomial sum inserted; exponents = () gives the base integral.
 
@@ -291,7 +292,7 @@ def moment_integral(beta: int, theta: float, exponents=(), quad_order=None) -> c
         raise NotImplementedError("m <= 3 only")
     if m > beta:
         return 0.0 + 0.0j
-    nn, method = quad_order or _DEFAULT_ORDER[beta], _auto_method(beta)
+    nn, method = _DEFAULT_ORDER[beta], _auto_method(beta)
     roots = [1j ** (4 * k // beta) for k in range(beta)]   # exact at beta = 2, 4
     total = 0.0 + 0.0j
     for ts in itertools.product(roots, repeat=m):
@@ -305,16 +306,18 @@ def _even(x: int) -> int:
     return 1 if x % 2 == 0 else 0
 
 
-def _integrals(beta: int, quad_order):
-    """moment_integral(beta, theta, exponents, quad_order) as a function of
-    (theta, exponents) that computes each distinct pair once."""
-    return lru_cache(maxsize=None)(
-        lambda theta, expo: moment_integral(beta, theta, expo, quad_order))
+def _integrals(beta: int):
+    """moment_integral(beta, theta, exponents) as a function of (theta,
+    exponents) that computes each distinct integral once; I^(m) is symmetric
+    in its exponents, so they are keyed sorted."""
+    cached = lru_cache(maxsize=None)(
+        lambda theta, expo: moment_integral(beta, theta, expo))
+    return lambda theta, expo: cached(theta, tuple(sorted(expo)))
 
 
-def recurrence_sides(beta: int, theta: float, a: tuple, quad_order=None):
+def recurrence_sides(beta: int, theta: float, a: tuple):
     """Left and right sides of the moment-integral recurrence for a_1 >= 2."""
-    return _sides(beta, theta, a, _integrals(beta, quad_order))
+    return _sides(beta, theta, a, _integrals(beta))
 
 
 def _sides(beta: int, theta: float, a: tuple, integral):
@@ -358,29 +361,31 @@ DEFAULT_RECURRENCE_CASES = ((2,), (3,), (4,), (2, 1), (3, 1), (3, 2), (4, 1))
 def _initial_condition_residual(beta: int, theta: float, integral) -> float:
     """Index reduction I^(m)(0, rest) = (beta - m + 1) I^(m-1)(rest) and the
     power-sum partition identities tying theta-derivatives of the base
-    integral to the distinct-index sums (stencil derivatives)."""
+    integral, taken spectrally from its values on 16 Chebyshev nodes of
+    [theta - 1/2, theta + 1/2], to the distinct-index sums."""
     I = lambda *expo: integral(theta, expo)
     worst = 0.0
     for rest in ((1,), (2,), (1, 1)):
         if len(rest) + 1 > beta:
             continue
         worst = max(worst, abs(I(0, *rest) - (beta - len(rest)) * I(*rest)))
-    h = 0.01
-    base = [integral(theta + k * h, ()) for k in (-2, -1, 0, 1, 2)]
-    d1 = (base[0] - 8 * base[1] + 8 * base[3] - base[4]) / (12 * h)
-    d2 = (-base[0] + 16 * base[1] - 30 * base[2] + 16 * base[3] - base[4]) \
-        / (12 * h * h)
+    lo, hi = theta - 0.5, theta + 0.5
+    base = np.array([integral(t, ()) for t in chebyshev_points(16, lo, hi)])
+    d1, d2 = (sum(unit * chebyshev_interpolate(spectral_derivative(part, k, lo, hi),
+                                               lo, hi, theta)
+                  for unit, part in ((1.0, base.real), (1j, base.imag)))
+              for k in (1, 2))
     worst = max(worst, abs(I(1) - (-1j) * d1))
     worst = max(worst, abs(I(2) + I(1, 1) - (-d2)))
     return worst
 
 
 def verify_moment_recurrence(beta: int, cases=DEFAULT_RECURRENCE_CASES,
-                             thetas=(1.0, 2.5), quad_order=None) -> float:
+                             thetas=(1.0, 2.5)) -> float:
     """Max residual of the integration-by-parts recurrence over the cases and
     theta values, together with its initial-condition identities; each
     distinct moment integral is computed once."""
-    integral = _integrals(beta, quad_order)
+    integral = _integrals(beta)
     worst = 0.0
     for th in thetas:
         for case in cases:

@@ -61,18 +61,17 @@ def _grid(args, single, fallback):
 
 def cmd_gap(args):
     grid = _grid(args, "s", np.linspace(0.1, 3.0, 30))
-    e0, e1 = (gap.e_bulk(args.beta, order, grid, args.xi, args.quad) for order in (0, 1))
+    e0, e1 = (gap.e_bulk(args.beta, order, grid, args.xi) for order in (0, 1))
     rows = [[float(s), float(a), float(b)] for s, a, b in zip(grid, e0, e1)]
-    return _emit(args, "gap", {"beta": args.beta, "xi": args.xi, "quad": args.quad},
+    return _emit(args, "gap", {"beta": args.beta, "xi": args.xi},
                  ["s", "E0", "E1"], rows)
 
 
 def cmd_spacing(args):
     grid = _grid(args, "s", np.linspace(0.1, 3.0, 30))
-    p0, p1 = (spacing.p_bulk(args.beta, order, grid, args.xi, n_quad=args.quad)
-              for order in (0, 1))
+    p0, p1 = (spacing.p_bulk(args.beta, order, grid, args.xi) for order in (0, 1))
     rows = [[float(s), float(a), float(b)] for s, a, b in zip(grid, p0, p1)]
-    return _emit(args, "spacing", {"beta": args.beta, "xi": args.xi, "quad": args.quad},
+    return _emit(args, "spacing", {"beta": args.beta, "xi": args.xi},
                  ["s", "P0", "P1"], rows)
 
 
@@ -151,7 +150,7 @@ def _cheb(beta, tol, c, powers, span, samplers):
 def _identity_registry():
     c = numerics.correction_factor
     gap_s = (0.0, 1.05 * 3.0, np.linspace(0.1, 3.0, 31), 64)
-    spacing_s = (0.0, 1.1 * 2.5, np.linspace(0.2, 2.5, 24), 64)
+    spacing_s = (0.0, 1.1 * 2.5, np.linspace(0.2, 2.5, 24), spacing.CHEB_NODES)
     rho2_x = (0.1, 1.1 * 3.0, np.linspace(0.2, 3.0, 15), 96)
     even_x = (0.1, 1.1 * 2.0, np.linspace(0.2, 2.0, 7), 32)
 
@@ -161,7 +160,7 @@ def _identity_registry():
     def p_bulk(beta):
         # the samples p_bulk interpolates, taken on the engine's own nodes
         hi = spacing_s[1]
-        return [_orders(lambda o, xs, xi=xi: spacing._p_samples(beta, xi, hi, 64, None)[o])
+        return [_orders(lambda o, xs, xi=xi: spacing._p_samples(beta, xi, hi)[o])
                 for xi in (0.5, 1.0)]
 
     def rho2(beta):
@@ -200,7 +199,7 @@ def _identity_registry():
         "sff-zeros-r4": (None, 1e-10, _r4_oracle_residual),
         "rho2-even-corr-beta2": _cheb(2, 2e-5, c(2), (0, 2), even_x, rho2_even(2)),
         "rho2-even-corr-beta4": _cheb(4, 4e-5, c(4), (0, 2), even_x, rho2_even(4)),
-        "moment-recurrence-beta2": (2, 1e-8,
+        "moment-recurrence-beta2": (2, 1e-11,
                                     lambda: beta_even.verify_moment_recurrence(2)),
     }
     return entries
@@ -257,7 +256,6 @@ def cmd_verify(args):
 def _add_common(p, with_range=True):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
-    p.add_argument("--quad", type=int, default=None, help="starting quadrature order")
     if with_range:
         p.add_argument("--range", type=_parse_range, default=None,
                        help="grid as lo:hi:count")
@@ -295,6 +293,8 @@ def build_parser():
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--limit", action="store_true")
     p.add_argument("--x", type=float, default=None)
+    p.add_argument("--quad", type=int, default=None,
+                   help="quadrature order of the beta = 6 tensor engine (default 24)")
     _add_common(p)
     p.set_defaults(func=cmd_rho2)
 
@@ -312,8 +312,12 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -89,13 +89,11 @@ def _det_fixed(kernel: KernelSpec, s, xi: float, n: int,
     return -xi * np.einsum("kj,kj->k", d, before * after)
 
 
-def _doubled(kernel: KernelSpec, kernel_l: KernelSpec | None, s, xi: float,
-             n: int | None, converge: bool = True):
-    """(values, orders) at each entry of s: the order-n value (n defaults to
-    and is at least 16) or, with converge, the first order-2n value within
-    1e-10 of the order-n one, doubling n up to 256 at each node on its own;
-    only the nodes not yet certified go on to the next order. The order is 0
-    where no quadrature is needed."""
+def _doubled(kernel: KernelSpec, kernel_l: KernelSpec | None, s, xi: float):
+    """(values, orders) at each entry of s: the first order-2n value within
+    1e-10 of the order-n one, n starting at 16 and doubling up to 256 at each
+    node on its own; only the nodes not yet certified go on to the next
+    order. The order is 0 where no quadrature is needed."""
     s = np.asarray(s, float)
     if not np.all((s >= 0.0) & (s < np.inf)):
         raise ValueError("s must be finite and nonnegative")
@@ -105,20 +103,19 @@ def _doubled(kernel: KernelSpec, kernel_l: KernelSpec | None, s, xi: float,
     val = np.full(flat.size, 1.0 if kernel_l is None else 0.0)
     order = np.zeros(flat.size, int)
     todo = np.flatnonzero((flat > 0.0) & (xi != 0.0))
-    n = 16 if n is None else max(n, 16)
+    n = 16
     if todo.size:
         val[todo], order[todo] = _det_fixed(kernel, flat[todo], xi, n, kernel_l), n
-    if converge:
-        while todo.size and n < 256:
-            n *= 2
-            new = _det_fixed(kernel, flat[todo], xi, n, kernel_l)
-            done = np.abs(new - val[todo]) < 1e-10
-            val[todo], order[todo] = new, n
-            todo = todo[~done]
-        if todo.size:
-            what = "Fredholm determinant" if kernel_l is None else "trace correction"
-            warnings.warn(f"{what} not converged at order {n} at {todo.size} of "
-                          f"{flat.size} values of s", AccuracyWarning)
+    while todo.size and n < 256:
+        n *= 2
+        new = _det_fixed(kernel, flat[todo], xi, n, kernel_l)
+        done = np.abs(new - val[todo]) < 1e-10
+        val[todo], order[todo] = new, n
+        todo = todo[~done]
+    if todo.size:
+        what = "Fredholm determinant" if kernel_l is None else "trace correction"
+        warnings.warn(f"{what} not converged at order {n} at {todo.size} of "
+                      f"{flat.size} values of s", AccuracyWarning)
     return val.reshape(s.shape), order.reshape(s.shape)
 
 
@@ -126,38 +123,33 @@ def _scalar_or_array(values):
     return values if values.ndim else float(values)
 
 
-def fredholm_det(kernel: KernelSpec, s, xi: float, n: int = 64,
-                 converge: bool = True):
+def fredholm_det(kernel: KernelSpec, s, xi: float):
     """det(I - xi K restricted to (0, s)) by Nystrom discretization, at a
-    scalar or an array s.
-
-    With converge=True the order doubles (up to 256) until the value moves by
-    less than 1e-10; an AccuracyWarning is issued if that is never reached.
-    """
-    return _scalar_or_array(_doubled(kernel, None, s, xi, n, converge)[0])
+    scalar or an array s, certified to 1e-10 by doubling the order from 16
+    (up to 256); an AccuracyWarning is issued if that is never reached."""
+    return _scalar_or_array(_doubled(kernel, None, s, xi)[0])
 
 
-def fredholm_trace_correction(kernel_k: KernelSpec, kernel_l: KernelSpec, s,
-                              xi: float, n: int = 64, converge: bool = True):
+def fredholm_trace_correction(kernel_k: KernelSpec, kernel_l: KernelSpec, s, xi: float):
     """-det(I - xi K) Tr((I - xi K)^{-1} xi L) on (0, s), shared Nystrom grid,
-    at a scalar or an array s."""
-    return _scalar_or_array(_doubled(kernel_k, kernel_l, s, xi, n, converge)[0])
+    at a scalar or an array s, certified like fredholm_det."""
+    return _scalar_or_array(_doubled(kernel_k, kernel_l, s, xi)[0])
 
 
-def e_pm(sign: int, order: int, s, xi: float, n: int | None = None):
+def e_pm(sign: int, order: int, s, xi: float):
     """E_order^+- (s; xi) at a scalar or an array s: Fredholm data of the +-
-    kernels on (0, s/2), the Nystrom order doubling from n (default 16) until
-    certified to 1e-10."""
+    kernels on (0, s/2), the Nystrom order doubling from 16 until certified
+    to 1e-10."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
     half = np.asarray(s, float) / 2.0
     return _scalar_or_array(_doubled(_K[sign], _PAIR[_K[sign]] if order else None,
-                                     half, xi, n)[0])
+                                     half, xi)[0])
 
 
-def _e_bulk(beta: int, order: int, s, xi: float, n: int | None):
+def _e_bulk(beta: int, order: int, s, xi: float):
     """(E_order, the largest Nystrom order certified over the kernels used),
     as arrays shaped like s."""
     if not 0.0 <= xi <= 1.0:
@@ -166,31 +158,31 @@ def _e_bulk(beta: int, order: int, s, xi: float, n: int | None):
         raise ValueError("order must be 0 or 1")
     s = np.asarray(s, float)
     if beta == 2:
-        return _doubled(_SINE, _PAIR[_SINE] if order else None, s, xi, n)
+        return _doubled(_SINE, _PAIR[_SINE] if order else None, s, xi)
     if beta not in (1, 4):
         raise ValueError("beta must be 1, 2, or 4")
     # beta = 4: orthogonal-group dimension 2N+1, so the +- operators act on
     # (0, s) and the correction picks up a further factor 1/4
     span, x = (s / 2.0, 2.0 * xi - xi * xi) if beta == 1 else (s, xi)
-    (em, nm), (ep, np_) = (_doubled(k, _PAIR[k] if order else None, span, x, n)
+    (em, nm), (ep, np_) = (_doubled(k, _PAIR[k] if order else None, span, x)
                            for k in (_K[-1], _K[+1]))
     if beta == 1:
         return ((1.0 - xi) * em + ep) / (2.0 - xi), np.maximum(nm, np_)
     return (em + ep) / (2.0 if order == 0 else 8.0), np.maximum(nm, np_)
 
 
-def e_bulk(beta: int, order: int, s, xi: float, n: int | None = None):
+def e_bulk(beta: int, order: int, s, xi: float):
     """Bulk gap generating function term E_order for beta in {1, 2, 4}, at a
     scalar or an array s.
 
     order 0 is the limit, order 1 the coefficient of 1/N^2. The Nystrom order
-    doubles from n (default 16) until certified to 1e-10, at each s on its own.
+    doubles from 16 until certified to 1e-10, at each s on its own.
     """
-    return _scalar_or_array(_e_bulk(beta, order, s, xi, n)[0])
+    return _scalar_or_array(_e_bulk(beta, order, s, xi)[0])
 
 
-def gap_probabilities(beta: int, s: float, xi: float, n: int | None = None) -> GapResult:
-    (e0, n0), (e1, n1) = _e_bulk(beta, 0, s, xi, n), _e_bulk(beta, 1, s, xi, n)
+def gap_probabilities(beta: int, s: float, xi: float) -> GapResult:
+    (e0, n0), (e1, n1) = _e_bulk(beta, 0, s, xi), _e_bulk(beta, 1, s, xi)
     return GapResult(s, xi, beta, float(e0), float(e1), int(max(n0, n1)))
 
 

@@ -65,15 +65,6 @@ def kernel_eval(spec: KernelSpec, x, y):
     return _l_kernel(x - y) - _l_kernel(x + y)
 
 
-def cue_kernel_bulk_expansion(x, y, order: int):
-    """Term of the 1/N^2 expansion of the bulk-scaled finite-N kernel."""
-    if order == 0:
-        return np.sinc(np.asarray(x, float) - np.asarray(y, float))
-    if order == 1:
-        return _l_kernel(np.asarray(x, float) - np.asarray(y, float))
-    raise ValueError("order must be 0 or 1")
-
-
 # ---------------------------------------------------------------------------
 # Pfaffian kernel entries: exact finite trigonometric sums
 

@@ -15,19 +15,10 @@ from scipy.special import roots_jacobi, sici
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights of a Gauss rule on (lo, hi).
+    """Nodes and weights of a Gauss rule."""
 
-    ``kind`` is "legendre" (weight 1) or "jacobi" (weight u^a_exp (1-u)^b_exp
-    on (0, 1)).
-    """
-
-    kind: str
-    lo: float
-    hi: float
     nodes: np.ndarray
     weights: np.ndarray
-    a_exp: float = 0.0
-    b_exp: float = 0.0
 
     def integrate(self, f) -> float:
         return float(np.sum(self.weights * f(self.nodes)))
@@ -47,15 +38,14 @@ def _read_only(*arrays):
 @lru_cache(maxsize=32)
 def _legendre(n: int):
     x, w = _read_only(*leggauss(n))
-    return x, w, QuadratureRule("legendre", 0.0, 1.0, *_read_only(0.5 * x + 0.5, 0.5 * w))
+    return x, w, QuadratureRule(*_read_only(0.5 * x + 0.5, 0.5 * w))
 
 
 @lru_cache(maxsize=32)
 def _jacobi(n: int, a_exp: float, b_exp: float) -> QuadratureRule:
     # scipy weight is (1-x)^alpha (1+x)^beta on (-1, 1); u = (1+x)/2
     x, w = roots_jacobi(n, b_exp, a_exp)
-    return QuadratureRule("jacobi", 0.0, 1.0, *_read_only(
-        (x + 1.0) / 2.0, w / 2.0 ** (a_exp + b_exp + 1.0)), a_exp, b_exp)
+    return QuadratureRule(*_read_only((x + 1.0) / 2.0, w / 2.0 ** (a_exp + b_exp + 1.0)))
 
 
 def gauss_legendre(n: int, lo: float, hi: float) -> QuadratureRule:
@@ -68,8 +58,7 @@ def gauss_legendre(n: int, lo: float, hi: float) -> QuadratureRule:
     if (lo, hi) == (0.0, 1.0):
         return unit
     half = 0.5 * (hi - lo)
-    return QuadratureRule("legendre", lo, hi,
-                          *_read_only(half * x + 0.5 * (hi + lo), half * w))
+    return QuadratureRule(*_read_only(half * x + 0.5 * (hi + lo), half * w))
 
 
 def gauss_jacobi(n: int, a_exp: float, b_exp: float) -> QuadratureRule:

@@ -136,26 +136,31 @@ P1_BETA1 = SeriesTable("p1_beta1", (
 # ---------------------------------------------------------------------------
 # Spacing generating function from the gap pipelines
 
+# Chebyshev nodes of the one interval p_bulk interpolates on
+CHEB_NODES = 64
+
+
 @lru_cache(maxsize=64)
-def _p_samples(beta: int, xi: float, s_max: float, n_cheb: int, n_quad: int | None):
-    """(P_0, P_1) samples on the n_cheb Chebyshev nodes of [0, s_max], one gap
-    sweep per order; the order-1 sweep reuses the eigensolves of the order-0 one."""
-    xs = chebyshev_points(n_cheb, 0.0, s_max)
-    return tuple(spectral_derivative(gap.e_bulk(beta, order, xs, xi, n_quad), 2, 0.0, s_max)
+def _p_samples(beta: int, xi: float, s_max: float):
+    """(P_0, P_1) samples on the CHEB_NODES Chebyshev nodes of [0, s_max], one
+    gap sweep per order; the order-1 sweep reuses the eigensolves of the
+    order-0 one."""
+    xs = chebyshev_points(CHEB_NODES, 0.0, s_max)
+    return tuple(spectral_derivative(gap.e_bulk(beta, order, xs, xi), 2, 0.0, s_max)
                  / xi ** 2 for order in (0, 1))
 
 
-def p_bulk(beta: int, order: int, s, xi: float, n_cheb: int = 64,
-           n_quad: int | None = None, s_max: float = 3.0):
+def p_bulk(beta: int, order: int, s, xi: float, s_max: float = 3.0):
     """Spacing generating function term P_order(s; xi) = E_order''(s; xi)/xi^2
     at a scalar or an array s, interpolated on one Chebyshev interval
-    [0, max(s_max, 1.1 max(s))]; n_quad is the starting Nystrom order.
+    [0, max(s_max, 1.1 max(s))].
 
     At xi = 0 the generating function reduces to the two-point correlation,
     which is returned from the closed forms directly.
     """
-    if np.any(s < 0):
-        raise ValueError("s must be nonnegative")
+    s = np.asarray(s, float)
+    if not np.all((s >= 0.0) & (s < np.inf)):
+        raise ValueError("s must be finite and nonnegative")
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must lie in [0, 1]")
     if xi == 0.0:
@@ -164,7 +169,7 @@ def p_bulk(beta: int, order: int, s, xi: float, n_cheb: int = 64,
             return 4.0 * correlations.rho2_bulk_term(4, order, 2.0 * s)
         return correlations.rho2_bulk_term(beta, order, s)
     hi = max(s_max, 1.1 * float(np.max(s)))
-    samples = _p_samples(beta, float(xi), float(hi), n_cheb, n_quad)[order]
+    samples = _p_samples(beta, float(xi), float(hi))[order]
     return chebyshev_interpolate(samples, 0.0, hi, s)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -171,6 +172,41 @@ class TestVerify:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["gap", "--xi", "1.5", "--s", "1"], "xi must lie in [0, 1]"),
+        (["rho2", "--beta", "6", "--N", "5", "--x", "2.5"],
+         "separation must stay within one period"),
+    ])
+    def test_library_value_error_exits_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["gap", "--quad", "64"], ["spacing", "--quad", "64"],
+                                      ["sff", "--quad", "5"], ["verify", "--quad", "3"],
+                                      ["fig1", "--quad", "2"]])
+    def test_quad_unknown_off_rho2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --quad" in capsys.readouterr().err
+
+    def test_quad_only_on_rho2(self):
+        # the beta = 6 tensor engine is the one order a caller can set
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        with_quad = {name for name, p in sub.choices.items()
+                     if any("--quad" in a.option_strings for a in p._actions)}
+        assert with_quad == {"rho2"}
+
+    def test_rho2_beta6_quad(self, capsys):
+        code, out = run(["rho2", "--beta", "6", "--x", "0.7", "--quad", "16"], capsys)
+        assert code == 0
+        row = out.strip().splitlines()[1].split(",")
+        assert float(row[1]) == rho2_even_beta(6, 0.7, None, 16)
+
     def test_bad_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["gap", "--beta", "3"])

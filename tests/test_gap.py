@@ -237,9 +237,8 @@ class TestSpectralEngine:
     def test_fredholm_against_lu(self, xi):
         for s in self.s_values:
             want = _lu_pair(SINE, LKER, s, xi)
-            assert abs(fredholm_det(SINE, s, xi, converge=False) - want[0]) <= 1e-13
-            got = fredholm_trace_correction(SINE, LKER, s, xi, converge=False)
-            assert abs(got - want[1]) <= 1e-13
+            assert abs(_det_fixed(SINE, s, xi, 64)[0] - want[0]) <= 1e-13
+            assert abs(_det_fixed(SINE, s, xi, 64, LKER)[0] - want[1]) <= 1e-13
 
     @pytest.mark.parametrize("s, gap", [(3.15, 1e-7), (6.3, 1e-14)])
     def test_near_singular_corner_finite(self, s, gap):
@@ -305,11 +304,11 @@ class TestSweeps:
     def test_mixed_grid_certified_per_node(self, beta):
         s = np.array([0.5, 5.0, 20.0])
         for order in (0, 1):
-            values, orders = _e_bulk(beta, order, s, 0.5, None)
+            values, orders = _e_bulk(beta, order, s, 0.5)
             # the s = 0.5 node stops where it would alone; s = 20 goes on
             assert orders[0] == 32 and orders[2] > 32
             for k in range(s.size):
-                assert _e_bulk(beta, order, s[k], 0.5, None)[1] == orders[k]
+                assert _e_bulk(beta, order, s[k], 0.5)[1] == orders[k]
                 assert abs(values[k] - _lu_bulk(beta, s[k], 0.5, 256)[order]) <= 1e-10
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
@@ -321,7 +320,7 @@ class TestSweeps:
     def test_unconverged_node_warns(self):
         # order 256 does not resolve the sine kernel on (0, 100)
         with pytest.warns(AccuracyWarning, match="1 of 2"):
-            values, orders = _e_bulk(2, 1, np.array([0.5, 100.0]), 0.2, None)
+            values, orders = _e_bulk(2, 1, np.array([0.5, 100.0]), 0.2)
         assert orders.tolist() == [32, 256]
         assert values[0] == e_bulk(2, 1, 0.5, 0.2)
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from circbeta import (KernelSpec, cue_kernel_bulk_expansion, gauss_legendre,
-                      kernel_eval, pfaffian_entries)
-from circbeta.kernels import _cue_scaled
+from circbeta import KernelSpec, gauss_legendre, kernel_eval, pfaffian_entries
+from circbeta.kernels import _cue_scaled, _l_kernel
 
 ALL_FAMILIES = ["sine", "l", "plus", "minus", "l_plus", "l_minus"]
 
@@ -64,21 +63,21 @@ class TestKernelEval:
 
 class TestBulkExpansion:
     def test_order0_diagonal(self):
-        assert cue_kernel_bulk_expansion(0.0, 0.0, 0) == pytest.approx(1.0)
+        assert kernel_eval(KernelSpec("sine"), 0.0, 0.0) == pytest.approx(1.0)
 
     def test_order1_equals_l_kernel(self):
         g = np.linspace(-2, 2, 20)
         X, Y = np.meshgrid(g, g)
-        assert np.allclose(cue_kernel_bulk_expansion(X, Y, 1),
-                           kernel_eval(KernelSpec("l"), X, Y), atol=1e-15)
+        assert np.allclose(kernel_eval(KernelSpec("l"), X, Y), _l_kernel(X - Y),
+                           atol=1e-15)
 
     def test_richardson_against_finite_N(self):
         x, y = 0.9, 0.2
-        target = cue_kernel_bulk_expansion(x, y, 1)
+        target = kernel_eval(KernelSpec("l"), x, y)
         devs = {}
         for N in (40, 80):
             devs[N] = N ** 2 * (kernel_eval(KernelSpec("cue", N), x, y)
-                                - cue_kernel_bulk_expansion(x, y, 0))
+                                - kernel_eval(KernelSpec("sine"), x, y))
         assert devs[40] == pytest.approx(target, abs=3e-4)
         # the defect from the limit shrinks like 1/N^2 (4:1 between N=40 and 80)
         assert (devs[40] - target) / (devs[80] - target) == pytest.approx(4.0, rel=0.05)

@@ -9,7 +9,7 @@ from circbeta import (E_CUE_SMALL_S, P0_BETA1, P0_BETA2, P1_BETA1, P1_BETA2,
                       gauss_legendre, p_bulk, rho2_bulk_term,
                       spacing_series_identity_holds, surmise_correction,
                       wigner_surmise)
-from circbeta.spacing import SeriesTable, _p_samples, tables_match_through
+from circbeta.spacing import CHEB_NODES, SeriesTable, _p_samples, tables_match_through
 
 
 def poly_mul(p, q):
@@ -176,6 +176,19 @@ class TestPBulk:
             want = [p_bulk(beta, order, float(s), xi, s_max=3.6) for s in grid]
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("xi", [0.0, 1.0])
+    def test_list_input(self, xi):
+        got = p_bulk(2, 0, [0.5, 1.0], xi)
+        assert np.array_equal(got, p_bulk(2, 0, np.array([0.5, 1.0]), xi))
+
+    @pytest.mark.parametrize("xi", [0.0, 1.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_rejects_bad_s(self, xi, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            p_bulk(2, 0, bad, xi)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            p_bulk(2, 0, [0.5, bad], xi)
+
     def test_moment_nulls_of_correction(self):
         rule = gauss_legendre(200, 1e-3, 4.0)
         for j in (0, 1):
@@ -189,9 +202,9 @@ def spacing_identity_residual(beta, s_grid, xi_grid):
     samples p_bulk interpolates."""
     hi = 1.1 * s_grid.max()
     return max(correction_residual(
-        lambda xs: _p_samples(beta, xi, hi, 64, None)[0],
-        lambda xs: _p_samples(beta, xi, hi, 64, None)[1],
-        correction_factor(beta), 0.0, hi, s_grid, 64, 0, 2) for xi in xi_grid)
+        lambda xs: _p_samples(beta, xi, hi)[0],
+        lambda xs: _p_samples(beta, xi, hi)[1],
+        correction_factor(beta), 0.0, hi, s_grid, CHEB_NODES, 0, 2) for xi in xi_grid)
 
 
 class TestSpacingIdentity:
