@@ -103,27 +103,12 @@ def v2_coefficient(n: int, kappa: float) -> float:
 #   I[f_sym] = int_[0,1]^beta prod_j w(u_j) f(u_j) prod_{j<k} |u_k-u_j|^(4/beta)
 # with w(u) = u^(-1+2/beta) (1-u)^(-1+2/beta).
 
-_CHUNK = 500_000
+_COMBO_CAP = 2_500_000   # node combinations the tensor engine sums at most
 
 
-@lru_cache(maxsize=2)   # each entry holds up to 2.5M x beta int64s
+@lru_cache(maxsize=2)   # each entry holds up to _COMBO_CAP x beta int64s
 def _combo_array(n: int, beta: int):
-    if math.comb(n, beta) > 2_500_000:
-        return None
     return np.array(list(itertools.combinations(range(n), beta)), dtype=np.int64)
-
-
-def _combo_chunks(n: int, beta: int):
-    arr = _combo_array(n, beta)
-    if arr is not None:
-        yield arr
-        return
-    it = itertools.combinations(range(n), beta)
-    while True:
-        block = list(itertools.islice(it, _CHUNK))
-        if not block:
-            return
-        yield np.array(block, dtype=np.int64)
 
 
 def _tensor_integral(beta: int, f, n_nodes: int) -> complex:
@@ -134,14 +119,12 @@ def _tensor_integral(beta: int, f, n_nodes: int) -> complex:
     g = w * f(u)
     logp = np.log(np.abs(u[:, None] - u[None, :])
                   + np.eye(n_nodes)) * (4.0 / beta)
-    total = 0.0 + 0.0j
-    for combs in _combo_chunks(n_nodes, beta):
-        G = np.prod(g[combs], axis=1)   # before L, so g[combs] is freed first
-        L = np.zeros(len(combs))
-        for a, b in itertools.combinations(range(beta), 2):
-            L += logp[combs[:, a], combs[:, b]]
-        total += np.sum(G * np.exp(L))
-    return math.factorial(beta) * total
+    combs = _combo_array(n_nodes, beta)
+    G = np.prod(g[combs], axis=1)   # before L, so g[combs] is freed first
+    L = np.zeros(len(combs))
+    for a, b in itertools.combinations(range(beta), 2):
+        L += logp[combs[:, a], combs[:, b]]
+    return math.factorial(beta) * np.sum(G * np.exp(L))
 
 
 # -- beta = 2: moment-determinant (Andreief) reduction, weight is flat -------
@@ -213,6 +196,16 @@ def _auto_method(beta: int) -> str:
     return {2: "hankel", 4: "pfaffian"}.get(beta, "tensor")
 
 
+@lru_cache(maxsize=None)
+def _max_tensor_order(beta: int, doubling: int) -> int:
+    """Largest tensor order n whose biggest rule, of doubling * n nodes, has at
+    most _COMBO_CAP node combinations."""
+    top = beta
+    while math.comb(doubling * (top + 1), beta) <= _COMBO_CAP:
+        top += 1
+    return top
+
+
 def rho2_even_beta(beta: int, x: float, N: int | float | None = None,
                    quad_order: int | None = None, method: str = "auto",
                    check_convergence: bool | None = None) -> float:
@@ -228,9 +221,14 @@ def rho2_even_beta(beta: int, x: float, N: int | float | None = None,
         raise ValueError("beta must be 2, 4, or 6")
     if method == "auto":
         method = _auto_method(beta)
-    n_nodes = quad_order or _DEFAULT_ORDER[beta]
+    n_nodes = _DEFAULT_ORDER[beta] if quad_order is None else quad_order
     if check_convergence is None:
         check_convergence = method != "tensor"
+    top = _max_tensor_order(beta, 2 if check_convergence else 1) \
+        if method == "tensor" else math.inf
+    if not beta <= n_nodes <= top:
+        raise ValueError(f"quad_order must lie in [{beta}, {top}] for the {method} "
+                         f"engine at beta = {beta}")
     if N is not None and abs(x) >= abs(N) / 2.0:
         raise ValueError("separation must stay within one period, |x| < N/2")
     if x == 0.0 and N is not None:

@@ -294,7 +294,7 @@ def build_parser():
     p.add_argument("--limit", action="store_true")
     p.add_argument("--x", type=float, default=None)
     p.add_argument("--quad", type=int, default=None,
-                   help="quadrature order of the beta = 6 tensor engine (default 24)")
+                   help="quadrature order of the beta = 6 tensor engine, 6 to 37 (default 24)")
     _add_common(p)
     p.set_defaults(func=cmd_rho2)
 

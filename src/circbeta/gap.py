@@ -189,19 +189,18 @@ def gap_probabilities(beta: int, s: float, xi: float) -> GapResult:
 def e_finite_cue(N: int, phi: float, xi: float) -> float:
     """Exact generating function of the interval count on (0, phi) for the
     N-dimensional circular unitary ensemble (rank-N Toeplitz determinant)."""
-    if N < 1:
-        raise ValueError("N must be positive")
+    if not (N >= 1 and float(N).is_integer()):
+        raise ValueError("N must be a positive integer")
     if not 0.0 <= phi <= 2.0 * np.pi + 1e-12:
         raise ValueError("phi must lie in [0, 2 pi]")
     if xi == 0.0 or phi == 0.0:
         return 1.0
-    j = np.arange(N)
-    dif = j[:, None] - j[None, :]
-    A = np.empty((N, N), dtype=complex)
-    nz = dif != 0
-    A[nz] = (np.exp(1j * dif[nz] * phi) - 1.0) / (2j * np.pi * dif[nz])
-    A[~nz] = phi / (2.0 * np.pi)
-    ev = np.linalg.eigvalsh(A)
+    # conjugating (e^{i d phi} - 1) / (2 pi i d), d = j - k, by diag(e^{-i j phi/2})
+    # leaves the real symmetric Toeplitz matrix c_|d| with the same spectrum
+    d = np.arange(1, int(N))
+    c = np.concatenate([[phi / (2.0 * np.pi)], np.sin(d * (phi / 2.0)) / (np.pi * d)])
+    j = np.arange(int(N))
+    ev = np.linalg.eigvalsh(c[np.abs(j[:, None] - j[None, :])])
     return float(np.prod(1.0 - xi * ev))
 
 

@@ -13,8 +13,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .numerics import gauss_legendre
-
 
 class IntegrationFailure(RuntimeError):
     """ODE integration broke down; ``t_last`` holds the last good abscissa."""
@@ -100,6 +98,7 @@ def sigma0_series(xi: float, n_terms: int) -> np.ndarray:
     return np.array([_eval_poly(ci, xi) for ci in coeffs])
 
 
+@lru_cache(maxsize=None)
 def sigma1_series_exact(n_max: int):
     """Exact Taylor coefficients of -(1/12)(2 t s s' + t^2 s'') from the
     sigma_0 series, same dict-of-monomials representation."""
@@ -129,6 +128,7 @@ class SigmaSolution:
     ode_residual: np.ndarray
     t0: float
     sigma1: np.ndarray | None = None
+    # dense output of (sigma_0, sigma_0', sigma_0'', int sigma_0/t, int sigma_1/t)
     _dense: object = field(repr=False, default=None)
 
     @property
@@ -138,6 +138,11 @@ class SigmaSolution:
 
 def _residual_d1y(t, s, sp, spp):
     return (t * spp) ** 2 + 4.0 * (t * sp - s) * (t * sp - s + sp * sp)
+
+
+# interior abscissae of each accepted step, as fractions of the step, at which
+# the dense output is checked against the second-order equation
+_CHECK_FRACTIONS = np.arange(1, 9) / 9.0
 
 
 def solve_sigma0(xi: float, t_max: float, tol: float = 1e-12,
@@ -156,33 +161,42 @@ def solve_sigma0(xi: float, t_max: float, tol: float = 1e-12,
         grid = np.linspace(t0, max(t_max, t0), 32)
         z = np.zeros_like(grid)
         return SigmaSolution(0.0, grid, z, z.copy(), z.copy(), z.copy(), t0,
-                             _dense=lambda t: np.zeros((3, np.size(t))))
+                             _dense=lambda t: np.zeros((5, np.size(t))))
     cs = sigma0_series(xi, 6)
     k = np.arange(cs.size)
     y0 = np.array([
         np.sum(cs * t0 ** k),
         np.sum(k[1:] * cs[1:] * t0 ** (k[1:] - 1)),
         np.sum(k[2:] * (k[2:] - 1) * cs[2:] * t0 ** (k[2:] - 2)),
+        _series_integral(xi, t0, 0),
+        _series_integral(xi, t0, 1),
     ])
 
     def rhs(t, y):
-        s, sp, spp = y
+        s, sp, spp = y[:3].tolist()
         return np.array([sp, spp,
                          -(t * spp + 6.0 * t * sp * sp + 4.0 * t * t * sp
-                           - 4.0 * s * (t + sp)) / (t * t)])
+                           - 4.0 * s * (t + sp)) / (t * t),
+                         s / t, -(2.0 * s * sp + t * spp) / 12.0])
 
-    # adaptive embedded Runge-Kutta 5(4) with dense output for e_tau
-    traj = solve_ivp(rhs, (t0, t_max), y0, method="RK45", rtol=tol, atol=tol * 1e-2,
+    # sigma_0, its first two derivatives and the two tau-function integrals
+    # int sigma_0 / t and int sigma_1 / t, by the explicit Runge-Kutta 8(5,3)
+    # of Dormand and Prince; its dense output serves e_tau
+    traj = solve_ivp(rhs, (t0, t_max), y0, method="DOP853", rtol=tol, atol=tol * 1e-2,
                      dense_output=True)
     if not traj.success:
         raise IntegrationFailure(traj.message, float(traj.t[-1]) if traj.t.size else t0)
-    s0, sp, spp = traj.y
-    resid = _residual_d1y(traj.t, s0, sp, spp)
-    bad = np.abs(resid) > residual_tol
+    t = traj.t
+    s0, sp, spp = traj.y[:3]
+    resid = _residual_d1y(t, s0, sp, spp)
+    inner = (t[:-1, None] + np.diff(t)[:, None] * _CHECK_FRACTIONS).ravel()
+    checked = np.concatenate([t, inner])
+    bad = np.abs(np.concatenate([resid, _residual_d1y(inner, *traj.sol(inner)[:3])])) \
+        > residual_tol
     if np.any(bad):
         raise IntegrationFailure("sigma residual exceeded tolerance",
-                                 float(traj.t[np.argmax(bad)]))
-    return SigmaSolution(xi, traj.t, s0, sp, spp, resid, t0, _dense=traj.sol)
+                                 float(np.min(checked[bad])))
+    return SigmaSolution(xi, t, s0, sp, spp, resid, t0, _dense=traj.sol)
 
 
 def sigma1_from_sigma0(sol: SigmaSolution) -> SigmaSolution:
@@ -192,17 +206,6 @@ def sigma1_from_sigma0(sol: SigmaSolution) -> SigmaSolution:
     return SigmaSolution(sol.xi, t, sol.sigma0, sol.sigma0_prime,
                          sol.sigma0_doubleprime, sol.ode_residual, sol.t0, s1,
                          _dense=sol._dense)
-
-
-def _tail_integral(sol: SigmaSolution, a: float, b: float, order: int, n: int = 128) -> float:
-    rule = gauss_legendre(n, a, b)
-    y = sol._dense(rule.nodes)
-    t = rule.nodes
-    if order == 0:
-        vals = y[0]
-    else:
-        vals = -(2.0 * t * y[0] * y[1] + t * t * y[2]) / 12.0
-    return float(np.sum(rule.weights * vals / t))
 
 
 def _series_integral(xi: float, t0: float, order: int) -> float:
@@ -224,14 +227,10 @@ def e_tau(sol: SigmaSolution, s: float, order: int) -> float:
         raise ValueError(f"s = {s} beyond trajectory (t_max = {sol.t_max})")
     if sol.xi == 0.0 or s == 0.0:
         return 1.0 if order == 0 else 0.0
-    split = min(sol.t0, upper)
-    i0 = _series_integral(sol.xi, split, 0)
-    if upper > split:
-        i0 += _tail_integral(sol, split, upper, 0)
+    if upper <= sol.t0:
+        i0 = _series_integral(sol.xi, upper, 0)
+        i1 = _series_integral(sol.xi, upper, 1) if order else 0.0
+    else:
+        i0, i1 = sol._dense(upper)[3:]
     e0 = math.exp(i0)
-    if order == 0:
-        return e0
-    i1 = _series_integral(sol.xi, split, 1)
-    if upper > split:
-        i1 += _tail_integral(sol, split, upper, 1)
-    return e0 * i1
+    return e0 if order == 0 else float(e0 * i1)

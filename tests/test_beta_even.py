@@ -182,6 +182,27 @@ class TestRho2EvenBeta:
         finer = rho2_even_beta(6, 0.7, 16, quad_order=32, check_convergence=False)
         assert abs(fin - finer) < 5e-2
 
+    @pytest.mark.parametrize("beta, kwargs", [
+        (2, {"quad_order": 1}), (4, {"quad_order": 3}), (6, {"quad_order": 5}),
+        (2, {"quad_order": 0}), (6, {"quad_order": 0}),
+        (6, {"quad_order": 38}), (6, {"quad_order": 48}),
+        (4, {"method": "tensor", "quad_order": 90, "check_convergence": False}),
+        # the convergence check doubles the order: C(48, 6) > 2.5M
+        (6, {"check_convergence": True}),
+    ])
+    def test_order_out_of_range(self, beta, kwargs):
+        with pytest.raises(ValueError, match="quad_order must lie in"):
+            rho2_even_beta(beta, 0.7, 16, **kwargs)
+
+    def test_largest_tensor_order_within_cap(self):
+        # order 37 at beta = 6 is the last with at most 2.5M node combinations
+        assert math.comb(37, 6) <= 2_500_000 < math.comb(38, 6)
+        assert beta_even._max_tensor_order(6, 1) == 37
+        assert beta_even._max_tensor_order(6, 2) == 18
+        assert rho2_even_beta(2, 0.7, 20, quad_order=2, method="tensor",
+                              check_convergence=False) == pytest.approx(
+            rho2_even_beta(2, 0.7, 20, quad_order=2, check_convergence=False), abs=1e-12)
+
     def test_combination_cache_bounded(self):
         # one table holds up to 2.5M x beta int64s, 120 MB at beta = 6
         for n in (12, 13, 14):

@@ -207,6 +207,16 @@ class TestUsageErrors:
         row = out.strip().splitlines()[1].split(",")
         assert float(row[1]) == rho2_even_beta(6, 0.7, None, 16)
 
+    @pytest.mark.parametrize("quad", ["0", "5", "48"])
+    def test_rho2_beta6_quad_out_of_range(self, quad, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["rho2", "--beta", "6", "--quad", quad])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert "quad_order must lie in [6, 37] for the tensor engine at beta = 6" in err
+
     def test_bad_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["gap", "--beta", "3"])

@@ -131,6 +131,28 @@ class TestFiniteCue:
         got = e_finite_cue(20, 2 * np.pi * 0.5 / 20, 1.0)
         assert got == pytest.approx(E_CUE_SMALL_S(0.5, 1.0, 20), abs=1e-6)
 
+    @pytest.mark.parametrize("N", [1, 2, 12, 57, 320])
+    def test_matches_complex_hermitian_build(self, N):
+        # the Toeplitz matrix (e^{i d phi} - 1) / (2 pi i d), d = j - k, as built
+        # in complex Hermitian form
+        def complex_build(phi, xi):
+            d = np.subtract.outer(np.arange(N), np.arange(N))
+            A = np.full((N, N), phi / (2 * np.pi), dtype=complex)
+            nz = d != 0
+            A[nz] = (np.exp(1j * d[nz] * phi) - 1.0) / (2j * np.pi * d[nz])
+            return float(np.prod(1.0 - xi * np.linalg.eigvalsh(A)))
+
+        for phi in (2 * np.pi * 0.3 / N, 2 * np.pi * min(1.7 / N, 1.0), 2.0, 2 * np.pi):
+            for xi in (0.4, 1.0):
+                assert abs(e_finite_cue(N, phi, xi) - complex_build(phi, xi)) <= 1e-13
+
+    def test_integral_n_only(self):
+        phi = 2 * np.pi * 0.5 / 20
+        assert e_finite_cue(20.0, phi, 0.7) == e_finite_cue(20, phi, 0.7)
+        for bad in (20.5, 0, -4, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive integer"):
+                e_finite_cue(bad, phi, 0.7)
+
 
 class TestExtractCorrection:
     def test_matches_bulk_pipelines(self):

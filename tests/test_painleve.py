@@ -5,10 +5,25 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from circbeta import (IntegrationFailure, KernelSpec, e_bulk, e_tau, fredholm_det,
-                      painleve, sigma0_series, sigma1_from_sigma0, sigma1_series,
-                      solve_sigma0)
-from circbeta.painleve import (_residual_d1y, _sigma0_coeffs_exact,
+                      gauss_legendre, painleve, sigma0_series, sigma1_from_sigma0,
+                      sigma1_series, solve_sigma0)
+from circbeta.painleve import (_residual_d1y, _series_integral, _sigma0_coeffs_exact,
                                sigma1_series_exact)
+
+
+@pytest.fixture
+def residual_log(monkeypatch):
+    """Every abscissa at which solve_sigma0 checks the second-order residual;
+    the residual is raised by `bump` wherever bump(t) is true."""
+    log = {"t": [], "bump": lambda t: np.zeros_like(t, dtype=bool)}
+
+    def recorder(t, s, sp, spp):
+        t = np.asarray(t, float)
+        log["t"].append(t.copy())
+        return _residual_d1y(t, s, sp, spp) + log["bump"](t)
+
+    monkeypatch.setattr(painleve, "_residual_d1y", recorder)
+    return log
 
 
 class TestSeries:
@@ -99,6 +114,25 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_sigma0(1.0, np.pi, tol=0.0)
 
+    @pytest.mark.parametrize("xi", [0.25, 0.5, 0.8, 1.0])
+    def test_step_count(self, xi):
+        assert solve_sigma0(xi, 2 * np.pi + 0.2).grid.size <= 150
+
+    @pytest.mark.parametrize("xi", [0.25, 1.0])
+    def test_residual_checked_inside_every_step(self, xi, residual_log):
+        sol = solve_sigma0(xi, 2 * np.pi + 0.2)
+        t = np.concatenate(residual_log["t"])
+        for a, b in zip(sol.grid[:-1], sol.grid[1:]):
+            assert np.count_nonzero((t > a) & (t < b)) >= 8
+        assert np.all(np.isin(sol.grid, t))
+
+    def test_residual_failure_reports_first_bad_t(self, residual_log):
+        residual_log["bump"] = lambda t: t > 2.0
+        with pytest.raises(IntegrationFailure) as err:
+            solve_sigma0(0.7, np.pi)
+        t = np.concatenate(residual_log["t"])
+        assert err.value.t_last == np.min(t[t > 2.0])
+
     def test_integration_failure_carries_last_t(self, monkeypatch):
         # y' = y^2 from y(t0) = 1 in place of the sigma system: it blows up
         # at t0 + 1, where the solver stops
@@ -162,6 +196,29 @@ class TestTauRoute:
                 worst = max(worst, abs(e_tau(sol, s, 0) - e_bulk(2, 0, s, xi)),
                             abs(e_tau(sol, s, 1) - e_bulk(2, 1, s, xi)))
         assert worst < 1e-7
+
+    @pytest.mark.parametrize("xi", [0.25, 0.5, 1.0])
+    def test_against_gauss_legendre_tail(self, xi):
+        # the series integral to t0 plus a 128-point Gauss-Legendre rule for
+        # int_t0^(pi s) sigma_k / t on the dense sigma_0 trajectory
+        sol = sigma1_from_sigma0(solve_sigma0(xi, 2 * np.pi + 0.2))
+
+        def reference(s, order):
+            upper = np.pi * s
+            split = min(sol.t0, upper)
+            integral = [_series_integral(xi, split, k) for k in (0, 1)]
+            if upper > split:
+                rule = gauss_legendre(128, split, upper)
+                t = rule.nodes
+                s0, sp, spp = sol._dense(t)[:3]
+                for k, vals in enumerate((s0, -(2 * t * s0 * sp + t * t * spp) / 12)):
+                    integral[k] += float(np.sum(rule.weights * vals / t))
+            e0 = np.exp(integral[0])
+            return e0 if order == 0 else e0 * integral[1]
+
+        for s in (0.5 * sol.t0 / np.pi, *np.linspace(0.05, 2.0, 12)):
+            for order in (0, 1):
+                assert abs(e_tau(sol, s, order) - reference(s, order)) <= 1e-12
 
     def test_out_of_range(self):
         sol = solve_sigma0(1.0, 1.0)
