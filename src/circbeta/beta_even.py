@@ -106,25 +106,55 @@ def v2_coefficient(n: int, kappa: float) -> float:
 _COMBO_CAP = 2_500_000   # node combinations the tensor engine sums at most
 
 
-@lru_cache(maxsize=2)   # each entry holds up to _COMBO_CAP x beta int64s
-def _combo_array(n: int, beta: int):
-    return np.array(list(itertools.combinations(range(n), beta)), dtype=np.int64)
+def _combinations(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) in lexicographic order, as a (k, C(n, k))
+    table of the narrowest unsigned type that holds n - 1."""
+    dtype = np.uint8 if n <= 256 else np.uint16
+    last = np.arange(n - k + 1)
+    cols = [last.astype(dtype)]
+    for j in range(1, k):
+        # each subset ending at `last` extends by last + 1, ..., n - k + j
+        counts = n - k + j - last
+        first = np.cumsum(counts) - counts
+        cols = [np.repeat(c, counts) for c in cols]
+        last = np.arange(first[-1] + counts[-1]) - np.repeat(first - last - 1, counts)
+        cols.append(last.astype(dtype))
+    return np.array(cols)
+
+
+@lru_cache(maxsize=2)   # each entry holds beta index bytes and one float64 per combination
+def _tensor_rule(n: int, beta: int):
+    """Nodes, node combinations and the f-independent weight of each
+    combination, beta! prod_j w_j prod_{j<k} |u_j - u_k|^(4/beta), of the
+    n-point tensor Gauss-Jacobi rule."""
+    rule = gauss_jacobi(n, -1.0 + 2.0 / beta, -1.0 + 2.0 / beta)
+    u = rule.nodes
+    # each node of a combination lies in beta - 1 of its pairs, so sharing
+    # log w out over the pairs folds prod w into the pair sum
+    lw = np.log(rule.weights) / (beta - 1)
+    logp = np.log(np.abs(u[:, None] - u[None, :]) + np.eye(n)) * (4.0 / beta) \
+        + lw[:, None] + lw[None, :]
+    cols = _combinations(n, beta)
+    L = np.zeros(cols.shape[1])
+    for a, b in itertools.combinations(range(beta), 2):
+        L += logp[cols[a], cols[b]]
+    L += math.log(math.factorial(beta))
+    W = np.exp(L, out=L)
+    cols.flags.writeable = W.flags.writeable = False   # shared by every caller
+    return u, cols, W
 
 
 def _tensor_integral(beta: int, f, n_nodes: int) -> complex:
     """Tensor Gauss-Jacobi evaluation; ties vanish through the coupling factor,
     so the sum reduces to beta! times the sum over node combinations."""
-    rule = gauss_jacobi(n_nodes, -1.0 + 2.0 / beta, -1.0 + 2.0 / beta)
-    u, w = rule.nodes, rule.weights
-    g = w * f(u)
-    logp = np.log(np.abs(u[:, None] - u[None, :])
-                  + np.eye(n_nodes)) * (4.0 / beta)
-    combs = _combo_array(n_nodes, beta)
-    G = np.prod(g[combs], axis=1)   # before L, so g[combs] is freed first
-    L = np.zeros(len(combs))
-    for a, b in itertools.combinations(range(beta), 2):
-        L += logp[combs[:, a], combs[:, b]]
-    return math.factorial(beta) * np.sum(G * np.exp(L))
+    u, cols, W = _tensor_rule(n_nodes, beta)
+    fu = np.asarray(f(u), dtype=complex)
+    P = fu[cols[0]]
+    for c in cols[1:]:
+        P *= fu[c]
+    # P as (real, imag) columns: the dot with the real W needs no complex copy of W
+    re, im = W @ P.view(np.float64).reshape(-1, 2)
+    return complex(re, im)
 
 
 # -- beta = 2: moment-determinant (Andreief) reduction, weight is flat -------
@@ -219,6 +249,8 @@ def rho2_even_beta(beta: int, x: float, N: int | float | None = None,
     (kappa N)^beta for the product, gives the limit."""
     if beta not in (2, 4, 6):
         raise ValueError("beta must be 2, 4, or 6")
+    if not math.isfinite(x) or (N is not None and not math.isfinite(N)):
+        raise ValueError(f"x and N must be finite, got x = {x}, N = {N}")
     if method == "auto":
         method = _auto_method(beta)
     n_nodes = _DEFAULT_ORDER[beta] if quad_order is None else quad_order

@@ -24,8 +24,8 @@ def _parse_range(text: str):
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad range {text!r}; want lo:hi:count") from exc
-    if count < 1 or hi < lo:
-        raise argparse.ArgumentTypeError(f"bad range {text!r}")
+    if count < 1 or not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
+        raise argparse.ArgumentTypeError(f"bad range {text!r}; want finite lo <= hi, count >= 1")
     return np.linspace(lo, hi, count)
 
 

@@ -12,9 +12,10 @@ from circbeta import (beta_even, correction_factor, correction_residual,
                       moment_integral, morris, recurrence_sides,
                       rho2_bulk_term, rho2_correction_limit, rho2_even_beta,
                       selberg, v2_coefficient, verify_moment_recurrence)
-from circbeta.beta_even import (_auto_method, _combo_array, _weighted_integral,
-                                evenness_factor_exact, rho2_correction_estimate,
-                                selberg_exact)
+from circbeta.beta_even import (_auto_method, _tensor_integral, _tensor_rule,
+                                _weighted_integral, evenness_factor_exact,
+                                rho2_correction_estimate, selberg_exact)
+from circbeta.numerics import gauss_jacobi
 from circbeta.spacing import P0_BETA2
 
 
@@ -24,6 +25,18 @@ def tensor2(f, n=80):
     X, Y = np.meshgrid(r.nodes, r.nodes)
     W = np.outer(r.weights, r.weights)
     return np.sum(W * f(X, Y))
+
+
+def tensor_reference(beta, f, n):
+    """The tensor Gauss-Jacobi sum, one node combination at a time."""
+    rule = gauss_jacobi(n, -1 + 2 / beta, -1 + 2 / beta)
+    u, g = rule.nodes, rule.weights * f(rule.nodes)
+    total = 0j
+    for c in itertools.combinations(range(n), beta):
+        coupling = math.prod(abs(u[j] - u[k]) ** (4 / beta)
+                             for j, k in itertools.combinations(c, 2))
+        total += math.prod(g[j] for j in c) * coupling
+    return math.factorial(beta) * total
 
 
 class TestSelberg:
@@ -204,11 +217,41 @@ class TestRho2EvenBeta:
             rho2_even_beta(2, 0.7, 20, quad_order=2, check_convergence=False), abs=1e-12)
 
     def test_combination_cache_bounded(self):
-        # one table holds up to 2.5M x beta int64s, 120 MB at beta = 6
+        # one entry holds beta one-byte node indices and one float64 weight
+        # per combination: at most 2.5M x 14 bytes, 35 MB at beta = 6
         for n in (12, 13, 14):
-            assert _combo_array(n, 6).shape == (math.comb(n, 6), 6)
-        info = _combo_array.cache_info()
+            u, cols, W = _tensor_rule(n, 6)
+            assert cols.shape == (6, math.comb(n, 6)) and W.shape == (math.comb(n, 6),)
+            assert cols.nbytes + W.nbytes <= (6 + 8) * math.comb(n, 6)
+        info = _tensor_rule.cache_info()
         assert info.maxsize == 2 and info.currsize == 2
+
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("N", [None, 16])
+    def test_tensor_matches_combination_sum(self, n, N):
+        x = 0.7
+        if N is None:
+            f = lambda u: np.exp(2j * np.pi * x * u)
+        else:
+            z = 1 - np.exp(2j * np.pi * x / N)
+            f = lambda u: (1 - z * u) ** (N - 2)
+        want = tensor_reference(6, f, n)
+        assert abs(_tensor_integral(6, f, n) - want) <= 1e-13 * abs(want)
+
+    def test_tensor_above_256_nodes(self):
+        # node indices past one byte: the table widens to uint16
+        assert _tensor_rule(300, 2)[1].dtype == np.uint16
+        got = rho2_even_beta(2, 0.7, 20, quad_order=300, method="tensor",
+                             check_convergence=False)
+        assert got == pytest.approx(rho2_even_beta(2, 0.7, 20, check_convergence=False),
+                                    abs=1e-12)
+
+    @pytest.mark.parametrize("beta, x, N", [
+        (6, math.nan, None), (6, 0.7, math.nan), (6, 0.7, math.inf),
+        (2, math.inf, None), (4, -math.inf, 16)])
+    def test_non_finite_rejected(self, beta, x, N):
+        with pytest.raises(ValueError, match="must be finite"):
+            rho2_even_beta(beta, x, N)
 
     def test_even_in_N_continued(self):
         # real (and negated) N through the Gamma-free prefactor reduction
@@ -352,7 +395,7 @@ class TestRecurrence:
         # the moment integrals run through the hankel and pfaffian engines
         def refuse(n, beta):
             raise AssertionError("node combinations requested")
-        monkeypatch.setattr(beta_even, "_combo_array", refuse)
+        monkeypatch.setattr(beta_even, "_tensor_rule", refuse)
         assert verify_moment_recurrence(2) < 1e-8
         moment_integral(4, 1.0, (2, 1))
 

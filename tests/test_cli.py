@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from circbeta import cli, gap, rho2_even_beta, sff_bulk_term, spacing
+from circbeta import beta_even, cli, gap, rho2_even_beta, sff_bulk_term, spacing
 
 try:
     from importlib.resources import files
@@ -62,6 +62,14 @@ class TestCommands:
         assert code == 0
         row = out.strip().splitlines()[1].split(",")
         assert float(row[1]) == rho2_even_beta(6, 0.7, None)
+
+    def test_rho2_beta6_grid_builds_weights_once(self, capsys):
+        # the 30 default x share one cached weight table at the default order
+        beta_even._tensor_rule.cache_clear()
+        code, out = run(["rho2", "--beta", "6"], capsys)
+        assert code == 0 and len(out.strip().splitlines()) == 31
+        info = beta_even._tensor_rule.cache_info()
+        assert info.misses == 1 and info.hits == 29
 
     def test_rho2_beta6_json_is_strict(self, capsys):
         # the limit has no closed-form rho1 at beta = 6: null, never a NaN token
@@ -226,6 +234,19 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["gap", "--range", "nonsense"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["rho2", "--range", "0.1:inf:3"], "bad range '0.1:inf:3'"),
+        (["rho2", "--range", "nan:1:3"], "bad range 'nan:1:3'"),
+        (["gap", "--range", "0:nan:3"], "bad range '0:nan:3'"),
+        (["rho2", "--beta", "6", "--x", "nan"], "x and N must be finite"),
+        (["rho2", "--beta", "6", "--N", "16", "--x", "inf"], "x and N must be finite")])
+    def test_non_finite_exits_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err and "Traceback" not in err
 
     def test_missing_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
