@@ -52,8 +52,11 @@ def _emit(args, command, params, columns, rows):
 
 
 def _grid(args, single, fallback):
-    if getattr(args, single) is not None:
-        return np.array([getattr(args, single)])
+    value = getattr(args, single)
+    if value is not None:
+        if not math.isfinite(value):
+            raise ValueError(f"--{single} must be finite, got {value}")
+        return np.array([value])
     if args.range is not None:
         return args.range
     return fallback

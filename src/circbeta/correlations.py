@@ -3,6 +3,8 @@ beta = 1, 4, and the closed-form bulk expansion terms."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .kernels import pfaffian_entries, _cue_scaled
@@ -112,6 +114,8 @@ def rho2_bulk_finite(beta: int, N: int, x: float) -> float:
     """Bulk-scaled two-point function at separation x for finite N, in the
     convention matching rho2_bulk_term (unit density for beta = 1, 2; density
     one half for beta = 4)."""
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got x = {x}")
     if beta == 2:
         return 1.0 - float(_cue_scaled(np.asarray(x, float), N)) ** 2
     if beta == 1:
@@ -130,6 +134,8 @@ def rho2_bulk_term(beta: int, order: int, x):
     taken with sgn(x) = +-1.
     """
     xa = np.asarray(x, float)
+    if not np.isfinite(xa).all():
+        raise ValueError(f"x must be finite, got x = {x}")
     u = np.pi * np.abs(xa)
     safe = np.where(u == 0.0, 1.0, u)
     sin_u, cos_u = np.sin(safe), np.cos(safe)

@@ -9,6 +9,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+# roots_jacobi loads scipy.linalg on its first call (about 60 ms); loading it
+# with this module keeps that cost out of the first Gauss-Jacobi rule of a run
+import scipy.linalg  # noqa: F401
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi, sici
 

@@ -1,7 +1,11 @@
 """Nonlinear-ODE route to the beta = 2 gap generating function: integrate the
-second-order sigma transcendent through its differentiated third-order form,
-build the first-correction transcendent from the proved algebraic relation,
-and exponentiate the tau-function integrals."""
+second-order sigma transcendent through its differentiated third-order form
+by a Taylor-series method, build the first-correction transcendent from the
+proved algebraic relation, and exponentiate the tau-function integrals.
+
+The third-order form is polynomial once multiplied by t^2, so each step's
+Taylor coefficients follow from a recursion in plain floats; the step
+polynomials are kept and serve as piecewise-polynomial dense output."""
 
 from __future__ import annotations
 
@@ -9,9 +13,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 
 class IntegrationFailure(RuntimeError):
@@ -128,7 +132,8 @@ class SigmaSolution:
     ode_residual: np.ndarray
     t0: float
     sigma1: np.ndarray | None = None
-    # dense output of (sigma_0, sigma_0', sigma_0'', int sigma_0/t, int sigma_1/t)
+    # dense output of (sigma_0, sigma_0', sigma_0'', int sigma_0/t, int sigma_1/t):
+    # the Taylor polynomial of the step that holds t
     _dense: object = field(repr=False, default=None)
 
     @property
@@ -144,11 +149,73 @@ def _residual_d1y(t, s, sp, spp):
 # the dense output is checked against the second-order equation
 _CHECK_FRACTIONS = np.arange(1, 9) / 9.0
 
+# Taylor order of each step. The recursion divides by c^2, so its parasitic
+# solutions are singular at t = 0 and grow beyond a step of about c: steps stay
+# within _THETA * c. _MAX_STEPS bounds the work of one solve.
+_ORDER = 28
+_THETA = 0.5
+_MAX_STEPS = 500
+
+
+def _sigma_taylor(c: float, y, order: int) -> np.ndarray:
+    """Taylor coefficients in h = t - c, through h^order, of the five states
+    (sigma_0, sigma_0', sigma_0'', int sigma_0/t, int sigma_1/t) from their
+    values y at t = c.
+
+    sigma_0 solves t^2 s''' + t s'' + 6 t s'^2 + 4 t^2 s' - 4 t s - 4 s s' = 0,
+    polynomial in t = c + h, so the h^k coefficient of s''' follows from those
+    of lower order through the Cauchy products s'^2 and s s'."""
+    # h^k coefficients of s, s', s'', s''', s'^2 and s s' sit at index k + 2
+    # behind two zeros, so the shifted terms of t = c + h need no case split
+    y = [float(v) for v in y]
+    n = order + 5
+    a, d1, d2, d3, p, q = ([0.0] * n for _ in range(6))
+    a[2], a[3], a[4] = y[0], y[1], 0.5 * y[2]
+    d1[2], d1[3], d2[2] = y[1], y[2], y[2]
+    cc = c * c
+    for k in range(2, order + 2):
+        p[k] = sum(map(mul, d1[2:k + 1], d1[k:1:-1]))
+        q[k] = sum(map(mul, a[2:k + 1], d1[k:1:-1]))
+        d3[k] = -(2.0 * c * d3[k - 1] + d3[k - 2] + c * d2[k] + d2[k - 1]
+                  + 6.0 * (c * p[k] + p[k - 1])
+                  + 4.0 * (cc * d1[k] + 2.0 * c * d1[k - 1] + d1[k - 2])
+                  - 4.0 * (c * a[k] + a[k - 1] + q[k])) / cc
+        a[k + 3] = d3[k] / ((k - 1) * k * (k + 1))
+        d1[k + 2] = d3[k] / ((k - 1) * k)
+        d2[k + 1] = d3[k] / (k - 1)
+    # int sigma_0/t: (c + h) I' = sigma_0 gives c (k+1) b_(k+1) + k b_k = a_k
+    b = [y[3]]
+    for k in range(order):
+        b.append((a[k + 2] - k * b[k]) / (c * (k + 1)))
+    # int sigma_1/t: I' = -(2 s s' + t s'') / 12
+    f = [y[4]] + [-(2.0 * q[k + 2] + c * d2[k + 2] + d2[k + 1]) / (12.0 * (k + 1))
+                  for k in range(order)]
+    top = order + 3
+    return np.array([a[2:top], d1[2:top], d2[2:top], b, f])
+
+
+def _poly_eval(coeffs: np.ndarray, h):
+    """The five states sum_j coeffs[..., :, j] h^j: shape (5,) for a scalar h,
+    (5, n) for n abscissae h with coeffs of shape (n, 5, order + 1)."""
+    powers = np.power.outer(h, np.arange(coeffs.shape[-1], dtype=float))
+    return (coeffs @ powers[..., None])[..., 0].T
+
+
+def _piecewise_dense(grid: np.ndarray, coeffs: np.ndarray):
+    """Dense output from the per-step Taylor polynomials: coeffs[i] holds the
+    five states' coefficients in t - grid[i] on [grid[i], grid[i+1]]."""
+    def dense(t):
+        t = np.asarray(t, float)
+        i = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(coeffs) - 1)
+        return _poly_eval(coeffs[i], t - grid[i])
+    return dense
+
 
 def solve_sigma0(xi: float, t_max: float, tol: float = 1e-12,
                  t0: float = 1e-2, residual_tol: float = 1e-8) -> SigmaSolution:
     """Integrate the third-order form of the sigma equation from series data
-    at t0, monitoring the second-order residual pointwise."""
+    at t0 by Taylor-series steps, monitoring the second-order residual
+    pointwise."""
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must lie in [0, 1]")
     if t_max > 12.0 * np.pi:
@@ -164,39 +231,45 @@ def solve_sigma0(xi: float, t_max: float, tol: float = 1e-12,
                              _dense=lambda t: np.zeros((5, np.size(t))))
     cs = sigma0_series(xi, 6)
     k = np.arange(cs.size)
-    y0 = np.array([
+    y = np.array([
         np.sum(cs * t0 ** k),
         np.sum(k[1:] * cs[1:] * t0 ** (k[1:] - 1)),
         np.sum(k[2:] * (k[2:] - 1) * cs[2:] * t0 ** (k[2:] - 2)),
         _series_integral(xi, t0, 0),
         _series_integral(xi, t0, 1),
     ])
-
-    def rhs(t, y):
-        s, sp, spp = y[:3].tolist()
-        return np.array([sp, spp,
-                         -(t * spp + 6.0 * t * sp * sp + 4.0 * t * t * sp
-                           - 4.0 * s * (t + sp)) / (t * t),
-                         s / t, -(2.0 * s * sp + t * spp) / 12.0])
-
-    # sigma_0, its first two derivatives and the two tau-function integrals
-    # int sigma_0 / t and int sigma_1 / t, by the explicit Runge-Kutta 8(5,3)
-    # of Dormand and Prince; its dense output serves e_tau
-    traj = solve_ivp(rhs, (t0, t_max), y0, method="DOP853", rtol=tol, atol=tol * 1e-2,
-                     dense_output=True)
-    if not traj.success:
-        raise IntegrationFailure(traj.message, float(traj.t[-1]) if traj.t.size else t0)
-    t = traj.t
-    s0, sp, spp = traj.y[:3]
+    # sigma_0, its first two derivatives and the two tau-function integrals,
+    # one Taylor polynomial per step; each step keeps the last two terms of
+    # every state's series below tol relative to the state
+    grid, blocks = [t0], []
+    c = t0
+    while c < t_max:
+        if len(blocks) == _MAX_STEPS:
+            raise IntegrationFailure(f"step count reached {_MAX_STEPS}", c)
+        coeffs = _sigma_taylor(c, y, _ORDER)
+        scale = tol * np.maximum(1.0, np.abs(y))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            h = min(float(np.min((scale / np.abs(coeffs[:, j])) ** (1.0 / j)))
+                    for j in (_ORDER - 1, _ORDER))
+        h = min(h, _THETA * c, t_max - c)
+        if not h > 1e-8 * c:    # also catches a nan from overflowing coefficients
+            raise IntegrationFailure(f"step size collapsed at t = {c}", c)
+        y = _poly_eval(coeffs, h)
+        c = t_max if t_max - c == h else c + h
+        grid.append(c)
+        blocks.append(coeffs)
+    t, blocks = np.array(grid), np.array(blocks)
+    s0, sp, spp = np.vstack([blocks[:, :3, 0], y[:3]]).T
+    dense = _piecewise_dense(t, blocks)
     resid = _residual_d1y(t, s0, sp, spp)
     inner = (t[:-1, None] + np.diff(t)[:, None] * _CHECK_FRACTIONS).ravel()
     checked = np.concatenate([t, inner])
-    bad = np.abs(np.concatenate([resid, _residual_d1y(inner, *traj.sol(inner)[:3])])) \
+    bad = np.abs(np.concatenate([resid, _residual_d1y(inner, *dense(inner)[:3])])) \
         > residual_tol
     if np.any(bad):
         raise IntegrationFailure("sigma residual exceeded tolerance",
                                  float(np.min(checked[bad])))
-    return SigmaSolution(xi, t, s0, sp, spp, resid, t0, _dense=traj.sol)
+    return SigmaSolution(xi, t, s0, sp, spp, resid, t0, _dense=dense)
 
 
 def sigma1_from_sigma0(sol: SigmaSolution) -> SigmaSolution:

@@ -42,6 +42,8 @@ def sff_exact(beta: int, N: int, k: int) -> float:
 
 def sff_bulk_scaled(beta: int, N: int, tau: float) -> float:
     """(2 pi / N) S_{N, beta}(tau N); tau N is rounded to the integer lattice."""
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got tau = {tau}")
     return TWO_PI * sff_exact(beta, N, round(tau * N)) / N
 
 
@@ -82,6 +84,8 @@ def bulk_term_singular(beta: int, tau: float) -> bool:
 def sff_bulk_term(beta: int, order: int, tau: float) -> float:
     """Bulk expansion term S_order(tau); order 0 is the limit curve."""
     t = abs(float(tau))
+    if not math.isfinite(t):
+        raise ValueError(f"tau must be finite, got tau = {tau}")
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
     if beta == 2:
@@ -174,6 +178,8 @@ def sff_series(beta: float, order: int, tau: float) -> float:
         raise ValueError("order must be 0, 1, or 2")
     kappa = beta / 2.0
     t = abs(float(tau))
+    if not math.isfinite(t):
+        raise ValueError(f"tau must be finite, got tau = {tau}")
     return float(sum(series_coefficient(order, m, kappa) * t ** m
                      for m in SERIES_POWERS[order]))
 

@@ -1,11 +1,15 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
 
+import circbeta
 from circbeta import beta_even, cli, gap, rho2_even_beta, sff_bulk_term, spacing
 
 try:
@@ -239,8 +243,14 @@ class TestUsageErrors:
         (["rho2", "--range", "0.1:inf:3"], "bad range '0.1:inf:3'"),
         (["rho2", "--range", "nan:1:3"], "bad range 'nan:1:3'"),
         (["gap", "--range", "0:nan:3"], "bad range '0:nan:3'"),
-        (["rho2", "--beta", "6", "--x", "nan"], "x and N must be finite"),
-        (["rho2", "--beta", "6", "--N", "16", "--x", "inf"], "x and N must be finite")])
+        (["rho2", "--beta", "6", "--x", "nan"], "--x must be finite"),
+        (["rho2", "--beta", "6", "--N", "16", "--x", "inf"], "--x must be finite"),
+        (["rho2", "--beta", "2", "--x", "nan"], "--x must be finite, got nan"),
+        (["rho2", "--beta", "4", "--N", "20", "--x", "inf"], "--x must be finite, got inf"),
+        (["sff", "--beta", "1", "--tau", "nan"], "--tau must be finite, got nan"),
+        (["sff", "--beta", "4", "--N", "20", "--tau=-inf"], "--tau must be finite"),
+        (["gap", "--s", "inf"], "--s must be finite, got inf"),
+        (["spacing", "--s", "nan"], "--s must be finite, got nan")])
     def test_non_finite_exits_2(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -252,3 +262,20 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+
+
+class TestImportCost:
+    @pytest.mark.parametrize("code", [
+        "import circbeta",
+        "import circbeta.cli; circbeta.cli.build_parser()"])
+    def test_unused_scipy_subpackages_stay_unloaded(self, code):
+        # scipy.integrate alone added about 0.25 s to every process start; the
+        # library needs none of these subpackages
+        src = os.path.dirname(os.path.dirname(circbeta.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = (f"{code}; import sys; print(sorted(m for m in sys.modules if m in "
+                 "('scipy.integrate', 'scipy.optimize', 'scipy.sparse')))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"

@@ -132,6 +132,15 @@ class TestBulkTerms:
                 assert rho2_bulk_term(beta, order, -0.8) == pytest.approx(
                     rho2_bulk_term(beta, order, 0.8), abs=1e-14)
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf, [0.5, -np.inf]])
+    def test_non_finite_x_rejected(self, x):
+        for beta in (1, 2, 4):
+            with pytest.raises(ValueError, match="x must be finite"):
+                rho2_bulk_term(beta, 0, x)
+            if np.ndim(x) == 0:
+                with pytest.raises(ValueError, match="x must be finite"):
+                    rho2_bulk_finite(beta, 20, x)
+
     def test_cluster_decay(self):
         assert abs(rho2_bulk_term(2, 0, 20.0) - 1.0) < 1e-4
         assert abs(rho2_bulk_term(1, 0, 20.0) - 1.0) < 1e-2

@@ -104,6 +104,16 @@ class TestBulkTerms:
             s2 = sff_bulk_term(beta, 2, tau)
             assert devs[400] == pytest.approx(s2, abs=2e-5)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        for beta in (1, 2, 4):
+            with pytest.raises(ValueError, match="tau must be finite"):
+                sff_bulk_term(beta, 0, tau)
+            with pytest.raises(ValueError, match="tau must be finite"):
+                sff_bulk_scaled(beta, 20, tau)
+            with pytest.raises(ValueError, match="tau must be finite"):
+                sff_series(beta, 0, tau)
+
 
 class TestSeries:
     def test_leading_term(self):
