@@ -12,7 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .correlations import rho2_bulk_term
 from .gap import AccuracyWarning
@@ -28,6 +27,8 @@ TWO_PI = 2.0 * math.pi
 
 def selberg_log(n: int, a: float, b: float, c: float) -> float:
     """log of the Selberg integral int prod t^a (1-t)^b prod |t_k - t_j|^(2c)."""
+    if not all(map(math.isfinite, (a, b, c))):
+        raise ValueError(f"a, b and c must be finite, got ({a}, {b}, {c})")
     if n == 0:
         return 0.0
     if a <= -1 or b <= -1:
@@ -35,10 +36,9 @@ def selberg_log(n: int, a: float, b: float, c: float) -> float:
     if c <= -min(1.0 / n, (a + 1) / (n - 1) if n > 1 else np.inf,
                  (b + 1) / (n - 1) if n > 1 else np.inf):
         raise ValueError("c outside the convergence region")
-    j = np.arange(n)
-    return float(np.sum(gammaln(a + 1 + j * c) + gammaln(b + 1 + j * c)
-                        + gammaln(1 + (j + 1) * c)
-                        - gammaln(a + b + 2 + (n + j - 1) * c) - gammaln(1 + c)))
+    lg = math.lgamma
+    return math.fsum(lg(a + 1 + j * c) + lg(b + 1 + j * c) + lg(1 + (j + 1) * c)
+                     - lg(a + b + 2 + (n + j - 1) * c) - lg(1 + c) for j in range(n))
 
 
 def selberg(n: int, a: float, b: float, c: float) -> float:
@@ -57,6 +57,8 @@ def selberg_exact(n: int, a: int, b: int, c: int) -> Fraction:
 
 def morris(N: int, a: float, b: float, lam: float) -> float:
     """Morris integral as a Gamma-function product, log-Gamma arithmetic."""
+    if not all(map(math.isfinite, (a, b, lam))):
+        raise ValueError(f"a, b and lam must be finite, got ({a}, {b}, {lam})")
     if N == 0:
         return 1.0
     j = np.arange(N)
@@ -64,11 +66,9 @@ def morris(N: int, a: float, b: float, lam: float) -> float:
                            lam * j + a + 1, lam * j + b + 1, [1 + lam]])
     if np.any(args <= 0):
         raise ValueError("Gamma pole in Morris product")
-    return math.exp(float(np.sum(gammaln(lam * j + a + b + 1)
-                                 + gammaln(lam * (j + 1) + 1)
-                                 - gammaln(lam * j + a + 1)
-                                 - gammaln(lam * j + b + 1)
-                                 - gammaln(1 + lam))))
+    lg = math.lgamma
+    return math.exp(math.fsum(lg(lam * j + a + b + 1) + lg(lam * (j + 1) + 1) - lg(lam * j + a + 1)
+                              - lg(lam * j + b + 1) - lg(1 + lam) for j in range(N)))
 
 
 def evenness_factor(n: int, kappa: float, N: float) -> float:
@@ -266,7 +266,7 @@ def rho2_even_beta(beta: int, x: float, N: int | float | None = None,
     if x == 0.0 and N is not None:
         return 0.0
     kap = beta / 2.0
-    log_c = (3.0 * gammaln(kap + 1) - gammaln(beta + 1) - gammaln(3.0 * kap + 1)
+    log_c = (3.0 * math.lgamma(kap + 1) - math.lgamma(beta + 1) - math.lgamma(3.0 * kap + 1)
              - selberg_log(beta, -1 + 2.0 / beta, -1 + 2.0 / beta, 2.0 / beta))
     if N is None:
         f = lambda u: np.exp(2j * np.pi * x * u)
@@ -462,11 +462,11 @@ def leading_xi_coefficient(k: int, beta: int, N: float) -> float:
     if not n < N / 2:
         raise ValueError("need k + 2 < N/2")
     pw = kap * (k + 2) * (k + 1)
-    log_mag = (pw * math.log(2.0 * math.pi / N) - gammaln(k + 1)
+    log_mag = (pw * math.log(2.0 * math.pi / N) - math.lgamma(k + 1)
                + selberg_log(k, beta, beta, kap)
-               + n * gammaln(kap + 1) - gammaln(n * kap + 1))
+               + n * math.lgamma(kap + 1) - math.lgamma(n * kap + 1))
     for j in range(1, n):
-        log_mag += gammaln(kap * j + 1) - gammaln(kap * (n + j) + 1)
+        log_mag += math.lgamma(kap * j + 1) - math.lgamma(kap * (n + j) + 1)
     return (-1) ** k * math.exp(log_mag) * evenness_factor(n, kap, N)
 
 

@@ -137,9 +137,6 @@ def rho2_bulk_term(beta: int, order: int, x):
     if not np.isfinite(xa).all():
         raise ValueError(f"x must be finite, got x = {x}")
     u = np.pi * np.abs(xa)
-    safe = np.where(u == 0.0, 1.0, u)
-    sin_u, cos_u = np.sin(safe), np.cos(safe)
-    si_u = sine_integral(safe)
     sinc2 = np.sinc(xa) ** 2
     if beta == 2:
         if order == 0:
@@ -153,6 +150,9 @@ def rho2_bulk_term(beta: int, order: int, x):
         return val if np.ndim(x) else float(val)
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1 for beta = 1, 4")
+    safe = np.where(u == 0.0, 1.0, u)
+    sin_u, cos_u = np.sin(safe), np.cos(safe)
+    si_u = sine_integral(safe)
     if beta == 1:
         if order == 0:
             val = 1.0 - sinc2 + (sin_u - safe * cos_u) * (np.pi - 2.0 * si_u) / (2.0 * safe ** 2)

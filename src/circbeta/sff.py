@@ -9,34 +9,33 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import digamma
 
-from .numerics import correction_factor
+from .numerics import _whole, correction_factor, digamma
 
 F = Fraction
 TWO_PI = 2.0 * math.pi
 
 
 def sff_exact(beta: int, N: int, k: int) -> float:
-    """Structure function S_{N, beta}(k); digamma-based for beta = 1, 4."""
+    """Structure function S_{N, beta}(k); digamma-based for beta = 1, 4. N and k
+    are integers (an integral float is accepted)."""
+    N, k = _whole("N", N), abs(_whole("k", k))
     if N < 2:
         raise ValueError("need N >= 2")
-    k = abs(int(k))
     if beta == 2:
         return min(k, N) / TWO_PI
     if beta == 1:
         if k < N:
-            v = 2.0 * k - k * (digamma(k + (N + 1) / 2.0) - digamma((N + 1) / 2.0))
+            v = 2.0 * k - k * digamma(k + (N + 1) / 2.0, (N + 1) / 2.0)
         else:
-            v = 2.0 * N - k * (digamma(k + (N + 1) / 2.0) - digamma(k + (1 - N) / 2.0))
-        return float(v) / TWO_PI
+            v = 2.0 * N - k * digamma(k + (N + 1) / 2.0, k + (1 - N) / 2.0)
+        return v / TWO_PI
     if beta == 4:
         if k >= 2 * N - 1:
             return N / TWO_PI
         arg = -N + k + 0.5
         # psi(z) = psi(1 - z) at half-integers z, so stay on the positive side
-        psi = digamma(arg) if arg > 0 else digamma(1.0 - arg)
-        return float((k / 2.0) * (1.0 + 0.5 * (digamma(N + 0.5) - psi))) / TWO_PI
+        return (k / 2.0) * (1.0 + 0.5 * digamma(N + 0.5, max(arg, 1.0 - arg))) / TWO_PI
     raise ValueError("beta must be 1, 2, or 4")
 
 

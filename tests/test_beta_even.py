@@ -11,7 +11,7 @@ from circbeta import (beta_even, correction_factor, correction_residual,
                       leading_xi_s_power, evenness_factor, gauss_legendre,
                       moment_integral, morris, recurrence_sides,
                       rho2_bulk_term, rho2_correction_limit, rho2_even_beta,
-                      selberg, v2_coefficient, verify_moment_recurrence)
+                      selberg, selberg_log, v2_coefficient, verify_moment_recurrence)
 from circbeta.beta_even import (_auto_method, _tensor_integral, _tensor_rule,
                                 _weighted_integral, evenness_factor_exact,
                                 rho2_correction_estimate, selberg_exact)
@@ -70,6 +70,19 @@ class TestSelberg:
         with pytest.raises(ValueError):
             selberg(3, 0.0, 0.0, -0.9)
 
+    @pytest.mark.parametrize("args", [(3, math.nan, 0.0, 1.0), (3, 0.0, math.inf, 1.0),
+                                      (3, 0.0, 0.0, math.nan), (0, math.nan, 0.0, 1.0)])
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(ValueError, match="must be finite"):
+            selberg_log(*args)
+
+    @pytest.mark.parametrize("n,a,b,c", [(1, 0.5, 0.0, 0.7), (4, -0.5, -0.5, 0.5), (6, 2.0, 1.0, 3.0)])
+    def test_log_against_gammaln(self, n, a, b, c):
+        j = np.arange(n)
+        want = np.sum(gammaln(a + 1 + j * c) + gammaln(b + 1 + j * c) + gammaln(1 + (j + 1) * c)
+                      - gammaln(a + b + 2 + (n + j - 1) * c) - gammaln(1 + c))
+        assert selberg_log(n, a, b, c) == pytest.approx(want, rel=1e-14, abs=1e-14)
+
 
 class TestMorris:
     def test_empty_product(self):
@@ -93,6 +106,12 @@ class TestMorris:
     def test_pole(self):
         with pytest.raises(ValueError):
             morris(2, -2.0, 0.0, 0.5)
+
+    @pytest.mark.parametrize("args", [(3, 0.0, 0.0, math.nan), (3, math.nan, 0.0, 1.0),
+                                      (3, 0.0, -math.inf, 1.0), (0, 0.0, 0.0, math.nan)])
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(ValueError, match="must be finite"):
+            morris(*args)
 
 
 class TestEvennessFactor:

@@ -265,17 +265,32 @@ class TestUsageErrors:
 
 
 class TestImportCost:
+    @staticmethod
+    def _scipy_modules(code):
+        src = os.path.dirname(os.path.dirname(circbeta.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = (f"{code}\nimport sys\nprint(sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        return out.strip().splitlines()[-1]
+
     @pytest.mark.parametrize("code", [
         "import circbeta",
         "import circbeta.cli; circbeta.cli.build_parser()"])
     def test_unused_scipy_subpackages_stay_unloaded(self, code):
-        # scipy.integrate alone added about 0.25 s to every process start; the
-        # library needs none of these subpackages
-        src = os.path.dirname(os.path.dirname(circbeta.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        probe = (f"{code}; import sys; print(sorted(m for m in sys.modules if m in "
-                 "('scipy.integrate', 'scipy.optimize', 'scipy.sparse')))")
-        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        # scipy added about 0.3 s to every process start; the library needs none of it
+        assert self._scipy_modules(code) == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--identity", "rho2-corr-beta1"],      # the sine integral
+        ["sff", "--beta", "4", "--N", "20"],              # digamma
+        ["rho2", "--beta", "6", "--x", "0.7"]])           # Gauss-Jacobi rule, log-gamma
+    def test_runs_load_no_scipy(self, argv):
+        # no lazy import moves the cost into a run
+        code = ("import contextlib, io; from circbeta import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()), "
+                "contextlib.redirect_stderr(io.StringIO()):\n"
+                f"    assert cli.main({argv!r}) == 0")
+        assert self._scipy_modules(code) == "[]"

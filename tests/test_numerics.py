@@ -1,11 +1,14 @@
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from circbeta import (chebyshev_interpolate, chebyshev_points, correction_factor,
                       correction_residual, gauss_jacobi, gauss_legendre, sine_integral,
                       spectral_derivative)
+from circbeta.numerics import digamma
 
 
 def adaptive_simpson(f, a, b, tol=1e-13):
@@ -61,6 +64,16 @@ class TestGaussLegendre:
         with pytest.raises(ValueError):
             gauss_legendre(4, 1.0, 0.0)
 
+    @pytest.mark.parametrize("n", [2.5, np.nan, np.inf, "4", None])
+    def test_non_integer_order(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            gauss_legendre(n, 0.0, 1.0)
+
+    def test_integer_types(self):
+        want = gauss_legendre(5, 0.0, 1.0)
+        for n in (np.int64(5), 5.0):
+            assert np.array_equal(gauss_legendre(n, 0.0, 1.0).nodes, want.nodes)
+
 
 class TestGaussJacobi:
     def test_flat_weight_matches_legendre(self):
@@ -91,6 +104,28 @@ class TestGaussJacobi:
         with pytest.raises(ValueError):
             gauss_jacobi(8, -1.0, 0.0)
 
+    @pytest.mark.parametrize("a,b", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0),
+                                     (0.0, -np.inf)])
+    def test_non_finite_exponent(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            gauss_jacobi(3, a, b)
+
+    @pytest.mark.parametrize("n", [2.5, np.nan, "8"])
+    def test_non_integer_order(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            gauss_jacobi(n, -0.5, -0.5)
+
+    @pytest.mark.parametrize("n", [1, 2, 24, 64, 128])
+    @pytest.mark.parametrize("a,b", [(-0.5, -0.5), (-0.5, 0.0), (-2 / 3, -2 / 3), (2.5, 0.3)])
+    def test_against_scipy(self, n, a, b):
+        # scipy's weight (1-x)^alpha (1+x)^beta on (-1, 1), with u = (1+x)/2
+        x, w = roots_jacobi(n, b, a)
+        r = gauss_jacobi(n, a, b)
+        assert np.max(np.abs(r.nodes - (x + 1) / 2)) <= 1e-15
+        if n <= 64:
+            want = w / 2.0 ** (a + b + 1)
+            assert np.max(np.abs(r.weights / want - 1)) <= 1e-11
+
 
 class TestSineIntegral:
     def test_zero(self):
@@ -107,6 +142,56 @@ class TestSineIntegral:
         oracle = adaptive_simpson(lambda t: np.sinc(t / np.pi), 0.0, np.pi)
         assert oracle == pytest.approx(1.851937051982466, abs=1e-12)
         assert sine_integral(np.pi) == pytest.approx(oracle, abs=1e-12)
+
+    # dense across the piece seams, above all the series/auxiliary seam at 2.25
+    # and the continued-fraction/asymptotic seam at 64
+    GRID = np.unique(np.concatenate((
+        np.linspace(-200.0, 200.0, 1601), np.linspace(1.9, 2.6, 141),
+        np.linspace(60.0, 68.0, 161), [1e3, -1e3, 1e8, 1e15, 2.0 ** 57, 1e20])))
+
+    def test_against_mpmath(self):
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.si(mpmath.mpf(float(v)))) for v in self.GRID])
+        got = sine_integral(self.GRID)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_special_values(self):
+        assert sine_integral(np.inf) == np.pi / 2
+        assert sine_integral(-np.inf) == -np.pi / 2
+        assert np.isnan(sine_integral(np.nan))
+        assert sine_integral(0.0) == 0.0 and sine_integral(-0.0) == 0.0
+        assert np.all(sine_integral(-self.GRID) == -sine_integral(self.GRID))
+
+    def test_array_matches_scalar_calls(self):
+        grid = np.concatenate((self.GRID, [np.inf, np.nan, 0.0]))
+        got = sine_integral(grid)
+        want = np.array([sine_integral(float(v)) for v in grid])
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(sine_integral(grid[:12].reshape(3, 4)), got[:12].reshape(3, 4))
+        assert np.ndim(sine_integral(1.5)) == 0
+
+
+class TestDigamma:
+    ARGS = np.arange(1, 2001) / 2.0                   # every (half-)integer in [0.5, 1000]
+
+    def test_against_mpmath(self):
+        for x in self.ARGS:
+            want = float(mpmath.digamma(x))
+            err = abs(digamma(x) - want)
+            assert err <= 2e-15 or err <= 1e-14 * abs(want), x
+
+    @pytest.mark.parametrize("x,minus", [(320.5, 200.5), (800.5, 400.5), (3.5, 0.5),
+                                         (1000.5, 20.5), (2.0, 7.0), (1e6 + 0.5, 0.5)])
+    def test_difference(self, x, minus):
+        want = float(mpmath.digamma(x) - mpmath.digamma(minus))
+        assert digamma(x, minus) == pytest.approx(want, rel=2e-16, abs=2e-16)
+
+    @pytest.mark.parametrize("x", [0.0, -1.5, np.nan, np.inf])
+    def test_domain(self, x):
+        with pytest.raises(ValueError, match="finite x > 0"):
+            digamma(x)
+        with pytest.raises(ValueError, match="finite x > 0"):
+            digamma(2.0, x)
 
 
 class TestSpectralDerivative:

@@ -34,6 +34,19 @@ class TestExact:
     def test_symplectic_tail(self):
         assert sff_exact(4, 9, 30) == pytest.approx(9 / (2 * np.pi))
 
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    @pytest.mark.parametrize("N,k", [(10, 2.7), (10.5, 3), (math.inf, 3), (10, math.nan),
+                                     (math.nan, 3), (10, math.inf), ("10", 3)])
+    def test_non_integral_rejected(self, beta, N, k):
+        with pytest.raises(ValueError, match="must be an integer"):
+            sff_exact(beta, N, k)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_integer_types_accepted(self, beta):
+        want = sff_exact(beta, 10, 3)
+        for N, k in ((np.int64(10), np.int32(3)), (10.0, 3.0), (10, -3), (np.float64(10), 3)):
+            assert sff_exact(beta, N, k) == want
+
     def test_symplectic_reflection_region(self):
         # argument of the shifted digamma is negative for k < N
         N, k = 12, 5
