@@ -99,63 +99,9 @@ def v2_coefficient(n: int, kappa: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature engines for the beta-dimensional integral
+# Engines for the beta-dimensional integral
 #   I[f_sym] = int_[0,1]^beta prod_j w(u_j) f(u_j) prod_{j<k} |u_k-u_j|^(4/beta)
 # with w(u) = u^(-1+2/beta) (1-u)^(-1+2/beta).
-
-_COMBO_CAP = 2_500_000   # node combinations the tensor engine sums at most
-
-
-def _combinations(n: int, k: int) -> np.ndarray:
-    """The k-subsets of range(n) in lexicographic order, as a (k, C(n, k))
-    table of the narrowest unsigned type that holds n - 1."""
-    dtype = np.uint8 if n <= 256 else np.uint16
-    last = np.arange(n - k + 1)
-    cols = [last.astype(dtype)]
-    for j in range(1, k):
-        # each subset ending at `last` extends by last + 1, ..., n - k + j
-        counts = n - k + j - last
-        first = np.cumsum(counts) - counts
-        cols = [np.repeat(c, counts) for c in cols]
-        last = np.arange(first[-1] + counts[-1]) - np.repeat(first - last - 1, counts)
-        cols.append(last.astype(dtype))
-    return np.array(cols)
-
-
-@lru_cache(maxsize=2)   # each entry holds beta index bytes and one float64 per combination
-def _tensor_rule(n: int, beta: int):
-    """Nodes, node combinations and the f-independent weight of each
-    combination, beta! prod_j w_j prod_{j<k} |u_j - u_k|^(4/beta), of the
-    n-point tensor Gauss-Jacobi rule."""
-    rule = gauss_jacobi(n, -1.0 + 2.0 / beta, -1.0 + 2.0 / beta)
-    u = rule.nodes
-    # each node of a combination lies in beta - 1 of its pairs, so sharing
-    # log w out over the pairs folds prod w into the pair sum
-    lw = np.log(rule.weights) / (beta - 1)
-    logp = np.log(np.abs(u[:, None] - u[None, :]) + np.eye(n)) * (4.0 / beta) \
-        + lw[:, None] + lw[None, :]
-    cols = _combinations(n, beta)
-    L = np.zeros(cols.shape[1])
-    for a, b in itertools.combinations(range(beta), 2):
-        L += logp[cols[a], cols[b]]
-    L += math.log(math.factorial(beta))
-    W = np.exp(L, out=L)
-    cols.flags.writeable = W.flags.writeable = False   # shared by every caller
-    return u, cols, W
-
-
-def _tensor_integral(beta: int, f, n_nodes: int) -> complex:
-    """Tensor Gauss-Jacobi evaluation; ties vanish through the coupling factor,
-    so the sum reduces to beta! times the sum over node combinations."""
-    u, cols, W = _tensor_rule(n_nodes, beta)
-    fu = np.asarray(f(u), dtype=complex)
-    P = fu[cols[0]]
-    for c in cols[1:]:
-        P *= fu[c]
-    # P as (real, imag) columns: the dot with the real W needs no complex copy of W
-    re, im = W @ P.view(np.float64).reshape(-1, 2)
-    return complex(re, im)
-
 
 # -- beta = 2: moment-determinant (Andreief) reduction, weight is flat -------
 
@@ -211,60 +157,87 @@ def _integral_beta4(f, n_nodes: int) -> complex:
     return 24.0 * (Q[0, 1] * Q[2, 3] - Q[0, 2] * Q[1, 3] + Q[0, 3] * Q[1, 2])
 
 
-_DEFAULT_ORDER = {2: 64, 4: 48, 6: 24}
+# -- any even beta: the holonomic (Aomoto) system ---------------------------
+# With n = beta, a = -1 + 2/beta and tau = 2/beta, let J_q be I[f_sym] with
+# e_q(u_1..u_n) inserted. Integration by parts closes J = (J_0..J_n) under
+# p J' = (R0 + c R1) J, with p(t) = t for f = e^(tu) and p(z) = z (1 - z) for
+# f = (1 - zu)^(N-2). J is analytic at the regular singular point 0, where
+# J_q / J_{q-1} = A_q / B_q (Aomoto). It is continued from its Frobenius series
+# there by Taylor steps, each expanding it about its start c by
+#   p(c) (k+1) a_{k+1} = (R0 + c R1 - p'(c) k) a_k + (R1 - p'' (k-1) / 2) a_{k-1}.
+
+_TERMS = 24
+# (step / distance to the nearest singular point, cap on step * rate n|N| or n)
+_STEPS = ((1 / 6, 2.0), (1 / 8, 3.0))
+_X_MAX = 200.0   # steps, time and memory grow as |x|: 0.4 s and 32 MB at 200
+
+
+def _system(n: int, N):
+    """R0, R1 and J(0) of the system for the limit (N None) or finite N."""
+    tau = 2.0 / n
+    a = -1.0 + tau
+    q = np.arange(n + 1.0)
+    A = (n - q + 1) * (1 + a + tau * (n - q))
+    B = q * (2 + 2 * a + tau * (2 * n - q - 1))
+    if N is None:
+        R1 = np.diag(q) + np.diag(q[1:], 1)
+    else:
+        R1 = np.diag(np.append(A[1:], 0.0) - q * (N - 2)) - np.diag(B[1:] + q[1:] * (N - 2), 1)
+    return (np.diag(-B) + np.diag(A[1:], -1), R1,
+            selberg(n, a, a, tau) * np.cumprod(np.append(1.0, A[1:] / B[1:])))
+
+
+def _holonomic(n: int, s, N, ratio: float, cap: float) -> np.ndarray:
+    """J_0 at the path points of parameters s >= 0, t = i s in the limit (N
+    None) and z = 1 - e^(i s) at finite N, all from one continuation."""
+    R0, R1, j0 = _system(n, N)
+    m, half_pp = n + 1, 0.0 if N is None else -1.0
+    point, dist, rate, v = (lambda v: 1j * v), (lambda v: v), n, [0.5]
+    if N is not None:   # 1 - e^(i v) without cancellation at small v; |1 - z| = 1
+        point, rate, v = (lambda v: -2j * np.sin(v / 2) * np.exp(0.5j * v)), n * abs(N), \
+            [min(0.05, 0.5 / abs(N))]
+        dist = lambda v: min(2.0 * math.sin(v / 2.0), 1.0)
+    while len(v) < 2 or v[-1] < np.max(s, initial=0.0):
+        v.append(v[-1] + min(ratio * dist(v[-1]), cap / rate))
+    c = point(np.array(v))
+    # Frobenius series at 0 in powers of z / |c_0|: (k - R0) a_k = (R1 - p'' (k-1) / 2) a_{k-1}
+    inv = np.linalg.inv(np.arange(1.0, _TERMS + 1)[:, None, None] * np.eye(m) - R0)
+    b = [j0.astype(complex)]
+    for k in range(1, _TERMS + 1):
+        b.append(inv[k - 1] @ (abs(c[0]) * (R1 @ b[-1] - half_pp * (k - 1) * b[-1])))
+    b = np.array(b)
+    # the expansions about all step starts c_j at once, in powers of (z - c_j) / h_j,
+    # as matrices cur[:, j, :] acting on J(c_j); rows evaluates J_0 at the points s
+    cj, step, h = c[:-1], np.diff(c), np.abs(np.diff(c))
+    p, dp = (cj, 1.0) if N is None else (cj - cj * cj, 1.0 - 2.0 * cj[:, None])
+    j = np.clip(np.searchsorted(v, s, side="right") - 1, 0, len(cj) - 1)
+    near = s < v[0]
+    u = np.where(near, point(s) / abs(c[0]), (point(s) - cj[j]) / h[j])
+    cur = np.repeat(np.eye(m, dtype=complex)[:, None, :], len(cj), axis=1)
+    P, rows, prev, r1_prev, f = cur.copy(), cur[0, j], 0.0, 0.0, (h / p)[:, None]
+    for k in range(_TERMS):
+        r0_cur, r1_cur = (np.vstack([R0, R1]) @ cur.reshape(m, -1)).reshape(2, m, -1, m)
+        cur, prev, r1_prev = f * (r0_cur + cj[:, None] * r1_cur - k * dp * cur + h[:, None]
+                                  * (r1_prev - half_pp * (k - 1) * prev)) / (k + 1), cur, r1_cur
+        P += (step / h)[:, None] ** (k + 1) * cur
+        rows = rows + u[:, None] ** (k + 1) * cur[0, j]
+    J = [b.T @ (c[0] / abs(c[0])) ** np.arange(_TERMS + 1)]
+    for k in range(len(cj)):
+        J.append(P[:, k] @ J[-1])
+    return np.where(near, np.polynomial.polynomial.polyval(u, b[:, 0]),
+                    np.einsum("gi,gi->g", rows, np.array(J)[j]))
+
+
+_METHODS = {2: ("hankel", "holonomic"), 4: ("pfaffian", "holonomic"), 6: ("holonomic",)}
+_DEFAULT_ORDER = {2: 64, 4: 48}
 
 
 def _weighted_integral(beta: int, f, n_nodes: int, method: str) -> complex:
-    if method == "hankel":
-        return _integral_beta2(f, n_nodes)
-    if method == "pfaffian":
-        return _integral_beta4(f, n_nodes)
-    return _tensor_integral(beta, f, n_nodes)
+    return (_integral_beta2 if method == "hankel" else _integral_beta4)(f, n_nodes)
 
 
-def _auto_method(beta: int) -> str:
-    return {2: "hankel", 4: "pfaffian"}.get(beta, "tensor")
-
-
-@lru_cache(maxsize=None)
-def _max_tensor_order(beta: int, doubling: int) -> int:
-    """Largest tensor order n whose biggest rule, of doubling * n nodes, has at
-    most _COMBO_CAP node combinations."""
-    top = beta
-    while math.comb(doubling * (top + 1), beta) <= _COMBO_CAP:
-        top += 1
-    return top
-
-
-def rho2_even_beta(beta: int, x: float, N: int | float | None = None,
-                   quad_order: int | None = None, method: str = "auto",
-                   check_convergence: bool | None = None) -> float:
-    """Bulk-scaled two-point correlation (unit density) at separation x for
-    even beta, from the beta-dimensional integral representation; N = None
-    gives the limit curve.
-
-    The finite-N prefactor is the Gamma-free reduction of the Morris-product
-    constant through the evenness product, so any real (including negative)
-    N is accepted and the value is even in N; its N -> oo form, with
-    (kappa N)^beta for the product, gives the limit."""
-    if beta not in (2, 4, 6):
-        raise ValueError("beta must be 2, 4, or 6")
-    if not math.isfinite(x) or (N is not None and not math.isfinite(N)):
-        raise ValueError(f"x and N must be finite, got x = {x}, N = {N}")
-    if method == "auto":
-        method = _auto_method(beta)
-    n_nodes = _DEFAULT_ORDER[beta] if quad_order is None else quad_order
-    if check_convergence is None:
-        check_convergence = method != "tensor"
-    top = _max_tensor_order(beta, 2 if check_convergence else 1) \
-        if method == "tensor" else math.inf
-    if not beta <= n_nodes <= top:
-        raise ValueError(f"quad_order must lie in [{beta}, {top}] for the {method} "
-                         f"engine at beta = {beta}")
-    if N is not None and abs(x) >= abs(N) / 2.0:
-        raise ValueError("separation must stay within one period, |x| < N/2")
-    if x == 0.0 and N is not None:
-        return 0.0
+def _integrand(beta: int, x: float, N):
+    """(pre, f): the two-point function at separation x is Re[pre I[f]]."""
     kap = beta / 2.0
     log_c = (3.0 * math.lgamma(kap + 1) - math.lgamma(beta + 1) - math.lgamma(3.0 * kap + 1)
              - selberg_log(beta, -1 + 2.0 / beta, -1 + 2.0 / beta, 2.0 / beta))
@@ -277,30 +250,75 @@ def rho2_even_beta(beta: int, x: float, N: int | float | None = None,
         f = lambda u: (1.0 - z * u) ** (N - 2)
         scale = evenness_factor(2, kap, N)
         chord, shift = 2.0 * math.sin(theta / 2.0), x * (N - 2) / N
-    pre = math.exp(log_c) * scale * chord ** beta * np.exp(-1j * np.pi * beta * shift)
-    value = lambda nn: complex(pre * _weighted_integral(beta, f, nn, method))
+    return math.exp(log_c) * scale * chord ** beta * np.exp(-1j * np.pi * beta * shift), f
 
-    got = value(n_nodes)
-    if check_convergence:
-        again = value(2 * n_nodes)
-        if abs(again - got) > 1e-6:
-            warnings.warn(f"rho2_even_beta not converged at {n_nodes} nodes "
-                          f"(doubling moved it by {abs(again - got):.2e})",
-                          AccuracyWarning)
+
+def rho2_even_beta(beta: int, x, N: int | float | None = None,
+                   quad_order: int | None = None, method: str = "auto",
+                   check_convergence: bool | None = None):
+    """Bulk-scaled two-point correlation (unit density) at separation x, a
+    number or an array, for even beta, from the beta-dimensional integral
+    representation; N = None gives the limit curve.
+
+    The "hankel" (beta = 2) and "pfaffian" (beta = 4) quadratures use
+    quad_order nodes and then twice as many; "holonomic" (the default at beta =
+    6) serves every x from one continuation at each of two step settings. The
+    two must agree, to 1e-6 and 1e-10, or an AccuracyWarning is raised.
+    check_convergence=False returns the first alone.
+
+    The finite-N prefactor is the Gamma-free reduction of the Morris-product
+    constant through the evenness product, so any real (including negative)
+    N is accepted and the value is even in N; its N -> oo form, with
+    (kappa N)^beta for the product, gives the limit."""
+    if beta not in _METHODS:
+        raise ValueError("beta must be 2, 4, or 6")
+    xs = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xs)) or (N is not None and not math.isfinite(N)):
+        raise ValueError(f"x and N must be finite, got x = {x}, N = {N}")
+    method = _METHODS[beta][0] if method == "auto" else method
+    if method not in _METHODS[beta]:
+        raise ValueError(f"method {method!r} cannot serve beta = {beta}; use auto or "
+                         + " or ".join(_METHODS[beta]))
+    if method == "holonomic" and (quad_order is not None or np.any(np.abs(xs) > _X_MAX)):
+        raise ValueError(f"the holonomic engine takes no quad_order, and |x| <= {_X_MAX:g}")
+    n_nodes = _DEFAULT_ORDER.get(beta) if quad_order is None else quad_order
+    if method != "holonomic" and n_nodes < beta:
+        raise ValueError(f"quad_order must be at least {beta} for the {method} engine")
+    if N is not None and np.any(np.abs(xs) >= abs(N) / 2.0):
+        raise ValueError("separation must stay within one period, |x| < N/2")
+    if method == "holonomic":
+        # even in x: run each path forwards, with theta = 2 pi x / N >= 0
+        xs_path = np.abs(xs.ravel()) * (1.0 if N is None or N > 0 else -1.0)
+        pre = np.array([_integrand(beta, v, N)[0] for v in xs_path.tolist()])
+        s = TWO_PI * np.abs(xs_path) / (1.0 if N is None else abs(N))
+        value, tol = (lambda k: pre * _holonomic(beta, s, N, *_STEPS[k])), 1e-10
+    else:
+        terms = [_integrand(beta, v, N) for v in xs.ravel().tolist()]
+        value, tol = (lambda k: np.array([complex(pre * _weighted_integral(
+            beta, f, n_nodes * 2 ** k, method)) for pre, f in terms])), 1e-6
+    got = value(0)
+    if check_convergence is not False:
+        again = value(1)
+        if (moved := np.max(np.abs(again - got), initial=0.0)) > tol:
+            warnings.warn(f"rho2_even_beta not converged: the {method} engine's check "
+                          f"moved it by {moved:.2e}", AccuracyWarning)
         got = again
-    if abs(got.imag) > 1e-9:
-        warnings.warn(f"imaginary residue {got.imag:.2e}", AccuracyWarning)
-    return float(got.real)
+    if np.max(np.abs(got.imag), initial=0.0) > 1e-9:
+        warnings.warn(f"imaginary residue {np.max(np.abs(got.imag)):.2e}", AccuracyWarning)
+    got = got.real.reshape(xs.shape)
+    return float(got) if got.ndim == 0 else got
 
 
-def rho2_correction_estimate(beta: int, x: float, N_pair=(32, 48, 64)) -> float:
+def rho2_correction_estimate(beta: int, x, N_pair=(32, 48, 64)):
     """Richardson estimate of the 1/N^2 coefficient of the two-point function
-    at separation x: the exact fit {1, 1/N^2, ..., 1/N^(2k-2)} through the k
-    values of N in N_pair (two or more, each at least 16)."""
+    at separation x (a number or an array): the exact fit {1, 1/N^2, ...,
+    1/N^(2k-2)} through the k values of N in N_pair (two or more, each at
+    least 16)."""
     if min(N_pair) < 16:
         raise ValueError("need N >= 16")
     vals = [rho2_even_beta(beta, x, N, check_convergence=False) for N in N_pair]
-    return float(inverse_square_fit(N_pair, vals)[1])
+    fit = inverse_square_fit(N_pair, vals)[1]
+    return float(fit) if np.ndim(fit) == 0 else fit
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +340,7 @@ def moment_integral(beta: int, theta: float, exponents=()) -> complex:
         raise NotImplementedError("m <= 3 only")
     if m > beta:
         return 0.0 + 0.0j
-    nn, method = _DEFAULT_ORDER[beta], _auto_method(beta)
+    nn, method = _DEFAULT_ORDER[beta], _METHODS[beta][0]
     roots = [1j ** (4 * k // beta) for k in range(beta)]   # exact at beta = 2, 4
     total = 0.0 + 0.0j
     for ts in itertools.product(roots, repeat=m):

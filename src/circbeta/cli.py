@@ -106,25 +106,20 @@ def cmd_sff(args):
 
 def cmd_rho2(args):
     grid = _grid(args, "x", np.linspace(0.1, 3.0, 30))
-    rows = []
-    if args.limit or args.N is None:
-        if args.beta in (1, 2, 4):
-            for x in grid:
-                rows.append([float(x), correlations.rho2_bulk_term(args.beta, 0, float(x)),
-                             correlations.rho2_bulk_term(args.beta, 1, float(x))])
-        else:
-            for x in grid:
-                rows.append([float(x),
-                             beta_even.rho2_even_beta(args.beta, float(x), None, args.quad),
-                             float("nan")])
+    limit = args.limit or args.N is None
+    if args.beta == 6:
+        # one holonomic continuation serves the grid; the limit has no rho1 (nan)
+        values = beta_even.rho2_even_beta(6, grid, None if limit else args.N)
+        rows = [[float(x), float(v)] + [float("nan")] * limit for x, v in zip(grid, values)]
+    elif limit:
+        rows = [[float(x), correlations.rho2_bulk_term(args.beta, 0, float(x)),
+                 correlations.rho2_bulk_term(args.beta, 1, float(x))] for x in grid]
+    else:
+        rows = [[float(x), correlations.rho2_bulk_finite(args.beta, args.N, float(x))]
+                for x in grid]
+    if limit:
         return _emit(args, "rho2", {"beta": args.beta, "N": None},
                      ["x", "rho0", "rho1"], rows)
-    for x in grid:
-        if args.beta in (1, 2, 4):
-            val = correlations.rho2_bulk_finite(args.beta, args.N, float(x))
-        else:
-            val = beta_even.rho2_even_beta(args.beta, float(x), args.N, args.quad)
-        rows.append([float(x), val])
     return _emit(args, "rho2", {"beta": args.beta, "N": args.N}, ["x", "rho2"], rows)
 
 
@@ -175,6 +170,9 @@ def _identity_registry():
                  lambda xs: np.array([beta_even.rho2_correction_estimate(beta, x)
                                       for x in xs]))]
 
+    # one continuation for each N serves the Chebyshev x of the beta = 6 row
+    rho2_even6 = [(lambda xs: beta_even.rho2_even_beta(6, xs),
+                   lambda xs: beta_even.rho2_correction_estimate(6, xs, (32, 48, 64, 96)))]
     e_pm = [_orders(lambda o, xs, sg=sg: gap.e_pm(sg, o, xs, 0.8)) for sg in (+1, -1)]
     rho2_second = [(lambda xs: correlations.rho2_bulk_term(2, 0, xs),
                     lambda xs: correlations.rho2_bulk_term(2, 2, xs))]
@@ -202,6 +200,7 @@ def _identity_registry():
         "sff-zeros-r4": (None, 1e-10, _r4_oracle_residual),
         "rho2-even-corr-beta2": _cheb(2, 2e-5, c(2), (0, 2), even_x, rho2_even(2)),
         "rho2-even-corr-beta4": _cheb(4, 4e-5, c(4), (0, 2), even_x, rho2_even(4)),
+        "rho2-even-corr-beta6": _cheb(6, 2e-8, c(6), (0, 2), even_x, rho2_even6),
         "moment-recurrence-beta2": (2, 1e-11,
                                     lambda: beta_even.verify_moment_recurrence(2)),
     }
@@ -296,8 +295,6 @@ def build_parser():
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--limit", action="store_true")
     p.add_argument("--x", type=float, default=None)
-    p.add_argument("--quad", type=int, default=None,
-                   help="quadrature order of the beta = 6 tensor engine, 6 to 37 (default 24)")
     _add_common(p)
     p.set_defaults(func=cmd_rho2)
 

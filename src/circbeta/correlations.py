@@ -24,27 +24,6 @@ def rho_n_cue(N: int, angles) -> float:
     return float(np.linalg.det(K))
 
 
-def _pfaffian_combinatorial(A: np.ndarray):
-    """Perfect-matching expansion; exponential cost, oracle for small matrices."""
-    n = A.shape[0]
-    if n == 0:
-        return 1.0
-    if n % 2:
-        return 0.0
-
-    def rec(idx):
-        if not idx:
-            return 1.0
-        i, rest = idx[0], idx[1:]
-        total = 0.0
-        for pos, j in enumerate(rest):
-            sign = (-1.0) ** pos
-            total += sign * A[i, j] * rec(rest[:pos] + rest[pos + 1:])
-        return total
-
-    return rec(tuple(range(n)))
-
-
 def pfaffian(A, tol: float = 1e-12) -> float:
     """Pfaffian of a real antisymmetric matrix by Householder tridiagonalization."""
     if np.iscomplexobj(A):

@@ -218,8 +218,8 @@ def solve_sigma0(xi: float, t_max: float, tol: float = 1e-12,
     pointwise."""
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must lie in [0, 1]")
-    if t_max > 12.0 * np.pi:
-        raise ValueError("t_max beyond supported range")
+    if t_max > 6.0 * np.pi:   # at xi = 1 it drifts to another solution past about 8 pi
+        raise ValueError("t_max beyond supported range, 6 pi")
     if t_max <= t0 and xi > 0.0:
         raise ValueError("t_max must exceed the series start point")
     if tol <= 0:

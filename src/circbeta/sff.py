@@ -206,21 +206,24 @@ def _partitions(k: int, largest: int):
             yield (first,) + rest
 
 
+def _partition_boxes(k: int):
+    """Each partition of k with the boxes of its diagram as (i, j, arm, leg),
+    0-based; the arm and leg count the boxes right of and below (i, j)."""
+    for lam in _partitions(k, k):
+        cols = [sum(1 for row in lam if row > j) for j in range(max(lam, default=0))]
+        yield lam, [(i, j, row - j - 1, cols[j] - i - 1)
+                    for i, row in enumerate(lam) for j in range(row)]
+
+
 def _jack_terms(k: int, alpha: Fraction):
     """Per partition of k: its length, the weight (k alpha theta)^2 / j and the
     (numerator, denominator) shifts of the N-dependent product."""
-    for lam in _partitions(k, k):
-        cols = [sum(1 for row in lam if row > j) for j in range(lam[0])]
-        theta = j_lam = F(1)
-        shifts = []
-        for i, row in enumerate(lam):
-            for j in range(row):
-                arm, leg = row - j - 1, cols[j] - i - 1
-                if (i, j) != (0, 0):
-                    theta *= j * alpha - i
-                j_lam *= (alpha * arm + leg + 1) * (alpha * arm + leg + alpha)
-                shifts.append((j * alpha - i, (j + 1) * alpha - i - 1))
-        yield len(lam), (k * alpha * theta) ** 2 / j_lam, shifts
+    for lam, boxes in _partition_boxes(k):
+        theta = math.prod((j * alpha - i for i, j, _, _ in boxes[1:]), start=F(1))
+        j_lam = math.prod(((alpha * arm + leg + 1) * (alpha * arm + leg + alpha)
+                           for _, _, arm, leg in boxes), start=F(1))
+        yield (len(lam), (k * alpha * theta) ** 2 / j_lam,
+               [(j * alpha - i, (j + 1) * alpha - i - 1) for i, j, _, _ in boxes])
 
 
 def cbe_trace_moment(beta, N: int, k: int) -> Fraction:

@@ -1,7 +1,9 @@
 import itertools
 import math
+import time
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -12,10 +14,11 @@ from circbeta import (beta_even, correction_factor, correction_residual,
                       moment_integral, morris, recurrence_sides,
                       rho2_bulk_term, rho2_correction_limit, rho2_even_beta,
                       selberg, selberg_log, v2_coefficient, verify_moment_recurrence)
-from circbeta.beta_even import (_auto_method, _tensor_integral, _tensor_rule,
-                                _weighted_integral, evenness_factor_exact,
-                                rho2_correction_estimate, selberg_exact)
-from circbeta.numerics import gauss_jacobi
+from circbeta.beta_even import (_METHODS, _system, _weighted_integral,
+                                evenness_factor_exact, rho2_correction_estimate,
+                                selberg_exact)
+from circbeta.gap import AccuracyWarning
+from circbeta.sff import _partition_boxes
 from circbeta.spacing import P0_BETA2
 
 
@@ -27,16 +30,34 @@ def tensor2(f, n=80):
     return np.sum(W * f(X, Y))
 
 
-def tensor_reference(beta, f, n):
-    """The tensor Gauss-Jacobi sum, one node combination at a time."""
-    rule = gauss_jacobi(n, -1 + 2 / beta, -1 + 2 / beta)
-    u, g = rule.nodes, rule.weights * f(rule.nodes)
-    total = 0j
-    for c in itertools.combinations(range(n), beta):
-        coupling = math.prod(abs(u[j] - u[k]) ** (4 / beta)
-                             for j, k in itertools.combinations(c, 2))
-        total += math.prod(g[j] for j in c) * coupling
-    return math.factorial(beta) * total
+def series_rho2(beta, x):
+    """Limit two-point function from the Taylor series at t = 0 of J_0(t), the
+    normalised integral of e^(t sum u), summed in mpmath with enough digits
+    for its cancellation; J_0 is entire. The coefficients c_{q,k} obey
+    (k + B_q) c_{q,k} = A_q c_{q-1,k} + q c_{q,k-1} + (q+1) c_{q+1,k-1}."""
+    n, t_abs = beta, 2 * math.pi * abs(x)
+    with mpmath.workdps(30 + int(n * t_abs / 2.3)):
+        tau = mpmath.mpf(2) / n
+        a = tau - 1
+        A = [(n - q + 1) * (1 + a + tau * (n - q)) for q in range(n + 1)]
+        B = [q * (2 + 2 * a + tau * (2 * n - q - 1)) for q in range(n + 1)]
+        c = [mpmath.mpf(1)]
+        for q in range(1, n + 1):
+            c.append(c[-1] * A[q] / B[q])
+        t = mpmath.mpc(0, 2 * mpmath.pi * mpmath.mpf(x))
+        total, power, k = c[0], mpmath.mpf(1), 0
+        while k < 20 or k < 3 * n * t_abs or abs(c[0] * power) > mpmath.eps * abs(total):
+            k += 1
+            new = [c[1] / k]
+            for q in range(1, n + 1):
+                up = (q + 1) * c[q + 1] if q < n else 0
+                new.append((A[q] * new[q - 1] + q * c[q] + up) / (k + B[q]))
+            c, power = new, power * t
+            total += c[0] * power
+        kap = mpmath.mpf(n) / 2
+        pre = (mpmath.gamma(kap + 1) ** 3 * kap ** n * (2 * mpmath.pi * x) ** n
+               / (mpmath.factorial(n) * mpmath.gamma(3 * kap + 1)))
+        return float(mpmath.re(pre * mpmath.exp(-1j * mpmath.pi * n * x) * total))
 
 
 class TestSelberg:
@@ -185,18 +206,13 @@ class TestRho2EvenBeta:
             want = 4.0 * rho2_bulk_term(4, 0, 2 * x)
             assert rho2_even_beta(4, x) == pytest.approx(want, abs=1e-10)
 
-    def test_tensor_cross_checks(self):
-        # the combination-sum tensor engine agrees with the reductions:
-        # exactly for the smooth beta = 2 coupling, at its kink-limited
-        # accuracy for beta = 4
-        for x in (0.5, 1.2):
-            a = rho2_even_beta(2, x, 20, check_convergence=False)
-            b = rho2_even_beta(2, x, 20, method="tensor", check_convergence=False)
-            assert a == pytest.approx(b, abs=1e-12)
-        for x in (0.5, 1.2):
-            a = rho2_even_beta(4, x, 20, check_convergence=False)
-            b = rho2_even_beta(4, x, 20, method="tensor", check_convergence=False)
-            assert a == pytest.approx(b, abs=5e-3)
+    @pytest.mark.parametrize("beta", [2, 4])
+    @pytest.mark.parametrize("N", [None, 16, 20.5, 32, 64, -20.5])
+    def test_holonomic_matches_default_engines(self, beta, N):
+        xs = np.linspace(0.1, 2.2, 22)
+        got = rho2_even_beta(beta, xs, N, method="holonomic")
+        want = np.array([rho2_even_beta(beta, x, N) for x in xs])
+        assert np.max(np.abs(got - want)) <= 1e-11
 
     def test_node_doubling_stability(self):
         for beta, x, N in ((2, 0.7, 24), (4, 0.7, 24)):
@@ -206,64 +222,94 @@ class TestRho2EvenBeta:
             assert abs(a - b) < 1e-7
 
     def test_beta6_spot_checks(self):
-        # kink-limited tensor quadrature: low-accuracy support only
-        lim = rho2_even_beta(6, 0.7, None, check_convergence=False)
-        fin = rho2_even_beta(6, 0.7, 16, quad_order=24, check_convergence=False)
-        assert 0.7 < lim < 1.0
-        assert abs(fin - lim) < 5e-2
-        finer = rho2_even_beta(6, 0.7, 16, quad_order=32, check_convergence=False)
-        assert abs(fin - finer) < 5e-2
+        # the limit against the Taylor series at t = 0, summed in mpmath, and
+        # against its 60-digit values
+        known = {0.3: 0.02021153961218519, 0.7: 0.8936281242227525,
+                 1.5: 0.6385865313881958, 3.0: 1.223337541875068}
+        xs = np.array([0.02, 0.3, 0.7, 1.1, 1.5, 2.2, 3.0, 6.0])
+        want = np.array([series_rho2(6, x) for x in xs])
+        assert np.max(np.abs(rho2_even_beta(6, xs) - want)) <= 1e-12
+        for x, value in known.items():
+            assert series_rho2(6, x) == pytest.approx(value, abs=1e-15)
+            assert rho2_even_beta(6, x) == pytest.approx(value, abs=1e-12)
+
+    def test_beta6_grid_matches_single_points(self):
+        # one continuation serves an unsorted grid, signs of x and N included
+        xs = np.array([1.4, -0.3, 2.9, 0.05, 0.7])
+        for N in (None, 20, -20):
+            grid = rho2_even_beta(6, xs, N)
+            single = [rho2_even_beta(6, x, N) for x in xs]
+            assert grid.shape == xs.shape
+            assert np.max(np.abs(grid - single)) <= 1e-14
+        assert rho2_even_beta(6, np.array([])).shape == (0,)
+
+    def test_beta6_large_N_certified(self):
+        # the path starts at theta = 0.5/N; its points carry no cancellation
+        xs = np.array([0.3, 0.7, 1.5, 3.0])
+        start = time.perf_counter()
+        got = rho2_even_beta(6, xs, 1e6)
+        assert time.perf_counter() - start < 1.0
+        assert np.max(np.abs(got - rho2_even_beta(6, xs))) < 1e-11
+
+    def test_beta6_failed_certification_warns(self, monkeypatch):
+        # a second step setting far too coarse to agree
+        monkeypatch.setattr(beta_even, "_STEPS", ((0.5, 40.0), beta_even._STEPS[1]))
+        with pytest.raises(AccuracyWarning, match="not converged: the holonomic"):
+            rho2_even_beta(6, 3.0)
+
+    def test_holonomic_range_bounded(self):
+        assert rho2_even_beta(6, 200.0) == pytest.approx(1.0, abs=0.02)
+        with pytest.raises(ValueError, match=r"\|x\| <= 200"):
+            rho2_even_beta(6, 200.5)
+
+    @pytest.mark.parametrize("beta, method", [
+        (2, "bogus"), (2, "tensor"), (4, "hankel"), (2, "pfaffian"), (6, "hankel"),
+        (6, "pfaffian"), (6, "tensor"), (4, "")])
+    def test_method_validated(self, beta, method):
+        with pytest.raises(ValueError, match="cannot serve"):
+            rho2_even_beta(beta, 0.7, method=method)
+
+    def test_beta6_taylor_coefficients_exact(self):
+        # c_{0,k} = <p_1^k> / k!, with p_1^k = alpha^k k! sum_kappa J_kappa / j_kappa
+        # and Kadell's <J_kappa> = J_kappa(1^n) [a + 1 + (n-1)/alpha]_kappa
+        # / [2a + 2 + 2(n-1)/alpha]_kappa, alpha = 1/tau = 3, against the
+        # recursion (k - R0) c_k = R1 c_{k-1} of the engine's own matrices
+        n, alpha, a = 6, F(3), F(-2, 3)
+
+        def kadell(k):
+            total = F(0)
+            for _, boxes in _partition_boxes(k):
+                term = F(1)
+                for i, j, arm, leg in boxes:
+                    term *= (n - i + alpha * j) * (a + 1 + (n - 1 - i) / alpha + j) / (
+                        (alpha * arm + leg + 1) * (alpha * arm + leg + alpha)
+                        * (2 * a + 2 + (2 * n - 2 - i) / alpha + j))
+                total += term
+            return alpha ** k * total
+
+        R0, R1, j0 = _system(6, None)
+        R0, R1 = (np.vectorize(lambda v: F(v).limit_denominator(1000))(m) for m in (R0, R1))
+        c = [F(1)]
+        for q in range(1, n + 1):
+            c.append(c[-1] * R0[q, q - 1] / -R0[q, q])
+        assert np.allclose(j0 / j0[0], np.array(c, float), rtol=1e-14)
+        for k in range(11):
+            assert c[0] == kadell(k)
+            rhs = R1 @ np.array(c, dtype=object)
+            for q in range(n + 1):
+                c[q] = (rhs[q] + (R0[q, q - 1] * c[q - 1] if q else 0)) / (k + 1 - R0[q, q])
 
     @pytest.mark.parametrize("beta, kwargs", [
         (2, {"quad_order": 1}), (4, {"quad_order": 3}), (6, {"quad_order": 5}),
         (2, {"quad_order": 0}), (6, {"quad_order": 0}),
+        # the holonomic engine has no order to set
         (6, {"quad_order": 38}), (6, {"quad_order": 48}),
-        (4, {"method": "tensor", "quad_order": 90, "check_convergence": False}),
-        # the convergence check doubles the order: C(48, 6) > 2.5M
-        (6, {"check_convergence": True}),
+        (4, {"method": "holonomic", "quad_order": 90, "check_convergence": False}),
+        (6, {"quad_order": 24, "check_convergence": True}),
     ])
     def test_order_out_of_range(self, beta, kwargs):
-        with pytest.raises(ValueError, match="quad_order must lie in"):
+        with pytest.raises(ValueError, match="quad_order"):
             rho2_even_beta(beta, 0.7, 16, **kwargs)
-
-    def test_largest_tensor_order_within_cap(self):
-        # order 37 at beta = 6 is the last with at most 2.5M node combinations
-        assert math.comb(37, 6) <= 2_500_000 < math.comb(38, 6)
-        assert beta_even._max_tensor_order(6, 1) == 37
-        assert beta_even._max_tensor_order(6, 2) == 18
-        assert rho2_even_beta(2, 0.7, 20, quad_order=2, method="tensor",
-                              check_convergence=False) == pytest.approx(
-            rho2_even_beta(2, 0.7, 20, quad_order=2, check_convergence=False), abs=1e-12)
-
-    def test_combination_cache_bounded(self):
-        # one entry holds beta one-byte node indices and one float64 weight
-        # per combination: at most 2.5M x 14 bytes, 35 MB at beta = 6
-        for n in (12, 13, 14):
-            u, cols, W = _tensor_rule(n, 6)
-            assert cols.shape == (6, math.comb(n, 6)) and W.shape == (math.comb(n, 6),)
-            assert cols.nbytes + W.nbytes <= (6 + 8) * math.comb(n, 6)
-        info = _tensor_rule.cache_info()
-        assert info.maxsize == 2 and info.currsize == 2
-
-    @pytest.mark.parametrize("n", [8, 12])
-    @pytest.mark.parametrize("N", [None, 16])
-    def test_tensor_matches_combination_sum(self, n, N):
-        x = 0.7
-        if N is None:
-            f = lambda u: np.exp(2j * np.pi * x * u)
-        else:
-            z = 1 - np.exp(2j * np.pi * x / N)
-            f = lambda u: (1 - z * u) ** (N - 2)
-        want = tensor_reference(6, f, n)
-        assert abs(_tensor_integral(6, f, n) - want) <= 1e-13 * abs(want)
-
-    def test_tensor_above_256_nodes(self):
-        # node indices past one byte: the table widens to uint16
-        assert _tensor_rule(300, 2)[1].dtype == np.uint16
-        got = rho2_even_beta(2, 0.7, 20, quad_order=300, method="tensor",
-                             check_convergence=False)
-        assert got == pytest.approx(rho2_even_beta(2, 0.7, 20, check_convergence=False),
-                                    abs=1e-12)
 
     @pytest.mark.parametrize("beta, x, N", [
         (6, math.nan, None), (6, 0.7, math.nan), (6, 0.7, math.inf),
@@ -295,7 +341,7 @@ class TestRho2EvenBeta:
                 theta = 2 * np.pi * x / N
                 z = 1 - np.exp(1j * theta)
                 integral = _weighted_integral(beta, lambda u: (1 - z * u) ** (N - 2),
-                                              order, _auto_method(beta))
+                                              order, _METHODS[beta][0])
                 want = (np.exp(log_pre) * (2 * np.sin(theta / 2)) ** beta
                         * np.exp(-1j * np.pi * beta * x * (N - 2) / N) * integral).real
                 got = rho2_even_beta(beta, x, N, order, check_convergence=False)
@@ -305,10 +351,9 @@ class TestRho2EvenBeta:
 def even_identity_residual(beta, N_pair):
     """Max residual of the Richardson 1/N^2 coefficient against
     -(1/(6 beta)) (x^2 rho_0)'' on 32 Chebyshev nodes over [0.1, 2.2]."""
-    each = lambda f: lambda xs: np.array([f(x) for x in xs])
     return correction_residual(
-        each(lambda x: rho2_even_beta(beta, x, check_convergence=False)),
-        each(lambda x: rho2_correction_estimate(beta, x, N_pair)),
+        lambda xs: rho2_even_beta(beta, xs, check_convergence=False),
+        lambda xs: rho2_correction_estimate(beta, xs, N_pair),
         correction_factor(beta), 0.1, 2.2, np.linspace(0.2, 2.0, 7), 32, 0, 2)
 
 
@@ -318,6 +363,10 @@ class TestVerify421:
 
     def test_beta4(self):
         assert even_identity_residual(4, (32, 48, 64)) < 4e-5
+
+    def test_beta6(self):
+        # the paper's theorem at the one even beta without a closed form
+        assert even_identity_residual(6, (32, 48, 64, 96)) < 2e-8
 
     def test_beta4_against_pfaffian_closed_form(self):
         for x in (0.4, 0.9, 1.6):
@@ -409,14 +458,6 @@ class TestRecurrence:
                             lambda f, n: calls.append(n) or engine(f, n))
         assert verify_moment_recurrence(4) < 1e-11
         assert len(calls) <= 1272
-
-    def test_no_node_combinations(self, monkeypatch):
-        # the moment integrals run through the hankel and pfaffian engines
-        def refuse(n, beta):
-            raise AssertionError("node combinations requested")
-        monkeypatch.setattr(beta_even, "_tensor_rule", refuse)
-        assert verify_moment_recurrence(2) < 1e-8
-        moment_integral(4, 1.0, (2, 1))
 
     def test_theta_zero_rhs_vanishes(self):
         lhs, rhs = recurrence_sides(2, 0.0, (3, 1))

@@ -1,4 +1,3 @@
-import argparse
 import json
 import math
 import os
@@ -67,13 +66,16 @@ class TestCommands:
         row = out.strip().splitlines()[1].split(",")
         assert float(row[1]) == rho2_even_beta(6, 0.7, None)
 
-    def test_rho2_beta6_grid_builds_weights_once(self, capsys):
-        # the 30 default x share one cached weight table at the default order
-        beta_even._tensor_rule.cache_clear()
-        code, out = run(["rho2", "--beta", "6"], capsys)
+    @pytest.mark.parametrize("argv", [[], ["--N", "20"]])
+    def test_rho2_beta6_grid_one_continuation(self, argv, capsys, monkeypatch):
+        # the 30 default x share one continuation, and one more certifies them
+        calls = []
+        engine = beta_even._holonomic
+        monkeypatch.setattr(beta_even, "_holonomic",
+                            lambda *a: calls.append(a[1].size) or engine(*a))
+        code, out = run(["rho2", "--beta", "6", *argv], capsys)
         assert code == 0 and len(out.strip().splitlines()) == 31
-        info = beta_even._tensor_rule.cache_info()
-        assert info.misses == 1 and info.hits == 29
+        assert calls == [30, 30]
 
     def test_rho2_beta6_json_is_strict(self, capsys):
         # the limit has no closed-form rho1 at beta = 6: null, never a NaN token
@@ -173,8 +175,17 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
         lines = out.strip().splitlines()
-        assert len(lines) == len(cli._identity_registry()) == 20
+        assert len(lines) == len(cli._identity_registry()) == 21
         assert all(line.endswith("pass") for line in lines)
+
+    def test_rho2_even_corr_beta6(self, capsys, monkeypatch):
+        # the paper's even-beta theorem at beta = 6; a 1% change of -1/(6 beta)
+        # fails the row
+        code, out = run(["verify", "--identity", "rho2-even-corr-beta6"], capsys)
+        assert code == 0 and out.rstrip().endswith("pass")
+        monkeypatch.setattr(cli.numerics, "correction_factor", lambda b: -1 / (6.06 * b))
+        code, out = run(["verify", "--identity", "rho2-even-corr-beta6"], capsys)
+        assert code == 1 and out.rstrip().endswith("FAIL")
 
     def test_known_r4_defect_reported(self, capsys):
         # the stored r2/r4 coefficients agree exactly with the CβE oracle
@@ -205,29 +216,16 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "unrecognized arguments: --quad" in capsys.readouterr().err
 
-    def test_quad_only_on_rho2(self):
-        # the beta = 6 tensor engine is the one order a caller can set
-        sub = next(a for a in cli.build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        with_quad = {name for name, p in sub.choices.items()
-                     if any("--quad" in a.option_strings for a in p._actions)}
-        assert with_quad == {"rho2"}
-
-    def test_rho2_beta6_quad(self, capsys):
-        code, out = run(["rho2", "--beta", "6", "--x", "0.7", "--quad", "16"], capsys)
-        assert code == 0
-        row = out.strip().splitlines()[1].split(",")
-        assert float(row[1]) == rho2_even_beta(6, 0.7, None, 16)
-
     @pytest.mark.parametrize("quad", ["0", "5", "48"])
     def test_rho2_beta6_quad_out_of_range(self, quad, capsys):
+        # rho2 takes no --quad either: the beta = 6 engine has no order to set
         with pytest.raises(SystemExit) as exc:
             cli.main(["rho2", "--beta", "6", "--quad", quad])
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("error:") == 1 and "Traceback" not in err
-        assert "quad_order must lie in [6, 37] for the tensor engine at beta = 6" in err
+        assert "unrecognized arguments: --quad" in err
 
     def test_bad_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -286,7 +284,7 @@ class TestImportCost:
     @pytest.mark.parametrize("argv", [
         ["verify", "--identity", "rho2-corr-beta1"],      # the sine integral
         ["sff", "--beta", "4", "--N", "20"],              # digamma
-        ["rho2", "--beta", "6", "--x", "0.7"]])           # Gauss-Jacobi rule, log-gamma
+        ["rho2", "--beta", "6", "--x", "0.7"]])           # log-gamma, the holonomic engine
     def test_runs_load_no_scipy(self, argv):
         # no lazy import moves the cost into a run
         code = ("import contextlib, io; from circbeta import cli\n"

@@ -110,6 +110,14 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_sigma0(1.2, np.pi)
 
+    def test_supported_range_ends_at_six_pi(self):
+        # at xi = 1 the steps leave the solution past t ~ 8 pi for another one of
+        # the second-order equation, which the residual monitor cannot see
+        t = 6 * np.pi
+        assert abs(solve_sigma0(1.0, t).sigma0[-1] - (-t * t / 4 - 0.25)) < 1e-3
+        with pytest.raises(ValueError, match="supported range"):
+            solve_sigma0(1.0, t + 0.1)
+
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             solve_sigma0(1.0, np.pi, tol=0.0)
