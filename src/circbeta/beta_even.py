@@ -131,8 +131,7 @@ def _integral_beta4(f, n_nodes: int) -> complex:
     wyl = wg / 2.0
     Xl = yl[:, None] * tl[None, :]
     Fl = f(Xl)
-    psi = np.array([np.sum(wl[None, :] * tl[None, :] ** p * Fl / np.sqrt(1.0 - Xl),
-                           axis=1) for p in range(4)])
+    psi = ((Fl / np.sqrt(1.0 - Xl)) @ (wl[:, None] * tl[:, None] ** np.arange(4))).T
     gl = f(yl) / np.sqrt(1.0 - yl)
     # right panel y in (1/2, 1): split the inner integral at full moments,
     # tail (1-y)^(1/2) branch cancels against the weight of h(y)
@@ -143,8 +142,8 @@ def _integral_beta4(f, n_nodes: int) -> complex:
     wyrh = wg / 2.0
     Xh = 1.0 - (1.0 - yrh)[:, None] * tl[None, :]
     Fh = f(Xh)
-    phi = np.array([np.sum(wl[None, :] * Xh ** p * Fh / np.sqrt(Xh), axis=1)
-                    for p in range(4)])
+    Gh = wl * Fh / np.sqrt(Xh)
+    phi = np.array([np.sum(Xh ** p * Gh, axis=1) for p in range(4)])
     grh = f(yrh) / np.sqrt(yrh)
     Q = np.zeros((4, 4), dtype=complex)
     for j in range(4):
@@ -309,7 +308,7 @@ def rho2_even_beta(beta: int, x, N: int | float | None = None,
     return float(got) if got.ndim == 0 else got
 
 
-def rho2_correction_estimate(beta: int, x, N_pair=(32, 48, 64)):
+def rho2_correction_estimate(beta: int, x, N_pair=(32, 48, 64, 96)):
     """Richardson estimate of the 1/N^2 coefficient of the two-point function
     at separation x (a number or an array): the exact fit {1, 1/N^2, ...,
     1/N^(2k-2)} through the k values of N in N_pair (two or more, each at

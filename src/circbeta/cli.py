@@ -167,12 +167,11 @@ def _identity_registry():
     def rho2_even(beta):
         return [(lambda xs: np.array([beta_even.rho2_even_beta(
                      beta, x, None, check_convergence=False) for x in xs]),
-                 lambda xs: np.array([beta_even.rho2_correction_estimate(beta, x)
-                                      for x in xs]))]
+                 lambda xs: beta_even.rho2_correction_estimate(beta, xs))]
 
     # one continuation for each N serves the Chebyshev x of the beta = 6 row
     rho2_even6 = [(lambda xs: beta_even.rho2_even_beta(6, xs),
-                   lambda xs: beta_even.rho2_correction_estimate(6, xs, (32, 48, 64, 96)))]
+                   lambda xs: beta_even.rho2_correction_estimate(6, xs))]
     e_pm = [_orders(lambda o, xs, sg=sg: gap.e_pm(sg, o, xs, 0.8)) for sg in (+1, -1)]
     rho2_second = [(lambda xs: correlations.rho2_bulk_term(2, 0, xs),
                     lambda xs: correlations.rho2_bulk_term(2, 2, xs))]
@@ -198,8 +197,8 @@ def _identity_registry():
                                                sff.verify_x6(4).residual2)),
         "sff-symmetry": (None, 1e-10, _sff_symmetry_residual),
         "sff-zeros-r4": (None, 1e-10, _r4_oracle_residual),
-        "rho2-even-corr-beta2": _cheb(2, 2e-5, c(2), (0, 2), even_x, rho2_even(2)),
-        "rho2-even-corr-beta4": _cheb(4, 4e-5, c(4), (0, 2), even_x, rho2_even(4)),
+        "rho2-even-corr-beta2": _cheb(2, 1e-8, c(2), (0, 2), even_x, rho2_even(2)),
+        "rho2-even-corr-beta4": _cheb(4, 3e-8, c(4), (0, 2), even_x, rho2_even(4)),
         "rho2-even-corr-beta6": _cheb(6, 2e-8, c(6), (0, 2), even_x, rho2_even6),
         "moment-recurrence-beta2": (2, 1e-11,
                                     lambda: beta_even.verify_moment_recurrence(2)),
@@ -300,7 +299,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run identity checks against tolerances")
     p.add_argument("--identity", default=None)
-    p.add_argument("--beta", type=int, choices=(1, 2, 4), default=None)
+    p.add_argument("--beta", type=int, choices=(1, 2, 4, 6), default=None)
     p.add_argument("--tol-scale", type=float, default=1.0)
     _add_common(p, with_range=False)
     p.set_defaults(func=cmd_verify)

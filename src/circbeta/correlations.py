@@ -24,7 +24,7 @@ def rho_n_cue(N: int, angles) -> float:
     return float(np.linalg.det(K))
 
 
-def pfaffian(A, tol: float = 1e-12) -> float:
+def pfaffian(A) -> float:
     """Pfaffian of a real antisymmetric matrix by Householder tridiagonalization."""
     if np.iscomplexobj(A):
         raise ValueError("real matrices only")
@@ -33,7 +33,7 @@ def pfaffian(A, tol: float = 1e-12) -> float:
     if A.shape != (n, n):
         raise ValueError("matrix must be square")
     scale = max(np.abs(A).max(), 1.0)
-    if np.abs(A + A.T).max() > tol * scale:
+    if np.abs(A + A.T).max() > 1e-12 * scale:
         raise ValueError("matrix is not antisymmetric to tolerance")
     if n % 2:
         return 0.0

@@ -330,12 +330,13 @@ class X6Report:
     residual2: float
 
 
-def verify_x6(beta: float, tau_grid=None) -> X6Report:
+def verify_x6(beta: float) -> X6Report:
     """Residuals of the two correction-to-limit differential relations.
 
     residual1 checks S_1 = c tau^2 S_0'' with c = -1/(12 kappa). For beta in
-    {1, 4} the closed-form S_1 is compared on tau_grid with the analytic S_0'';
-    for other beta the check is series-level, on the stored coefficients.
+    {1, 4} the closed-form S_1 is compared with the analytic S_0'' at nine
+    points of (0, 1), and at beta = 4 nine more of (1, 2); for other beta the
+    check is series-level, on the stored coefficients.
 
     residual2 checks S_2 = d(kappa) (tau^4 S_0'')'' with d = (kappa^3 - 1) /
     (720 kappa^3 (kappa - 1)), always series-level, since the closed-form S_2
@@ -356,12 +357,11 @@ def verify_x6(beta: float, tau_grid=None) -> X6Report:
         r2 = max(r2, abs(float(lhs - rhs)))
     r1 = 0.0
     if beta in (1, 4):
-        if tau_grid is None:
-            # beta = 4 has a logarithmic singularity at tau = 1
-            tau_grid = np.linspace(0.1, 0.9, 9) if beta == 1 else \
-                np.concatenate([np.linspace(0.1, 0.9, 9), np.linspace(1.1, 1.9, 9)])
+        # beta = 4 has a logarithmic singularity at tau = 1
+        tau_grid = np.linspace(0.1, 0.9, 9) if beta == 1 else \
+            np.concatenate([np.linspace(0.1, 0.9, 9), np.linspace(1.1, 1.9, 9)])
         derivs = _s0_derivs_beta1 if beta == 1 else _s0_derivs_beta4
-        for t in np.asarray(tau_grid, float):
+        for t in tau_grid:
             s1 = sff_bulk_term(beta, 1, float(t))
             r1 = max(r1, abs(s1 - correction_factor(beta) * t * t * derivs(float(t))[1]))
         return X6Report(r1, r2)

@@ -78,9 +78,9 @@ E_CUE_SMALL_S = SeriesTable("e_cue_small_s", (
     (10, 2, 8, 0, F(-2, 1275750)), (10, 2, 8, 1, F(15, 1275750)),
     (10, 2, 8, 2, F(-42, 1275750)), (10, 2, 8, 3, F(50, 1275750)),
     (10, 2, 8, 4, F(-21, 1275750)),
-    (11, 3, 8, 0, F(6, 29767500)), (11, 3, 8, 1, F(-73, 29767500)),
-    (11, 3, 8, 2, F(315, 29767500)), (11, 3, 8, 3, F(-552, 29767500)),
-    (11, 3, 8, 4, F(304, 29767500)),
+    (11, 3, 8, 0, F(6, 29767500)), (11, 3, 8, 1, F(-55, 29767500)),
+    (11, 3, 8, 2, F(168, 29767500)), (11, 3, 8, 3, F(-195, 29767500)),
+    (11, 3, 8, 4, F(76, 29767500)),
 ))
 
 P0_BETA2 = SeriesTable("p0_beta2", (

@@ -141,7 +141,7 @@ def test_criterion_7_even_beta_pipeline():
         want = 1 - (np.sin(np.pi * x) / (20 * np.sin(np.pi * x / 20))) ** 2
         worst_det = max(worst_det, abs(cb.rho2_even_beta(2, x, 20) - want))
     # Richardson 1/N^2 coefficient against -(1/(6 beta))(x^2 rho_0)'', fitted
-    # in {1, 1/N^2, 1/N^4} through N = 32, 48, 64
+    # in {1, 1/N^2, 1/N^4, 1/N^6} through N = 32, 48, 64, 96
     registry = _identity_registry()
     r2 = registry["rho2-even-corr-beta2"][2]()
     r4 = registry["rho2-even-corr-beta4"][2]()
@@ -153,9 +153,9 @@ def test_criterion_7_even_beta_pipeline():
         c1_ok &= (frac0 == F(1, 3) * (1 - F(1, N * N)) and pw0 == 2)
         c1_ok &= (frac1 == -F(1, 4050) * (1 - F(4, N * N))
                   * (1 - F(1, N * N)) ** 2 and pw1 == 6)
-    ok = worst_det <= 1e-7 and r2 <= 2e-5 and r4 <= 4e-5 and rec <= 1e-8 and c1_ok
-    report(7, ok, f"det {worst_det:.2e}<=1e-7; Richardson {r2:.2e}<=2e-5, "
-           f"{r4:.2e}<=4e-5; recurrence {rec:.2e}<=1e-8; exact coeffs {c1_ok}",
+    ok = worst_det <= 1e-7 and r2 <= 1e-8 and r4 <= 3e-8 and rec <= 1e-8 and c1_ok
+    report(7, ok, f"det {worst_det:.2e}<=1e-7; Richardson {r2:.2e}<=1e-8, "
+           f"{r4:.2e}<=3e-8; recurrence {rec:.2e}<=1e-8; exact coeffs {c1_ok}",
            t0, 60.0)
     assert ok
 

@@ -348,25 +348,25 @@ class TestRho2EvenBeta:
                 assert got == pytest.approx(want, rel=1e-11)
 
 
-def even_identity_residual(beta, N_pair):
+def even_identity_residual(beta):
     """Max residual of the Richardson 1/N^2 coefficient against
     -(1/(6 beta)) (x^2 rho_0)'' on 32 Chebyshev nodes over [0.1, 2.2]."""
     return correction_residual(
         lambda xs: rho2_even_beta(beta, xs, check_convergence=False),
-        lambda xs: rho2_correction_estimate(beta, xs, N_pair),
+        lambda xs: rho2_correction_estimate(beta, xs),
         correction_factor(beta), 0.1, 2.2, np.linspace(0.2, 2.0, 7), 32, 0, 2)
 
 
 class TestVerify421:
     def test_beta2(self):
-        assert even_identity_residual(2, (32, 48, 64)) < 2e-5
+        assert even_identity_residual(2) < 1e-8
 
     def test_beta4(self):
-        assert even_identity_residual(4, (32, 48, 64)) < 4e-5
+        assert even_identity_residual(4) < 3e-8
 
     def test_beta6(self):
         # the paper's theorem at the one even beta without a closed form
-        assert even_identity_residual(6, (32, 48, 64, 96)) < 2e-8
+        assert even_identity_residual(6) < 2e-8
 
     def test_beta4_against_pfaffian_closed_form(self):
         for x in (0.4, 0.9, 1.6):

@@ -166,6 +166,13 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_beta6_filter_runs_its_row(self, capsys):
+        code, out = run(["verify", "--beta", "6"], capsys)
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("rho2-even-corr-beta6")
+        assert lines[0].endswith("pass")
+
     def test_full_registry_passes(self, capsys, eigh_log):
         gap._spectrum.cache_clear()
         spacing._p_samples.cache_clear()
@@ -177,6 +184,17 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert len(lines) == len(cli._identity_registry()) == 21
         assert all(line.endswith("pass") for line in lines)
+
+    @pytest.mark.parametrize("beta", [2, 4])
+    def test_rho2_even_corr_wrong_factor_fails(self, beta, capsys, monkeypatch):
+        # fitted through N = 32, 48, 64, 96 the rows resolve a 1% change of
+        # -1/(6 beta)
+        name = f"rho2-even-corr-beta{beta}"
+        code, out = run(["verify", "--identity", name], capsys)
+        assert code == 0 and out.rstrip().endswith("pass")
+        monkeypatch.setattr(cli.numerics, "correction_factor", lambda b: -1 / (6.06 * b))
+        code, out = run(["verify", "--identity", name], capsys)
+        assert code == 1 and out.rstrip().endswith("FAIL")
 
     def test_rho2_even_corr_beta6(self, capsys, monkeypatch):
         # the paper's even-beta theorem at beta = 6; a 1% change of -1/(6 beta)

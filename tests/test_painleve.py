@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from circbeta import (IntegrationFailure, KernelSpec, e_bulk, e_tau, fredholm_det,
-                      gauss_legendre, painleve, sigma0_series, sigma1_from_sigma0,
-                      sigma1_series, solve_sigma0)
-from circbeta.painleve import (_residual_d1y, _series_integral, _sigma0_coeffs_exact,
-                               sigma1_series_exact)
+from circbeta import (E_CUE_SMALL_S, P0_BETA2, P1_BETA2, IntegrationFailure,
+                      KernelSpec, e_bulk, e_tau, fredholm_det, gauss_legendre, painleve,
+                      sigma0_series, sigma1_from_sigma0, sigma1_series, solve_sigma0)
+from circbeta.painleve import _ORDER, _origin_block, _poly_eval, _residual_d1y
+
+EXACT_X = (Fraction(1), Fraction(1, 3), Fraction(2, 7))    # xi / pi
 
 
 @pytest.fixture
@@ -38,29 +39,77 @@ class TestSeries:
         assert sigma0_series(1.0, 3)[3] == pytest.approx(-0.032251534433199495,
                                                          abs=1e-15)
 
-    def test_refuses_deep_orders(self):
-        with pytest.raises(ValueError):
-            sigma0_series(0.5, 13)
+    def test_deep_orders(self):
+        # the recursion never divides by xi, so deep orders stay accurate
+        assert np.all(np.isfinite(sigma0_series(1.0, 40)))
+        # the terms of the series at t = 4, near its radius of convergence,
+        # against exact arithmetic, relative to the largest; single coefficients
+        # near a sign change lose more digits to cancellation
+        exact = np.array([float(a) for a in _origin_block(Fraction(1, 3), 40)[0]])
+        terms = 4.0 ** np.arange(41)
+        err = np.abs(sigma0_series(np.pi / 3, 40) - exact) * terms
+        assert np.max(err) <= 1e-14 * np.max(np.abs(exact) * terms)
 
     def test_exact_coefficients_known(self):
-        c = _sigma0_coeffs_exact(5)
-        assert dict(c[1]) == {(1, 1): Fraction(-1)}
-        assert dict(c[4]) == {(4, 4): Fraction(-1), (2, 2): Fraction(1, 9)}
-        assert dict(c[5]) == {(5, 5): Fraction(-1), (3, 3): Fraction(5, 36)}
+        for x in EXACT_X:
+            a = _origin_block(x, 5)[0]
+            assert a[:3] == [0, -x, -x ** 2]
+            assert a[4] == -x ** 4 + x ** 2 / 9
+            assert a[5] == -x ** 5 + 5 * x ** 3 / 36
 
     def test_sigma1_boundary_exact(self):
         # the algebraic combination of the series reproduces the stated
         # boundary data through order t^5 exactly in rational arithmetic
-        d = sigma1_series_exact(5)
-        assert dict(d[2]) == {}
-        assert dict(d[3]) == {}
-        assert dict(d[4]) == {(2, 2): Fraction(-1, 9)}
-        assert dict(d[5]) == {(3, 3): Fraction(-5, 36)}
+        for x in EXACT_X:
+            d = [k * f for k, f in enumerate(_origin_block(x, 5)[4])]
+            assert d[:4] == [0, 0, 0, 0]
+            assert d[4] == -x ** 2 / 9
+            assert d[5] == -5 * x ** 3 / 36
 
     def test_sigma1_series_floats(self):
         s = sigma1_series(1.0, 5)
         assert s[4] == pytest.approx(-1.0 / (9 * np.pi ** 2), abs=1e-15)
         assert s[5] == pytest.approx(-5.0 / (36 * np.pi ** 3), abs=1e-15)
+
+
+def _in_t(table, x, max_power, nu_power=0):
+    """The nu^nu_power part of a SeriesTable at xi = pi x, as Taylor
+    coefficients in t = pi s: each term s^a xi^b pi^c is homogeneous, b + c = a."""
+    out = [Fraction(0)] * (max_power + 1)
+    for sp, xp, pp, np_, frac in table.terms:
+        assert xp + pp == sp
+        if np_ == nu_power and sp <= max_power:
+            out[sp] += frac * x ** xp
+    return out
+
+
+def _gap_terms(x):
+    """Exact Taylor coefficients in t through t^11 of E_0 = exp int sigma_0/t
+    and E_1 = E_0 int sigma_1/t."""
+    block = _origin_block(x, 11)
+    e0 = [Fraction(1)]
+    for n in range(1, 12):
+        e0.append(sum(k * block[3][k] * e0[n - k] for k in range(1, n + 1)) / n)
+    return e0, [sum(e0[i] * block[4][n - i] for i in range(n + 1)) for n in range(12)]
+
+
+class TestExactOracle:
+    """The recursion at t = 0 in exact arithmetic against the golden small-s
+    tables: E_0 = exp int sigma_0/t and E_1 = E_0 int sigma_1/t are the nu^0
+    and nu^1 parts of the finite-N gap series, and their second derivatives
+    over xi^2 are the spacing series P_0 and P_1."""
+
+    @pytest.mark.parametrize("x", EXACT_X)
+    def test_gap_series(self, x):
+        e0, e1 = _gap_terms(x)
+        assert e0 == _in_t(E_CUE_SMALL_S, x, 11, 0)
+        assert e1 == _in_t(E_CUE_SMALL_S, x, 11, 1)
+
+    @pytest.mark.parametrize("x", EXACT_X)
+    def test_spacing_series(self, x):
+        for e, table in zip(_gap_terms(x), (P0_BETA2, P1_BETA2)):
+            second = [(n + 2) * (n + 1) * e[n + 2] / x ** 2 for n in range(10)]
+            assert second == _in_t(table, x, 9)
 
 
 class TestSolve:
@@ -99,16 +148,14 @@ class TestSolve:
         series_at = float(np.sum(c * 0.1 ** k))
         assert traj.y[0, -1] == pytest.approx(series_at, abs=1e-8)
 
-    def test_t0_sensitivity(self):
-        a = e_tau(solve_sigma0(1.0, np.pi, t0=1e-2), 1.0, 0)
-        b = e_tau(solve_sigma0(1.0, np.pi, t0=5e-3), 1.0, 0)
-        assert abs(a - b) < 1e-9
-
     def test_range_validation(self):
         with pytest.raises(ValueError):
             solve_sigma0(1.0, 40.0)
         with pytest.raises(ValueError):
             solve_sigma0(1.2, np.pi)
+        for t_max in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                solve_sigma0(0.5, t_max)
 
     def test_supported_range_ends_at_six_pi(self):
         # at xi = 1 the steps leave the solution past t ~ 8 pi for another one of
@@ -118,13 +165,9 @@ class TestSolve:
         with pytest.raises(ValueError, match="supported range"):
             solve_sigma0(1.0, t + 0.1)
 
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            solve_sigma0(1.0, np.pi, tol=0.0)
-
     @pytest.mark.parametrize("xi", [0.25, 0.5, 0.8, 1.0])
     def test_step_count(self, xi):
-        assert solve_sigma0(xi, 2 * np.pi + 0.2).grid.size <= 36
+        assert solve_sigma0(xi, 2 * np.pi + 0.2).grid.size <= 8
 
     @pytest.mark.parametrize("xi", [0.25, 1.0])
     def test_residual_checked_inside_every_step(self, xi, residual_log):
@@ -142,37 +185,41 @@ class TestSolve:
         assert err.value.t_last == np.min(t[t > 2.0])
 
     def test_integration_failure_carries_last_t(self, monkeypatch):
-        # the Taylor recursion of y' = y^2 from y(t0) = 1 in place of the sigma
-        # system: it blows up at t0 + 1, where the steps collapse
-        def blowing_up(c, y, order):
-            u = [1.0 if c == 1e-2 else float(y[0])]
+        # the Taylor recursion of y' = y^2 from y(0) = 1 in place of the sigma
+        # system: it blows up at t = 1, where the steps collapse
+        def taylor(y0, order):
+            u = [y0]
             for k in range(order):
                 u.append(sum(u[i] * u[k - i] for i in range(k + 1)) / (k + 1))
             return np.tile(u, (5, 1))
 
-        monkeypatch.setattr(painleve, "_sigma_taylor", blowing_up)
+        monkeypatch.setattr(painleve, "_origin_block", lambda x, order: taylor(1.0, order))
+        monkeypatch.setattr(painleve, "_sigma_taylor",
+                            lambda c, y, order: taylor(float(y[0]), order))
         with pytest.raises(IntegrationFailure) as err:
-            solve_sigma0(1.0, 2.0, tol=1e-10)
-        assert 0.9 < err.value.t_last - 1e-2 <= 1.05
+            solve_sigma0(1.0, 2.0)
+        assert 0.9 < err.value.t_last <= 1.05
 
     def test_step_count_cap(self, monkeypatch):
-        full = solve_sigma0(0.5, np.pi)
+        full = solve_sigma0(0.5, 3 * np.pi)
         monkeypatch.setattr(painleve, "_MAX_STEPS", 5)
         with pytest.raises(IntegrationFailure) as err:
-            solve_sigma0(0.5, np.pi)
+            solve_sigma0(0.5, 3 * np.pi)
         assert err.value.t_last == full.grid[5]
+
+    @pytest.mark.parametrize("xi", [0.25, 0.5, 0.8, 1.0])
+    def test_first_step_bounded_by_tail_alone(self, xi):
+        # the series at t = 0 carries no parasitic solution, so no cap
+        # proportional to the distance from t = 0 applies to the first step
+        grid = solve_sigma0(xi, 2 * np.pi + 0.2).grid
+        assert grid[0] == 0.0 and grid[1] > 1.0
 
     @pytest.mark.parametrize("xi", [0.25, 0.5, 0.8, 1.0])
     def test_dense_states_against_dop853(self, xi):
         # all five dense states against an independent Runge-Kutta solve of
-        # the same system from the same series data
+        # the same system from the series data at a point off the singular t = 0
         t0, t_max = 1e-2, 2 * np.pi + 0.2
-        c = sigma0_series(xi, 6)
-        k = np.arange(c.size)
-        y0 = np.array([np.sum(c * t0 ** k),
-                       np.sum(k[1:] * c[1:] * t0 ** (k[1:] - 1)),
-                       np.sum(k[2:] * (k[2:] - 1) * c[2:] * t0 ** (k[2:] - 2)),
-                       _series_integral(xi, t0, 0), _series_integral(xi, t0, 1)])
+        y0 = _poly_eval(np.array(_origin_block(xi / np.pi, _ORDER), float), t0)
 
         def rhs(t, y):
             s, sp, spp = y[:3]
@@ -183,7 +230,7 @@ class TestSolve:
         ref = solve_ivp(rhs, (t0, t_max), y0, method="DOP853", rtol=1e-13,
                         atol=1e-15, dense_output=True)
         t = np.linspace(t0, t_max, 1001)
-        assert np.max(np.abs(solve_sigma0(xi, t_max, t0=t0)._dense(t) - ref.sol(t))) <= 1e-10
+        assert np.max(np.abs(solve_sigma0(xi, t_max)._dense(t) - ref.sol(t))) <= 1e-10
 
 
 class TestSigma1:
@@ -228,10 +275,10 @@ class TestTauRoute:
         assert e_tau(sol, 2.0, 1) == pytest.approx(nys, abs=1e-6)
 
     def test_route_equivalence_grid(self):
-        # ten interval lengths, three thinning values
+        # ten interval lengths, four thinning values
         s_grid = np.linspace(0.2, 2.0, 10)
         worst = 0.0
-        for xi in (0.25, 0.5, 1.0):
+        for xi in (0.05, 0.25, 0.5, 1.0):
             sol = sigma1_from_sigma0(solve_sigma0(xi, np.pi * 2.05))
             for s in s_grid:
                 worst = max(worst, abs(e_tau(sol, s, 0) - e_bulk(2, 0, s, xi)),
@@ -240,24 +287,20 @@ class TestTauRoute:
 
     @pytest.mark.parametrize("xi", [0.25, 0.5, 1.0])
     def test_against_gauss_legendre_tail(self, xi):
-        # the series integral to t0 plus a 128-point Gauss-Legendre rule for
-        # int_t0^(pi s) sigma_k / t on the dense sigma_0 trajectory
+        # a 128-point Gauss-Legendre rule for int_0^(pi s) sigma_k / t on the
+        # dense sigma_0 trajectory
         sol = sigma1_from_sigma0(solve_sigma0(xi, 2 * np.pi + 0.2))
 
         def reference(s, order):
-            upper = np.pi * s
-            split = min(sol.t0, upper)
-            integral = [_series_integral(xi, split, k) for k in (0, 1)]
-            if upper > split:
-                rule = gauss_legendre(128, split, upper)
-                t = rule.nodes
-                s0, sp, spp = sol._dense(t)[:3]
-                for k, vals in enumerate((s0, -(2 * t * s0 * sp + t * t * spp) / 12)):
-                    integral[k] += float(np.sum(rule.weights * vals / t))
+            rule = gauss_legendre(128, 0.0, np.pi * s)
+            t = rule.nodes
+            s0, sp, spp = sol._dense(t)[:3]
+            integral = [float(np.sum(rule.weights * vals / t))
+                        for vals in (s0, -(2 * t * s0 * sp + t * t * spp) / 12)]
             e0 = np.exp(integral[0])
             return e0 if order == 0 else e0 * integral[1]
 
-        for s in (0.5 * sol.t0 / np.pi, *np.linspace(0.05, 2.0, 12)):
+        for s in (5e-3 / np.pi, *np.linspace(0.05, 2.0, 12)):
             for order in (0, 1):
                 assert abs(e_tau(sol, s, order) - reference(s, order)) <= 1e-12
 

@@ -20,6 +20,67 @@ def poly_mul(p, q):
     return out
 
 
+def _poly_mul_nu(p, q, top):
+    """Product of two polynomials in x_1..x_k with coefficients in nu, as dicts
+    {(exponents, nu power): Fraction}, dropping x-degrees above top."""
+    out = {}
+    for (a, na), u in p.items():
+        for (b, nb), v in q.items():
+            e = tuple(i + j for i, j in zip(a, b))
+            if sum(e) <= top:
+                out[e, na + nb] = out.get((e, na + nb), 0) + u * v
+    return out
+
+
+def _cue_gap_series(max_s_power):
+    """{(s, xi, pi, nu): Fraction} of the finite-N CUE gap series through
+    s^max_s_power (at most 15), from the cluster expansion in xi."""
+    top = max_s_power - 1
+    # K(u) = sum_m k_m (pi u)^(2m), k_m polynomials in nu, from
+    # sinc(w) = K(w) sinc(w / N) term by term in w^2
+    sinc = [F((-1) ** m, math.factorial(2 * m + 1)) for m in range(top // 2 + 1)]
+    k = []
+    for m in range(len(sinc)):
+        km = {0: sinc[m]}
+        for j in range(1, m + 1):
+            for n, c in k[m - j].items():
+                km[n + j] = km.get(n + j, 0) - sinc[j] * c
+        k.append(km)
+
+    def kernel(i, j, dim):
+        out = {}
+        for m, km in enumerate(k):
+            for r in range(2 * m + 1):
+                e = [0] * dim
+                e[i], e[j] = r, 2 * m - r
+                c = math.comb(2 * m, r) * (-1) ** r
+                for n, v in km.items():
+                    out[tuple(e), n] = out.get((tuple(e), n), 0) + c * v
+        return out
+
+    def det(dim):
+        # 1, 1 - K12^2 and 1 - K12^2 - K13^2 - K23^2 + 2 K12 K13 K23
+        deg = top - dim + 1
+        out = {((0,) * dim, 0): F(1)}
+        pairs = [kernel(i, j, dim) for i in range(dim) for j in range(i + 1, dim)]
+        terms = [(-1, _poly_mul_nu(a, a, deg)) for a in pairs]
+        if dim == 3:
+            terms.append((2, _poly_mul_nu(_poly_mul_nu(*pairs[:2], deg), pairs[2], deg)))
+        for sign, poly in terms:
+            for key, v in poly.items():
+                out[key] = out.get(key, 0) + sign * v
+        return out
+
+    series = {(0, 0, 0, 0): F(1)}
+    for dim in (1, 2, 3):
+        for (e, n), v in det(dim).items():
+            key = (sum(e) + dim, dim, sum(e), n)
+            cube = math.prod(i + 1 for i in e)     # int over (0, s)^dim
+            series[key] = series.get(key, 0) + F(-1) ** dim * v / (
+                math.factorial(dim) * cube)
+    return {key: v for key, v in series.items() if v != 0}
+
+
 class TestTableChecksums:
     def test_gap_series_retyped(self):
         # independent re-typing: nu-polynomials rebuilt from their factored form
@@ -32,9 +93,9 @@ class TestTableChecksums:
                                  [F(1), F(-4)]), F(-1, 291600)),
             (10, 2, 8): (poly_mul(poly_mul([F(1), F(-1)], [F(2), F(-3)]),
                                   [F(1), F(-5), F(7)]), F(-1, 1275750)),
-            (11, 3, 8): (poly_mul(poly_mul([F(1), F(-1)], poly_mul([F(1), F(-4)],
-                                                                   [F(1), F(-4)])),
-                                  [F(6), F(-19)]), F(1, 29767500)),
+            (11, 3, 8): (poly_mul(poly_mul([F(1), F(-1)], [F(1), F(-1)]),
+                                  poly_mul([F(1), F(-4)], [F(6), F(-19)])),
+                         F(1, 29767500)),
         }
         got = E_CUE_SMALL_S.coefficients_through(11)
         want = {(0, 0, 0, 0): F(1), (1, 1, 0, 0): F(-1)}
@@ -43,6 +104,12 @@ class TestTableChecksums:
                 if coeff:
                     want[(sp, xp, pp, np_)] = coeff * scale
         assert got == want
+
+    def test_gap_series_from_cluster_expansion(self):
+        # E = sum_k (-xi)^k / k! int_(0,s)^k det[K(x_i - x_j)] with the finite-N
+        # kernel K(u) = sin(pi u) / (N sin(pi u / N)); the k-point term starts
+        # at s^(k^2), so k <= 3 gives every term through s^11 exactly
+        assert E_CUE_SMALL_S.coefficients_through(11) == _cue_gap_series(11)
 
     def test_beta2_spacing_retyped(self):
         want = {(2, 0, 2, 0): F(1, 3), (4, 0, 4, 0): F(-2, 45),
@@ -114,6 +181,14 @@ class TestSeriesIdentities:
 
     def test_beta1_exact(self):
         assert spacing_series_identity_holds(1)
+
+    @pytest.mark.parametrize("nu_power, table", [(0, P0_BETA2), (1, P1_BETA2)])
+    def test_spacing_tables_are_gap_derivatives(self, nu_power, table):
+        # P = E''/xi^2 term by term, for the nu^0 and nu^1 parts of the gap series
+        part = SeriesTable("e_part", tuple((sp, xp - 2, pp, 0, frac)
+                                           for sp, xp, pp, np_, frac in E_CUE_SMALL_S.terms
+                                           if np_ == nu_power))
+        assert tables_match_through(part.second_derivative(), table, 9)
 
     def test_wrong_factor_fails(self):
         lhs = P0_BETA2.s_squared().second_derivative().scaled(F(-1, 6))
