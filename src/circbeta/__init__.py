@@ -2,7 +2,7 @@
 correlations, gap and spacing generating functions, structure functions, and
 the 1/N^2 correction identities connecting them."""
 
-from .numerics import (QuadratureRule, gauss_legendre, gauss_jacobi, sine_integral,
+from .numerics import (QuadratureRule, gauss_legendre, sine_integral,
                        chebyshev_points, chebyshev_diff_matrix,
                        spectral_derivative, chebyshev_interpolate,
                        correction_factor, correction_residual)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .correlations import rho2_bulk_term
 from .gap import AccuracyWarning
-from .numerics import (chebyshev_interpolate, chebyshev_points, gauss_jacobi, gauss_legendre,
+from .numerics import (chebyshev_interpolate, chebyshev_points, gauss_legendre,
                        inverse_square_fit, spectral_derivative)
 
 F = Fraction
@@ -115,16 +115,22 @@ def _integral_beta2(f, n_nodes: int) -> complex:
 
 # -- beta = 4: de Bruijn Pfaffian of pair integrals, panel split at 1/2 ------
 
+@lru_cache(maxsize=8)
+def _beta4_rules(n: int):
+    """Gauss rules in closed form: for t^(-1/2) on (0, 1), t = r^2 at the positive
+    nodes r of the 2n-point Legendre rule on (-1, 1), twice their weights; Legendre
+    on (0, 1); and Chebyshev for u^(-1/2) (1-u)^(-1/2), with weights pi/n."""
+    sym, leg = gauss_legendre(2 * n, -1.0, 1.0), gauss_legendre(n, 0.0, 1.0)
+    return (sym.nodes[n:] ** 2, 2.0 * sym.weights[n:], leg.nodes, leg.weights,
+            np.sin(np.arange(1, 2 * n, 2) * (np.pi / (4 * n))) ** 2)
+
+
 def _integral_beta4(f, n_nodes: int) -> complex:
     """24 Pf[Q], Q_jk = int_{0<=x<=y<=1} (x^j y^k - x^k y^j) h(x) h(y) dx dy
     with h(u) = f(u) u^(-1/2) (1-u)^(-1/2); spectrally accurate panel split."""
-    gjl = gauss_jacobi(n_nodes, -0.5, 0.0)          # weight t^(-1/2) on (0,1)
-    leg = gauss_legendre(n_nodes, 0.0, 1.0)
-    gjj = gauss_jacobi(n_nodes, -0.5, -0.5)
-    tl, wl, xg, wg, xj, wj = (gjl.nodes, gjl.weights, leg.nodes, leg.weights,
-                              gjj.nodes, gjj.weights)
+    tl, wl, xg, wg, xj = _beta4_rules(n_nodes)
     fx = f(xj)
-    M = np.array([np.sum(wj * xj ** p * fx) for p in range(4)])
+    M = np.pi / n_nodes * np.array([np.sum(xj ** p * fx) for p in range(4)])
     # left panel y in (0, 1/2): the y^(+-1/2) factors cancel between h(y) and
     # the inner integral; plain outer rule on the analytic remainder
     yl = xg / 2.0

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -112,8 +113,8 @@ def cmd_rho2(args):
         values = beta_even.rho2_even_beta(6, grid, None if limit else args.N)
         rows = [[float(x), float(v)] + [float("nan")] * limit for x, v in zip(grid, values)]
     elif limit:
-        rows = [[float(x), correlations.rho2_bulk_term(args.beta, 0, float(x)),
-                 correlations.rho2_bulk_term(args.beta, 1, float(x))] for x in grid]
+        rho0, rho1 = (correlations.rho2_bulk_term(args.beta, o, grid) for o in (0, 1))
+        rows = [[float(x), float(a), float(b)] for x, a, b in zip(grid, rho0, rho1)]
     else:
         rows = [[float(x), correlations.rho2_bulk_finite(args.beta, args.N, float(x))]
                 for x in grid]
@@ -191,11 +192,11 @@ def _identity_registry():
         "rho2-corr-beta2": _cheb(2, 1e-8, c(2), (0, 2), rho2_x, rho2(2)),
         "rho2-corr-beta4": _cheb(4, 1e-7, c(4), (0, 2), rho2_x, rho2(4)),
         "rho2-second-beta2": _cheb(2, 1e-8, -np.pi ** 2 / 60, (2, 2), rho2_x, rho2_second),
-        "sff-x6-beta1": (1, 1e-10, lambda: max(sff.verify_x6(1).residual1,
-                                               sff.verify_x6(1).residual2)),
-        "sff-x6-beta4": (4, 1e-10, lambda: max(sff.verify_x6(4).residual1,
-                                               sff.verify_x6(4).residual2)),
-        "sff-symmetry": (None, 1e-10, _sff_symmetry_residual),
+        "sff-x6-beta1": (1, 1e-10, lambda: max(astuple(sff.verify_x6(1)))),
+        "sff-x6-beta4": (4, 1e-10, lambda: max(astuple(sff.verify_x6(4)))),
+        # r4's zeros are off the circle; sff-zeros-r4 checks it against the oracle
+        "sff-symmetry": (None, 1e-10, lambda: 1.0 if not sff._series_antisymmetric() else
+                         sff.root_modulus_deviation(("p2", "p4", "q2", "q4", "r2"))),
         "sff-zeros-r4": (None, 1e-10, _r4_oracle_residual),
         "rho2-even-corr-beta2": _cheb(2, 1e-8, c(2), (0, 2), even_x, rho2_even(2)),
         "rho2-even-corr-beta4": _cheb(4, 3e-8, c(4), (0, 2), even_x, rho2_even(4)),
@@ -204,13 +205,6 @@ def _identity_registry():
                                     lambda: beta_even.verify_moment_recurrence(2)),
     }
     return entries
-
-
-def _sff_symmetry_residual():
-    rep = sff.check_functional_symmetry_and_zeros()
-    if not rep.antisymmetry_ok:
-        return 1.0
-    return sff.root_modulus_deviation(("p2", "p4", "q2", "q4", "r2"))
 
 
 def _r4_oracle_residual():
@@ -233,6 +227,8 @@ def cmd_verify(args):
             print(f"unknown identity {args.identity!r}; known: "
                   + ", ".join(sorted(registry)), file=sys.stderr)
             return 2
+        if args.beta not in (None, registry[args.identity][0]):
+            raise ValueError(f"identity {args.identity!r} is not a beta = {args.beta} row")
         names = [args.identity]
     else:
         names = [n for n, (b, _, _) in registry.items()

@@ -1,4 +1,4 @@
-"""Quadrature rules, the sine integral, the digamma function, Chebyshev spectral
+"""Gauss-Legendre rules, the sine integral, the digamma function, Chebyshev spectral
 differentiation, and the one engine that checks every correction-to-limit
 identity, shared by the other modules. numpy and the standard library only."""
 
@@ -29,7 +29,7 @@ def _read_only(*arrays):
     return arrays
 
 
-# Each Gauss rule is built once per order (and Jacobi exponents) and shared as
+# Each Gauss-Legendre rule is built once per order and shared as
 # read-only arrays. A Legendre entry holds the nodes and weights on (-1, 1),
 # mapped per call so that callers whose intervals vary share the entry of each
 # order, and the rule on (0, 1), which the quadrature engines ask for by the
@@ -38,48 +38,6 @@ def _read_only(*arrays):
 def _legendre(n: int):
     x, w = _read_only(*leggauss(n))
     return x, w, QuadratureRule(*_read_only(0.5 * x + 0.5, 0.5 * w))
-
-
-def _jacobi_p(n: int, al: float, be: float, x):
-    """P_n and (1 - x^2) P_n' of the Jacobi family for the weight
-    (1-x)^al (1+x)^be, by the three-term recurrence (n >= 1)."""
-    ab = al + be
-    k = np.arange(2, n + 1)
-    c = 2 * k + ab
-    den = 2 * k * (k + ab) * (c - 2)
-    # P_k = a_k(x) P_{k-1} - u_k P_{k-2}, with a_k(x) linear in x
-    a = np.multiply.outer((c - 1) * c * (c - 2) / den, x) + ((c - 1) * (al * al - be * be) / den)[:, None]
-    u = (2 * (k + al - 1) * (k + be - 1) * c / den).tolist()
-    prev, cur = np.ones_like(x), (al + 1.0) + (ab + 2.0) * (x - 1.0) / 2.0
-    for a_k, u_k in zip(a, u):
-        prev, cur = cur, a_k * cur - u_k * prev
-    c = 2 * n + ab
-    return cur, (n * (al - be - c * x) * cur + 2 * (n + al) * (n + be) * prev) / c
-
-
-@lru_cache(maxsize=32)
-def _jacobi(n: int, a_exp: float, b_exp: float) -> QuadratureRule:
-    """Golub-Welsch (Math. Comp. 23 (1969) 221) for the weight
-    (1-x)^b_exp (1+x)^a_exp on (-1, 1), one Newton step on the nodes, weights
-    from 1/((1-x)(1+x) P_n'^2); then u = (1+x)/2."""
-    al, be = b_exp, a_exp
-    ab = al + be
-    k = np.arange(1, n)
-    c = 2 * k + ab
-    diag = np.concatenate(([(be - al) / (ab + 2)], (be * be - al * al) / (c * (c + 2))))
-    k, c = k[1:], c[1:]
-    # the first entry in closed form: the general one is 0/0 at al + be = -1,
-    # the beta = 4 weight
-    off2 = np.concatenate(([4 * (1 + al) * (1 + be) / ((2 + ab) ** 2 * (3 + ab))],
-                           4 * k * (k + al) * (k + be) * (k + ab) / (c * c * (c + 1) * (c - 1))))
-    off2 = off2[:n - 1]
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(np.sqrt(off2), 1), UPLO="U")
-    p, dp = _jacobi_p(n, al, be, x)
-    x = x - (1 - x * x) * p / dp
-    p, dp = _jacobi_p(n, al, be, x)
-    w = (1 - x * x) / dp ** 2
-    mass = math.exp(math.lgamma(a_exp + 1) + math.lgamma(b_exp + 1) - math.lgamma(a_exp + b_exp + 2))
-    return QuadratureRule(*_read_only((x + 1.0) / 2.0, w * (mass / w.sum())))
 
 
 def _whole(name: str, v) -> int:
@@ -105,88 +63,41 @@ def gauss_legendre(n: int, lo: float, hi: float) -> QuadratureRule:
     return QuadratureRule(*_read_only(half * x + 0.5 * (hi + lo), half * w))
 
 
-def gauss_jacobi(n: int, a_exp: float, b_exp: float) -> QuadratureRule:
-    """n-point Gauss-Jacobi rule on (0, 1) for the weight u^a_exp (1-u)^b_exp;
-    the arrays are read-only."""
-    n = _whole("n", n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not (math.isfinite(a_exp) and math.isfinite(b_exp)) or a_exp <= -1 or b_exp <= -1:
-        raise ValueError(f"exponents must be finite and exceed -1, got ({a_exp}, {b_exp})")
-    return _jacobi(n, float(a_exp), float(b_exp))
-
-
 # ---------------------------------------------------------------------------
-# The sine integral, piece by piece. On the piece [c - h, c + h] of |x|,
-#   Si = alpha + P0(s) cos|x| + P1(s) sin|x|,   s = (|x| - c)/h,
-# with P0, P1 polynomials of degree _SI_TERMS - 1. Below 2.25 (pieces of
-# half-width 1/4 centred at 0, 1/2, ..., 2) alpha = 0, P0 = Si cos, P1 = Si sin,
-# both entire. Above, four pieces an octave up to 2^57, past which Si rounds to
-# pi/2: alpha = pi/2, P0 = -f, P1 = -g with g - i f = e^{ix} E1(ix), the
-# auxiliary functions. Each polynomial interpolates its function at Chebyshev
-# points: Si from its power series; g - i f from the continued fraction of
-# e^z E1(z) below 64 and from the asymptotic series above. Every element takes
-# the same fixed sequence of operations, so an array gives the bits of the
-# scalar calls.
-_SI_TERMS = 16
-# coefficient j of both rows sits at row _SI_SLOT[j] of the table, in
-# bit-reversed order, so that each halving step of Estrin's scheme pairs two
-# contiguous blocks
-_SI_SLOT = [int(f"{j:04b}"[::-1], 2) for j in range(_SI_TERMS)]
+# The sine integral (DLMF 6.6, 6.9, 6.12). Below 2.25, its power series; above,
+# Si = pi/2 - f cos|x| - g sin|x| with the auxiliary functions g - i f =
+# e^{ix} E1(ix): the continued fraction of e^z E1(z), in real arithmetic, below
+# 64, and their asymptotic series up to 2^57, past which Si rounds to pi/2.
+# Every element runs every formula on its argument clipped into that formula's
+# range, so an array gives the bits of the scalar calls and nothing overflows.
 
-
-def _si_table():
-    d = _SI_TERMS
-    s = np.cos(np.pi * (np.arange(d) + 0.5) / d)
-    top = 2.25 * 2.0 ** (np.arange(225) / 4.0)
-    c = np.concatenate((np.arange(5) / 2.0, (top[1:] + top[:-1]) / 2))
-    h = np.concatenate((np.full(5, 0.25), (top[1:] - top[:-1]) / 2))
-    x = c[:, None] + h[:, None] * s
-    vals = np.empty((2,) + x.shape)
-    near = x[:5]
-    si = np.zeros_like(near)
-    for k in range(25, -1, -1):
-        si = si * -near * near + 1.0 / ((2 * k + 1) * math.factorial(2 * k + 1))
-    si *= near
-    vals[:, :5] = si * np.cos(near), si * np.sin(near)
-    far = x[5:]
-    gf = np.empty(far.shape, complex)                     # g - i f
-    low = far < 64.0
-    z, t = 1j * far[low], 0.0
-    for k in range(100, 0, -1):
-        t = k * k / (z + 2 * k + 1 - t)
-    gf[low] = 1.0 / (z + 1 - t)
-    y = -1.0 / far[~low] ** 2
+def sine_integral(x):
+    """Si(x) = integral of sin(t)/t from 0 to x, to 5e-16 absolute."""
+    x = np.asarray(x, float)
+    ax = np.abs(x)
+    near = np.minimum(ax, 2.25)
+    y = -near * near
+    series = 0.0
+    for k in range(13, -1, -1):
+        series = series * y + 1.0 / ((2 * k + 1) * math.factorial(2 * k + 1))
+    # 1/(z + 1 - t), t = 1/(z + 3 - 4/(z + 5 - ...)) = p - i q at z = i mid, from the tail up
+    mid = np.clip(ax, 2.25, 64.0)
+    p = q = 0.0
+    for k in range(90, 0, -1):
+        a, b = 2 * k + 1 - p, mid + q
+        d = k * k / (a * a + b * b)
+        p, q = a * d, b * d
+    a, b = 1.0 - p, mid + q
+    d = a * a + b * b
+    top = np.minimum(ax, 2.0 ** 57)
+    far = np.maximum(top, 64.0)
+    y = -1.0 / (far * far)
     f = g = 0.0
     for k in range(10, -1, -1):
         f, g = f * y + math.factorial(2 * k), g * y + math.factorial(2 * k + 1)
-    gf[~low] = -g * y - 1j * f / far[~low]
-    vals[:, 5:] = gf.imag, -gf.real
-    # coef[j, row, piece]: the interpolants in powers of s
-    coef = np.linalg.solve(np.vander(s, increasing=True), vals.transpose(2, 0, 1).reshape(d, -1))
-    coef = coef.reshape(d, 2, -1)
-    coef[0::2, 0, 0] = coef[1::2, 1, 0] = 0.0   # parities at 0, so that Si(0) = 0
-    table = np.vstack((coef[np.argsort(_SI_SLOT)].reshape(2 * d, -1),
-                       np.where(c < 2.25, 0.0, np.pi / 2), c, 1.0 / h))
-    return _read_only(table)[0], np.concatenate((c[:5] + 0.25, top[1:-1])), c[-1]
-
-
-_SI_TABLE, _SI_EDGES, _SI_TOP = _si_table()
-
-
-def sine_integral(x):
-    """Si(x) = integral of sin(t)/t from 0 to x, to 1e-15 absolute."""
-    x = np.asarray(x, float)
-    ax = np.minimum(np.abs(x), _SI_TOP).ravel()
-    t = _SI_TABLE.take(np.searchsorted(_SI_EDGES, ax, side="right"), axis=1, mode="clip")
-    s = (ax - t[-2]) * t[-1]
-    p = t[:-3].reshape(_SI_TERMS, 2, -1)
-    for half in (8, 4, 2):              # Estrin's scheme
-        p = p[:half] + p[half:] * s
-        s = s * s
-    p = p[0] + p[1] * s
-    si = t[-3] + p[0] * np.cos(ax) + p[1] * np.sin(ax)
-    return np.copysign(si.reshape(x.shape), x)[()]
+    f, g = np.where(ax < 64.0, b / d, f / far), np.where(ax < 64.0, a / d, -g * y)
+    si = np.where(ax < 2.25, series * near, np.pi / 2 - f * np.cos(top) - g * np.sin(top))
+    return np.copysign(si, x)[()]
 
 
 # B_2k/(2k) of the asymptotic series, highest k first

@@ -391,6 +391,12 @@ def _antisymmetry_holds(order: int, m: int) -> bool:
     return True
 
 
+def _series_antisymmetric() -> bool:
+    """Whether every stored series coefficient obeys _antisymmetry_holds."""
+    return all(_antisymmetry_holds(order, m)
+               for order, powers in SERIES_POWERS.items() for m in powers)
+
+
 def root_modulus_deviation(names) -> float:
     """Largest ||z| - 1| over the zeros of the named POLYNOMIALS."""
     worst = 0.0
@@ -416,6 +422,5 @@ def check_functional_symmetry_and_zeros() -> SymmetryReport:
     (oracle_series_coefficients) decides that this r4 is the true quartic, so
     max_root_modulus_deviation is r4's ~1.108.
     """
-    ok = all(_antisymmetry_holds(order, m)
-             for order, powers in SERIES_POWERS.items() for m in powers)
-    return SymmetryReport(ok, root_modulus_deviation(("p2", "p4", "q2", "q4", "r2", "r4")))
+    return SymmetryReport(_series_antisymmetric(),
+                          root_modulus_deviation(("p2", "p4", "q2", "q4", "r2", "r4")))

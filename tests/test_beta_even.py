@@ -206,6 +206,22 @@ class TestRho2EvenBeta:
             want = 4.0 * rho2_bulk_term(4, 0, 2 * x)
             assert rho2_even_beta(4, x) == pytest.approx(want, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [48, 96])
+    def test_beta4_limit_at_both_orders(self, n):
+        xs = np.linspace(0.05, 3.3, 40)
+        got = np.array([rho2_even_beta(4, x, quad_order=n, check_convergence=False)
+                        for x in xs])
+        assert np.max(np.abs(got - 4.0 * rho2_bulk_term(4, 0, 2 * xs))) <= 1e-12
+
+    @pytest.mark.parametrize("N", [-16.5, -20.5, -40.5])
+    def test_beta4_negative_N_against_holonomic(self, N):
+        # certified pfaffian values (an AccuracyWarning is an error here) out
+        # to x = 3.3, where a single-panel rule loses 1e-3 between its orders
+        xs = np.linspace(0.1, 3.3, 17)
+        got = np.array([rho2_even_beta(4, x, N) for x in xs])
+        want = rho2_even_beta(4, xs, N, method="holonomic")
+        assert np.max(np.abs(got - want)) <= 1e-9
+
     @pytest.mark.parametrize("beta", [2, 4])
     @pytest.mark.parametrize("N", [None, 16, 20.5, 32, 64, -20.5])
     def test_holonomic_matches_default_engines(self, beta, N):

@@ -155,6 +155,20 @@ class TestVerify:
         code, _ = run(["verify", "--identity", "nope"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("name, beta", [("e-corr-beta2", 4), ("rho2-even-corr-beta6", 2),
+                                            ("sff-symmetry", 2), ("sff-zeros-r4", 1)])
+    def test_identity_beta_mismatch_exits_2(self, name, beta, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--identity", name, "--beta", str(beta)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage:" in captured.err and name in captured.err
+
+    def test_identity_with_matching_beta_runs(self, capsys):
+        code, out = run(["verify", "--identity", "sff-x6-beta4", "--beta", "4"], capsys)
+        assert code == 0
+        assert out.startswith("sff-x6-beta4") and out.rstrip().endswith("pass")
+
     def test_tol_scale_can_force_failure(self, capsys):
         code, out = run(["verify", "--identity", "rho2-corr-beta2",
                          "--tol-scale", "1e-12"], capsys)

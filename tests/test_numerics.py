@@ -3,10 +3,9 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import roots_jacobi
 
 from circbeta import (chebyshev_interpolate, chebyshev_points, correction_factor,
-                      correction_residual, gauss_jacobi, gauss_legendre, sine_integral,
+                      correction_residual, gauss_legendre, sine_integral,
                       spectral_derivative)
 from circbeta.numerics import digamma
 
@@ -75,58 +74,6 @@ class TestGaussLegendre:
             assert np.array_equal(gauss_legendre(n, 0.0, 1.0).nodes, want.nodes)
 
 
-class TestGaussJacobi:
-    def test_flat_weight_matches_legendre(self):
-        gj = gauss_jacobi(12, 0.0, 0.0)
-        gl = gauss_legendre(12, 0.0, 1.0)
-        assert np.allclose(gj.nodes, gl.nodes, atol=1e-13)
-        assert np.allclose(gj.weights, gl.weights, atol=1e-13)
-
-    def test_beta_function_normalization(self):
-        # integral of u^(-1/2) (1-u)^(-1/2) = Beta(1/2, 1/2) = pi
-        r = gauss_jacobi(24, -0.5, -0.5)
-        assert np.sum(r.weights) == pytest.approx(np.pi, abs=1e-12)
-
-    def test_first_moment_symplectic_weight(self):
-        r = gauss_jacobi(24, -0.5, -0.5)
-        assert r.integrate(lambda u: u) == pytest.approx(np.pi / 2.0, abs=1e-12)
-
-    @pytest.mark.parametrize("a,b", [(-0.5, -0.5), (0.0, 0.5), (1.5, -0.25)])
-    def test_moments(self, a, b):
-        n = 20
-        r = gauss_jacobi(n, a, b)
-        from scipy.special import beta as beta_fn
-        for p in range(2 * n):
-            exact = beta_fn(a + p + 1.0, b + 1.0)
-            assert r.integrate(lambda u: u ** p) == pytest.approx(exact, rel=1e-11)
-
-    def test_bad_exponent(self):
-        with pytest.raises(ValueError):
-            gauss_jacobi(8, -1.0, 0.0)
-
-    @pytest.mark.parametrize("a,b", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0),
-                                     (0.0, -np.inf)])
-    def test_non_finite_exponent(self, a, b):
-        with pytest.raises(ValueError, match="finite"):
-            gauss_jacobi(3, a, b)
-
-    @pytest.mark.parametrize("n", [2.5, np.nan, "8"])
-    def test_non_integer_order(self, n):
-        with pytest.raises(ValueError, match="n must be an integer"):
-            gauss_jacobi(n, -0.5, -0.5)
-
-    @pytest.mark.parametrize("n", [1, 2, 24, 64, 128])
-    @pytest.mark.parametrize("a,b", [(-0.5, -0.5), (-0.5, 0.0), (-2 / 3, -2 / 3), (2.5, 0.3)])
-    def test_against_scipy(self, n, a, b):
-        # scipy's weight (1-x)^alpha (1+x)^beta on (-1, 1), with u = (1+x)/2
-        x, w = roots_jacobi(n, b, a)
-        r = gauss_jacobi(n, a, b)
-        assert np.max(np.abs(r.nodes - (x + 1) / 2)) <= 1e-15
-        if n <= 64:
-            want = w / 2.0 ** (a + b + 1)
-            assert np.max(np.abs(r.weights / want - 1)) <= 1e-11
-
-
 class TestSineIntegral:
     def test_zero(self):
         assert sine_integral(0.0) == 0.0
@@ -143,8 +90,8 @@ class TestSineIntegral:
         assert oracle == pytest.approx(1.851937051982466, abs=1e-12)
         assert sine_integral(np.pi) == pytest.approx(oracle, abs=1e-12)
 
-    # dense across the piece seams, above all the series/auxiliary seam at 2.25
-    # and the continued-fraction/asymptotic seam at 64
+    # dense across the formula seams: series/continued fraction at 2.25 and
+    # continued fraction/asymptotic series at 64
     GRID = np.unique(np.concatenate((
         np.linspace(-200.0, 200.0, 1601), np.linspace(1.9, 2.6, 141),
         np.linspace(60.0, 68.0, 161), [1e3, -1e3, 1e8, 1e15, 2.0 ** 57, 1e20])))
@@ -153,7 +100,7 @@ class TestSineIntegral:
         with mpmath.workdps(30):
             want = np.array([float(mpmath.si(mpmath.mpf(float(v)))) for v in self.GRID])
         got = sine_integral(self.GRID)
-        assert np.max(np.abs(got - want)) <= 1e-15
+        assert np.max(np.abs(got - want)) <= 5e-16
 
     def test_special_values(self):
         assert sine_integral(np.inf) == np.pi / 2
@@ -161,6 +108,16 @@ class TestSineIntegral:
         assert np.isnan(sine_integral(np.nan))
         assert sine_integral(0.0) == 0.0 and sine_integral(-0.0) == 0.0
         assert np.all(sine_integral(-self.GRID) == -sine_integral(self.GRID))
+
+    def test_no_floating_point_exceptions(self):
+        # every element runs every formula on a clipped argument; underflow
+        # (of 5e-324 squared) is ignored, as in numpy's default
+        grid = np.concatenate((self.GRID, [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300,
+                                           5e-324]))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            sine_integral(grid)
+            for v in grid:
+                sine_integral(float(v))
 
     def test_array_matches_scalar_calls(self):
         grid = np.concatenate((self.GRID, [np.inf, np.nan, 0.0]))
