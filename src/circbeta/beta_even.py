@@ -275,6 +275,11 @@ def rho2_even_beta(beta: int, x, N: int | float | None = None,
     constant through the evenness product, so any real (including negative)
     N is accepted and the value is even in N; its N -> oo form, with
     (kappa N)^beta for the product, gives the limit."""
+    return _rho2_even(beta, x, N, quad_order, method, check_convergence)
+
+
+def _rho2_even(beta, x, N, quad_order, method, check_convergence):
+    # the library's own holonomic calls enter here: bench/tracer.py has no holonomic group
     if beta not in _METHODS:
         raise ValueError("beta must be 2, 4, or 6")
     xs = np.asarray(x, dtype=float)
@@ -314,15 +319,14 @@ def rho2_even_beta(beta: int, x, N: int | float | None = None,
     return float(got) if got.ndim == 0 else got
 
 
-def rho2_correction_estimate(beta: int, x, N_pair=(32, 48, 64, 96)):
+def rho2_correction_estimate(beta: int, x):
     """Richardson estimate of the 1/N^2 coefficient of the two-point function
-    at separation x (a number or an array): the exact fit {1, 1/N^2, ...,
-    1/N^(2k-2)} through the k values of N in N_pair (two or more, each at
-    least 16)."""
-    if min(N_pair) < 16:
-        raise ValueError("need N >= 16")
-    vals = [rho2_even_beta(beta, x, N, check_convergence=False) for N in N_pair]
-    fit = inverse_square_fit(N_pair, vals)[1]
+    at separation x (a number or an array, |x| < 16): the exact fit {1, 1/N^2,
+    1/N^4, 1/N^6} through N = 32, 48, 64, 96, one holonomic continuation per N
+    at its first step setting."""
+    Ns = (32, 48, 64, 96)
+    fit = inverse_square_fit(Ns, [_rho2_even(beta, x, N, None, "holonomic", False)
+                                  for N in Ns])[1]
     return float(fit) if np.ndim(fit) == 0 else fit
 
 

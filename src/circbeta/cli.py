@@ -148,8 +148,9 @@ def _cheb(beta, tol, c, powers, span, samplers):
 
 def _identity_registry():
     c = numerics.correction_factor
-    gap_s = (0.0, 1.05 * 3.0, np.linspace(0.1, 3.0, 31), 64)
-    spacing_s = (0.0, 1.1 * 2.5, np.linspace(0.2, 2.5, 24), spacing.CHEB_NODES)
+    gap_s = (0.0, 1.05 * 3.0, np.linspace(0.1, 3.0, 31), spacing.CHEB_NODES)
+    # one span: the p-rows differentiate the e-rows' e_bulk samples
+    spacing_s = (*gap_s[:2], np.linspace(0.2, 2.5, 24), spacing.CHEB_NODES)
     rho2_x = (0.1, 1.1 * 3.0, np.linspace(0.2, 3.0, 15), 96)
     even_x = (0.1, 1.1 * 2.0, np.linspace(0.2, 2.0, 7), 32)
 
@@ -158,21 +159,17 @@ def _identity_registry():
 
     def p_bulk(beta):
         # the samples p_bulk interpolates, taken on the engine's own nodes
-        hi = spacing_s[1]
-        return [_orders(lambda o, xs, xi=xi: spacing._p_samples(beta, xi, hi)[o])
+        return [_orders(lambda o, xs, xi=xi: spacing._p_samples(beta, xi, gap_s[1])[o])
                 for xi in (0.5, 1.0)]
 
     def rho2(beta):
         return [_orders(lambda o, xs: correlations.rho2_bulk_term(beta, o, xs))]
 
     def rho2_even(beta):
-        return [(lambda xs: np.array([beta_even.rho2_even_beta(
-                     beta, x, None, check_convergence=False) for x in xs]),
+        # Q0 from one certified holonomic continuation, Q1 from one per N
+        return [(lambda xs: beta_even._rho2_even(beta, xs, None, None, "holonomic", True),
                  lambda xs: beta_even.rho2_correction_estimate(beta, xs))]
 
-    # one continuation for each N serves the Chebyshev x of the beta = 6 row
-    rho2_even6 = [(lambda xs: beta_even.rho2_even_beta(6, xs),
-                   lambda xs: beta_even.rho2_correction_estimate(6, xs))]
     e_pm = [_orders(lambda o, xs, sg=sg: gap.e_pm(sg, o, xs, 0.8)) for sg in (+1, -1)]
     rho2_second = [(lambda xs: correlations.rho2_bulk_term(2, 0, xs),
                     lambda xs: correlations.rho2_bulk_term(2, 2, xs))]
@@ -181,9 +178,9 @@ def _identity_registry():
         "e-corr-beta1": _cheb(1, 1e-5, c(1), (2, 0), gap_s, e_bulk(1)),
         "e-corr-beta4": _cheb(4, 1e-5, c(4), (2, 0), gap_s, e_bulk(4)),
         "e-corr-pm": _cheb(1, 1e-5, c(1), (2, 0), gap_s, e_pm),
-        "p-corr-beta2": _cheb(2, 1e-4, c(2), (0, 2), spacing_s, p_bulk(2)),
-        "p-corr-beta1": _cheb(1, 1e-4, c(1), (0, 2), spacing_s, p_bulk(1)),
-        "p-corr-beta4": _cheb(4, 1e-4, c(4), (0, 2), spacing_s, p_bulk(4)),
+        "p-corr-beta2": _cheb(2, 1e-7, c(2), (0, 2), spacing_s, p_bulk(2)),
+        "p-corr-beta1": _cheb(1, 1e-7, c(1), (0, 2), spacing_s, p_bulk(1)),
+        "p-corr-beta4": _cheb(4, 1e-7, c(4), (0, 2), spacing_s, p_bulk(4)),
         "p-series-beta2": (2, 0.5, lambda: 0.0
                            if spacing.spacing_series_identity_holds(2) else 1.0),
         "p-series-beta1": (1, 0.5, lambda: 0.0
@@ -200,7 +197,7 @@ def _identity_registry():
         "sff-zeros-r4": (None, 1e-10, _r4_oracle_residual),
         "rho2-even-corr-beta2": _cheb(2, 1e-8, c(2), (0, 2), even_x, rho2_even(2)),
         "rho2-even-corr-beta4": _cheb(4, 3e-8, c(4), (0, 2), even_x, rho2_even(4)),
-        "rho2-even-corr-beta6": _cheb(6, 2e-8, c(6), (0, 2), even_x, rho2_even6),
+        "rho2-even-corr-beta6": _cheb(6, 2e-8, c(6), (0, 2), even_x, rho2_even(6)),
         "moment-recurrence-beta2": (2, 1e-11,
                                     lambda: beta_even.verify_moment_recurrence(2)),
     }
@@ -237,7 +234,6 @@ def cmd_verify(args):
     failed = False
     for name in names:
         beta, tol, fn = registry[name]
-        tol *= args.tol_scale
         residual = float(fn())
         ok = residual <= tol
         failed |= not ok
@@ -245,7 +241,7 @@ def cmd_verify(args):
         print(f"{name:28s} residual={residual:9.3e} tol={tol:8.1e} "
               f"{'pass' if ok else 'FAIL'}")
     if args.out or args.format == "json":
-        _emit(args, "verify", {"tol_scale": args.tol_scale},
+        _emit(args, "verify", {"identity": args.identity, "beta": args.beta},
               ["identity", "residual", "tolerance", "status"], rows)
     return 1 if failed else 0
 
@@ -296,7 +292,6 @@ def build_parser():
     p = sub.add_parser("verify", help="run identity checks against tolerances")
     p.add_argument("--identity", default=None)
     p.add_argument("--beta", type=int, choices=(1, 2, 4, 6), default=None)
-    p.add_argument("--tol-scale", type=float, default=1.0)
     _add_common(p, with_range=False)
     p.set_defaults(func=cmd_verify)
 

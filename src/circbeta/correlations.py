@@ -92,7 +92,9 @@ def rho_n_pfaffian(beta: int, N: int, angles) -> float:
 def rho2_bulk_finite(beta: int, N: int, x: float) -> float:
     """Bulk-scaled two-point function at separation x for finite N, in the
     convention matching rho2_bulk_term (unit density for beta = 1, 2; density
-    one half for beta = 4)."""
+    one half for beta = 4); N must be an integer >= 2."""
+    if not (float(N).is_integer() and N >= 2):
+        raise ValueError(f"N must be an integer >= 2, got N = {N}")
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got x = {x}")
     if beta == 2:

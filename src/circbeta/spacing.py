@@ -150,10 +150,10 @@ def _p_samples(beta: int, xi: float, s_max: float):
                  / xi ** 2 for order in (0, 1))
 
 
-def p_bulk(beta: int, order: int, s, xi: float, s_max: float = 3.0):
+def p_bulk(beta: int, order: int, s, xi: float):
     """Spacing generating function term P_order(s; xi) = E_order''(s; xi)/xi^2
     at a scalar or an array s, interpolated on one Chebyshev interval
-    [0, max(s_max, 1.1 max(s))].
+    [0, max(3, 1.1 max(s))].
 
     At xi = 0 the generating function reduces to the two-point correlation,
     which is returned from the closed forms directly.
@@ -168,7 +168,7 @@ def p_bulk(beta: int, order: int, s, xi: float, s_max: float = 3.0):
             # density-one variables: 4 rho(2x) in the closed-form convention
             return 4.0 * correlations.rho2_bulk_term(4, order, 2.0 * s)
         return correlations.rho2_bulk_term(beta, order, s)
-    hi = max(s_max, 1.1 * float(np.max(s)))
+    hi = max(3.0, 1.1 * float(np.max(s)))
     samples = _p_samples(beta, float(xi), float(hi))[order]
     return chebyshev_interpolate(samples, 0.0, hi, s)
 

@@ -399,9 +399,14 @@ class TestVerify421:
         d2 = (g(x + h) - 2 * g(x) + g(x - h)) / h ** 2
         assert -d2 / 12 == pytest.approx(-np.sin(np.pi * x) ** 2 / 3, abs=1e-6)
 
-    def test_small_N_rejected(self):
-        with pytest.raises(ValueError):
-            rho2_correction_estimate(2, 0.5, N_pair=(8, 16))
+    @pytest.mark.parametrize("beta", [2, 4, 6])
+    def test_estimate_is_one_continuation_per_N(self, beta, monkeypatch):
+        calls = []
+        engine = beta_even._holonomic
+        monkeypatch.setattr(beta_even, "_holonomic",
+                            lambda *a: calls.append(a[2]) or engine(*a))
+        got = rho2_correction_estimate(beta, np.linspace(0.1, 2.2, 32))
+        assert got.shape == (32,) and calls == [32, 48, 64, 96]
 
 
 def distinct_monomials(a, us):

@@ -77,6 +77,14 @@ class TestCommands:
         assert code == 0 and len(out.strip().splitlines()) == 31
         assert calls == [30, 30]
 
+    @pytest.mark.parametrize("beta, N", [(2, 0), (1, 1), (4, 1)])
+    def test_rho2_small_N_exits_2(self, beta, N, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["rho2", "--beta", str(beta), "--N", str(N)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "N must be an integer >= 2" in captured.err
+
     def test_rho2_beta6_json_is_strict(self, capsys):
         # the limit has no closed-form rho1 at beta = 6: null, never a NaN token
         code, out = run(["rho2", "--beta", "6", "--x", "0.7", "--format", "json"], capsys)
@@ -169,11 +177,26 @@ class TestVerify:
         assert code == 0
         assert out.startswith("sff-x6-beta4") and out.rstrip().endswith("pass")
 
-    def test_tol_scale_can_force_failure(self, capsys):
-        code, out = run(["verify", "--identity", "rho2-corr-beta2",
-                         "--tol-scale", "1e-12"], capsys)
+    def test_failing_row_exits_1(self, capsys, monkeypatch):
+        registry = cli._identity_registry()
+        registry["rho2-corr-beta2"] = (2, 1e-8, lambda: 1.0)
+        monkeypatch.setattr(cli, "_identity_registry", lambda: registry)
+        code, out = run(["verify", "--beta", "2"], capsys)
         assert code == 1
-        assert "FAIL" in out
+        status = {line.split()[0]: line.split()[-1] for line in out.strip().splitlines()}
+        assert status.pop("rho2-corr-beta2") == "FAIL"
+        assert status and set(status.values()) == {"pass"}
+
+    def test_p_rows_reuse_the_e_rows_spectra(self, capsys):
+        # one Chebyshev span: the p-rows differentiate the e-rows' e_bulk samples
+        gap._spectrum.cache_clear()
+        spacing._p_samples.cache_clear()
+        for beta in (2, 1, 4):
+            assert run(["verify", "--identity", f"e-corr-beta{beta}"], capsys)[0] == 0
+        misses = gap._spectrum.cache_info().misses
+        for beta in (2, 1, 4):
+            assert run(["verify", "--identity", f"p-corr-beta{beta}"], capsys)[0] == 0
+        assert gap._spectrum.cache_info().misses == misses
 
     def test_beta_filter_passes(self, capsys):
         code, out = run(["verify", "--beta", "4"], capsys)
@@ -191,8 +214,8 @@ class TestVerify:
         gap._spectrum.cache_clear()
         spacing._p_samples.cache_clear()
         code, out = run(["verify"], capsys)
-        # e-corr-pm reuses the sweeps of e-corr-beta1
-        assert eigh_log.matrices <= 1260
+        # e-corr-pm reuses the sweeps of e-corr-beta1, the p-rows those of the e-rows
+        assert eigh_log.matrices <= 630
         assert code == 0
         assert "FAIL" not in out
         lines = out.strip().splitlines()

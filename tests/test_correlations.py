@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +162,12 @@ class TestBulkTerms:
             if np.ndim(x) == 0:
                 with pytest.raises(ValueError, match="x must be finite"):
                     rho2_bulk_finite(beta, 20, x)
+
+    @pytest.mark.parametrize("N", [0, 1, -3, 2.5, math.nan, math.inf])
+    def test_finite_needs_integer_N_of_two_or_more(self, N):
+        for beta in (1, 2, 4):
+            with pytest.raises(ValueError, match="N must be an integer >= 2"):
+                rho2_bulk_finite(beta, N, 0.3)
 
     def test_cluster_decay(self):
         assert abs(rho2_bulk_term(2, 0, 20.0) - 1.0) < 1e-4

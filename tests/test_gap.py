@@ -200,6 +200,16 @@ def test_pm_against_beta1_combination():
     assert e_bulk(1, 0, s, xi) == pytest.approx(want, rel=1e-13)
 
 
+@pytest.mark.parametrize("xi", [0.5, 0.8, 1.0])
+def test_sine_kernel_splits_into_pm(xi):
+    # the sine kernel on an interval is the sum of its even and odd parts:
+    # E_0 = E_0^+ E_0^- and E_1 = E_1^+ E_0^- + E_0^+ E_1^-
+    s = np.linspace(0.2, 3.0, 15)
+    (p0, p1), (m0, m1) = ([e_pm(sg, o, s, xi) for o in (0, 1)] for sg in (+1, -1))
+    assert np.max(np.abs(e_bulk(2, 0, s, xi) - p0 * m0)) <= 1e-13
+    assert np.max(np.abs(e_bulk(2, 1, s, xi) - (p1 * m0 + p0 * m1))) <= 1e-13
+
+
 def _lu_pair(kernel, kernel_l, s, xi, n=64):
     """det(I - xi A) and -det(I - xi A) Tr((I - xi A)^{-1} xi B) by LU."""
     rule = gauss_legendre(n, 0.0, 1.0)

@@ -245,10 +245,10 @@ class TestPBulk:
     @pytest.mark.parametrize("beta", [1, 2, 4])
     @pytest.mark.parametrize("xi", [0.0, 0.7])
     def test_array_matches_scalar_calls(self, beta, xi):
-        grid = np.linspace(0.05, 3.2, 19)
+        grid = np.linspace(0.05, 2.72, 19)
         for order in (0, 1):
-            got = p_bulk(beta, order, grid, xi, s_max=3.6)
-            want = [p_bulk(beta, order, float(s), xi, s_max=3.6) for s in grid]
+            got = p_bulk(beta, order, grid, xi)
+            want = [p_bulk(beta, order, float(s), xi) for s in grid]
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("xi", [0.0, 1.0])
@@ -267,8 +267,7 @@ class TestPBulk:
     def test_moment_nulls_of_correction(self):
         rule = gauss_legendre(200, 1e-3, 4.0)
         for j in (0, 1):
-            val = rule.integrate(lambda s: np.array(
-                [t ** j * p_bulk(2, 1, t, 1.0, s_max=4.2) for t in np.atleast_1d(s)]))
+            val = rule.integrate(lambda s: s ** j * p_bulk(2, 1, s, 1.0))
             assert abs(val) < 1e-3
 
 
