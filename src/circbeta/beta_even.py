@@ -72,24 +72,17 @@ def morris(N: int, a: float, b: float, lam: float) -> float:
 
 
 def evenness_factor(n: int, kappa: float, N: float) -> float:
-    """prod_{k=1}^{n-1} prod_{l=1}^{k kappa} (kappa^2 N^2 - l^2); even in N."""
+    """prod_{k=1}^{n-1} prod_{l=1}^{k kappa} (kappa^2 N^2 - l^2); even in N,
+    and exact for an integer kappa with an int or Fraction N."""
     if n < 1:
         raise ValueError("n must be positive")
-    out = 1.0
+    out = 1
     for k in range(1, n):
         top = kappa * k
         if abs(top - round(top)) > 1e-12:
             raise ValueError("k * kappa must be integral")
         for el in range(1, round(top) + 1):
             out *= kappa * kappa * N * N - el * el
-    return out
-
-
-def evenness_factor_exact(n: int, kappa: int, N) -> Fraction:
-    out = F(1)
-    for k in range(1, n):
-        for el in range(1, kappa * k + 1):
-            out *= kappa * kappa * F(N) ** 2 - el * el
     return out
 
 
@@ -113,53 +106,42 @@ def _integral_beta2(f, n_nodes: int) -> complex:
     return 2.0 * (m[0] * m[2] - m[1] * m[1])
 
 
-# -- beta = 4: de Bruijn Pfaffian of pair integrals, panel split at 1/2 ------
+# -- beta = 4: de Bruijn Pfaffian of pair integrals, u = sin^2 phi ----------
 
 @lru_cache(maxsize=8)
-def _beta4_rules(n: int):
-    """Gauss rules in closed form: for t^(-1/2) on (0, 1), t = r^2 at the positive
-    nodes r of the 2n-point Legendre rule on (-1, 1), twice their weights; Legendre
-    on (0, 1); and Chebyshev for u^(-1/2) (1-u)^(-1/2), with weights pi/n."""
-    sym, leg = gauss_legendre(2 * n, -1.0, 1.0), gauss_legendre(n, 0.0, 1.0)
-    return (sym.nodes[n:] ** 2, 2.0 * sym.weights[n:], leg.nodes, leg.weights,
-            np.sin(np.arange(1, 2 * n, 2) * (np.pi / (4 * n))) ** 2)
+def _beta4_rule(n: int):
+    """u_i = sin^2 phi_i at phi_i = pi i / (2n), i = 0..n (the Chebyshev
+    points of (0, 1)); cos(2 j phi_i) for j < 4; and the antisymmetric
+    W with a W b = int_{0 <= phi <= psi <= pi/2} (a(phi) b(psi) - b(phi) a(psi))
+    for even pi-periodic a, b of degree <= n in cos 2 phi, from their samples."""
+    # built in place, so that few (n+1) x (n+1) arrays are alive at once
+    i = np.arange(n + 1.0)
+    # cos(pi i k / n), with i k reduced mod 2n so that every argument is below 2 pi
+    T = np.outer(i, i) % (2 * n)
+    T *= np.pi / n
+    np.cos(T, out=T)
+    cos = T[:4].copy()
+    # T, symmetric, maps samples to cosine coefficients by the trapezoid rule over
+    # the whole period: interior samples count twice, and so do the coefficients
+    # of cos 2 l phi, 0 < l < n
+    twice = np.where((i == 0) | (i == n), 1.0, 2.0)
+    T *= np.outer(twice, twice / (2 * n))
+    # the integral above for a = cos 2 l phi, b = cos 2 m phi is 1/(l^2 - m^2)
+    # when l + m, and so l^2 - m^2, is odd, else 0
+    A = np.subtract.outer(i * i, i * i)
+    np.divide(A % 2, A, out=A, where=A != 0)
+    return np.sin(np.pi / (2 * n) * i) ** 2, cos, T @ A @ T
 
 
 def _integral_beta4(f, n_nodes: int) -> complex:
     """24 Pf[Q], Q_jk = int_{0<=x<=y<=1} (x^j y^k - x^k y^j) h(x) h(y) dx dy
-    with h(u) = f(u) u^(-1/2) (1-u)^(-1/2); spectrally accurate panel split."""
-    tl, wl, xg, wg, xj = _beta4_rules(n_nodes)
-    fx = f(xj)
-    M = np.pi / n_nodes * np.array([np.sum(xj ** p * fx) for p in range(4)])
-    # left panel y in (0, 1/2): the y^(+-1/2) factors cancel between h(y) and
-    # the inner integral; plain outer rule on the analytic remainder
-    yl = xg / 2.0
-    wyl = wg / 2.0
-    Xl = yl[:, None] * tl[None, :]
-    Fl = f(Xl)
-    psi = ((Fl / np.sqrt(1.0 - Xl)) @ (wl[:, None] * tl[:, None] ** np.arange(4))).T
-    gl = f(yl) / np.sqrt(1.0 - yl)
-    # right panel y in (1/2, 1): split the inner integral at full moments,
-    # tail (1-y)^(1/2) branch cancels against the weight of h(y)
-    yrm = 1.0 - tl / 2.0
-    wyrm = wl / math.sqrt(2.0)
-    grm = f(yrm) / np.sqrt(yrm)
-    yrh = 0.5 + xg / 2.0
-    wyrh = wg / 2.0
-    Xh = 1.0 - (1.0 - yrh)[:, None] * tl[None, :]
-    Fh = f(Xh)
-    Gh = wl * Fh / np.sqrt(Xh)
-    phi = np.array([np.sum(Xh ** p * Gh, axis=1) for p in range(4)])
-    grh = f(yrh) / np.sqrt(yrh)
-    Q = np.zeros((4, 4), dtype=complex)
-    for j in range(4):
-        for k in range(j + 1, 4):
-            left = np.sum(wyl * gl * yl ** (j + k) * (psi[j] - psi[k]))
-            right = np.sum(wyrm * grm * (yrm ** k * M[j] - yrm ** j * M[k])) \
-                - np.sum(wyrh * grh * (yrh ** k * phi[j] - yrh ** j * phi[k]))
-            Q[j, k] = left + right
-            Q[k, j] = -Q[j, k]
-    return 24.0 * (Q[0, 1] * Q[2, 3] - Q[0, 2] * Q[1, 3] + Q[0, 3] * Q[1, 2])
+    with h(u) = f(u) u^(-1/2) (1-u)^(-1/2). Under u = sin^2 phi, h du = 2 f dphi;
+    in the basis T_j(1 - 2u) = cos 2 j phi (determinant 512 against u^j) each
+    pair integral is a_j W a_k, with a_j = 2 cos(2 j phi) f(sin^2 phi)."""
+    u, cos, W = _beta4_rule(n_nodes)
+    a = 2.0 * cos * f(u)
+    Q = a @ W @ a.T
+    return 3.0 / 64.0 * (Q[0, 1] * Q[2, 3] - Q[0, 2] * Q[1, 3] + Q[0, 3] * Q[1, 2])
 
 
 # -- any even beta: the holonomic (Aomoto) system ---------------------------
@@ -344,6 +326,8 @@ def moment_integral(beta: int, theta: float, exponents=()) -> complex:
     averages to it exactly: beta^m engine calls."""
     if beta not in (2, 4):
         raise NotImplementedError("moment integrals support beta = 2, 4")
+    if not all(float(a).is_integer() and a >= 0 for a in exponents):
+        raise ValueError(f"exponents must be nonnegative integers, got {exponents}")
     m = len(exponents)
     if m > 3:
         raise NotImplementedError("m <= 3 only")
@@ -465,18 +449,17 @@ def leading_xi_coefficient_exact(k: int, beta: int, N) -> tuple[Fraction, int]:
     exact for integer kappa = beta/2 and rational N."""
     if beta % 2 or beta < 2:
         raise ValueError("even beta only")
-    kap = beta // 2
-    n = k + 2
-    if isinstance(N, int) and not n < N / 2:
+    kap, n, N = beta // 2, k + 2, F(N)
+    if not n < N / 2:
         raise ValueError("need k + 2 < N/2")
     pi_pow = kap * (k + 2) * (k + 1)
     out = F((-1) ** k, math.factorial(k))
-    out *= F(2, 1) ** pi_pow / F(N) ** pi_pow
+    out *= F(2, 1) ** pi_pow / N ** pi_pow
     out *= selberg_exact(k, beta, beta, kap)
     out *= F(math.factorial(kap)) ** n / math.factorial(n * kap)
     for j in range(1, n):
         out *= F(math.factorial(kap * j), math.factorial(kap * (n + j)))
-    out *= evenness_factor_exact(n, kap, N)
+    out *= evenness_factor(n, kap, N)
     return out, pi_pow
 
 

@@ -158,6 +158,8 @@ def p_bulk(beta: int, order: int, s, xi: float):
     At xi = 0 the generating function reduces to the two-point correlation,
     which is returned from the closed forms directly.
     """
+    if order not in (0, 1):
+        raise ValueError("order must be 0 or 1")
     s = np.asarray(s, float)
     if not np.all((s >= 0.0) & (s < np.inf)):
         raise ValueError("s must be finite and nonnegative")

@@ -14,9 +14,8 @@ from circbeta import (beta_even, correction_factor, correction_residual,
                       moment_integral, morris, recurrence_sides,
                       rho2_bulk_term, rho2_correction_limit, rho2_even_beta,
                       selberg, selberg_log, v2_coefficient, verify_moment_recurrence)
-from circbeta.beta_even import (_METHODS, _system, _weighted_integral,
-                                evenness_factor_exact, rho2_correction_estimate,
-                                selberg_exact)
+from circbeta.beta_even import (_METHODS, _integral_beta4, _system, _weighted_integral,
+                                rho2_correction_estimate, selberg_exact)
 from circbeta.gap import AccuracyWarning
 from circbeta.sff import _partition_boxes
 from circbeta.spacing import P0_BETA2
@@ -211,16 +210,25 @@ class TestRho2EvenBeta:
         xs = np.linspace(0.05, 3.3, 40)
         got = np.array([rho2_even_beta(4, x, quad_order=n, check_convergence=False)
                         for x in xs])
-        assert np.max(np.abs(got - 4.0 * rho2_bulk_term(4, 0, 2 * xs))) <= 1e-12
+        assert np.max(np.abs(got - 4.0 * rho2_bulk_term(4, 0, 2 * xs))) <= 2e-13
+
+    @pytest.mark.parametrize("n", [48, 96])
+    def test_beta4_engine_against_selberg(self, n):
+        # f = u^p (1-u)^q turns the beta = 4 integral into the Selberg integral
+        # S_4(p - 1/2, q - 1/2, 1/2)
+        for p, q in itertools.product(range(4), repeat=2):
+            got = _integral_beta4(lambda u: u ** p * (1 - u) ** q, n)
+            want = selberg(4, p - 0.5, q - 0.5, 0.5)
+            assert abs(got - want) <= 5e-13 * want
 
     @pytest.mark.parametrize("N", [-16.5, -20.5, -40.5])
     def test_beta4_negative_N_against_holonomic(self, N):
         # certified pfaffian values (an AccuracyWarning is an error here) out
-        # to x = 3.3, where a single-panel rule loses 1e-3 between its orders
+        # to x = 3.3, where |(1 - z u)^(N-2)| rises to 50 on (0, 1) at N = -16.5
         xs = np.linspace(0.1, 3.3, 17)
         got = np.array([rho2_even_beta(4, x, N) for x in xs])
         want = rho2_even_beta(4, xs, N, method="holonomic")
-        assert np.max(np.abs(got - want)) <= 1e-9
+        assert np.max(np.abs(got - want)) <= 2e-11
 
     @pytest.mark.parametrize("beta", [2, 4])
     @pytest.mark.parametrize("N", [None, 16, 20.5, 32, 64, -20.5])
@@ -456,6 +464,11 @@ class TestMomentIntegrals:
         with pytest.raises(NotImplementedError):
             moment_integral(2, 1.0, (1, 1, 1, 1))
 
+    @pytest.mark.parametrize("a", [(-1,), (2, -3), (1.5,), (1, 1, -2)])
+    def test_divergent_exponents_rejected(self, a):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            moment_integral(2, 1.0, a)
+
 
 class TestRecurrence:
     def test_beta2_cases(self):
@@ -467,7 +480,7 @@ class TestRecurrence:
 
     def test_beta4_cases(self):
         assert verify_moment_recurrence(4, cases=((2,), (3,), (2, 1)),
-                                        thetas=(1.0,)) < 1e-7
+                                        thetas=(1.0,)) < 1e-13
 
     def test_beta4_each_integral_once(self, monkeypatch):
         # the moment integrals over the default cases, keyed by their sorted
@@ -477,7 +490,7 @@ class TestRecurrence:
         engine = beta_even._integral_beta4
         monkeypatch.setattr(beta_even, "_integral_beta4",
                             lambda f, n: calls.append(n) or engine(f, n))
-        assert verify_moment_recurrence(4) < 1e-11
+        assert verify_moment_recurrence(4) < 1e-13
         assert len(calls) <= 1272
 
     def test_theta_zero_rhs_vanishes(self):
@@ -489,13 +502,17 @@ class TestRecurrence:
         with pytest.raises(ValueError):
             recurrence_sides(2, 1.0, (1,))
 
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            recurrence_sides(2, 1.0, (3, -1))
+
 
 class TestAppendixB:
     def test_k0_exact(self):
-        for N in (12, 37):
+        for N in (12, 37, 12.0, F(37)):
             frac, pw = leading_xi_coefficient_exact(0, 2, N)
             assert pw == 2
-            assert frac == F(1, 3) * (1 - F(1, N * N))
+            assert frac == F(1, 3) * (1 - 1 / F(N) ** 2)
 
     def test_k1_exact(self):
         for N in (12, 37):
@@ -530,6 +547,17 @@ class TestAppendixB:
         with pytest.raises(ValueError):
             leading_xi_coefficient(2, 2, 7)
 
+    @pytest.mark.parametrize("N", [3, F(3), 3.0, F(7, 2), -12])
+    def test_exact_precondition_for_every_N(self, N):
+        for coefficient in (leading_xi_coefficient_exact, leading_xi_coefficient):
+            with pytest.raises(ValueError, match="k \\+ 2 < N/2"):
+                coefficient(0, 2, N)
+
 
 def test_evenness_factor_exact_matches_float():
-    assert evenness_factor_exact(3, 2, 10) == F(int(evenness_factor(3, 2.0, 10.0)))
+    # an integer kappa with an int or Fraction N stays exact
+    exact = evenness_factor(3, 2, 10)
+    assert type(exact) is int and exact == evenness_factor(3, 2.0, 10.0)
+    half = evenness_factor(3, 2, F(21, 2))
+    assert type(half) is F and float(half) == pytest.approx(evenness_factor(3, 2.0, 10.5),
+                                                            rel=1e-15)

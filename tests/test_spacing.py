@@ -264,6 +264,12 @@ class TestPBulk:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             p_bulk(2, 0, [0.5, bad], xi)
 
+    @pytest.mark.parametrize("beta, order, xi", [
+        (2, -1, 0.5), (2, 2, 0.5), (2, 2, 0.0), (4, 2, 0.0), (1, -1, 1.0)])
+    def test_rejects_order(self, beta, order, xi):
+        with pytest.raises(ValueError, match="order must be 0 or 1"):
+            p_bulk(beta, order, 1.0, xi)
+
     def test_moment_nulls_of_correction(self):
         rule = gauss_legendre(200, 1e-3, 4.0)
         for j in (0, 1):
