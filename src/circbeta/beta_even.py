@@ -449,6 +449,8 @@ def leading_xi_coefficient_exact(k: int, beta: int, N) -> tuple[Fraction, int]:
     exact for integer kappa = beta/2 and rational N."""
     if beta % 2 or beta < 2:
         raise ValueError("even beta only")
+    if isinstance(N, float) and not math.isfinite(N):
+        raise ValueError(f"N must be finite, got N = {N}")
     kap, n, N = beta // 2, k + 2, F(N)
     if not n < N / 2:
         raise ValueError("need k + 2 < N/2")

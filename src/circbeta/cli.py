@@ -11,6 +11,7 @@ import math
 import sys
 from dataclasses import astuple
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -264,14 +265,12 @@ def build_parser():
     p.add_argument("--xi", type=float, default=1.0)
     p.add_argument("--s", type=float, default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("spacing", help="spacing generating function terms P0, P1")
     p.add_argument("--beta", type=int, choices=(1, 2, 4), default=2)
     p.add_argument("--xi", type=float, default=1.0)
     p.add_argument("--s", type=float, default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_spacing)
 
     p = sub.add_parser("sff", help="structure function terms and exact values")
     p.add_argument("--beta", type=int, choices=(1, 2, 4), default=2)
@@ -279,7 +278,6 @@ def build_parser():
     p.add_argument("--order", type=int, choices=(0, 1, 2), default=None)
     p.add_argument("--tau", type=float, default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_sff)
 
     p = sub.add_parser("rho2", help="two-point correlation, finite N or limit")
     p.add_argument("--beta", type=int, choices=(1, 2, 4, 6), default=2)
@@ -287,25 +285,28 @@ def build_parser():
     p.add_argument("--limit", action="store_true")
     p.add_argument("--x", type=float, default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_rho2)
 
     p = sub.add_parser("verify", help="run identity checks against tolerances")
     p.add_argument("--identity", default=None)
     p.add_argument("--beta", type=int, choices=(1, 2, 4, 6), default=None)
     _add_common(p, with_range=False)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("fig1", help="exact spacing correction vs surmise-based")
     _add_common(p)
-    p.set_defaults(func=cmd_fig1)
     return ap
 
 
+@lru_cache(maxsize=1)
+def _parser():
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a rebound cmd_* function is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:
         parser.error(str(exc))
 

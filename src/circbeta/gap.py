@@ -1,8 +1,8 @@
 """Gap-probability generating functions: Nystrom Fredholm determinants and
-trace corrections for the bulk kernels over whole arrays of s, from stacked
-symmetric eigensolves cached per sweep and order, the exact finite-N
-circular-unitary generating function, and the beta = 1, 4 combination
-formulas."""
+trace corrections of the bulk kernels over whole arrays of s, all from the
+even and odd parity blocks of the sine kernel on (-t, t), eigensolved in
+stacks cached per sweep and order; the exact finite-N circular-unitary
+generating function; and the beta = 1, 4 combination formulas."""
 
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_eval
-from .numerics import gauss_legendre, inverse_square_fit
+from .kernels import KernelSpec
+from .numerics import _whole, gauss_legendre, inverse_square_fit
 
 
 class AccuracyWarning(UserWarning):
@@ -27,148 +27,163 @@ class GapResult:
     beta: int
     E0: float
     E1: float
-    quad_order: int   # largest certified Nystrom order; 0 if none was needed
+    quad_order: int   # largest certified order n <= 512 (blocks n/2); 0 if none was needed
 
 
-_SINE = KernelSpec("sine")
-_K = {+1: KernelSpec("plus"), -1: KernelSpec("minus")}
-# the 1/N^2 correction kernel paired with each bulk kernel
-_PAIR = {_SINE: KernelSpec("l"), _K[+1]: KernelSpec("l_plus"), _K[-1]: KernelSpec("l_minus")}
-
-
-# Matrix entries per stacked eigensolve: a sweep over many s goes through
-# eigh in slices of at most this many entries (one matrix when it alone is
-# larger), which bounds the kernel temporaries and each cached spectrum.
+# Matrix entries per stacked eigensolve: a sweep over many t goes through eigh
+# in slices of at most this many entries (one pair of blocks when it alone is
+# larger), which bounds the assembly temporaries and each cached spectrum.
 _STACK_ENTRIES = 16384
 
 
-def _symmetrised(kernel: KernelSpec, s, n: int) -> np.ndarray:
-    """sqrt(w) K sqrt(w) on (0, s), one matrix per entry of s (stacked along
-    the leading axes): bitwise symmetric for a symmetric kernel."""
-    rule = gauss_legendre(n, 0.0, 1.0)
-    s = np.asarray(s, float)[..., None]
-    x = s * rule.nodes
-    sw = np.sqrt(s * rule.weights)
-    return (sw[..., :, None] * sw[..., None, :]) * kernel_eval(
-        kernel, x[..., :, None], x[..., None, :])
+def _blocks(t, n: int):
+    """Stacks (K, L) shaped (2, t.size, n/2, n/2), plus first, of the parity
+    blocks sqrt(w) [K(x, y) +- K(x, -y)] sqrt(w) of K = sinc(x - y) and of L =
+    (pi/6) (x - y) sin pi(x - y) over the n/2 positive nodes of the n-point
+    Gauss rule on (-t, t), t a 1-d array. sin pi(x -+ y) = a -+ b, a = sin pi x
+    cos pi y and b = cos pi x sin pi y, takes n/2 sines and cosines per t, and
+    a - b (a + b) is exactly antisymmetric (symmetric): the blocks come out
+    bitwise symmetric."""
+    rule = gauss_legendre(n, -1.0, 1.0)
+    x = t[:, None] * rule.nodes[n // 2:]
+    sw = np.sqrt(t[:, None] * rule.weights[n // 2:])[:, :, None]
+    # pi x reduced exactly mod 2 pi before sin and cos round it
+    phase = np.pi * (x - 2.0 * np.rint(x / 2.0))
+    sin, cos, x = np.sin(phase)[:, :, None], np.cos(phase)[:, :, None], x[:, :, None]
+    a, b = sin * cos.swapaxes(1, 2), cos * sin.swapaxes(1, 2)
+    # sinc(0) = 1 on the diagonal, and everywhere at t = 0, where w = 0
+    (k_near, l_near), (k_far, l_far) = (
+        (np.divide(v, np.pi * u, out=np.ones_like(u), where=u != 0.0), u * v)
+        for u, v in ((x - x.swapaxes(1, 2), a - b), (x + x.swapaxes(1, 2), a + b)))
+    w = sw * sw.swapaxes(1, 2)
+    return (w * np.stack((k_near + k_far, k_near - k_far)),
+            (np.pi / 6.0) * w * np.stack((l_near + l_far, l_near - l_far)))
 
 
 @lru_cache(maxsize=128)
-def _spectrum(kernel: KernelSpec, kernel_l: KernelSpec | None, s: tuple, n: int):
-    """Eigenvalues lam of each A = sqrt(w) K sqrt(w) = V diag(lam) V^T on
-    (0, s), s over the tuple, and, given L, d = diag(V^T B V) with
-    B = sqrt(w) L sqrt(w); one row per s, V is not kept."""
-    lam, V = np.linalg.eigh(_symmetrised(kernel, s, n))
-    lam.flags.writeable = False
-    if kernel_l is None:
-        return lam, None
-    d = np.einsum("...ij,...ij->...j", V, _symmetrised(kernel_l, s, n) @ V)
-    d.flags.writeable = False
+def _spectrum(t: tuple, n: int):
+    """Eigenvalues lam of each parity block A = V diag(lam) V^T of K on
+    (-t, t), t over the tuple, and d = diag(V^T B V), B the same block of L:
+    two read-only arrays shaped (2, len(t), n/2), plus first; V is not kept."""
+    K, L = _blocks(np.array(t), n)
+    lam, V = np.linalg.eigh(K)
+    d = np.einsum("...ij,...ij->...j", V, L @ V)
+    lam.flags.writeable = d.flags.writeable = False
     return lam, d
 
 
-def _det_fixed(kernel: KernelSpec, s, xi: float, n: int,
-               kernel_l: KernelSpec | None = None) -> np.ndarray:
-    """Order-n det(I - xi K) = prod_j (1 - xi lam_j) at each s > 0 of the 1-d
-    array s, from the spectra its paired correction also uses; given L,
-    -det(I - xi K) Tr((I - xi K)^{-1} xi L) = -xi sum_j d_j prod_{i != j}
-    (1 - xi lam_i), by prefix and suffix products so that it stays finite as
-    1 - xi lam_j -> 0."""
-    s = np.atleast_1d(np.asarray(s, float))
-    pair = _PAIR.get(kernel) if kernel_l is None else kernel_l
-    step = max(1, _STACK_ENTRIES // (n * n))
-    spectra = [_spectrum(kernel, pair, tuple(s[i:i + step].tolist()), n)
-               for i in range(0, s.size, step)]
-    f = 1.0 - xi * np.concatenate([lam for lam, _ in spectra])
-    if kernel_l is None:
-        return np.prod(f, axis=-1)
-    d = np.concatenate([d for _, d in spectra])
-    ones = np.ones((s.size, 1))
-    before = np.concatenate((ones, np.cumprod(f[:, :-1], axis=-1)), axis=-1)
-    after = np.concatenate((np.cumprod(f[:, :0:-1], axis=-1)[:, ::-1], ones), axis=-1)
-    return -xi * np.einsum("kj,kj->k", d, before * after)
+def _fixed(t, xi: float, n: int, order: int, c):
+    """Order-n E_order at each t > 0 of the 1-d array t: c . (E^+, E^-) of the
+    parity blocks, or for c None the sine kernel's E_0 = E_0^+ E_0^-, E_1 =
+    E_1^+ E_0^- + E_0^+ E_1^-. Per block E_0 = prod_j (1 - xi lam_j) and E_1 =
+    -xi sum_j d_j prod_{i != j} (1 - xi lam_i), by prefix and suffix products
+    so that it stays finite as 1 - xi lam_j -> 0."""
+    step = max(1, _STACK_ENTRIES // (n * n // 2))
+    spectra = [_spectrum(tuple(t[i:i + step].tolist()), n) for i in range(0, t.size, step)]
+    f = 1.0 - xi * np.concatenate([lam for lam, _ in spectra], axis=1)
+    e = [np.prod(f, axis=-1)]
+    if order:
+        d = np.concatenate([d for _, d in spectra], axis=1)
+        ones = np.ones(f.shape[:-1] + (1,))
+        before = np.concatenate((ones, np.cumprod(f[..., :-1], axis=-1)), axis=-1)
+        after = np.concatenate((np.cumprod(f[..., :0:-1], axis=-1)[..., ::-1], ones), axis=-1)
+        e.append(-xi * np.einsum("...j,...j->...", d, before * after))
+    if c is not None:
+        return c @ e[order]
+    return e[0][0] * e[0][1] if order == 0 else e[1][0] * e[0][1] + e[0][0] * e[1][1]
 
 
-def _doubled(kernel: KernelSpec, kernel_l: KernelSpec | None, s, xi: float):
-    """(values, orders) at each entry of s: the first order-2n value within
-    1e-10 of the order-n one, n starting at 16 and doubling up to 256 at each
-    node on its own; only the nodes not yet certified go on to the next
-    order. The order is 0 where no quadrature is needed."""
-    s = np.asarray(s, float)
-    if not np.all((s >= 0.0) & (s < np.inf)):
+def _doubled(t, xi: float, order: int, c=None):
+    """(values, orders) at each entry of t of _fixed's E_order on (-t, t),
+    certified on that value: the first order-2n value within 1e-10 (absolute)
+    of the order-n one, n doubling from 16 up to 512 at each node on its own;
+    only the nodes not yet certified go on. The order is 0 where no quadrature
+    is needed."""
+    t, order = np.asarray(t, float), _whole("order", order)
+    if order not in (0, 1):
+        raise ValueError("order must be 0 or 1")
+    if not np.all((t >= 0.0) & (t < np.inf)):
         raise ValueError("s must be finite and nonnegative")
-    if kernel_l is not None and not 0.0 <= xi <= 1.0:
+    if order and not 0.0 <= xi <= 1.0:
         raise ValueError("xi must lie in [0, 1]")
-    flat = s.ravel()
-    val = np.full(flat.size, 1.0 if kernel_l is None else 0.0)
-    order = np.zeros(flat.size, int)
-    todo = np.flatnonzero((flat > 0.0) & (xi != 0.0))
-    n = 16
+    flat = t.ravel()
+    val, orders = np.full(flat.size, 0.0 if order else 1.0), np.zeros(flat.size, int)
+    n, todo = 16, np.flatnonzero((flat > 0.0) & (xi != 0.0))
     if todo.size:
-        val[todo], order[todo] = _det_fixed(kernel, flat[todo], xi, n, kernel_l), n
-    while todo.size and n < 256:
+        val[todo], orders[todo] = _fixed(flat[todo], xi, n, order, c), n
+    while todo.size and n < 512:
         n *= 2
-        new = _det_fixed(kernel, flat[todo], xi, n, kernel_l)
+        new = _fixed(flat[todo], xi, n, order, c)
         done = np.abs(new - val[todo]) < 1e-10
-        val[todo], order[todo] = new, n
+        val[todo], orders[todo] = new, n
         todo = todo[~done]
     if todo.size:
-        what = "Fredholm determinant" if kernel_l is None else "trace correction"
+        what = "trace correction" if order else "Fredholm determinant"
         warnings.warn(f"{what} not converged at order {n} at {todo.size} of "
                       f"{flat.size} values of s", AccuracyWarning)
-    return val.reshape(s.shape), order.reshape(s.shape)
+    return val.reshape(t.shape), orders.reshape(t.shape)
 
 
 def _scalar_or_array(values):
     return values if values.ndim else float(values)
 
 
+# The +- kernels as weights c of the parity blocks, and the kernels fredholm_*
+# serve: (correction kernel, t per unit of s, c). The sine kernel on (0, s) is
+# both blocks on (-s/2, s/2), the +- kernels on (0, s) one block on (-s, s).
+_PM = {+1: np.array([1.0, 0.0]), -1: np.array([0.0, 1.0])}
+_SERVED = {KernelSpec("sine"): (KernelSpec("l"), 0.5, None),
+           KernelSpec("plus"): (KernelSpec("l_plus"), 1.0, _PM[+1]),
+           KernelSpec("minus"): (KernelSpec("l_minus"), 1.0, _PM[-1])}
+
+
+def _fredholm(kernel: KernelSpec, kernel_l: KernelSpec | None, s, xi: float):
+    if kernel not in _SERVED or kernel_l not in (None, _SERVED[kernel][0]):
+        raise ValueError(f"no Nystrom engine for {kernel} with {kernel_l}")
+    _, scale, c = _SERVED[kernel]
+    return _scalar_or_array(_doubled(np.asarray(s, float) * scale, xi,
+                                     int(kernel_l is not None), c)[0])
+
+
 def fredholm_det(kernel: KernelSpec, s, xi: float):
-    """det(I - xi K restricted to (0, s)) by Nystrom discretization, at a
-    scalar or an array s, certified to 1e-10 by doubling the order from 16
-    (up to 256); an AccuracyWarning is issued if that is never reached."""
-    return _scalar_or_array(_doubled(kernel, None, s, xi)[0])
+    """det(I - xi K restricted to (0, s)), K the sine, plus or minus kernel, at
+    a scalar or an array s, certified to 1e-10 absolute by doubling the
+    Nystrom order from 16 (up to 512), else an AccuracyWarning is issued."""
+    return _fredholm(kernel, None, s, xi)
 
 
 def fredholm_trace_correction(kernel_k: KernelSpec, kernel_l: KernelSpec, s, xi: float):
     """-det(I - xi K) Tr((I - xi K)^{-1} xi L) on (0, s), shared Nystrom grid,
-    at a scalar or an array s, certified like fredholm_det."""
-    return _scalar_or_array(_doubled(kernel_k, kernel_l, s, xi)[0])
+    for the pairs (sine, l), (plus, l_plus) and (minus, l_minus), at a scalar
+    or an array s, certified like fredholm_det."""
+    return _fredholm(kernel_k, kernel_l, s, xi)
 
 
 def e_pm(sign: int, order: int, s, xi: float):
     """E_order^+- (s; xi) at a scalar or an array s: Fredholm data of the +-
     kernels on (0, s/2), the Nystrom order doubling from 16 until certified
-    to 1e-10."""
-    if sign not in (+1, -1):
+    to 1e-10 absolute."""
+    if sign not in _PM:
         raise ValueError("sign must be +1 or -1")
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    half = np.asarray(s, float) / 2.0
-    return _scalar_or_array(_doubled(_K[sign], _PAIR[_K[sign]] if order else None,
-                                     half, xi)[0])
+    return _scalar_or_array(_doubled(np.asarray(s, float) / 2.0, xi, order, _PM[sign])[0])
 
 
 def _e_bulk(beta: int, order: int, s, xi: float):
-    """(E_order, the largest Nystrom order certified over the kernels used),
-    as arrays shaped like s."""
+    """(E_order, the Nystrom order certified), as arrays shaped like s."""
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must lie in [0, 1]")
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
     s = np.asarray(s, float)
     if beta == 2:
-        return _doubled(_SINE, _PAIR[_SINE] if order else None, s, xi)
-    if beta not in (1, 4):
+        return _doubled(s / 2.0, xi, order)
+    if beta == 1:
+        # the +- blocks on (-s/2, s/2) at 2 xi - xi^2
+        return _doubled(s / 2.0, 2.0 * xi - xi * xi, order,
+                        np.array([1.0, 1.0 - xi]) / (2.0 - xi))
+    if beta != 4:
         raise ValueError("beta must be 1, 2, or 4")
     # beta = 4: orthogonal-group dimension 2N+1, so the +- operators act on
     # (0, s) and the correction picks up a further factor 1/4
-    span, x = (s / 2.0, 2.0 * xi - xi * xi) if beta == 1 else (s, xi)
-    (em, nm), (ep, np_) = (_doubled(k, _PAIR[k] if order else None, span, x)
-                           for k in (_K[-1], _K[+1]))
-    if beta == 1:
-        return ((1.0 - xi) * em + ep) / (2.0 - xi), np.maximum(nm, np_)
-    return (em + ep) / (2.0 if order == 0 else 8.0), np.maximum(nm, np_)
+    return _doubled(s, xi, order, np.full(2, 0.125 if order else 0.5))
 
 
 def e_bulk(beta: int, order: int, s, xi: float):
@@ -176,7 +191,8 @@ def e_bulk(beta: int, order: int, s, xi: float):
     scalar or an array s.
 
     order 0 is the limit, order 1 the coefficient of 1/N^2. The Nystrom order
-    doubles from 16 until certified to 1e-10, at each s on its own.
+    doubles from 16 until certified to 1e-10 absolute, at each s on its own,
+    so values far below 1e-10 carry no certified relative digits.
     """
     return _scalar_or_array(_e_bulk(beta, order, s, xi)[0])
 

@@ -12,8 +12,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import correlations, gap
-from .numerics import (chebyshev_interpolate, chebyshev_points, correction_factor,
-                       spectral_derivative)
+from .numerics import (_whole, chebyshev_interpolate, chebyshev_points,
+                       correction_factor, spectral_derivative)
 
 F = Fraction
 
@@ -158,6 +158,7 @@ def p_bulk(beta: int, order: int, s, xi: float):
     At xi = 0 the generating function reduces to the two-point correlation,
     which is returned from the closed forms directly.
     """
+    order = _whole("order", order)
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
     s = np.asarray(s, float)

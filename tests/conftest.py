@@ -11,6 +11,11 @@ class EighLog(list):
     def matrices(self) -> int:
         return sum(math.prod(shape[:-2]) for shape in self)
 
+    @property
+    def work(self) -> int:
+        """Sum over the matrices of n^3, n their order."""
+        return sum(math.prod(shape[:-2]) * shape[-1] ** 3 for shape in self)
+
 
 @pytest.fixture
 def eigh_log(monkeypatch):

@@ -553,6 +553,11 @@ class TestAppendixB:
             with pytest.raises(ValueError, match="k \\+ 2 < N/2"):
                 coefficient(0, 2, N)
 
+    @pytest.mark.parametrize("N", [math.inf, -math.inf, math.nan])
+    def test_exact_refuses_non_finite_N(self, N):
+        with pytest.raises(ValueError, match="N must be finite"):
+            leading_xi_coefficient_exact(0, 2, N)
+
 
 def test_evenness_factor_exact_matches_float():
     # an integer kappa with an int or Fraction N stays exact

@@ -98,14 +98,15 @@ class TestCommands:
         if SCHEMA is not None:
             jsonschema.validate(doc, SCHEMA)
 
-    @pytest.mark.parametrize("argv, most", [(["spacing", "--beta", "1"], 252),
-                                            (["fig1"], 126)])
-    def test_one_sweep_per_curve(self, argv, most, capsys, eigh_log):
+    @pytest.mark.parametrize("argv", [["spacing", "--beta", "1"], ["fig1"]],
+                             ids=["spacing-beta1", "fig1"])
+    def test_one_sweep_per_curve(self, argv, capsys, eigh_log):
         # one Chebyshev interval for the grid, both orders from each eigensolve
+        # of the parity blocks: 126 pairs of order 8 and 16, work 580,608
         gap._spectrum.cache_clear()
         spacing._p_samples.cache_clear()
         assert run(argv, capsys)[0] == 0
-        assert eigh_log.matrices <= most
+        assert eigh_log.work <= 700_000
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sff_beta4_singular_point(self, fmt, capsys):
@@ -137,6 +138,19 @@ class TestCommands:
         assert header == ["tau", "S0", "S1", "S2", "exact_scaled"]
         row = out.strip().splitlines()[1].split(",")
         assert float(row[1]) == pytest.approx(sff_bulk_term(4, 0, 0.2), rel=1e-13)
+
+
+class TestParser:
+    def test_built_once_and_commands_looked_up_by_name(self, capsys, monkeypatch):
+        builds, ran = [], []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: ran.append(args.identity) or 0)
+        cli._parser.cache_clear()
+        for _ in range(3):
+            assert run(["verify", "--identity", "sff-symmetry"], capsys)[0] == 0
+        assert run(["gap", "--s", "0.5"], capsys)[0] == 0
+        assert builds == [1] and ran == ["sff-symmetry"] * 3
 
 
 class TestDeterminism:
@@ -214,8 +228,9 @@ class TestVerify:
         gap._spectrum.cache_clear()
         spacing._p_samples.cache_clear()
         code, out = run(["verify"], capsys)
-        # e-corr-pm reuses the sweeps of e-corr-beta1, the p-rows those of the e-rows
-        assert eigh_log.matrices <= 630
+        # e-corr-beta1 and e-corr-pm reuse the sweeps of e-corr-beta2, the
+        # p-rows those of the e-rows: 588 blocks of order 8 to 32, work 3,913,728
+        assert eigh_log.matrices <= 630 and eigh_log.work <= 4_700_000
         assert code == 0
         assert "FAIL" not in out
         lines = out.strip().splitlines()

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,11 +9,18 @@ from circbeta import (AccuracyWarning, E_CUE_SMALL_S, KernelSpec, correction_fac
                       correction_residual, e_bulk, e_finite_cue, e_pm,
                       extract_correction, fredholm_det, fredholm_trace_correction,
                       gap_probabilities, gauss_legendre, kernel_eval)
-from circbeta.gap import _STACK_ENTRIES, _det_fixed, _e_bulk, _spectrum, _symmetrised
-from circbeta.spacing import P0_BETA1
+from circbeta.gap import _STACK_ENTRIES, _blocks, _e_bulk, _fixed, _spectrum
+from circbeta.spacing import P0_BETA1, p_bulk
 
 SINE = KernelSpec("sine")
 LKER = KernelSpec("l")
+
+
+def sine_fixed(s, xi, n):
+    """Order-n (det, correction) of the sine kernel on (0, s) at each entry
+    of s: both parity blocks of the n-point rule on (-s/2, s/2)."""
+    t = np.atleast_1d(np.asarray(s, float)) / 2.0
+    return _fixed(t, xi, n, 0, None), _fixed(t, xi, n, 1, None)
 
 
 def nu_derivative_of_series(s, xi):
@@ -29,12 +37,12 @@ class TestFredholmDet:
         assert fredholm_det(SINE, 1e-3, 1.0) == pytest.approx(1.0 - 1e-3, abs=1e-6)
 
     def test_spectral_convergence(self):
-        ref = _det_fixed(SINE, 3.0, 1.0, 256)
-        errs = [abs(_det_fixed(SINE, 3.0, 1.0, n) - ref) for n in (6, 8, 12)]
+        ref = sine_fixed(3.0, 1.0, 256)[0]
+        errs = [abs(sine_fixed(3.0, 1.0, n)[0] - ref) for n in (6, 8, 12)]
         assert errs[0] > errs[1] > errs[2]
         # super-algebraic: error gain from 8 to 12 nodes alone beats (8/12)^10
         assert errs[2] < errs[1] * (8.0 / 12.0) ** 10
-        assert abs(_det_fixed(SINE, 3.0, 1.0, 16) - ref) < 1e-12
+        assert abs(sine_fixed(3.0, 1.0, 16)[0] - ref) < 1e-12
 
     def test_negative_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -269,34 +277,97 @@ class TestSpectralEngine:
     def test_fredholm_against_lu(self, xi):
         for s in self.s_values:
             want = _lu_pair(SINE, LKER, s, xi)
-            assert abs(_det_fixed(SINE, s, xi, 64)[0] - want[0]) <= 1e-13
-            assert abs(_det_fixed(SINE, s, xi, 64, LKER)[0] - want[1]) <= 1e-13
+            got = sine_fixed(s, xi, 64)
+            assert abs(got[0][0] - want[0]) <= 1e-13
+            assert abs(got[1][0] - want[1]) <= 1e-13
 
     @pytest.mark.parametrize("s, gap", [(3.15, 1e-7), (6.3, 1e-14)])
     def test_near_singular_corner_finite(self, s, gap):
-        # beta = 4, xi = 1: e_bulk(4, ., s, .) uses the plus kernel on (0, s),
-        # where 1 - lam_max is ~5e-8 at s = 3.15 and ~3e-15 at s = 6.3
-        lam, _ = _spectrum(*PM[+1], (s,), 64)
-        assert 0.0 < 1.0 - lam.max() < gap
+        # beta = 4, xi = 1: e_bulk(4, ., s, .) uses the plus block on (-s, s),
+        # where 1 - lam_max is ~5e-8 at s = 3.15 and ~7e-15 at s = 6.3 (blocks
+        # of 64, the size of the order-64 rule on (0, s))
+        lam, _ = _spectrum((s,), 128)
+        assert 0.0 < 1.0 - lam[0].max() < gap
         e1 = e_bulk(4, 1, s, 1.0)
         assert math.isfinite(e1)
         assert abs(e1 - _lu_bulk(4, s, 1.0)[1]) <= 1e-13
 
-    @pytest.mark.parametrize("family", ["cue", "sine", "l", "plus", "minus",
-                                        "l_plus", "l_minus"])
+    @pytest.mark.parametrize("family", ["sine", "l", "plus", "minus", "l_plus", "l_minus"])
     def test_matrix_bitwise_symmetric(self, family):
-        kernel = KernelSpec(family, 9 if family == "cue" else None)
-        for n in (16, 64, 256):
-            A = _symmetrised(kernel, np.array([0.3, 3.15, 6.3]), n)
-            assert A.shape == (3, n, n)
-            assert np.array_equal(A, A.swapaxes(1, 2))
+        # the blocks eigensolved for each kernel on (0, s): both parity blocks
+        # on (-s/2, s/2) for sine and l, one block on (-s, s) for the others
+        stack = int(family.startswith("l"))
+        sign = family.rsplit("_", 1)[-1]
+        rows, scale = {"plus": ([0], 1.0), "minus": ([1], 1.0)}.get(sign, ([0, 1], 0.5))
+        for n in (16, 64, 512):
+            A = _blocks(scale * np.array([0.3, 3.15, 6.3]), n)[stack][rows]
+            assert A.shape == (len(rows), 3, n // 2, n // 2)
+            assert np.array_equal(A, A.swapaxes(-1, -2))
+
+    def test_blocks_against_kernel_eval(self):
+        for t in (0.3, 3.15, 6.3):
+            for n in (16, 64, 512):
+                rule = gauss_legendre(n, -t, t)
+                x, sw = rule.nodes[n // 2:], np.sqrt(rule.weights[n // 2:])
+                K = _blocks(np.array([t]), n)[0][:, 0]
+                for block, family in zip(K, ("plus", "minus")):
+                    want = (sw[:, None] * sw[None, :]) * kernel_eval(
+                        KernelSpec(family), x[:, None], x[None, :])
+                    assert np.max(np.abs(block - want)) <= 1e-14
+
+    @pytest.mark.parametrize("t, n, tol", [(6.3, 16, 2e-15), (6.3, 64, 2e-15),
+                                           (80.0, 512, 1e-13)])
+    def test_blocks_against_mpmath(self, t, n, tol):
+        # kernel_eval's own l_plus and l_minus round pi (x + y) before the sine:
+        # off by 1.5e-14 at t = 6.3 and by more than 1e-13 at t = 80
+        rule = gauss_legendre(n, -t, t)
+        x, sw = rule.nodes[n // 2:], np.sqrt(rule.weights[n // 2:])
+        idx = list(range(0, n // 2, max(1, n // 32))) + [n // 2 - 2, n // 2 - 1]
+        got = np.stack(_blocks(np.array([t]), n))[:, :, 0][:, :, idx][..., idx]
+        want = np.empty_like(got)
+        with mpmath.workdps(30):
+            pi = mpmath.pi
+            for a, i in enumerate(idx):
+                for b, j in enumerate(idx):
+                    u, v = mpmath.mpf(x[i]), mpmath.mpf(x[j])
+                    w = mpmath.mpf(sw[i]) * mpmath.mpf(sw[j])
+                    near, far = mpmath.sin(pi * (u - v)), mpmath.sin(pi * (u + v))
+                    k_near = near / (pi * (u - v)) if i != j else 1
+                    for r, sg in enumerate((1, -1)):
+                        want[0, r, a, b] = w * (k_near + sg * far / (pi * (u + v)))
+                        want[1, r, a, b] = w * pi / 6 * ((u - v) * near + sg * (u + v) * far)
+        assert np.max(np.abs(got - want)) <= tol
+        if t > 10:
+            W = sw[idx, None] * sw[None, idx]
+            l_minus = W * kernel_eval(KernelSpec("l_minus"), x[idx, None], x[None, idx])
+            assert np.max(np.abs(l_minus - want[1, 1])) > tol
 
     def test_cached_arrays_read_only(self):
-        lam, d = _spectrum(SINE, LKER, (1.3,), 64)
+        lam, d = _spectrum((1.3,), 64)
         assert not lam.flags.writeable and not d.flags.writeable
         with pytest.raises(ValueError):
             lam[0] = 0.0
         assert _spectrum.cache_info().maxsize is not None
+
+    def test_one_spectrum_serves_beta1_beta2_and_pm(self):
+        # beta = 1 at s, beta = 2 at s and e_pm at s all read the parity
+        # blocks on (-s/2, s/2)
+        grid = np.linspace(0.1, 3.0, 30)
+        _spectrum.cache_clear()
+        for order in (0, 1):
+            e_bulk(1, order, grid, 0.5)
+        misses = _spectrum.cache_info().misses
+        for order in (0, 1):
+            e_bulk(2, order, grid, 0.7)
+            e_pm(+1, order, grid, 0.8)
+            e_pm(-1, order, grid, 0.3)
+        assert _spectrum.cache_info().misses == misses
+
+    def test_unserved_kernels_refused(self):
+        with pytest.raises(ValueError, match="cue"):
+            fredholm_det(KernelSpec("cue", 9), 1.0, 0.5)
+        with pytest.raises(ValueError, match="l_plus"):
+            fredholm_trace_correction(SINE, KernelSpec("l_plus"), 1.0, 0.5)
 
     def test_one_eigensolve_serves_every_xi_and_order(self, eigh_log):
         e_bulk(2, 0, 2.345, 0.5)
@@ -309,6 +380,22 @@ class TestSpectralEngine:
 
 class TestSweeps:
     grid = np.array([0.0, 0.05, 0.7, 1.6, 2.4, 3.15])
+
+    @pytest.mark.parametrize("f", [lambda o, s: e_bulk(1, o, s, 0.5),
+                                   lambda o, s: e_bulk(4, o, s, 0.5),
+                                   lambda o, s: e_pm(-1, o, s, 0.5),
+                                   lambda o, s: p_bulk(2, o, s, 0.5)],
+                             ids=["e_bulk-beta1", "e_bulk-beta4", "e_pm", "p_bulk"])
+    def test_integral_order(self, f):
+        # an integral float or numpy order is the int order; nothing else is
+        for order in (0, 1):
+            want = f(order, self.grid)
+            assert np.array_equal(f(float(order), self.grid), want)
+            assert np.array_equal(f(np.int64(order), self.grid), want)
+        with pytest.raises(ValueError, match="order must be an integer"):
+            f(0.5, self.grid)
+        with pytest.raises(ValueError, match="order must be 0 or 1"):
+            f(2.0, self.grid)
 
     @pytest.mark.parametrize("beta", [1, 2, 4])
     @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
@@ -350,18 +437,25 @@ class TestSweeps:
             e_bulk(2, 0, [0.5, bad], 0.5)
 
     def test_unconverged_node_warns(self):
-        # order 256 does not resolve the sine kernel on (0, 100)
+        # order 512 does not resolve the plus block on (-100, 100)
         with pytest.warns(AccuracyWarning, match="1 of 2"):
-            values, orders = _e_bulk(2, 1, np.array([0.5, 100.0]), 0.2)
-        assert orders.tolist() == [32, 256]
-        assert values[0] == e_bulk(2, 1, 0.5, 0.2)
+            values, orders = _e_bulk(4, 1, np.array([0.5, 100.0]), 0.2)
+        assert orders.tolist() == [32, 512]
+        assert values[0] == e_bulk(4, 1, 0.5, 0.2)
+
+    @pytest.mark.parametrize("beta, s", [(1, 140.0), (2, 75.0), (4, 70.0)])
+    def test_reach(self, beta, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWarning)
+            for order in (0, 1):
+                assert _e_bulk(beta, order, s, 0.2)[1] <= 512
 
     def test_stacks_within_entry_budget(self, eigh_log):
         _spectrum.cache_clear()
-        e_bulk(2, 1, np.linspace(0.0, 50.0, 66), 0.2)
+        e_bulk(2, 1, np.linspace(0.0, 100.0, 130), 0.2)
         sizes = [(math.prod(shape[:-2]), shape[-1]) for shape in eigh_log]
-        # a stack holds several matrices only while they fit the budget; one
-        # matrix of order 256 (65536 entries) goes alone
-        assert all(k * n * n <= max(_STACK_ENTRIES, n * n) for k, n in sizes)
-        assert {n for _, n in sizes} >= {16, 32, 64, 128, 256}
-        assert max(k for k, _ in sizes) == _STACK_ENTRIES // 16 ** 2
+        # a stack holds several blocks only while they fit the budget; the
+        # pair of blocks of 256 (131072 entries) goes alone
+        assert all(k * m * m <= max(_STACK_ENTRIES, 2 * m * m) for k, m in sizes)
+        assert {m for _, m in sizes} >= {8, 16, 32, 64, 128, 256}
+        assert max(k for k, _ in sizes) == 2 * (_STACK_ENTRIES // (2 * 8 ** 2))
