@@ -15,7 +15,7 @@ import numpy as np
 
 from .correlations import rho2_bulk_term
 from .gap import AccuracyWarning
-from .numerics import (chebyshev_interpolate, chebyshev_points, gauss_legendre,
+from .numerics import (_whole, chebyshev_interpolate, chebyshev_points, gauss_legendre,
                        inverse_square_fit, spectral_derivative)
 
 F = Fraction
@@ -29,6 +29,8 @@ def selberg_log(n: int, a: float, b: float, c: float) -> float:
     """log of the Selberg integral int prod t^a (1-t)^b prod |t_k - t_j|^(2c)."""
     if not all(map(math.isfinite, (a, b, c))):
         raise ValueError(f"a, b and c must be finite, got ({a}, {b}, {c})")
+    if (n := _whole("n", n)) < 0:
+        raise ValueError(f"n must be nonnegative, got n = {n}")
     if n == 0:
         return 0.0
     if a <= -1 or b <= -1:
@@ -59,6 +61,8 @@ def morris(N: int, a: float, b: float, lam: float) -> float:
     """Morris integral as a Gamma-function product, log-Gamma arithmetic."""
     if not all(map(math.isfinite, (a, b, lam))):
         raise ValueError(f"a, b and lam must be finite, got ({a}, {b}, {lam})")
+    if (N := _whole("N", N)) < 0:
+        raise ValueError(f"N must be nonnegative, got N = {N}")
     if N == 0:
         return 1.0
     j = np.arange(N)
@@ -98,12 +102,12 @@ def v2_coefficient(n: int, kappa: float) -> float:
 
 # -- beta = 2: moment-determinant (Andreief) reduction, weight is flat -------
 
-def _integral_beta2(f, n_nodes: int) -> complex:
+def _integral_beta2(f, n_nodes: int):
+    """I[f] for each row of f(u), shape (..., n_nodes) at the n_nodes nodes u."""
     rule = gauss_legendre(n_nodes, 0.0, 1.0)
     u, w = rule.nodes, rule.weights
-    fu = w * f(u)
-    m = [np.sum(fu * u ** p) for p in range(3)]
-    return 2.0 * (m[0] * m[2] - m[1] * m[1])
+    m = (w * f(u)) @ (u[:, None] ** np.arange(3))
+    return 2.0 * (m[..., 0] * m[..., 2] - m[..., 1] * m[..., 1])
 
 
 # -- beta = 4: de Bruijn Pfaffian of pair integrals, u = sin^2 phi ----------
@@ -133,15 +137,17 @@ def _beta4_rule(n: int):
     return np.sin(np.pi / (2 * n) * i) ** 2, cos, T @ A @ T
 
 
-def _integral_beta4(f, n_nodes: int) -> complex:
-    """24 Pf[Q], Q_jk = int_{0<=x<=y<=1} (x^j y^k - x^k y^j) h(x) h(y) dx dy
-    with h(u) = f(u) u^(-1/2) (1-u)^(-1/2). Under u = sin^2 phi, h du = 2 f dphi;
-    in the basis T_j(1 - 2u) = cos 2 j phi (determinant 512 against u^j) each
-    pair integral is a_j W a_k, with a_j = 2 cos(2 j phi) f(sin^2 phi)."""
+def _integral_beta4(f, n_nodes: int):
+    """24 Pf[Q] for each row of f(u), shape (..., n_nodes + 1), with Q_jk =
+    int_{0<=x<=y<=1} (x^j y^k - x^k y^j) h(x) h(y) dx dy and h(u) = f(u)
+    u^(-1/2) (1-u)^(-1/2). Under u = sin^2 phi, h du = 2 f dphi; in the basis
+    T_j(1 - 2u) = cos 2 j phi (determinant 512 against u^j) each pair integral
+    is a_j W a_k, with a_j = 2 cos(2 j phi) f(sin^2 phi)."""
     u, cos, W = _beta4_rule(n_nodes)
-    a = 2.0 * cos * f(u)
-    Q = a @ W @ a.T
-    return 3.0 / 64.0 * (Q[0, 1] * Q[2, 3] - Q[0, 2] * Q[1, 3] + Q[0, 3] * Q[1, 2])
+    a = 2.0 * cos * f(u)[..., None, :]
+    Q = (a.reshape(-1, n_nodes + 1) @ W).reshape(a.shape) @ a.swapaxes(-1, -2)
+    return 3.0 / 64.0 * (Q[..., 0, 1] * Q[..., 2, 3] - Q[..., 0, 2] * Q[..., 1, 3]
+                         + Q[..., 0, 3] * Q[..., 1, 2])
 
 
 # -- any even beta: the holonomic (Aomoto) system ---------------------------
@@ -216,27 +222,26 @@ def _holonomic(n: int, s, N, ratio: float, cap: float) -> np.ndarray:
 
 
 _METHODS = {2: ("hankel", "holonomic"), 4: ("pfaffian", "holonomic"), 6: ("holonomic",)}
+_ENGINES = {"hankel": _integral_beta2, "pfaffian": _integral_beta4}
 _DEFAULT_ORDER = {2: 64, 4: 48}
+_SLICE_ENTRIES = 65536   # complex entries per quadrature temporary: x enters in slices
 
 
-def _weighted_integral(beta: int, f, n_nodes: int, method: str) -> complex:
-    return (_integral_beta2 if method == "hankel" else _integral_beta4)(f, n_nodes)
-
-
-def _integrand(beta: int, x: float, N):
-    """(pre, f): the two-point function at separation x is Re[pre I[f]]."""
+def _integrand(beta: int, x, N):
+    """(pre, f): the two-point function at the separations x, a 1-d array, is
+    Re[pre I[f]], f(u) holding one row per x."""
     kap = beta / 2.0
     log_c = (3.0 * math.lgamma(kap + 1) - math.lgamma(beta + 1) - math.lgamma(3.0 * kap + 1)
              - selberg_log(beta, -1 + 2.0 / beta, -1 + 2.0 / beta, 2.0 / beta))
     if N is None:
-        f = lambda u: np.exp(2j * np.pi * x * u)
+        f = lambda u: np.exp(np.multiply.outer(2j * np.pi * x, u))
         scale, chord, shift = kap ** beta, TWO_PI * x, x
     else:
         theta = TWO_PI * x / N
         z = 1.0 - np.exp(1j * theta)
-        f = lambda u: (1.0 - z * u) ** (N - 2)
+        f = lambda u: (1.0 - np.multiply.outer(z, u)) ** (N - 2)
         scale = evenness_factor(2, kap, N)
-        chord, shift = 2.0 * math.sin(theta / 2.0), x * (N - 2) / N
+        chord, shift = 2.0 * np.sin(theta / 2.0), x * (N - 2) / N
     return math.exp(log_c) * scale * chord ** beta * np.exp(-1j * np.pi * beta * shift), f
 
 
@@ -247,21 +252,18 @@ def rho2_even_beta(beta: int, x, N: int | float | None = None,
     number or an array, for even beta, from the beta-dimensional integral
     representation; N = None gives the limit curve.
 
-    The "hankel" (beta = 2) and "pfaffian" (beta = 4) quadratures use
-    quad_order nodes and then twice as many; "holonomic" (the default at beta =
+    The default engine serves every caller: the "hankel" (beta = 2) and
+    "pfaffian" (beta = 4) quadratures take all x at once with quad_order (an
+    integer in [beta, 256]) nodes and then twice as many; "holonomic" (beta =
     6) serves every x from one continuation at each of two step settings. The
     two must agree, to 1e-6 and 1e-10, or an AccuracyWarning is raised.
-    check_convergence=False returns the first alone.
+    check_convergence=False returns the first alone. method="holonomic" at
+    beta = 2, 4 is the tests' second pipeline.
 
     The finite-N prefactor is the Gamma-free reduction of the Morris-product
     constant through the evenness product, so any real (including negative)
     N is accepted and the value is even in N; its N -> oo form, with
     (kappa N)^beta for the product, gives the limit."""
-    return _rho2_even(beta, x, N, quad_order, method, check_convergence)
-
-
-def _rho2_even(beta, x, N, quad_order, method, check_convergence):
-    # the library's own holonomic calls enter here: bench/tracer.py has no holonomic group
     if beta not in _METHODS:
         raise ValueError("beta must be 2, 4, or 6")
     xs = np.asarray(x, dtype=float)
@@ -273,21 +275,23 @@ def _rho2_even(beta, x, N, quad_order, method, check_convergence):
                          + " or ".join(_METHODS[beta]))
     if method == "holonomic" and (quad_order is not None or np.any(np.abs(xs) > _X_MAX)):
         raise ValueError(f"the holonomic engine takes no quad_order, and |x| <= {_X_MAX:g}")
-    n_nodes = _DEFAULT_ORDER.get(beta) if quad_order is None else quad_order
-    if method != "holonomic" and n_nodes < beta:
-        raise ValueError(f"quad_order must be at least {beta} for the {method} engine")
+    n_nodes = _DEFAULT_ORDER.get(beta) if quad_order is None else _whole("quad_order", quad_order)
+    if method != "holonomic" and not beta <= n_nodes <= 256:   # <= 512 nodes to certify
+        raise ValueError(f"quad_order must lie in [{beta}, 256] for the {method} engine")
     if N is not None and np.any(np.abs(xs) >= abs(N) / 2.0):
         raise ValueError("separation must stay within one period, |x| < N/2")
+    flat = xs.ravel()
     if method == "holonomic":
         # even in x: run each path forwards, with theta = 2 pi x / N >= 0
-        xs_path = np.abs(xs.ravel()) * (1.0 if N is None or N > 0 else -1.0)
-        pre = np.array([_integrand(beta, v, N)[0] for v in xs_path.tolist()])
+        xs_path = np.abs(flat) * (1.0 if N is None or N > 0 else -1.0)
+        pre = _integrand(beta, xs_path, N)[0]
         s = TWO_PI * np.abs(xs_path) / (1.0 if N is None else abs(N))
         value, tol = (lambda k: pre * _holonomic(beta, s, N, *_STEPS[k])), 1e-10
     else:
-        terms = [_integrand(beta, v, N) for v in xs.ravel().tolist()]
-        value, tol = (lambda k: np.array([complex(pre * _weighted_integral(
-            beta, f, n_nodes * 2 ** k, method)) for pre, f in terms])), 1e-6
+        engine, step = _ENGINES[method], max(1, _SLICE_ENTRIES // (8 * n_nodes + 4))
+        terms = [_integrand(beta, flat[i:i + step], N) for i in range(0, flat.size or 1, step)]
+        value, tol = (lambda k: np.concatenate([pre * engine(f, n_nodes * 2 ** k)
+                                                for pre, f in terms])), 1e-6
     got = value(0)
     if check_convergence is not False:
         again = value(1)
@@ -304,11 +308,10 @@ def _rho2_even(beta, x, N, quad_order, method, check_convergence):
 def rho2_correction_estimate(beta: int, x):
     """Richardson estimate of the 1/N^2 coefficient of the two-point function
     at separation x (a number or an array, |x| < 16): the exact fit {1, 1/N^2,
-    1/N^4, 1/N^6} through N = 32, 48, 64, 96, one holonomic continuation per N
-    at its first step setting."""
+    1/N^4, 1/N^6} through N = 32, 48, 64, 96, one certified rho2_even_beta
+    array call per N with its default engine."""
     Ns = (32, 48, 64, 96)
-    fit = inverse_square_fit(Ns, [_rho2_even(beta, x, N, None, "holonomic", False)
-                                  for N in Ns])[1]
+    fit = inverse_square_fit(Ns, [rho2_even_beta(beta, x, N) for N in Ns])[1]
     return float(fit) if np.ndim(fit) == 0 else fit
 
 
@@ -323,7 +326,7 @@ def moment_integral(beta: int, theta: float, exponents=()) -> complex:
     of degree <= beta in each t_i. So the integral of f(u) = e^(i theta u)
     times 1 + sum_i t_i u^a_i, run through the engine of rho2_even_beta with
     each t_i over the beta-th roots of unity and weighted by conj(t_1...t_m),
-    averages to it exactly: beta^m engine calls."""
+    averages to it exactly: one engine call over the beta^m rows."""
     if beta not in (2, 4):
         raise NotImplementedError("moment integrals support beta = 2, 4")
     if not all(float(a).is_integer() and a >= 0 for a in exponents):
@@ -333,18 +336,12 @@ def moment_integral(beta: int, theta: float, exponents=()) -> complex:
         raise NotImplementedError("m <= 3 only")
     if m > beta:
         return 0.0 + 0.0j
-    nn, method = _DEFAULT_ORDER[beta], _METHODS[beta][0]
-    roots = [1j ** (4 * k // beta) for k in range(beta)]   # exact at beta = 2, 4
-    total = 0.0 + 0.0j
-    for ts in itertools.product(roots, repeat=m):
-        g = lambda u, ts=ts: np.exp(1j * theta * u) * (
-            1.0 + sum(t * u ** a for t, a in zip(ts, exponents)))
-        total += np.conj(np.prod(ts)) * _weighted_integral(beta, g, nn, method)
+    # each t_i over the beta-th roots of unity, exact at beta = 2, 4: one row per choice
+    roots = [1j ** (4 * k // beta) for k in range(beta)]
+    ts = np.array(list(itertools.product(roots, repeat=m)), dtype=complex).reshape(beta ** m, m)
+    rows = lambda u: np.exp(1j * theta * u) * (1.0 + ts @ u ** np.reshape(exponents, (m, 1)))
+    total = np.conj(ts.prod(axis=1)) @ _ENGINES[_METHODS[beta][0]](rows, _DEFAULT_ORDER[beta])
     return complex(total / beta ** m)
-
-
-def _even(x: int) -> int:
-    return 1 if x % 2 == 0 else 0
 
 
 def _integrals(beta: int):
@@ -373,7 +370,7 @@ def _sides(beta: int, theta: float, a: tuple, integral):
     for j in (1, 2):
         p = a[0] - j
         sub = sum(I(k, p - k, *rest) for k in range(p // 2 + 1))
-        if _even(p):
+        if p % 2 == 0:
             sub -= 0.5 * I(p // 2, p // 2, *rest)
         rhs += (4.0 / beta) * (-1) ** j * sub
     for idx in range(1, m):
@@ -387,7 +384,7 @@ def _sides(beta: int, theta: float, a: tuple, integral):
             tot = a[0] + ak - j
             sub = sum(I(el, tot - el, *others)
                       for el in range(min(a[0] + 1 - j, ak), tot // 2 + 1))
-            if _even(tot):
+            if tot % 2 == 0:
                 sub -= 0.5 * I(tot // 2, tot // 2, *others)
             inner += (-1) ** j * sub
         rhs += (4.0 / beta) * sgn * inner

@@ -167,8 +167,8 @@ def _identity_registry():
         return [_orders(lambda o, xs: correlations.rho2_bulk_term(beta, o, xs))]
 
     def rho2_even(beta):
-        # Q0 from one certified holonomic continuation, Q1 from one per N
-        return [(lambda xs: beta_even._rho2_even(beta, xs, None, None, "holonomic", True),
+        # Q0 from one certified array call, Q1 from one per N
+        return [(lambda xs: beta_even.rho2_even_beta(beta, xs),
                  lambda xs: beta_even.rho2_correction_estimate(beta, xs))]
 
     e_pm = [_orders(lambda o, xs, sg=sg: gap.e_pm(sg, o, xs, 0.8)) for sg in (+1, -1)]

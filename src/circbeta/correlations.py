@@ -8,12 +8,12 @@ import math
 import numpy as np
 
 from .kernels import pfaffian_entries, _cue_scaled
-from .numerics import sine_integral
+from .numerics import _whole, sine_integral
 
 
 def rho_n_cue(N: int, angles) -> float:
     """n-point density of the N-dimensional circular unitary ensemble."""
-    th = np.asarray(angles, float)
+    N, th = _whole("N", N), np.asarray(angles, float)
     if th.size < 1 or th.size > N:
         raise ValueError("need 1 <= n <= N angles")
     if np.unique(th).size < th.size:

@@ -209,6 +209,8 @@ def e_finite_cue(N: int, phi: float, xi: float) -> float:
         raise ValueError("N must be a positive integer")
     if not 0.0 <= phi <= 2.0 * np.pi + 1e-12:
         raise ValueError("phi must lie in [0, 2 pi]")
+    if not np.isfinite(xi):
+        raise ValueError(f"xi must be finite, got xi = {xi}")
     if xi == 0.0 or phi == 0.0:
         return 1.0
     # conjugating (e^{i d phi} - 1) / (2 pi i d), d = j - k, by diag(e^{-i j phi/2})
@@ -234,12 +236,12 @@ def extract_correction(N_list, s: float, xi: float) -> CorrectionEstimate:
     Ns = np.asarray(sorted(N_list), float)
     if Ns.size < 3:
         raise ValueError("need at least 3 values of N")
+    if np.any(np.diff(Ns) == 0):
+        raise ValueError("values of N must be distinct")
     F = np.array([e_finite_cue(int(N), 2.0 * np.pi * s / N, xi) for N in Ns])
     diffs = np.diff(F)
     if np.any(diffs == 0) or np.any(np.sign(diffs) != np.sign(diffs[0])):
         warnings.warn("non-monotone data; fit may be unreliable", AccuracyWarning)
-    if np.any(np.diff(Ns) == 0):
-        raise ValueError("values of N must be distinct")
     h = 1.0 / Ns ** 2
     # exact three-term fit {1, h, h^2} through the finest three values
     e0, e1, _ = map(float, inverse_square_fit(Ns[-3:], F[-3:]))

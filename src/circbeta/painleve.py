@@ -221,8 +221,8 @@ def e_tau(sol: SigmaSolution, s: float, order: int) -> float:
     corresponding sigma_1 integral."""
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    if s < 0:
-        raise ValueError("s must be nonnegative")
+    if not (math.isfinite(s) and s >= 0):
+        raise ValueError(f"s must be finite and nonnegative, got s = {s}")
     upper = np.pi * s
     if upper > sol.t_max + 1e-12:
         raise ValueError(f"s = {s} beyond trajectory (t_max = {sol.t_max})")

@@ -171,8 +171,8 @@ def series_coefficient(order: int, m: int, kappa):
 
 def sff_series(beta: float, order: int, tau: float) -> float:
     """Truncated small-tau series of the order-th expansion term."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be finite and positive, got beta = {beta}")
     if order not in SERIES_POWERS:
         raise ValueError("order must be 0, 1, or 2")
     kappa = beta / 2.0
@@ -229,7 +229,7 @@ def _jack_terms(k: int, alpha: Fraction):
 def cbe_trace_moment(beta, N: int, k: int) -> Fraction:
     """Exact E|Tr U^k|^2 = 2 pi S_{N, beta}(k) in the CβE of N x N matrices,
     for rational beta > 0 and k >= 1."""
-    beta = F(beta)
+    beta, N, k = F(beta), _whole("N", N), _whole("k", k)
     if beta <= 0 or N < 1 or k < 1:
         raise ValueError("need beta > 0, N >= 1 and k >= 1")
     total = F(0)

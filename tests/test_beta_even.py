@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import mpmath
@@ -14,7 +15,7 @@ from circbeta import (beta_even, correction_factor, correction_residual,
                       moment_integral, morris, recurrence_sides,
                       rho2_bulk_term, rho2_correction_limit, rho2_even_beta,
                       selberg, selberg_log, v2_coefficient, verify_moment_recurrence)
-from circbeta.beta_even import (_METHODS, _integral_beta4, _system, _weighted_integral,
+from circbeta.beta_even import (_ENGINES, _METHODS, _integral_beta4, _system,
                                 rho2_correction_estimate, selberg_exact)
 from circbeta.gap import AccuracyWarning
 from circbeta.sff import _partition_boxes
@@ -330,6 +331,10 @@ class TestRho2EvenBeta:
         (6, {"quad_order": 38}), (6, {"quad_order": 48}),
         (4, {"method": "holonomic", "quad_order": 90, "check_convergence": False}),
         (6, {"quad_order": 24, "check_convergence": True}),
+        # an integer in [beta, 256], so that the certification rule has <= 512 nodes
+        (4, {"quad_order": 64.5}), (2, {"quad_order": 64.5}), (2, {"quad_order": True}),
+        (2, {"quad_order": math.nan}), (2, {"quad_order": 257}), (4, {"quad_order": 257}),
+        (4, {"quad_order": 6000, "check_convergence": False}),
     ])
     def test_order_out_of_range(self, beta, kwargs):
         with pytest.raises(ValueError, match="quad_order"):
@@ -364,8 +369,8 @@ class TestRho2EvenBeta:
                            - log_s)
                 theta = 2 * np.pi * x / N
                 z = 1 - np.exp(1j * theta)
-                integral = _weighted_integral(beta, lambda u: (1 - z * u) ** (N - 2),
-                                              order, _METHODS[beta][0])
+                integral = _ENGINES[_METHODS[beta][0]](lambda u: (1 - z * u) ** (N - 2),
+                                                       order)
                 want = (np.exp(log_pre) * (2 * np.sin(theta / 2)) ** beta
                         * np.exp(-1j * np.pi * beta * x * (N - 2) / N) * integral).real
                 got = rho2_even_beta(beta, x, N, order, check_convergence=False)
@@ -409,12 +414,38 @@ class TestVerify421:
 
     @pytest.mark.parametrize("beta", [2, 4, 6])
     def test_estimate_is_one_continuation_per_N(self, beta, monkeypatch):
+        # the 32 span nodes in one certified call per N: at beta = 2, 4 one
+        # quadrature call per N and order, at beta = 6 one continuation per N
+        # and step setting
         calls = []
-        engine = beta_even._holonomic
-        monkeypatch.setattr(beta_even, "_holonomic",
-                            lambda *a: calls.append(a[2]) or engine(*a))
+        if beta == 6:
+            engine = beta_even._holonomic
+            monkeypatch.setattr(beta_even, "_holonomic",
+                                lambda *a: calls.append(a[2]) or engine(*a))
+            want = [32, 32, 48, 48, 64, 64, 96, 96]
+        else:
+            method, n = _METHODS[beta][0], beta_even._DEFAULT_ORDER[beta]
+            engine = _ENGINES[method]
+            monkeypatch.setitem(_ENGINES, method, lambda f, order: calls.append(
+                (order, f(np.zeros(1)).shape)) or engine(f, order))
+            want = [(n, (32, 1)), (2 * n, (32, 1))] * 4
         got = rho2_correction_estimate(beta, np.linspace(0.1, 2.2, 32))
-        assert got.shape == (32,) and calls == [32, 48, 64, 96]
+        assert got.shape == (32,) and calls == want
+
+    @pytest.mark.parametrize("beta", [2, 4])
+    def test_array_call_bounded(self, beta):
+        # x goes through the quadrature engines in slices: the unsliced
+        # temporaries of 4000 points would be 16 MB (beta = 2) and 50 MB (beta = 4)
+        xs = np.linspace(0.1, 3.0, 4000)
+        tracemalloc.start()
+        try:
+            got = rho2_even_beta(beta, xs, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        some = xs[::397]
+        assert np.max(np.abs(got[::397] - [rho2_even_beta(beta, x, 40) for x in some])) <= 1e-14
 
 
 def distinct_monomials(a, us):
@@ -458,6 +489,17 @@ class TestMomentIntegrals:
     def test_vanishes_beyond_beta(self):
         assert moment_integral(2, 1.0, (1, 1, 1)) == 0.0
 
+    @pytest.mark.parametrize("beta, a", [(2, ()), (2, (2, 1)), (4, (1,)), (4, (3, 1, 2))])
+    def test_one_engine_call(self, beta, a, monkeypatch):
+        # every choice of roots of unity is a row of one call: beta^m rows
+        calls = []
+        method = _METHODS[beta][0]
+        engine = _ENGINES[method]
+        monkeypatch.setitem(_ENGINES, method, lambda f, n: calls.append(
+            f(np.zeros(1)).shape) or engine(f, n))
+        moment_integral(beta, 1.5, a)
+        assert calls == [(beta ** len(a), 1)]
+
     def test_unsupported(self):
         with pytest.raises(NotImplementedError):
             moment_integral(6, 1.0, (1,))
@@ -483,15 +525,14 @@ class TestRecurrence:
                                         thetas=(1.0,)) < 1e-13
 
     def test_beta4_each_integral_once(self, monkeypatch):
-        # the moment integrals over the default cases, keyed by their sorted
-        # exponents, and 16 Chebyshev samples of the base integral: 1272
-        # pfaffian engine calls instead of 3541 with one call per use
+        # the 44 distinct moment integrals over the default cases, keyed by
+        # their sorted exponents, and 16 Chebyshev samples of the base
+        # integral, one pfaffian engine call each
         calls = []
-        engine = beta_even._integral_beta4
-        monkeypatch.setattr(beta_even, "_integral_beta4",
-                            lambda f, n: calls.append(n) or engine(f, n))
+        engine = _ENGINES["pfaffian"]
+        monkeypatch.setitem(_ENGINES, "pfaffian", lambda f, n: calls.append(n) or engine(f, n))
         assert verify_moment_recurrence(4) < 1e-13
-        assert len(calls) <= 1272
+        assert len(calls) == 60
 
     def test_theta_zero_rhs_vanishes(self):
         lhs, rhs = recurrence_sides(2, 0.0, (3, 1))

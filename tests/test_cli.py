@@ -1,8 +1,11 @@
+import importlib.util
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -257,11 +260,48 @@ class TestVerify:
         code, out = run(["verify", "--identity", "rho2-even-corr-beta6"], capsys)
         assert code == 1 and out.rstrip().endswith("FAIL")
 
+    def test_even_engine_called_with_its_defaults(self, capsys, monkeypatch):
+        # every row reaches rho2_even_beta through beta, x and N alone, so
+        # each runs the default, certified engine of its beta
+        calls = []
+        engine = beta_even.rho2_even_beta
+        monkeypatch.setattr(beta_even, "rho2_even_beta",
+                            lambda *a, **k: calls.append((a, k)) or engine(*a, **k))
+        code, out = run(["verify"], capsys)
+        assert code == 0 and len(out.strip().splitlines()) == 21
+        bound = [inspect.signature(engine).bind(*a, **k).arguments for a, k in calls]
+        assert {b["beta"] for b in bound} == {2, 4, 6}
+        assert all(set(b) <= {"beta", "x", "N"} for b in bound)
+
     def test_known_r4_defect_reported(self, capsys):
         # the stored r2/r4 coefficients agree exactly with the CβE oracle
         code, out = run(["verify", "--identity", "sff-zeros-r4"], capsys)
         assert code == 0
         assert "pass" in out
+
+
+class TestBenchmarkContract:
+    """What bench/ uses of the library, loaded from its files; nothing is run."""
+
+    @staticmethod
+    def load(name):
+        path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_identities_are_registry_rows(self):
+        assert set(self.load("workloads").IDENTITIES) <= set(cli._identity_registry())
+
+    def test_tracer_binds_the_even_engine(self):
+        tracer = self.load("tracer")
+        signature = inspect.signature(beta_even.rho2_even_beta)
+        xs = np.linspace(0.2, 2.0, 7)
+        groups = [tracer._engine(signature, (beta, xs, N), {})[0]
+                  for beta in (2, 4, 6) for N in (None, 40)]
+        assert groups[:4] == ["beta_even.hankel"] * 2 + ["beta_even.pfaffian"] * 2
+        assert all(g.startswith("beta_even.") for g in groups[4:])
 
 
 class TestUsageErrors:

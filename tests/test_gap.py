@@ -9,6 +9,7 @@ from circbeta import (AccuracyWarning, E_CUE_SMALL_S, KernelSpec, correction_fac
                       correction_residual, e_bulk, e_finite_cue, e_pm,
                       extract_correction, fredholm_det, fredholm_trace_correction,
                       gap_probabilities, gauss_legendre, kernel_eval)
+from circbeta import gap
 from circbeta.gap import _STACK_ENTRIES, _blocks, _e_bulk, _fixed, _spectrum
 from circbeta.spacing import P0_BETA1, p_bulk
 
@@ -188,16 +189,23 @@ class TestExtractCorrection:
         with pytest.raises(ValueError):
             extract_correction([10, 20], 1.0, 1.0)
 
-    @pytest.mark.parametrize("N_list", [[10, 20, 20, 40], [20, 40, 80, 80]])
-    def test_rejects_repeated_N(self, N_list):
-        with pytest.warns(AccuracyWarning), pytest.raises(ValueError, match="distinct"):
-            extract_correction(N_list, 1.0, 1.0)
+    @pytest.mark.parametrize("N_list", [[10, 20, 20, 40], [20, 40, 80, 80], [20, 40, 40, 80]])
+    def test_rejects_repeated_N(self, N_list, monkeypatch):
+        # refused before any determinant is computed, so with no warning
+        calls = []
+        monkeypatch.setattr(gap, "e_finite_cue", lambda *a: calls.append(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="distinct"):
+                extract_correction(N_list, 1.0, 1.0)
+        assert calls == []
 
     def test_warns_on_degenerate_data(self):
+        # xi = 0: every determinant is 1, so the data are constant in N
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(AccuracyWarning):
-                extract_correction([10, 10, 20, 40], 1.0, 1.0)
+                extract_correction([10, 20, 40], 1.0, 0.0)
 
 
 def test_pm_against_beta1_combination():

@@ -1,0 +1,43 @@
+"""Library entry points refuse non-finite values and non-integral or negative
+counts with a ValueError instead of returning nan or a spurious number."""
+
+import math
+
+import pytest
+
+from circbeta import (cbe_trace_moment, e_finite_cue, e_tau, morris, rho_n_cue,
+                      selberg, sff_series, solve_sigma0)
+
+SOL = solve_sigma0(1.0, 3.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: sff_series(math.nan, 0, 0.5), "beta"),
+    (lambda: sff_series(math.inf, 0, 0.5), "beta"),
+    (lambda: e_tau(SOL, math.nan, 0), "s"),
+    (lambda: e_finite_cue(10, 1.0, math.nan), "xi"),
+])
+def test_non_finite_refused(call, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: selberg(-1, 0.0, 0.0, 2.0), "n must be nonnegative"),
+    (lambda: selberg(1.5, 0.0, 0.0, 2.0), "n must be an integer"),
+    (lambda: morris(-2, 0.0, 0.0, 1.0), "N must be nonnegative"),
+    (lambda: morris(2.5, 0.0, 0.0, 1.0), "N must be an integer"),
+    (lambda: cbe_trace_moment(2, 2.5, 3), "N must be an integer"),
+    (lambda: cbe_trace_moment(2, 3, 1.5), "k must be an integer"),
+    (lambda: rho_n_cue(2.5, [0.1, 0.5]), "N must be an integer"),
+])
+def test_bad_integer_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_integral_floats_still_accepted():
+    assert selberg(2.0, 0.0, 0.0, 1.0) == pytest.approx(1.0 / 6.0, rel=1e-12)
+    assert morris(2.0, 1.0, 1.0, 1.0) == pytest.approx(6.0, rel=1e-12)
+    assert cbe_trace_moment(2, 3.0, 2.0) == 2
+    assert rho_n_cue(3.0, [0.1, 0.5]) == pytest.approx(rho_n_cue(3, [0.1, 0.5]))
