@@ -13,10 +13,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .correlations import rho2_bulk_term
+from .correlations import pfaffian, rho2_bulk_term
 from .gap import AccuracyWarning
-from .numerics import (_whole, chebyshev_interpolate, chebyshev_points, gauss_legendre,
-                       inverse_square_fit, spectral_derivative)
+from .numerics import (_SLICE_ENTRIES, _whole, chebyshev_interpolate, chebyshev_points,
+                       gauss_legendre, inverse_square_fit, spectral_derivative)
 
 F = Fraction
 TWO_PI = 2.0 * math.pi
@@ -146,8 +146,7 @@ def _integral_beta4(f, n_nodes: int):
     u, cos, W = _beta4_rule(n_nodes)
     a = 2.0 * cos * f(u)[..., None, :]
     Q = (a.reshape(-1, n_nodes + 1) @ W).reshape(a.shape) @ a.swapaxes(-1, -2)
-    return 3.0 / 64.0 * (Q[..., 0, 1] * Q[..., 2, 3] - Q[..., 0, 2] * Q[..., 1, 3]
-                         + Q[..., 0, 3] * Q[..., 1, 2])
+    return 3.0 / 64.0 * pfaffian(Q)
 
 
 # -- any even beta: the holonomic (Aomoto) system ---------------------------
@@ -190,7 +189,8 @@ def _holonomic(n: int, s, N, ratio: float, cap: float) -> np.ndarray:
         point, rate, v = (lambda v: -2j * np.sin(v / 2) * np.exp(0.5j * v)), n * abs(N), \
             [min(0.05, 0.5 / abs(N))]
         dist = lambda v: min(2.0 * math.sin(v / 2.0), 1.0)
-    while len(v) < 2 or v[-1] < np.max(s, initial=0.0):
+    s_max = np.max(s, initial=0.0)
+    while len(v) < 2 or v[-1] < s_max:
         v.append(v[-1] + min(ratio * dist(v[-1]), cap / rate))
     c = point(np.array(v))
     # Frobenius series at 0 in powers of z / |c_0|: (k - R0) a_k = (R1 - p'' (k-1) / 2) a_{k-1}
@@ -224,7 +224,6 @@ def _holonomic(n: int, s, N, ratio: float, cap: float) -> np.ndarray:
 _METHODS = {2: ("hankel", "holonomic"), 4: ("pfaffian", "holonomic"), 6: ("holonomic",)}
 _ENGINES = {"hankel": _integral_beta2, "pfaffian": _integral_beta4}
 _DEFAULT_ORDER = {2: 64, 4: 48}
-_SLICE_ENTRIES = 65536   # complex entries per quadrature temporary: x enters in slices
 
 
 def _integrand(beta: int, x, N):

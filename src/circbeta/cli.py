@@ -111,25 +111,21 @@ def cmd_rho2(args):
     limit = args.limit or args.N is None
     if args.beta == 6:
         # one holonomic continuation serves the grid; the limit has no rho1 (nan)
-        values = beta_even.rho2_even_beta(6, grid, None if limit else args.N)
-        rows = [[float(x), float(v)] + [float("nan")] * limit for x, v in zip(grid, values)]
+        columns = ([beta_even.rho2_even_beta(6, grid, None if limit else args.N)]
+                   + [np.full(grid.size, np.nan)] * limit)
     elif limit:
-        rho0, rho1 = (correlations.rho2_bulk_term(args.beta, o, grid) for o in (0, 1))
-        rows = [[float(x), float(a), float(b)] for x, a, b in zip(grid, rho0, rho1)]
+        columns = [correlations.rho2_bulk_term(args.beta, o, grid) for o in (0, 1)]
     else:
-        rows = [[float(x), correlations.rho2_bulk_finite(args.beta, args.N, float(x))]
-                for x in grid]
-    if limit:
-        return _emit(args, "rho2", {"beta": args.beta, "N": None},
-                     ["x", "rho0", "rho1"], rows)
-    return _emit(args, "rho2", {"beta": args.beta, "N": args.N}, ["x", "rho2"], rows)
+        columns = [correlations.rho2_bulk_finite(args.beta, args.N, grid)]
+    rows = [[float(v) for v in row] for row in zip(grid, *columns)]
+    return _emit(args, "rho2", {"beta": args.beta, "N": None if limit else args.N},
+                 ["x", "rho0", "rho1"] if limit else ["x", "rho2"], rows)
 
 
 def cmd_fig1(args):
     grid = args.range if args.range is not None else np.linspace(0.0, 3.0, 61)
     exact = np.where(grid > 0, spacing.p_bulk(2, 1, np.maximum(grid, 0.0), 1.0), 0.0)
-    rows = [[float(s), float(e), spacing.surmise_correction(float(s))]
-            for s, e in zip(grid, exact)]
+    rows = [[float(v) for v in row] for row in zip(grid, exact, spacing.surmise_correction(grid))]
     return _emit(args, "fig1", {"xi": 1.0}, ["s", "exact_correction",
                                              "surmise_correction"], rows)
 
@@ -233,6 +229,8 @@ def cmd_verify(args):
                  if args.beta is None or b == args.beta]
     rows = []
     failed = False
+    # the JSON document alone goes to stdout
+    lines = sys.stderr if args.format == "json" and not args.out else sys.stdout
     for name in names:
         beta, tol, fn = registry[name]
         residual = float(fn())
@@ -240,7 +238,7 @@ def cmd_verify(args):
         failed |= not ok
         rows.append([name, residual, tol, "pass" if ok else "FAIL"])
         print(f"{name:28s} residual={residual:9.3e} tol={tol:8.1e} "
-              f"{'pass' if ok else 'FAIL'}")
+              f"{'pass' if ok else 'FAIL'}", file=lines)
     if args.out or args.format == "json":
         _emit(args, "verify", {"identity": args.identity, "beta": args.beta},
               ["identity", "residual", "tolerance", "status"], rows)

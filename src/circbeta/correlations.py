@@ -3,17 +3,15 @@ beta = 1, 4, and the closed-form bulk expansion terms."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .kernels import pfaffian_entries, _cue_scaled
-from .numerics import _whole, sine_integral
+from .numerics import _SLICE_ENTRIES, _whole, sine_integral
 
 
 def rho_n_cue(N: int, angles) -> float:
     """n-point density of the N-dimensional circular unitary ensemble."""
-    N, th = _whole("N", N), np.asarray(angles, float)
+    N, th = _whole("N", N), _angles(angles)
     if th.size < 1 or th.size > N:
         raise ValueError("need 1 <= n <= N angles")
     if np.unique(th).size < th.size:
@@ -24,88 +22,98 @@ def rho_n_cue(N: int, angles) -> float:
     return float(np.linalg.det(K))
 
 
-def pfaffian(A) -> float:
-    """Pfaffian of a real antisymmetric matrix by Householder tridiagonalization."""
-    if np.iscomplexobj(A):
-        raise ValueError("real matrices only")
-    A = np.array(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
+def _angles(angles):
+    th = np.asarray(angles, float)
+    if not np.isfinite(th).all():
+        raise ValueError(f"angles must be finite, got {angles}")
+    return th
+
+
+def pfaffian(A):
+    """Pfaffian of an antisymmetric matrix, real or complex, or of each matrix
+    of a stack shaped (..., n, n); one matrix gives a number. Odd n gives 0,
+    n = 0 gives 1, and n = 4 the defining expansion a01 a23 - a02 a13 + a03
+    a12. Otherwise each pair of rows is eliminated, over the whole stack at
+    once, by skew-symmetric Gaussian elimination with partial pivoting
+    (Parlett and Reid, BIT 10 (1970) 386; Wimmer, ACM TOMS 38 (2012) 30).
+    Entries must be finite."""
+    A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("matrix must be square")
-    scale = max(np.abs(A).max(), 1.0)
-    if np.abs(A + A.T).max() > 1e-12 * scale:
-        raise ValueError("matrix is not antisymmetric to tolerance")
+    if n := A.shape[-1]:
+        size = np.abs(A).max(axis=(-2, -1))   # nan or inf if an entry is
+        if not np.isfinite(size).all():
+            raise ValueError("matrix entries must be finite")
+        if np.any(np.abs(A + A.swapaxes(-1, -2)).max(axis=(-2, -1))
+                  > 1e-12 * np.maximum(size, 1.0)):
+            raise ValueError("matrix is not antisymmetric to tolerance")
     if n % 2:
-        return 0.0
-    if n == 0:
-        return 1.0
-    det_q = 1.0
-    for i in range(n - 2):
-        x = A[i + 1:, i].copy()
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            continue
-        alpha = -nx if x[0] >= 0 else nx
-        v = x
-        v[0] -= alpha
-        nv = np.linalg.norm(v)
-        if nv < 1e-300:
-            continue
-        v /= nv
-        # H = I - 2 v v^T applied from both sides; each reflection has det -1
-        B = A[i + 1:, i + 1:]
-        B -= 2.0 * np.outer(v, v @ B)
-        B -= 2.0 * np.outer(B @ v, v)
-        A[i + 1:, i] -= 2.0 * v * (v @ A[i + 1:, i])
-        A[i, i + 1:] = -A[i + 1:, i]
-        det_q = -det_q
-    pf = det_q
-    for k in range(0, n - 1, 2):
-        pf *= A[k, k + 1]
-    return float(pf)
+        return np.zeros(A.shape[:-2], A.dtype)[()]
+    if n == 4:
+        return (A[..., 0, 1] * A[..., 2, 3] - A[..., 0, 2] * A[..., 1, 3]
+                + A[..., 0, 3] * A[..., 1, 2])[()]
+    pf, rows = np.ones(A.shape[:-2], A.dtype), np.arange(n)
+    for k in range(0, n, 2):
+        # swap row and column k + 1 with those of the largest entry below A_kk
+        p = k + 1 + np.abs(A[..., k + 1:, k]).argmax(axis=-1)[..., None]
+        swap = np.where(rows == k + 1, p, np.where(rows == p, k + 1, rows))
+        A = np.take_along_axis(np.take_along_axis(A, swap[..., None], -2), swap[..., None, :], -1)
+        pivot = A[..., k, k + 1]
+        pf *= np.where(p[..., 0] == k + 1, pivot, -pivot)
+        # a zero pivot comes with a zero row k (divided by 1 instead) and makes pf 0
+        M = A[..., k, k + 2:, None] / (pivot + (pivot == 0))[..., None, None] \
+            * A[..., None, k + 2:, k + 1]
+        A[..., k + 2:, k + 2:] += M - M.swapaxes(-1, -2)
+    return pf[()]
 
 
-def rho_n_pfaffian(beta: int, N: int, angles) -> float:
-    """n-point density of the circular orthogonal (beta=1) or symplectic
-    (beta=4) ensemble via the 2n x 2n Pfaffian."""
+def rho_n_pfaffian(beta: int, N: int, angles):
+    """n-point density of the N-dimensional circular orthogonal (beta = 1) or
+    symplectic (beta = 4) ensemble at angles shaped (..., n): the Pfaffian of
+    the 2n x 2n matrix of kernel entries of each configuration. Configurations
+    enter in slices whose trig tables hold at most _SLICE_ENTRIES entries; one
+    configuration gives a float."""
     if beta not in (1, 4):
         raise ValueError("beta must be 1 or 4")
-    th = np.asarray(angles, float)
-    n = th.size
+    N, th = _whole("N", N), _angles(angles)
+    n = th.shape[-1] if th.ndim else 0
     if n < 1 or n > N:
         raise ValueError("need 1 <= n <= N angles")
     ent = pfaffian_entries(N if beta == 1 else 2 * N)
     pref = 1.0 if beta == 1 else 0.5
-    d = th[:, None] - th[None, :]
-    S = ent.s(d)
-    D = ent.d(d)
-    top_left = ent.j(d) if beta == 1 else ent.i(d)
-    A = np.zeros((2 * n, 2 * n))
-    A[0::2, 0::2] = pref * top_left
-    A[0::2, 1::2] = pref * S
-    A[1::2, 0::2] = -pref * S
-    A[1::2, 1::2] = -pref * D
-    np.fill_diagonal(A, 0.0)
-    return pfaffian(A)
+    top_left, diag = ent.j if beta == 1 else ent.i, np.arange(2 * n)
+
+    def density(th):
+        d = th[..., :, None] - th[..., None, :]
+        S, A = pref * ent.s(d), np.empty(d.shape[:-2] + (2 * n, 2 * n))
+        A[..., 0::2, 0::2], A[..., 1::2, 1::2] = pref * top_left(d), -pref * ent.d(d)
+        A[..., 0::2, 1::2], A[..., 1::2, 0::2] = S, -S
+        A[..., diag, diag] = 0.0
+        return pfaffian(A)
+
+    flat = th.reshape(-1, n)
+    step = max(1, _SLICE_ENTRIES // (n * n * N))   # at most N frequencies per entry
+    out = np.concatenate([density(flat[i:i + step]) for i in range(0, len(flat) or 1, step)])
+    return out.reshape(th.shape[:-1])[()]
 
 
-def rho2_bulk_finite(beta: int, N: int, x: float) -> float:
-    """Bulk-scaled two-point function at separation x for finite N, in the
-    convention matching rho2_bulk_term (unit density for beta = 1, 2; density
-    one half for beta = 4); N must be an integer >= 2."""
+def rho2_bulk_finite(beta: int, N: int, x):
+    """Bulk-scaled two-point function at separation x, a number or an array,
+    for finite N, in the convention matching rho2_bulk_term (unit density for
+    beta = 1, 2; density one half for beta = 4); N must be an integer >= 2.
+    An array of x is one stack of Pfaffians at beta = 1, 4; a number gives a
+    float."""
     if not (float(N).is_integer() and N >= 2):
         raise ValueError(f"N must be an integer >= 2, got N = {N}")
-    if not math.isfinite(x):
+    xs = np.asarray(x, float)
+    if not np.isfinite(xs).all():
         raise ValueError(f"x must be finite, got x = {x}")
-    if beta == 2:
-        return 1.0 - float(_cue_scaled(np.asarray(x, float), N)) ** 2
-    if beta == 1:
-        c = 2.0 * np.pi / N
-        return c * c * rho_n_pfaffian(1, N, [c * x, 0.0])
-    if beta == 4:
-        c = np.pi / N
-        return c * c * rho_n_pfaffian(4, N, [c * x, 0.0])
-    raise ValueError("beta must be 1, 2, or 4")
+    if beta not in (1, 2, 4):
+        raise ValueError("beta must be 1, 2, or 4")
+    c = (2.0 if beta == 1 else 1.0) * np.pi / N
+    val = (1.0 - _cue_scaled(xs, N) ** 2 if beta == 2 else
+           c * c * rho_n_pfaffian(beta, N, np.stack([c * xs, np.zeros_like(xs)], axis=-1)))
+    return val if np.ndim(x) else float(val)
 
 
 def rho2_bulk_term(beta: int, order: int, x):

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import _whole
+
 
 def _cue_scaled(d, N):
     """sin(pi d) / (N sin(pi d / N)): bulk-scaled finite-N kernel, unit density."""
@@ -83,47 +85,34 @@ class PfaffianKernelEntries:
             return np.arange(1, (self.N - 1) // 2 + 1, dtype=float)
         return np.arange(self.N // 2, dtype=float) + 0.5
 
-    def s(self, theta):
-        theta = np.asarray(theta, float)
+    def _trig_sum(self, trig, theta, power):
+        """sum over the frequencies f of f^power trig(f theta) / pi, at any shape of theta."""
         f = self._freqs()
-        if self.N % 2:
-            return (0.5 + np.cos(np.outer(np.atleast_1d(theta), f)).sum(axis=-1)) \
-                .reshape(theta.shape) / np.pi
-        return np.cos(np.outer(np.atleast_1d(theta), f)).sum(axis=-1) \
-            .reshape(theta.shape) / np.pi
+        return trig(np.multiply.outer(theta, f)) @ f ** power / np.pi
+
+    def s(self, theta):
+        return self._trig_sum(np.cos, theta, 0) + (0.5 / np.pi if self.N % 2 else 0.0)
 
     def d(self, theta):
-        theta = np.asarray(theta, float)
-        f = self._freqs()
-        return -(f * np.sin(np.outer(np.atleast_1d(theta), f))).sum(axis=-1) \
-            .reshape(theta.shape) / np.pi
+        return -self._trig_sum(np.sin, theta, 1)
 
     def i(self, theta):
-        theta = np.asarray(theta, float)
-        f = self._freqs()
-        base = (np.sin(np.outer(np.atleast_1d(theta), f)) / f).sum(axis=-1) \
-            .reshape(theta.shape) / np.pi
-        if self.N % 2:
-            return base + theta / (2.0 * np.pi)
-        return base
+        base = self._trig_sum(np.sin, theta, -1)
+        return base + np.asarray(theta, float) / (2.0 * np.pi) if self.N % 2 else base
 
     def eps(self, theta):
-        theta = np.asarray(theta, float)
-        ratio = theta / (2.0 * np.pi)
-        m_floor = np.floor(ratio)
-        on_boundary = np.isclose(ratio, np.rint(ratio), atol=1e-12, rtol=0.0)
-        m_bound = np.rint(ratio)
-        if self.N % 2 == 0:
-            val = 0.5 * (-1.0) ** m_floor
-            return np.where(on_boundary, 0.0, val)
-        val = m_floor + 0.5
-        return np.where(on_boundary, m_bound, val)
+        ratio = np.asarray(theta, float) / (2.0 * np.pi)
+        m = np.rint(ratio)
+        on_boundary = np.abs(ratio - m) <= 1e-12
+        if self.N % 2:
+            return np.where(on_boundary, m, np.floor(ratio) + 0.5)
+        return np.where(on_boundary, 0.0, 0.5 * (-1.0) ** np.floor(ratio))
 
     def j(self, theta):
         return self.i(theta) - self.eps(theta)
 
 
 def pfaffian_entries(N: int) -> PfaffianKernelEntries:
-    if N < 2:
+    if (N := _whole("N", N)) < 2:
         raise ValueError("need N >= 2")
     return PfaffianKernelEntries(N)

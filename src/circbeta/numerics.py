@@ -40,6 +40,10 @@ def _legendre(n: int):
     return x, w, QuadratureRule(*_read_only(0.5 * x + 0.5, 0.5 * w))
 
 
+# entries per temporary table of an array call: its arguments enter in slices
+_SLICE_ENTRIES = 65536
+
+
 def _whole(name: str, v) -> int:
     """v as an int, if it is an integer (int, numpy integer or integral float)."""
     if isinstance(v, (int, np.integer)) and not isinstance(v, bool):

@@ -432,6 +432,14 @@ class TestVerify421:
         got = rho2_correction_estimate(beta, np.linspace(0.1, 2.2, 32))
         assert got.shape == (32,) and calls == want
 
+    def test_beta4_engine_one_pfaffian_call(self, monkeypatch):
+        # the 4 x 4 Pfaffians of every row of f at once
+        calls = []
+        pf = beta_even.pfaffian
+        monkeypatch.setattr(beta_even, "pfaffian", lambda Q: calls.append(Q.shape) or pf(Q))
+        got = _integral_beta4(lambda u: np.exp(np.multiply.outer([0.5j, 1.0j, 2.0j], u)), 48)
+        assert got.shape == (3,) and calls == [(3, 4, 4)]
+
     @pytest.mark.parametrize("beta", [2, 4])
     def test_array_call_bounded(self, beta):
         # x goes through the quadrature engines in slices: the unsliced

@@ -80,6 +80,25 @@ class TestCommands:
         assert code == 0 and len(out.strip().splitlines()) == 31
         assert calls == [30, 30]
 
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_rho2_finite_grid_one_call(self, beta, capsys, monkeypatch):
+        # the 30 default x go through rho2_bulk_finite in one call
+        calls = []
+        finite = cli.correlations.rho2_bulk_finite
+        monkeypatch.setattr(cli.correlations, "rho2_bulk_finite",
+                            lambda b, N, x: calls.append(np.size(x)) or finite(b, N, x))
+        code, out = run(["rho2", "--beta", str(beta), "--N", "41"], capsys)
+        assert code == 0 and len(out.strip().splitlines()) == 31
+        assert calls == [30]
+
+    def test_fig1_one_surmise_call(self, capsys, monkeypatch):
+        calls = []
+        surmise = spacing.surmise_correction
+        monkeypatch.setattr(spacing, "surmise_correction",
+                            lambda s: calls.append(np.size(s)) or surmise(s))
+        assert run(["fig1"], capsys)[0] == 0
+        assert calls == [61]
+
     @pytest.mark.parametrize("beta, N", [(2, 0), (1, 1), (4, 1)])
     def test_rho2_small_N_exits_2(self, beta, N, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -272,6 +291,17 @@ class TestVerify:
         bound = [inspect.signature(engine).bind(*a, **k).arguments for a, k in calls]
         assert {b["beta"] for b in bound} == {2, 4, 6}
         assert all(set(b) <= {"beta", "x", "N"} for b in bound)
+
+    def test_json_alone_on_stdout(self, capsys):
+        # without --out the row lines go to stderr, so stdout parses
+        code = cli.main(["verify", "--identity", "sff-x6-beta1", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 0
+        doc = json.loads(captured.out)
+        if SCHEMA is not None:
+            jsonschema.validate(doc, SCHEMA)
+        assert doc["rows"][0][0] == "sff-x6-beta1" and doc["rows"][0][3] == "pass"
+        assert captured.err.startswith("sff-x6-beta1") and captured.err.rstrip().endswith("pass")
 
     def test_known_r4_defect_reported(self, capsys):
         # the stored r2/r4 coefficients agree exactly with the CβE oracle

@@ -3,12 +3,20 @@ counts with a ValueError instead of returning nan or a spurious number."""
 
 import math
 
+import numpy as np
 import pytest
 
-from circbeta import (cbe_trace_moment, e_finite_cue, e_tau, morris, rho_n_cue,
-                      selberg, sff_series, solve_sigma0)
+from circbeta import (cbe_trace_moment, e_finite_cue, e_tau, morris, pfaffian,
+                      pfaffian_entries, rho_n_cue, rho_n_pfaffian, selberg, sff_series,
+                      solve_sigma0)
 
 SOL = solve_sigma0(1.0, 3.0)
+
+
+def antisymmetric(a01, n=4):
+    A = np.zeros((n, n))
+    A[0, 1], A[1, 0] = a01, -a01
+    return A
 
 
 @pytest.mark.parametrize("call, name", [
@@ -16,6 +24,13 @@ SOL = solve_sigma0(1.0, 3.0)
     (lambda: sff_series(math.inf, 0, 0.5), "beta"),
     (lambda: e_tau(SOL, math.nan, 0), "s"),
     (lambda: e_finite_cue(10, 1.0, math.nan), "xi"),
+    (lambda: rho_n_cue(9, [math.nan, 0.1]), "angles"),
+    (lambda: rho_n_cue(9, [math.inf, 0.1]), "angles"),
+    (lambda: rho_n_pfaffian(1, 9, [math.nan, 0.1]), "angles"),
+    (lambda: rho_n_pfaffian(4, 9, [[0.2, -math.inf]]), "angles"),
+    (lambda: pfaffian(antisymmetric(math.nan)), "matrix entries"),
+    (lambda: pfaffian(antisymmetric(math.inf)), "matrix entries"),
+    (lambda: pfaffian(antisymmetric(-math.inf, 6)), "matrix entries"),
 ])
 def test_non_finite_refused(call, name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -30,6 +45,8 @@ def test_non_finite_refused(call, name):
     (lambda: cbe_trace_moment(2, 2.5, 3), "N must be an integer"),
     (lambda: cbe_trace_moment(2, 3, 1.5), "k must be an integer"),
     (lambda: rho_n_cue(2.5, [0.1, 0.5]), "N must be an integer"),
+    (lambda: rho_n_pfaffian(1, 2.5, [0.3]), "N must be an integer"),
+    (lambda: pfaffian_entries(7.5), "N must be an integer"),
 ])
 def test_bad_integer_refused(call, message):
     with pytest.raises(ValueError, match=message):
@@ -41,3 +58,4 @@ def test_integral_floats_still_accepted():
     assert morris(2.0, 1.0, 1.0, 1.0) == pytest.approx(6.0, rel=1e-12)
     assert cbe_trace_moment(2, 3.0, 2.0) == 2
     assert rho_n_cue(3.0, [0.1, 0.5]) == pytest.approx(rho_n_cue(3, [0.1, 0.5]))
+    assert rho_n_pfaffian(1, 9.0, [0.1, 0.5]) == rho_n_pfaffian(1, 9, [0.1, 0.5])
