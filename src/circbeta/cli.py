@@ -108,17 +108,17 @@ def cmd_sff(args):
 
 def cmd_rho2(args):
     grid = _grid(args, "x", np.linspace(0.1, 3.0, 30))
-    limit = args.limit or args.N is None
+    limit = args.N is None
     if args.beta == 6:
         # one holonomic continuation serves the grid; the limit has no rho1 (nan)
-        columns = ([beta_even.rho2_even_beta(6, grid, None if limit else args.N)]
+        columns = ([beta_even.rho2_even_beta(6, grid, args.N)]
                    + [np.full(grid.size, np.nan)] * limit)
     elif limit:
         columns = [correlations.rho2_bulk_term(args.beta, o, grid) for o in (0, 1)]
     else:
         columns = [correlations.rho2_bulk_finite(args.beta, args.N, grid)]
     rows = [[float(v) for v in row] for row in zip(grid, *columns)]
-    return _emit(args, "rho2", {"beta": args.beta, "N": None if limit else args.N},
+    return _emit(args, "rho2", {"beta": args.beta, "N": args.N},
                  ["x", "rho0", "rho1"] if limit else ["x", "rho2"], rows)
 
 
@@ -171,10 +171,10 @@ def _identity_registry():
     rho2_second = [(lambda xs: correlations.rho2_bulk_term(2, 0, xs),
                     lambda xs: correlations.rho2_bulk_term(2, 2, xs))]
     entries = {
-        "e-corr-beta2": _cheb(2, 1e-6, c(2), (2, 0), gap_s, e_bulk(2)),
-        "e-corr-beta1": _cheb(1, 1e-5, c(1), (2, 0), gap_s, e_bulk(1)),
-        "e-corr-beta4": _cheb(4, 1e-5, c(4), (2, 0), gap_s, e_bulk(4)),
-        "e-corr-pm": _cheb(1, 1e-5, c(1), (2, 0), gap_s, e_pm),
+        "e-corr-beta2": _cheb(2, 2e-12, c(2), (2, 0), gap_s, e_bulk(2)),
+        "e-corr-beta1": _cheb(1, 2e-11, c(1), (2, 0), gap_s, e_bulk(1)),
+        "e-corr-beta4": _cheb(4, 1e-12, c(4), (2, 0), gap_s, e_bulk(4)),
+        "e-corr-pm": _cheb(1, 2e-11, c(1), (2, 0), gap_s, e_pm),
         "p-corr-beta2": _cheb(2, 1e-7, c(2), (0, 2), spacing_s, p_bulk(2)),
         "p-corr-beta1": _cheb(1, 1e-7, c(1), (0, 2), spacing_s, p_bulk(1)),
         "p-corr-beta4": _cheb(4, 1e-7, c(4), (0, 2), spacing_s, p_bulk(4)),
@@ -280,7 +280,6 @@ def build_parser():
     p = sub.add_parser("rho2", help="two-point correlation, finite N or limit")
     p.add_argument("--beta", type=int, choices=(1, 2, 4, 6), default=2)
     p.add_argument("--N", type=int, default=None)
-    p.add_argument("--limit", action="store_true")
     p.add_argument("--x", type=float, default=None)
     _add_common(p)
 

@@ -103,8 +103,7 @@ def rho2_bulk_finite(beta: int, N: int, x):
     beta = 1, 2; density one half for beta = 4); N must be an integer >= 2.
     An array of x is one stack of Pfaffians at beta = 1, 4; a number gives a
     float."""
-    if not (float(N).is_integer() and N >= 2):
-        raise ValueError(f"N must be an integer >= 2, got N = {N}")
+    N = _whole("N", N, 2)
     xs = np.asarray(x, float)
     if not np.isfinite(xs).all():
         raise ValueError(f"x must be finite, got x = {x}")

@@ -104,7 +104,7 @@ def _doubled(t, xi: float, order: int, c=None):
         raise ValueError("order must be 0 or 1")
     if not np.all((t >= 0.0) & (t < np.inf)):
         raise ValueError("s must be finite and nonnegative")
-    if order and not 0.0 <= xi <= 1.0:
+    if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must lie in [0, 1]")
     flat = t.ravel()
     val, orders = np.full(flat.size, 0.0 if order else 1.0), np.zeros(flat.size, int)
@@ -205,19 +205,16 @@ def gap_probabilities(beta: int, s: float, xi: float) -> GapResult:
 def e_finite_cue(N: int, phi: float, xi: float) -> float:
     """Exact generating function of the interval count on (0, phi) for the
     N-dimensional circular unitary ensemble (rank-N Toeplitz determinant)."""
-    if not (N >= 1 and float(N).is_integer()):
-        raise ValueError("N must be a positive integer")
+    N = _whole("N", N, 1)
     if not 0.0 <= phi <= 2.0 * np.pi + 1e-12:
         raise ValueError("phi must lie in [0, 2 pi]")
     if not np.isfinite(xi):
         raise ValueError(f"xi must be finite, got xi = {xi}")
-    if xi == 0.0 or phi == 0.0:
-        return 1.0
     # conjugating (e^{i d phi} - 1) / (2 pi i d), d = j - k, by diag(e^{-i j phi/2})
     # leaves the real symmetric Toeplitz matrix c_|d| with the same spectrum
-    d = np.arange(1, int(N))
+    d = np.arange(1, N)
     c = np.concatenate([[phi / (2.0 * np.pi)], np.sin(d * (phi / 2.0)) / (np.pi * d)])
-    j = np.arange(int(N))
+    j = np.arange(N)
     ev = np.linalg.eigvalsh(c[np.abs(j[:, None] - j[None, :])])
     return float(np.prod(1.0 - xi * ev))
 

@@ -38,8 +38,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.family == "cue" and (self.N is None or self.N < 1):
-            raise ValueError("cue kernel needs a positive N")
+        if self.family == "cue":
+            _whole("N", self.N, 1)
 
 
 def _l_kernel(d):
@@ -113,6 +113,4 @@ class PfaffianKernelEntries:
 
 
 def pfaffian_entries(N: int) -> PfaffianKernelEntries:
-    if (N := _whole("N", N)) < 2:
-        raise ValueError("need N >= 2")
-    return PfaffianKernelEntries(N)
+    return PfaffianKernelEntries(_whole("N", N, 2))

@@ -29,28 +29,27 @@ def _read_only(*arrays):
     return arrays
 
 
-# Each Gauss-Legendre rule is built once per order and shared as
-# read-only arrays. A Legendre entry holds the nodes and weights on (-1, 1),
-# mapped per call so that callers whose intervals vary share the entry of each
-# order, and the rule on (0, 1), which the quadrature engines ask for by the
-# thousand and which is returned as is.
+# Each Gauss-Legendre rule is built once per order, on (-1, 1), as read-only
+# arrays, and mapped per call, so that callers whose intervals vary share it.
 @lru_cache(maxsize=32)
 def _legendre(n: int):
-    x, w = _read_only(*leggauss(n))
-    return x, w, QuadratureRule(*_read_only(0.5 * x + 0.5, 0.5 * w))
+    return _read_only(*leggauss(n))
 
 
 # entries per temporary table of an array call: its arguments enter in slices
 _SLICE_ENTRIES = 65536
 
 
-def _whole(name: str, v) -> int:
-    """v as an int, if it is an integer (int, numpy integer or integral float)."""
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+def _whole(name: str, v, least: int | None = None) -> int:
+    """v as an int, if it is an integer (int, numpy integer or integral float)
+    no smaller than least, when least is given."""
+    whole = (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+             or isinstance(v, (float, np.floating)) and math.isfinite(v) and v == int(v))
+    if whole and (least is None or v >= least):
         return int(v)
-    if isinstance(v, (float, np.floating)) and math.isfinite(v) and v == int(v):
-        return int(v)
-    raise ValueError(f"{name} must be an integer, got {v!r}")
+    kind = ("an integer" if least is None else "a positive integer" if least == 1
+            else f"an integer >= {least}")
+    raise ValueError(f"{name} must be {kind}, got {v!r}")
 
 
 def gauss_legendre(n: int, lo: float, hi: float) -> QuadratureRule:
@@ -60,9 +59,7 @@ def gauss_legendre(n: int, lo: float, hi: float) -> QuadratureRule:
         raise ValueError(f"need n >= 1, got {n}")
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ValueError(f"bad interval ({lo}, {hi})")
-    x, w, unit = _legendre(n)
-    if (lo, hi) == (0.0, 1.0):
-        return unit
+    x, w = _legendre(n)
     half = 0.5 * (hi - lo)
     return QuadratureRule(*_read_only(half * x + 0.5 * (hi + lo), half * w))
 
@@ -215,11 +212,11 @@ def chebyshev_interpolate(values, lo: float, hi: float, x):
     w[-1] *= 0.5
     xq = np.atleast_1d(np.asarray(x, float))
     diff = xq[:, None] - nodes[None, :]
-    hit = np.isclose(diff, 0.0, atol=1e-14)
+    hit = np.abs(diff) <= 1e-14
     with np.errstate(divide="ignore", invalid="ignore"):
         r = w[None, :] / diff
-        num = np.nansum(np.where(np.isfinite(r), r, 0.0) * v[None, :], axis=1)
-        den = np.nansum(np.where(np.isfinite(r), r, 0.0), axis=1)
+        r = np.where(np.isfinite(r), r, 0.0)
+        num, den = np.sum(r * v[None, :], axis=1), np.sum(r, axis=1)
     # a query within 1e-14 of a node takes that (first) node's sample
     out = np.where(hit.any(axis=1), v[hit.argmax(axis=1)], num / den)
     return out if np.ndim(x) else float(out[0])

@@ -163,11 +163,6 @@ def solve_sigma0(xi: float, t_max: float) -> SigmaSolution:
         raise ValueError("t_max beyond supported range, 6 pi")
     if not t_max > 0.0:
         raise ValueError("t_max must be positive")
-    if xi == 0.0:
-        grid = np.linspace(0.0, t_max, 32)
-        z = np.zeros_like(grid)
-        return SigmaSolution(0.0, grid, z, z.copy(), z.copy(), z.copy(),
-                             _dense=lambda t: np.zeros((5, np.size(t))))
     # sigma_0, its first two derivatives and the two tau-function integrals,
     # one Taylor polynomial per step, the first about t = 0
     coeffs = np.array(_origin_block(xi / math.pi, _ORDER), float)
@@ -226,8 +221,6 @@ def e_tau(sol: SigmaSolution, s: float, order: int) -> float:
     upper = np.pi * s
     if upper > sol.t_max + 1e-12:
         raise ValueError(f"s = {s} beyond trajectory (t_max = {sol.t_max})")
-    if sol.xi == 0.0 or s == 0.0:
-        return 1.0 if order == 0 else 0.0
     i0, i1 = sol._dense(upper)[3:]
     e0 = math.exp(i0)
     return e0 if order == 0 else float(e0 * i1)

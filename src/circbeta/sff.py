@@ -19,9 +19,7 @@ TWO_PI = 2.0 * math.pi
 def sff_exact(beta: int, N: int, k: int) -> float:
     """Structure function S_{N, beta}(k); digamma-based for beta = 1, 4. N and k
     are integers (an integral float is accepted)."""
-    N, k = _whole("N", N), abs(_whole("k", k))
-    if N < 2:
-        raise ValueError("need N >= 2")
+    N, k = _whole("N", N, 2), abs(_whole("k", k))
     if beta == 2:
         return min(k, N) / TWO_PI
     if beta == 1:
@@ -152,21 +150,20 @@ SERIES_POWERS = {0: tuple(range(1, 9)), 1: tuple(range(2, 7)), 2: (2, 3, 4)}
 def _poly_at(poly, kappa):
     acc = 0 * kappa
     for c in reversed(poly):
-        acc = acc * kappa + (c if isinstance(kappa, Fraction) else float(c))
+        acc = acc * kappa + c
     return acc
 
 
+# A Fraction that meets a float is converted to float first, so a float kappa
+# runs in floats, and an int or Fraction kappa stays exact
 def series_coefficient(order: int, m: int, kappa):
     """Coefficient of tau^m in the order-th expansion term; exact when kappa
-    is a Fraction."""
+    is an int or a Fraction."""
     rec = _SERIES.get((order, m))
     if rec is None:
         raise ValueError(f"no stored coefficient at order {order}, power {m}")
     pref, e, poly, kpow = rec
-    exact = isinstance(kappa, Fraction)
-    one = F(1) if exact else 1.0
-    pref = pref if exact else float(pref)
-    return pref * (kappa - one) ** e * _poly_at(poly, kappa) / kappa ** kpow
+    return pref * (kappa - 1) ** e * _poly_at(poly, kappa) / kappa ** kpow
 
 
 def sff_series(beta: float, order: int, tau: float) -> float:
@@ -318,10 +315,9 @@ def oracle_series_coefficients(kappa) -> dict:
 
 
 def _d_coeff(kappa):
-    one = F(1) if isinstance(kappa, Fraction) else 1.0
-    if kappa == one:
-        return one * 3 / 720
-    return (kappa ** 3 - one) / (720 * kappa ** 3 * (kappa - one))
+    if kappa == 1:    # the limit 3/720 of the ratio below
+        return kappa / 240
+    return (kappa ** 3 - 1) / (720 * kappa ** 3 * (kappa - 1))
 
 
 @dataclass(frozen=True)

@@ -45,8 +45,8 @@ def test_criterion_2_correction_identity():
     t0 = time.time()
     # E_1 = -(s^2/12) E_0'' at xi = 0.5, 1 on 31 points of [0.1, 3]
     worst = _identity_registry()["e-corr-beta2"][2]()
-    ok = worst <= 1e-6
-    report(2, ok, f"max residual {worst:.2e} <= 1e-6", t0, 10.0)
+    ok = worst <= 2e-12
+    report(2, ok, f"max residual {worst:.2e} <= 2e-12", t0, 10.0)
     assert ok
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import circbeta
-from circbeta import beta_even, cli, gap, rho2_even_beta, sff_bulk_term, spacing
+from circbeta import beta_even, cli, gap, numerics, rho2_even_beta, sff_bulk_term, spacing
 
 try:
     from importlib.resources import files
@@ -42,8 +42,10 @@ class TestCommands:
         assert float(row[1]) == 1.0 and float(row[2]) == 0.0
 
     def test_rho2_limit_csv(self, capsys):
-        code, out = run(["rho2", "--beta", "2", "--limit", "--x", "0.5"], capsys)
+        # without --N, rho2 writes the limit and its correction
+        code, out = run(["rho2", "--beta", "2", "--x", "0.5"], capsys)
         assert code == 0
+        assert out.splitlines()[0] == "x,rho0,rho1"
         row = out.strip().splitlines()[1].split(",")
         assert float(row[1]) == pytest.approx(1 - (2 / np.pi) ** 2, rel=1e-12)
 
@@ -184,12 +186,26 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
     def test_seventeen_digits(self, capsys):
-        _, out = run(["rho2", "--beta", "2", "--limit", "--x", "0.5"], capsys)
+        _, out = run(["rho2", "--beta", "2", "--x", "0.5"], capsys)
         value = out.strip().splitlines()[1].split(",")[1]
         assert len(value.replace("-", "").replace(".", "").split("e")[0]) >= 16
 
 
+# For each row, a relative change delta of its constant c = -1/(6 beta) that
+# the row must report as FAIL. An entry may only be lowered.
+SENSITIVITY = {"e-corr-beta2": 1e-9, "e-corr-beta1": 1e-9, "e-corr-beta4": 1e-9,
+               "e-corr-pm": 1e-9}
+
+
 class TestVerify:
+    @pytest.mark.parametrize("name, delta", SENSITIVITY.items())
+    def test_row_sees_its_constant(self, name, delta, monkeypatch, capsys):
+        exact = numerics.correction_factor
+        monkeypatch.setattr(numerics, "correction_factor",
+                            lambda beta: exact(beta) * (1.0 + delta))
+        code, out = run(["verify", "--identity", name], capsys)
+        assert code == 1 and f"{name} " in out and out.rstrip().endswith("FAIL")
+
     def test_single_identity_passes(self, capsys):
         code, out = run(["verify", "--identity", "e-corr-beta2"], capsys)
         assert code == 0
@@ -366,6 +382,15 @@ class TestUsageErrors:
         assert out == ""
         assert err.count("error:") == 1 and "Traceback" not in err
         assert "unrecognized arguments: --quad" in err
+
+    @pytest.mark.parametrize("argv", [["rho2", "--limit"], ["rho2", "--N", "41", "--limit"]])
+    def test_rho2_limit_flag_gone(self, argv, capsys):
+        # omitting --N gives the limit; there is no flag for it
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --limit" in err
 
     def test_bad_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from circbeta import (cbe_trace_moment, e_finite_cue, e_tau, morris, pfaffian,
-                      pfaffian_entries, rho_n_cue, rho_n_pfaffian, selberg, sff_series,
+from circbeta import (KernelSpec, cbe_trace_moment, e_finite_cue, e_pm, e_tau,
+                      fredholm_det, kernel_eval, morris, pfaffian, pfaffian_entries,
+                      rho2_bulk_finite, rho_n_cue, rho_n_pfaffian, selberg, sff_series,
                       solve_sigma0)
 
 SOL = solve_sigma0(1.0, 3.0)
@@ -47,9 +48,28 @@ def test_non_finite_refused(call, name):
     (lambda: rho_n_cue(2.5, [0.1, 0.5]), "N must be an integer"),
     (lambda: rho_n_pfaffian(1, 2.5, [0.3]), "N must be an integer"),
     (lambda: pfaffian_entries(7.5), "N must be an integer"),
+    (lambda: KernelSpec("cue", 2.5), "N must be a positive integer"),
+    (lambda: KernelSpec("cue", math.nan), "N must be a positive integer"),
+    (lambda: KernelSpec("cue", True), "N must be a positive integer"),
+    (lambda: KernelSpec("cue", 0), "N must be a positive integer"),
+    (lambda: e_finite_cue(True, 1.0, 0.5), "N must be a positive integer"),
+    (lambda: rho2_bulk_finite(2, True, 0.3), "N must be an integer >= 2"),
 ])
 def test_bad_integer_refused(call, message):
     with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fredholm_det(KernelSpec("sine"), 1.0, math.nan),
+    lambda: fredholm_det(KernelSpec("sine"), 1.0, math.inf),
+    lambda: fredholm_det(KernelSpec("plus"), [0.5, 1.0], -0.1),
+    lambda: e_pm(+1, 0, 1.0, 1.5),
+    lambda: e_pm(-1, 0, [0.5, 1.0], math.nan),
+])
+def test_xi_outside_unit_interval_refused(call):
+    # the order-0 determinant checks xi like the order-1 trace correction
+    with pytest.raises(ValueError, match=r"xi must lie in \[0, 1\]"):
         call()
 
 
@@ -59,3 +79,7 @@ def test_integral_floats_still_accepted():
     assert cbe_trace_moment(2, 3.0, 2.0) == 2
     assert rho_n_cue(3.0, [0.1, 0.5]) == pytest.approx(rho_n_cue(3, [0.1, 0.5]))
     assert rho_n_pfaffian(1, 9.0, [0.1, 0.5]) == rho_n_pfaffian(1, 9, [0.1, 0.5])
+    assert kernel_eval(KernelSpec("cue", 12.0), 0.3, 0.0) == \
+        kernel_eval(KernelSpec("cue", 12), 0.3, 0.0)
+    for beta in (2, 4):
+        assert rho2_bulk_finite(beta, 20.0, 0.3) == rho2_bulk_finite(beta, 20, 0.3)

@@ -116,6 +116,11 @@ class TestSolve:
     def test_xi_zero_fixed_point(self):
         sol = solve_sigma0(0.0, np.pi)
         assert np.all(sol.sigma0 == 0.0)
+        # the general step rule: all-zero Taylor coefficients, one step to t_max
+        sol = sigma1_from_sigma0(sol)
+        assert sol.grid.tolist() == [0.0, np.pi]
+        for s in (0.0, 0.5):
+            assert e_tau(sol, s, 0) == 1.0 and e_tau(sol, s, 1) == 0.0
 
     def test_matches_series_in_small_window(self):
         sol = solve_sigma0(0.5, 0.5)
