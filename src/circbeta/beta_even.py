@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .correlations import pfaffian, rho2_bulk_term
+from .correlations import _pfaffian, rho2_bulk_term
 from .gap import AccuracyWarning
 from .numerics import (_SLICE_ENTRIES, _whole, chebyshev_interpolate, chebyshev_points,
                        gauss_legendre, inverse_square_fit, spectral_derivative)
@@ -146,7 +146,7 @@ def _integral_beta4(f, n_nodes: int):
     u, cos, W = _beta4_rule(n_nodes)
     a = 2.0 * cos * f(u)[..., None, :]
     Q = (a.reshape(-1, n_nodes + 1) @ W).reshape(a.shape) @ a.swapaxes(-1, -2)
-    return 3.0 / 64.0 * pfaffian(Q)
+    return 3.0 / 64.0 * _pfaffian(Q)
 
 
 # -- any even beta: the holonomic (Aomoto) system ---------------------------

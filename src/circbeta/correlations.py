@@ -40,13 +40,20 @@ def pfaffian(A):
     A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("matrix must be square")
-    if n := A.shape[-1]:
+    if A.shape[-1]:
         size = np.abs(A).max(axis=(-2, -1))   # nan or inf if an entry is
         if not np.isfinite(size).all():
             raise ValueError("matrix entries must be finite")
         if np.any(np.abs(A + A.swapaxes(-1, -2)).max(axis=(-2, -1))
                   > 1e-12 * np.maximum(size, 1.0)):
             raise ValueError("matrix is not antisymmetric to tolerance")
+    return _pfaffian(A)
+
+
+def _pfaffian(A):
+    """pfaffian's engine, unchecked: A a float or complex array shaped
+    (..., n, n), antisymmetric with finite entries by construction."""
+    n = A.shape[-1]
     if n % 2:
         return np.zeros(A.shape[:-2], A.dtype)[()]
     if n == 4:
@@ -89,7 +96,7 @@ def rho_n_pfaffian(beta: int, N: int, angles):
         A[..., 0::2, 0::2], A[..., 1::2, 1::2] = pref * top_left(d), -pref * ent.d(d)
         A[..., 0::2, 1::2], A[..., 1::2, 0::2] = S, -S
         A[..., diag, diag] = 0.0
-        return pfaffian(A)
+        return _pfaffian(A)
 
     flat = th.reshape(-1, n)
     step = max(1, _SLICE_ENTRIES // (n * n * N))   # at most N frequencies per entry

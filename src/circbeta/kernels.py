@@ -30,6 +30,7 @@ class KernelSpec:
 
     family: "cue" (finite N), "sine", "l" (the 1/N^2 correction kernel),
     "plus"/"minus" (sine kernel +- its reflection), "l_plus"/"l_minus".
+    N is required for "cue" and refused for every other family.
     """
 
     family: str
@@ -40,6 +41,8 @@ class KernelSpec:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if self.family == "cue":
             _whole("N", self.N, 1)
+        elif self.N is not None:
+            raise ValueError(f"kernel family {self.family!r} takes no N, got N = {self.N!r}")
 
 
 def _l_kernel(d):

@@ -435,8 +435,8 @@ class TestVerify421:
     def test_beta4_engine_one_pfaffian_call(self, monkeypatch):
         # the 4 x 4 Pfaffians of every row of f at once
         calls = []
-        pf = beta_even.pfaffian
-        monkeypatch.setattr(beta_even, "pfaffian", lambda Q: calls.append(Q.shape) or pf(Q))
+        pf = beta_even._pfaffian
+        monkeypatch.setattr(beta_even, "_pfaffian", lambda Q: calls.append(Q.shape) or pf(Q))
         got = _integral_beta4(lambda u: np.exp(np.multiply.outer([0.5j, 1.0j, 2.0j], u)), 48)
         assert got.shape == (3,) and calls == [(3, 4, 4)]
 

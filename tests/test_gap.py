@@ -126,7 +126,65 @@ class TestIdentities:
                                      self.s_grid) < 1e-5
 
 
+def toeplitz(N, phi):
+    """The real symmetric Toeplitz matrix c_|j-k| of e_finite_cue, in full."""
+    d = np.arange(1, N)
+    c = np.concatenate([[phi / (2 * np.pi)], np.sin(d * (phi / 2)) / (np.pi * d)])
+    j = np.arange(N)
+    return c[np.abs(j[:, None] - j[None, :])]
+
+
+def toeplitz_det_mp(N, phi, xi):
+    """det(I - xi c_|j-k|) at 40 digits from the exact entries at the float
+    phi, by Durbin's recursion: det T_(k+1) = det T_k e_k, e_k the order-k
+    prediction error (valid while no leading principal minor vanishes)."""
+    with mpmath.workdps(40):
+        phi, xi = mpmath.mpf(phi), mpmath.mpf(xi)
+        t = [1 - xi * phi / (2 * mpmath.pi)] + [
+            -xi * mpmath.sin(d * phi / 2) / (mpmath.pi * d) for d in range(1, N)]
+        e = det = t[0]
+        a = []
+        for k in range(1, N):
+            kappa = -(t[k] + mpmath.fsum(a[i] * t[k - 1 - i] for i in range(k - 1))) / e
+            a = [a[i] + kappa * a[k - 2 - i] for i in range(k - 1)] + [kappa]
+            e *= 1 - kappa ** 2
+            det *= e
+        return float(det)
+
+
 class TestFiniteCue:
+    @pytest.mark.parametrize("xi, bound", [(-0.5, 3e-15), (0.4, 1e-15), (1.0, 1e-15),
+                                           (1.6, 1e-15)])
+    def test_against_mpmath(self, xi, bound):
+        # at xi = -0.5 the LU pivots sit just above 1, where doubles are twice
+        # as far apart: N = 57, s = 0.25 reads 2.7e-15 (12 ulp of 1.125)
+        for N in (1, 2, 3, 5, 41, 57, 120):
+            for s in (0.25, 0.5, 1.3):
+                phi = min(2 * np.pi * s / N, 2 * np.pi)
+                assert abs(e_finite_cue(N, phi, xi) - toeplitz_det_mp(N, phi, xi)) <= bound
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 20, 21, 40, 41, 80, 81, 160, 161, 320, 321])
+    def test_matches_full_eigenvalue_product(self, N):
+        # the route before the split: one eigensolve of the whole matrix
+        for phi in (2 * np.pi * 0.3 / N, 2 * np.pi * min(1.7 / N, 1.0), 2.0, 2 * np.pi):
+            lam = np.linalg.eigvalsh(toeplitz(N, phi))
+            for xi in (0.4, 1.0):
+                assert abs(e_finite_cue(N, phi, xi) - np.prod(1 - xi * lam)) <= 4e-15
+
+    @pytest.mark.parametrize("N", [2, 3, 12, 41, 80])
+    def test_halves_are_parity_eigenvalue_products(self, N):
+        # E^+- is prod (1 - xi lam) over the eigenpairs of the whole matrix
+        # whose eigenvector v is mirror-even (v reversed = v) or mirror-odd
+        # (v reversed = -v); eigenvalues too small to move a product may come
+        # with mixed eigenvectors, so that the split can count them either way
+        for phi in (2 * np.pi * 0.7 / N, 2.0):
+            lam, V = np.linalg.eigh(toeplitz(N, phi))
+            even = np.einsum("ij,ij->j", V, V[::-1]) > 0
+            for xi in (0.4, 1.0):
+                plus, minus = gap._cue_halves(N, phi, xi)
+                assert abs(plus - np.prod(1 - xi * lam[even])) <= 4e-15
+                assert abs(minus - np.prod(1 - xi * lam[~even])) <= 4e-15
+
     def test_xi_zero(self):
         assert e_finite_cue(12, 1.0, 0.0) == 1.0
 
@@ -198,6 +256,14 @@ class TestExtractCorrection:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="distinct"):
                 extract_correction(N_list, 1.0, 1.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("N_list", [[20.5, 40, 80], [True, 40, 80], [20, 40, 4097]])
+    def test_refuses_bad_N_before_any_determinant(self, N_list, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gap, "e_finite_cue", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="N must be"):
+            extract_correction(N_list, 1.0, 1.0)
         assert calls == []
 
     def test_warns_on_degenerate_data(self):

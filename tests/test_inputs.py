@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from circbeta import (KernelSpec, cbe_trace_moment, e_finite_cue, e_pm, e_tau,
-                      fredholm_det, kernel_eval, morris, pfaffian, pfaffian_entries,
+                      extract_correction, fredholm_det, kernel_eval, morris, pfaffian, pfaffian_entries,
                       rho2_bulk_finite, rho_n_cue, rho_n_pfaffian, selberg, sff_series,
                       solve_sigma0)
 
@@ -54,6 +54,16 @@ def test_non_finite_refused(call, name):
     (lambda: KernelSpec("cue", 0), "N must be a positive integer"),
     (lambda: e_finite_cue(True, 1.0, 0.5), "N must be a positive integer"),
     (lambda: rho2_bulk_finite(2, True, 0.3), "N must be an integer >= 2"),
+    (lambda: e_finite_cue(4097, 1.0, 0.5), "N must be at most 4096"),
+    (lambda: extract_correction([20.5, 40, 80], 1.0, 1.0), "N must be a positive integer"),
+    (lambda: extract_correction([True, 40, 80], 1.0, 1.0), "N must be a positive integer"),
+    (lambda: extract_correction([20, 40, 4097], 1.0, 1.0), "N must be at most 4096"),
+    (lambda: e_pm(True, 0, 1.0, 0.5), "sign must be"),
+    (lambda: e_pm(1.0, 0, 1.0, 0.5), "sign must be"),
+    (lambda: e_pm(np.float64(-1.0), 1, 1.0, 0.5), "sign must be"),
+    (lambda: e_pm(0, 0, 1.0, 0.5), "sign must be"),
+    (lambda: KernelSpec("sine", 3), "takes no N"),
+    (lambda: KernelSpec("l_minus", 2.5), "takes no N"),
 ])
 def test_bad_integer_refused(call, message):
     with pytest.raises(ValueError, match=message):
@@ -83,3 +93,5 @@ def test_integral_floats_still_accepted():
         kernel_eval(KernelSpec("cue", 12), 0.3, 0.0)
     for beta in (2, 4):
         assert rho2_bulk_finite(beta, 20.0, 0.3) == rho2_bulk_finite(beta, 20, 0.3)
+    assert e_pm(np.int64(-1), 0, 1.0, 0.5) == e_pm(-1, 0, 1.0, 0.5)
+    assert KernelSpec("sine", None) == KernelSpec("sine")
