@@ -218,10 +218,12 @@ def _cue_order(N) -> int:
 def _cue_halves(N: int, phi: float, xi: float):
     """(E_N^+, E_N^-) = det(I - xi B^+-) of the mirror-even and mirror-odd
     halves B^+-[j, k] = c_|j-k| +- c_(N-1-j-k) of the real symmetric Toeplitz
-    matrix c_|j-k|, of sizes ceil(N/2) and floor(N/2). c is centrosymmetric,
-    so e_k +- e_(N-1-k) split it exactly (Cantoni and Butler, Linear Algebra
-    Appl. 13 (1976) 275); for odd N the middle column of B^+ is c_|j-m|
-    alone, since e_m is its own mirror (a similarity, not orthogonal)."""
+    matrix c_|j-k|, of sizes ceil(N/2) and floor(N/2). That matrix is
+    centrosymmetric, so e_k +- e_(N-1-k) split it exactly (Cantoni and
+    Butler, Linear Algebra Appl. 13 (1976) 275); for odd N the middle column
+    of B^+ is c_|j-m| alone, since e_m is its own mirror (a similarity, not
+    orthogonal). LU, unlike Cholesky, serves every finite xi: I - xi B is
+    indefinite for xi > 1."""
     N = _cue_order(N)
     if not 0.0 <= phi <= 2.0 * np.pi + 1e-12:
         raise ValueError("phi must lie in [0, 2 pi]")
