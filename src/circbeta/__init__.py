@@ -15,7 +15,7 @@ from .gap import (GapResult, CorrectionEstimate, AccuracyWarning, fredholm_det,
 from .painleve import (IntegrationFailure, SigmaSolution, sigma0_series, sigma1_series,
                        solve_sigma0, sigma1_from_sigma0, e_tau)
 from .spacing import (SeriesTable, E_CUE_SMALL_S, P0_BETA2, P1_BETA2, P2_BETA2,
-                      P0_BETA1, P1_BETA1, p_bulk, spacing_series_identity_holds,
+                      P0_BETA1, P1_BETA1, p_bulk, spacing_series_residual,
                       wigner_surmise, surmise_correction)
 from .sff import (sff_exact, sff_bulk_scaled, sff_bulk_term, sff_series,
                   series_coefficient, verify_x6, X6Report, SymmetryReport,

@@ -178,10 +178,8 @@ def _identity_registry():
         "p-corr-beta2": _cheb(2, 1e-7, c(2), (0, 2), spacing_s, p_bulk(2)),
         "p-corr-beta1": _cheb(1, 1e-7, c(1), (0, 2), spacing_s, p_bulk(1)),
         "p-corr-beta4": _cheb(4, 1e-7, c(4), (0, 2), spacing_s, p_bulk(4)),
-        "p-series-beta2": (2, 0.5, lambda: 0.0
-                           if spacing.spacing_series_identity_holds(2) else 1.0),
-        "p-series-beta1": (1, 0.5, lambda: 0.0
-                           if spacing.spacing_series_identity_holds(1) else 1.0),
+        "p-series-beta2": (2, 1e-14, lambda: spacing.spacing_series_residual(2)),
+        "p-series-beta1": (1, 1e-14, lambda: spacing.spacing_series_residual(1)),
         "rho2-corr-beta1": _cheb(1, 1e-7, c(1), (0, 2), rho2_x, rho2(1)),
         "rho2-corr-beta2": _cheb(2, 1e-8, c(2), (0, 2), rho2_x, rho2(2)),
         "rho2-corr-beta4": _cheb(4, 1e-7, c(4), (0, 2), rho2_x, rho2(4)),

@@ -5,6 +5,7 @@ small-tau series, and the differential/functional identities."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -191,6 +192,18 @@ def sff_series(beta: float, order: int, tau: float) -> float:
 # Functions and Hall Polynomials, 2nd ed., Ch. VI §10) then gives
 #   E|Tr U^k|^2 = sum_lambda (k alpha theta_lambda)^2 / j_lambda
 #                 * prod_{(i,j) in lambda} (N + j alpha - i) / (N + (j+1) alpha - i - 1).
+#
+# At kappa = beta/2 = p/q (alpha = q/p) every box factor above, scaled by p, is
+# an integer, so the kernels below run on Python integers over one common
+# denominator and build a Fraction only for each returned value.
+
+
+def _positive_rational(name: str, v) -> Fraction:
+    """v as an exact Fraction, if it is a finite positive real number (not a bool)."""
+    if isinstance(v, numbers.Real) and not isinstance(v, bool) \
+            and math.isfinite(v) and v > 0:
+        return F(v)
+    raise ValueError(f"{name} must be finite and positive, got {v!r}")
 
 
 def _partitions(k: int, largest: int):
@@ -212,69 +225,61 @@ def _partition_boxes(k: int):
                     for i, row in enumerate(lam) for j in range(row)]
 
 
-def _jack_terms(k: int, alpha: Fraction):
-    """Per partition of k: its length, the weight (k alpha theta)^2 / j and the
-    (numerator, denominator) shifts of the N-dependent product."""
+def _jack_terms(k: int, p: int, q: int):
+    """Per partition of k at kappa = p/q: its length, the weight (k alpha
+    theta)^2 / j = num / den as integers, and the shifts (p x, p y) of the
+    N-dependent factors (N + x) / (N + y), integers too."""
     for lam, boxes in _partition_boxes(k):
-        theta = math.prod((j * alpha - i for i, j, _, _ in boxes[1:]), start=F(1))
-        j_lam = math.prod(((alpha * arm + leg + 1) * (alpha * arm + leg + alpha)
-                           for _, _, arm, leg in boxes), start=F(1))
-        yield (len(lam), (k * alpha * theta) ** 2 / j_lam,
-               [(j * alpha - i, (j + 1) * alpha - i - 1) for i, j, _, _ in boxes])
+        theta = math.prod(j * q - i * p for i, j, _, _ in boxes[1:])
+        j_lam = math.prod((arm * q + (leg + 1) * p) * (arm * q + leg * p + q)
+                          for _, _, arm, leg in boxes)
+        yield (len(lam), (k * q * theta) ** 2, j_lam,
+               [(j * q - i * p, (j + 1) * q - (i + 1) * p) for i, j, _, _ in boxes])
 
 
 def cbe_trace_moment(beta, N: int, k: int) -> Fraction:
     """Exact E|Tr U^k|^2 = 2 pi S_{N, beta}(k) in the CβE of N x N matrices,
-    for rational beta > 0 and k >= 1."""
-    beta, N, k = F(beta), _whole("N", N), _whole("k", k)
-    if beta <= 0 or N < 1 or k < 1:
-        raise ValueError("need beta > 0, N >= 1 and k >= 1")
-    total = F(0)
-    for length, weight, shifts in _jack_terms(k, 2 / beta):
-        if length > N:  # J_lambda vanishes in N variables
-            continue
+    for rational beta > 0 and k >= 1 (integer arithmetic, exact)."""
+    kappa = _positive_rational("beta", beta) / 2
+    N, k = _whole("N", N), _whole("k", k)
+    if N < 1 or k < 1:
+        raise ValueError("need N >= 1 and k >= 1")
+    p = kappa.numerator
+    terms = [(num * math.prod(p * N + x for x, _ in shifts),
+              den * math.prod(p * N + y for _, y in shifts))
+             for length, num, den, shifts in _jack_terms(k, p, kappa.denominator)
+             if length <= N]  # J_lambda vanishes in more than N variables
+    lcm = math.lcm(*(den for _, den in terms))
+    return F(sum(num * (lcm // den) for num, den in terms), lcm)
+
+
+def _moment_series(p: int, q: int, k: int, order: int):
+    """Integers s_0, ..., s_order and a common denominator D with the N^-r
+    coefficient of E|Tr U^k|^2 at kappa = p/q equal to s_r / (D p^r)."""
+    terms = []
+    for _, num, den, shifts in _jack_terms(k, p, q):
+        # prod (1 + x/N) / (1 + y/N) as an integer series in v = 1/(p N)
+        series = [1] + [0] * order
         for x, y in shifts:
-            weight *= (N + x) / (N + y)
-        total += weight
-    return total
+            for n in range(order, 0, -1):
+                series[n] += x * series[n - 1]
+            for n in range(1, order + 1):
+                series[n] -= y * series[n - 1]
+        terms.append((num, den, series))
+    lcm = math.lcm(*(den for _, den, _ in terms))
+    return [sum(num * (lcm // den) * series[r] for num, den, series in terms)
+            for r in range(order + 1)], lcm
 
 
 def cbe_moment_expansion(kappa, k: int, order: int) -> list:
     """Exact coefficients a_0, ..., a_order of N^-r in the large-N expansion
-    of E|Tr U^k|^2 at fixed k >= 1, beta = 2 kappa."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    alpha = 1 / F(kappa)
-    q = alpha.denominator
-    total = [F(0)] * (order + 1)
-    for _, weight, shifts in _jack_terms(k, alpha):
-        # prod (1 + x/N) / (1 + y/N) as an integer series in v = 1/(q N),
-        # since q x and q y are integers
-        series = [1] + [0] * order
-        for x, y in shifts:
-            qx, qy = int(q * x), int(q * y)
-            for n in range(order, 0, -1):
-                series[n] += qx * series[n - 1]
-            for n in range(1, order + 1):
-                series[n] -= qy * series[n - 1]
-        for r in range(order + 1):
-            total[r] += weight * F(series[r], q ** r)
-    return total
-
-
-def _solve_exact(a, b):
-    """Solve the nonsingular square system a x = b by Gauss-Jordan elimination."""
-    n = len(b)
-    rows = [list(row) + [v] for row, v in zip(a, b)]
-    for c in range(n):
-        p = next(i for i in range(c, n) if rows[i][c] != 0)
-        rows[c], rows[p] = rows[p], rows[c]
-        rows[c] = [v / rows[c][c] for v in rows[c]]
-        for i in range(n):
-            if i != c and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [u - f * v for u, v in zip(rows[i], rows[c])]
-    return [row[n] for row in rows]
+    of E|Tr U^k|^2 at fixed k >= 1, beta = 2 kappa, for rational kappa > 0
+    (integer arithmetic, exact)."""
+    kappa = _positive_rational("kappa", kappa)
+    k, order = _whole("k", k, 1), _whole("order", order, 0)
+    p = kappa.numerator
+    sums, den = _moment_series(p, kappa.denominator, k, order)
+    return [F(s, den * p ** r) for r, s in enumerate(sums)]
 
 
 # highest power of 1/N the stored tables need: c_{j,m} sits at N^-(m + 2j - 1)
@@ -286,31 +291,55 @@ def _k_powers(r: int):
     return tuple(range(r + 1, -1, -2))
 
 
+def _fit_in_k_squared(values: dict, e: int, n: int):
+    """Integers C_0, ..., C_(n-1) and W > 0 with sum_i C_i k^(e + 2i) =
+    W values[k] at k = 1, ..., n: Lagrange interpolation in x = k^2 over
+    integers, each node weight k^e prod_(j != k) (k^2 - j^2) cleared by W."""
+    nodes = range(1, n + 1)
+    weights = {k: k ** e * math.prod(k * k - j * j for j in nodes if j != k) for k in nodes}
+    w = math.lcm(*weights.values())
+    coeffs = [0] * n
+    for k in nodes:
+        basis = [1]  # prod_(j != k) (x - j^2), lowest power first
+        for j in nodes:
+            if j != k:
+                basis = [a - j * j * b for a, b in zip([0] + basis, basis + [0])]
+        scale = values[k] * (w // weights[k])
+        coeffs = [c + scale * b for c, b in zip(coeffs, basis)]
+    return coeffs, w
+
+
 def oracle_series_coefficients(kappa) -> dict:
     """Exact c_{j,m}(kappa) for every m + 2j - 1 <= ORACLE_ORDER, decided by
-    the CβE moments and independent of the stored tables.
+    the CβE moments and independent of the stored tables (integer arithmetic,
+    exact).
 
     With k = tau N, (2 pi / N) S_N(k) = E|Tr U^k|^2 / N, so c_{j,m} is the
     coefficient of k^m in the N^-(m + 2j - 1) coefficient of the moment. Each
-    such coefficient is a polynomial in k with powers r + 1, r - 1, ...; it is
-    fitted exactly from the smallest k and checked at one spare k, which raises
-    ArithmeticError if that structure fails.
+    such coefficient is a polynomial in k with powers r + 1, r - 1, ..., that
+    is k^e times a polynomial in k^2; it is interpolated exactly from the
+    smallest k and checked at every spare k, which raises ArithmeticError if
+    that structure fails.
     """
-    kappa = F(kappa)
+    kappa = _positive_rational("kappa", kappa)
+    p, q = kappa.numerator, kappa.denominator
     k_max = len(_k_powers(ORACLE_ORDER)) + 1
-    moments = {k: cbe_moment_expansion(kappa, k, ORACLE_ORDER) for k in range(1, k_max + 1)}
+    moments = {k: _moment_series(p, q, k, ORACLE_ORDER) for k in range(1, k_max + 1)}
+    lcm = math.lcm(*(den for _, den in moments.values()))
     coeffs = {}
     for r in range(ORACLE_ORDER + 1):
         powers = _k_powers(r)
-        fit_ks = range(1, len(powers) + 1)
-        fit = _solve_exact([[F(k) ** p for p in powers] for k in fit_ks],
-                           [moments[k][r] for k in fit_ks])
-        for k in range(len(powers) + 1, k_max + 1):
-            if sum(c * k ** p for c, p in zip(fit, powers)) != moments[k][r]:
+        n, e = len(powers), powers[-1]
+        # the N^-r coefficient at k is values[k] / (lcm p^r)
+        values = {k: sums[r] * (lcm // den) for k, (sums, den) in moments.items()}
+        fit, w = _fit_in_k_squared(values, e, n)
+        for k in range(n + 1, k_max + 1):
+            if sum(c * k ** (e + 2 * i) for i, c in enumerate(fit)) != w * values[k]:
                 raise ArithmeticError(f"N^-{r} coefficient is not a polynomial in "
                                       f"k with powers {powers} (k = {k})")
-        for c, p in zip(fit, powers):
-            coeffs[(r + 1 - p) // 2, p] = c
+        for i, c in enumerate(fit):
+            m = e + 2 * i
+            coeffs[(r + 1 - m) // 2, m] = F(c, w * lcm * p ** r)
     return coeffs
 
 
@@ -344,7 +373,7 @@ def verify_x6(beta: float) -> X6Report:
     relations hold for general beta but does not state d, so which form it
     means is open.
     """
-    kappa = F(beta).limit_denominator(10 ** 6) / 2
+    kappa = _positive_rational("beta", beta).limit_denominator(10 ** 6) / 2
     c, d = correction_factor(2 * kappa), _d_coeff(kappa)
     r2 = 0.0
     for m in SERIES_POWERS[2]:
@@ -376,21 +405,29 @@ _SYMMETRY_KAPPAS = tuple(F(a, b) for a, b in
                           (4, 1), (11, 7), (17, 6), (23, 9)))
 
 
-def _antisymmetry_holds(order: int, m: int) -> bool:
-    """c(1/kappa) = (-1)^(m+1) kappa^(m + 2 order + 1) c(kappa), exactly."""
-    for kap in _SYMMETRY_KAPPAS:
-        lhs = series_coefficient(order, m, 1 / kap)
-        rhs = (-1) ** (m + 1) * kap ** (m + 2 * order + 1) \
-            * series_coefficient(order, m, kap)
-        if lhs != rhs:
-            return False
-    return True
-
-
 def _series_antisymmetric() -> bool:
-    """Whether every stored series coefficient obeys _antisymmetry_holds."""
-    return all(_antisymmetry_holds(order, m)
-               for order, powers in SERIES_POWERS.items() for m in powers)
+    """Whether every stored series coefficient obeys c(1/kappa) = (-1)^(m+1)
+    kappa^(m + 2 order + 1) c(kappa) at each of _SYMMETRY_KAPPAS, exactly.
+
+    Each record pref (kappa - 1)^e P(kappa) / kappa^kpow is homogenised once:
+    at kappa = a/b it is (a - b)^e H(a, b) / (D b^(e + d) (a/b)^kpow), with
+    H(a, b) = D pref b^d P(a/b) an integer form of degree d. Both sides of the
+    relation are then cross-multiplied into integers; (a - b)^e cancels since
+    no listed kappa is 1.
+    """
+    for (order, m), (pref, e, poly, kpow) in _SERIES.items():
+        scaled = [pref * c for c in poly]
+        den = math.lcm(*(c.denominator for c in scaled))
+        form = [int(c * den) for c in scaled]
+        d, power = len(form) - 1, m + 2 * order + 1
+        for kap in _SYMMETRY_KAPPAS:
+            a, b = kap.numerator, kap.denominator
+            h_ab, h_ba = (sum(c * u ** i * v ** (d - i) for i, c in enumerate(form))
+                          for u, v in ((a, b), (b, a)))
+            if (-1) ** (e + m + 1) * h_ba * a ** (2 * kpow) * b ** (e + d + power) \
+                    != h_ab * a ** (e + d + power) * b ** (2 * kpow):
+                return False
+    return True
 
 
 def root_modulus_deviation(names) -> float:

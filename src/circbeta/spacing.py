@@ -176,14 +176,17 @@ def p_bulk(beta: int, order: int, s, xi: float):
     return chebyshev_interpolate(samples, 0.0, hi, s)
 
 
-def spacing_series_identity_holds(beta: int) -> bool:
-    """Exact check that -(1/(6 beta))(s^2 P_0)'' reproduces P_1 term by term."""
+def spacing_series_residual(beta: int) -> float:
+    """Largest |P_1 - c (s^2 P_0)''| over the series coefficients through s^9,
+    c = -1/(6 beta); 0.0 when the identity holds term by term, exactly."""
     tables = {2: (P0_BETA2, P1_BETA2), 1: (P0_BETA1, P1_BETA1)}
     if beta not in tables:
         raise ValueError("series tables exist for beta = 1, 2 only")
     p0, p1 = tables[beta]
     lhs = p0.s_squared().second_derivative().scaled(correction_factor(F(beta)))
-    return tables_match_through(lhs, p1, 9)
+    a, b = lhs.coefficients_through(9), p1.coefficients_through(9)
+    return max((abs(float(a.get(key, 0) - b.get(key, 0))) for key in a.keys() | b.keys()
+                if a.get(key) != b.get(key)), default=0.0)
 
 
 # ---------------------------------------------------------------------------

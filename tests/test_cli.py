@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import circbeta
-from circbeta import beta_even, cli, gap, numerics, rho2_even_beta, sff_bulk_term, spacing
+from circbeta import beta_even, cli, gap, numerics, rho2_even_beta, sff, sff_bulk_term, spacing
 
 try:
     from importlib.resources import files
@@ -194,17 +195,35 @@ class TestDeterminism:
 # For each row, a relative change delta of its constant c = -1/(6 beta) that
 # the row must report as FAIL. An entry may only be lowered.
 SENSITIVITY = {"e-corr-beta2": 1e-9, "e-corr-beta1": 1e-9, "e-corr-beta4": 1e-9,
-               "e-corr-pm": 1e-9}
+               "e-corr-pm": 1e-9, "sff-x6-beta1": 1e-9, "sff-x6-beta4": 1e-9,
+               "p-series-beta2": 1e-12, "p-series-beta1": 1e-12}
 
 
 class TestVerify:
     @pytest.mark.parametrize("name, delta", SENSITIVITY.items())
     def test_row_sees_its_constant(self, name, delta, monkeypatch, capsys):
         exact = numerics.correction_factor
-        monkeypatch.setattr(numerics, "correction_factor",
-                            lambda beta: exact(beta) * (1.0 + delta))
+        # spacing and sff bind the constant at import
+        for module in (numerics, spacing, sff):
+            monkeypatch.setattr(module, "correction_factor",
+                                lambda beta: exact(beta) * (1.0 + delta))
         code, out = run(["verify", "--identity", name], capsys)
         assert code == 1 and f"{name} " in out and out.rstrip().endswith("FAIL")
+
+    @pytest.mark.parametrize("field", [1, 3], ids=["kappa-1-power", "kappa-power"])
+    def test_symmetry_row_sees_a_corrupted_record(self, field, monkeypatch, capsys):
+        record = list(sff._SERIES[1, 4])
+        record[field] += 1
+        monkeypatch.setitem(sff._SERIES, (1, 4), tuple(record))
+        code, out = run(["verify", "--identity", "sff-symmetry"], capsys)
+        assert code == 1 and out.rstrip().endswith("FAIL")
+
+    def test_zeros_r4_row_sees_a_corrupted_coefficient(self, monkeypatch, capsys):
+        pref, e, r4, kpow = sff._SERIES[2, 4]
+        corrupted = r4[:2] + (r4[2] + Fraction(1, 42),) + r4[3:]
+        monkeypatch.setitem(sff._SERIES, (2, 4), (pref, e, corrupted, kpow))
+        code, out = run(["verify", "--identity", "sff-zeros-r4"], capsys)
+        assert code == 1 and out.rstrip().endswith("FAIL")
 
     def test_single_identity_passes(self, capsys):
         code, out = run(["verify", "--identity", "e-corr-beta2"], capsys)

@@ -7,11 +7,16 @@ import numpy as np
 import pytest
 
 from circbeta import (KernelSpec, cbe_trace_moment, e_finite_cue, e_pm, e_tau,
-                      extract_correction, fredholm_det, kernel_eval, morris, pfaffian, pfaffian_entries,
+                      extract_correction, fredholm_det, kernel_eval, morris,
+                      oracle_series_coefficients, pfaffian, pfaffian_entries,
                       rho2_bulk_finite, rho_n_cue, rho_n_pfaffian, selberg, sff_series,
-                      solve_sigma0)
+                      solve_sigma0, verify_x6)
+from circbeta.sff import cbe_moment_expansion
 
-SOL = solve_sigma0(1.0, 3.0)
+
+@pytest.fixture(scope="module")
+def sol():
+    return solve_sigma0(1.0, 3.0)
 
 
 def antisymmetric(a01, n=4):
@@ -21,21 +26,22 @@ def antisymmetric(a01, n=4):
 
 
 @pytest.mark.parametrize("call, name", [
-    (lambda: sff_series(math.nan, 0, 0.5), "beta"),
-    (lambda: sff_series(math.inf, 0, 0.5), "beta"),
-    (lambda: e_tau(SOL, math.nan, 0), "s"),
-    (lambda: e_finite_cue(10, 1.0, math.nan), "xi"),
-    (lambda: rho_n_cue(9, [math.nan, 0.1]), "angles"),
-    (lambda: rho_n_cue(9, [math.inf, 0.1]), "angles"),
-    (lambda: rho_n_pfaffian(1, 9, [math.nan, 0.1]), "angles"),
-    (lambda: rho_n_pfaffian(4, 9, [[0.2, -math.inf]]), "angles"),
-    (lambda: pfaffian(antisymmetric(math.nan)), "matrix entries"),
-    (lambda: pfaffian(antisymmetric(math.inf)), "matrix entries"),
-    (lambda: pfaffian(antisymmetric(-math.inf, 6)), "matrix entries"),
+    (lambda _: sff_series(math.nan, 0, 0.5), "beta"),
+    (lambda _: sff_series(math.inf, 0, 0.5), "beta"),
+    (lambda sol: e_tau(sol, math.nan, 0), "s"),
+    (lambda _: e_finite_cue(10, 1.0, math.nan), "xi"),
+    (lambda _: rho_n_cue(9, [math.nan, 0.1]), "angles"),
+    (lambda _: rho_n_cue(9, [math.inf, 0.1]), "angles"),
+    (lambda _: rho_n_pfaffian(1, 9, [math.nan, 0.1]), "angles"),
+    (lambda _: rho_n_pfaffian(4, 9, [[0.2, -math.inf]]), "angles"),
+    (lambda _: pfaffian(antisymmetric(math.nan)), "matrix entries"),
+    (lambda _: pfaffian(antisymmetric(math.inf)), "matrix entries"),
+    (lambda _: pfaffian(antisymmetric(-math.inf, 6)), "matrix entries"),
 ])
-def test_non_finite_refused(call, name):
+def test_non_finite_refused(call, name, sol):
+    # each call gets the module's Painleve solution; only e_tau uses it
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        call()
+        call(sol)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -66,6 +72,28 @@ def test_non_finite_refused(call, name):
     (lambda: KernelSpec("l_minus", 2.5), "takes no N"),
 ])
 def test_bad_integer_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: verify_x6(-2), "beta must be finite and positive"),
+    (lambda: verify_x6(math.nan), "beta must be finite and positive"),
+    (lambda: verify_x6(math.inf), "beta must be finite and positive"),
+    (lambda: cbe_trace_moment(0, 3, 2), "beta must be finite and positive"),
+    (lambda: cbe_trace_moment(True, 3, 2), "beta must be finite and positive"),
+    (lambda: cbe_moment_expansion(2, 3, -1), "order must be an integer >= 0"),
+    (lambda: cbe_moment_expansion(2, 3, 1.5), "order must be an integer >= 0"),
+    (lambda: cbe_moment_expansion(True, 3, 2), "kappa must be finite and positive"),
+    (lambda: cbe_moment_expansion(math.inf, 3, 2), "kappa must be finite and positive"),
+    (lambda: cbe_moment_expansion(2, 2.5, 2), "k must be a positive integer"),
+    (lambda: cbe_moment_expansion(2, 0, 2), "k must be a positive integer"),
+    (lambda: oracle_series_coefficients(0), "kappa must be finite and positive"),
+    (lambda: oracle_series_coefficients(-1), "kappa must be finite and positive"),
+    (lambda: oracle_series_coefficients(math.nan), "kappa must be finite and positive"),
+    (lambda: oracle_series_coefficients("3"), "kappa must be finite and positive"),
+])
+def test_exact_path_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
 

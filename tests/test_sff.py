@@ -6,11 +6,11 @@ import pytest
 from scipy.special import digamma as scipy_digamma
 
 from circbeta import (cbe_trace_moment, check_functional_symmetry_and_zeros,
-                      oracle_series_coefficients, series_coefficient,
+                      oracle_series_coefficients, series_coefficient, sff,
                       sff_bulk_scaled, sff_bulk_term, sff_exact, sff_series,
                       verify_x6)
 from circbeta.sff import (_SERIES, ORACLE_ORDER, POLYNOMIALS, SERIES_POWERS, _d_coeff,
-                          cbe_moment_expansion)
+                          _k_powers, _partition_boxes, cbe_moment_expansion)
 
 
 class TestExact:
@@ -205,17 +205,19 @@ class TestX6:
 
 
 class TestSymmetryAndZeros:
-    report = check_functional_symmetry_and_zeros()
+    @pytest.fixture(scope="class")
+    def report(self):
+        return check_functional_symmetry_and_zeros()
 
-    def test_antisymmetry(self):
-        assert self.report.antisymmetry_ok
+    def test_antisymmetry(self, report):
+        assert report.antisymmetry_ok
 
     @pytest.mark.parametrize("name", ["p2", "p4", "q2", "q4", "r2"])
     def test_zeros_on_unit_circle(self, name):
         roots = np.roots([float(c) for c in reversed(POLYNOMIALS[name])])
         assert np.max(np.abs(np.abs(roots) - 1.0)) < 1e-10
 
-    def test_r4_zeros_defect_recorded(self):
+    def test_r4_zeros_defect_recorded(self, report):
         # the quartic in the second-correction series has a real reciprocal
         # root pair off the unit circle (moduli ~2.11 and ~0.47), unlike every
         # other stored polynomial; the oracle decides that this is the true
@@ -223,7 +225,7 @@ class TestSymmetryAndZeros:
         roots = np.roots([float(c) for c in reversed(POLYNOMIALS["r4"])])
         dev = np.max(np.abs(np.abs(roots) - 1.0))
         assert 1.0 < dev < 1.2
-        assert self.report.max_root_modulus_deviation == pytest.approx(dev)
+        assert report.max_root_modulus_deviation == pytest.approx(dev)
 
     def test_polynomials_palindromic(self):
         for name, poly in POLYNOMIALS.items():
@@ -237,7 +239,9 @@ ORACLE_KAPPAS = (F(3), F(3, 2), F(5, 7), F(7, 3), F(11, 4), F(1, 3), F(9, 5), F(
 class TestOracle:
     """Exact CβE moments E|Tr U^k|^2 from Jack polynomials decide the tables."""
 
-    oracles = {kap: oracle_series_coefficients(kap) for kap in ORACLE_KAPPAS}
+    @pytest.fixture(scope="class")
+    def oracles(self):
+        return {kap: oracle_series_coefficients(kap) for kap in ORACLE_KAPPAS}
 
     def test_unitary_is_min_k_n(self):
         for N in (1, 3, 8):
@@ -250,29 +254,134 @@ class TestOracle:
             assert float(cbe_trace_moment(beta, N, k)) == pytest.approx(
                 2 * np.pi * sff_exact(beta, N, k), rel=1e-14)
 
-    def test_reproduces_stored_series(self):
-        for kap, oracle in self.oracles.items():
+    def test_reproduces_stored_series(self, oracles):
+        for kap, oracle in oracles.items():
             for key in _SERIES:
                 assert series_coefficient(*key, kap) == oracle[key], (kap, key)
 
-    def test_decides_tau8_reading(self):
-        for kap, oracle in self.oracles.items():
+    def test_decides_tau8_reading(self, oracles):
+        for kap, oracle in oracles.items():
             assert series_coefficient(0, 8, kap) == oracle[0, 8]
 
-    def test_decides_second_correction_against_relation(self):
+    def test_decides_second_correction_against_relation(self, oracles):
         # d(kappa) would give 26/2187 and 13/486 at kappa = 3
-        oracle = self.oracles[F(3)]
+        oracle = oracles[F(3)]
         assert (oracle[2, 3], oracle[2, 4]) == (F(25, 2187), F(37, 1458))
         d = F(3 ** 3 - 1, 720 * 3 ** 3 * 2)
         assert d * 3 * 2 * 4 * 5 * series_coefficient(0, 3, F(3)) == F(26, 2187)
         assert d * 4 * 3 * 5 * 6 * series_coefficient(0, 4, F(3)) == F(13, 486)
 
-    def test_k_power_structure_at_redundant_k(self):
+    def test_k_power_structure_at_redundant_k(self, oracles):
         # fitted from k <= 5; k = 7, 8 were not used
         for kap in (F(3), F(5, 7)):
-            oracle = self.oracles[kap]
+            oracle = oracles[kap]
             for k in (7, 8):
                 moments = cbe_moment_expansion(kap, k, ORACLE_ORDER)
                 for r, a_r in enumerate(moments):
                     assert a_r == sum(c * k ** m for (j, m), c in oracle.items()
                                       if m + 2 * j - 1 == r), (kap, k, r)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the exact kernels in Fraction arithmetic and the k-power fit by
+# Gauss-Jordan elimination. The library runs the same formulas on integers
+# over one common denominator.
+
+def _ref_jack_terms(k, alpha):
+    for lam, boxes in _partition_boxes(k):
+        theta = math.prod((j * alpha - i for i, j, _, _ in boxes[1:]), start=F(1))
+        j_lam = math.prod(((alpha * arm + leg + 1) * (alpha * arm + leg + alpha)
+                           for _, _, arm, leg in boxes), start=F(1))
+        yield (len(lam), (k * alpha * theta) ** 2 / j_lam,
+               [(j * alpha - i, (j + 1) * alpha - i - 1) for i, j, _, _ in boxes])
+
+
+def _ref_trace_moment(beta, N, k):
+    total = F(0)
+    for length, weight, shifts in _ref_jack_terms(k, 2 / F(beta)):
+        if length <= N:
+            for x, y in shifts:
+                weight *= (N + x) / (N + y)
+            total += weight
+    return total
+
+
+def _ref_moment_expansion(kappa, k, order):
+    alpha = 1 / F(kappa)
+    q = alpha.denominator
+    total = [F(0)] * (order + 1)
+    for _, weight, shifts in _ref_jack_terms(k, alpha):
+        series = [1] + [0] * order
+        for x, y in shifts:
+            qx, qy = int(q * x), int(q * y)
+            for n in range(order, 0, -1):
+                series[n] += qx * series[n - 1]
+            for n in range(1, order + 1):
+                series[n] -= qy * series[n - 1]
+        for r in range(order + 1):
+            total[r] += weight * F(series[r], q ** r)
+    return total
+
+
+def _ref_solve(a, b):
+    n = len(b)
+    rows = [list(row) + [v] for row, v in zip(a, b)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if rows[i][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [u - f * v for u, v in zip(rows[i], rows[c])]
+    return [row[n] for row in rows]
+
+
+def _ref_oracle(kappa):
+    k_max = len(_k_powers(ORACLE_ORDER)) + 1
+    moments = {k: _ref_moment_expansion(kappa, k, ORACLE_ORDER) for k in range(1, k_max + 1)}
+    coeffs = {}
+    for r in range(ORACLE_ORDER + 1):
+        powers = _k_powers(r)
+        fit_ks = range(1, len(powers) + 1)
+        fit = _ref_solve([[F(k) ** p for p in powers] for k in fit_ks],
+                         [moments[k][r] for k in fit_ks])
+        for k in range(len(powers) + 1, k_max + 1):
+            assert sum(c * k ** p for c, p in zip(fit, powers)) == moments[k][r]
+        for c, p in zip(fit, powers):
+            coeffs[(r + 1 - p) // 2, p] = c
+    return coeffs
+
+
+class TestIntegerKernelsMatchFractionReference:
+    @pytest.mark.parametrize("kappa", ORACLE_KAPPAS, ids=str)
+    def test_oracle(self, kappa):
+        got = oracle_series_coefficients(kappa)
+        assert got == _ref_oracle(kappa)
+        assert all(type(v) is F for v in got.values())
+
+    @pytest.mark.parametrize("kappa", ORACLE_KAPPAS, ids=str)
+    def test_moment_expansion(self, kappa):
+        for k in range(1, 9):
+            got = cbe_moment_expansion(kappa, k, ORACLE_ORDER)
+            assert got == _ref_moment_expansion(kappa, k, ORACLE_ORDER), k
+            assert all(type(v) is F for v in got)
+
+    @pytest.mark.parametrize("beta", [F(2, 3), F(5, 2), 6], ids=str)
+    def test_trace_moment(self, beta):
+        for N in (1, 2, 3, 5, 9):
+            for k in range(1, 9):
+                got = cbe_trace_moment(beta, N, k)
+                assert got == _ref_trace_moment(beta, N, k) and type(got) is F, (N, k)
+
+    def test_spare_k_check_raises(self, monkeypatch):
+        # a moment off the k-power structure at a spare k is refused
+        series = sff._moment_series
+
+        def corrupted(p, q, k, order):
+            sums, den = series(p, q, k, order)
+            return ([s + (k == 6) for s in sums], den)
+
+        monkeypatch.setattr(sff, "_moment_series", corrupted)
+        with pytest.raises(ArithmeticError, match="not a polynomial in k"):
+            oracle_series_coefficients(F(3))

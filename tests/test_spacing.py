@@ -7,7 +7,7 @@ import pytest
 from circbeta import (E_CUE_SMALL_S, P0_BETA1, P0_BETA2, P1_BETA1, P1_BETA2,
                       P2_BETA2, correction_factor, correction_residual,
                       gauss_legendre, p_bulk, rho2_bulk_term,
-                      spacing_series_identity_holds, surmise_correction,
+                      spacing_series_residual, surmise_correction,
                       wigner_surmise)
 from circbeta.spacing import CHEB_NODES, SeriesTable, _p_samples, tables_match_through
 
@@ -177,10 +177,10 @@ class TestEvalSeries:
 
 class TestSeriesIdentities:
     def test_beta2_exact(self):
-        assert spacing_series_identity_holds(2)
+        assert spacing_series_residual(2) == 0.0
 
     def test_beta1_exact(self):
-        assert spacing_series_identity_holds(1)
+        assert spacing_series_residual(1) == 0.0
 
     @pytest.mark.parametrize("nu_power, table", [(0, P0_BETA2), (1, P1_BETA2)])
     def test_spacing_tables_are_gap_derivatives(self, nu_power, table):
