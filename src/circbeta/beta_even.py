@@ -15,8 +15,8 @@ import numpy as np
 
 from .correlations import _pfaffian, rho2_bulk_term
 from .gap import AccuracyWarning
-from .numerics import (_SLICE_ENTRIES, _whole, chebyshev_interpolate, chebyshev_points,
-                       gauss_legendre, inverse_square_fit, spectral_derivative)
+from .numerics import (_SLICE_ENTRIES, _read_only, _whole, chebyshev_interpolate,
+                       chebyshev_points, gauss_legendre, inverse_square_fit, spectral_derivative)
 
 F = Fraction
 TWO_PI = 2.0 * math.pi
@@ -161,7 +161,9 @@ def _integral_beta4(f, n_nodes: int):
 _TERMS = 24
 # (step / distance to the nearest singular point, cap on step * rate n|N| or n)
 _STEPS = ((1 / 6, 2.0), (1 / 8, 3.0))
-_X_MAX = 200.0   # steps, time and memory grow as |x|: 0.4 s and 32 MB at 200
+# steps grow as |x|; at 200 both settings take 0.14 s with a traced peak of
+# 14.5 MB (2 cores, BLAS on 1 thread)
+_X_MAX = 200.0
 
 
 def _system(n: int, N):
@@ -179,46 +181,110 @@ def _system(n: int, N):
             selberg(n, a, a, tau) * np.cumprod(np.append(1.0, A[1:] / B[1:])))
 
 
-def _holonomic(n: int, s, N, ratio: float, cap: float) -> np.ndarray:
-    """J_0 at the path points of parameters s >= 0, t = i s in the limit (N
-    None) and z = 1 - e^(i s) at finite N, all from one continuation."""
+def _path(N):
+    """(point, dist, rate, v0): the path point of parameter v, t = i v in the
+    limit (N None) and z = 1 - e^(i v) at finite N, without cancellation at
+    small v; its distance to the nearest singular point (|1 - z| = 1); the rate
+    per unit n that caps a step; and the first parameter v0."""
+    if N is None:
+        return (lambda v: 1j * v), (lambda v: v), 1.0, 0.5
+    return ((lambda v: -2j * np.sin(v / 2) * np.exp(0.5j * v)),
+            (lambda v: min(2.0 * math.sin(v / 2.0), 1.0)), abs(N), min(0.05, 0.5 / abs(N)))
+
+
+@lru_cache(maxsize=16)
+def _start(n: int, N):
+    """The Taylor step matrices M_k, the Frobenius series of J_0 at 0 in powers
+    of z / |c_0|, and J at the path's first point c_0: they depend on (n, N)
+    alone, and are read-only."""
     R0, R1, j0 = _system(n, N)
-    m, half_pp = n + 1, 0.0 if N is None else -1.0
-    point, dist, rate, v = (lambda v: 1j * v), (lambda v: v), n, [0.5]
-    if N is not None:   # 1 - e^(i v) without cancellation at small v; |1 - z| = 1
-        point, rate, v = (lambda v: -2j * np.sin(v / 2) * np.exp(0.5j * v)), n * abs(N), \
-            [min(0.05, 0.5 / abs(N))]
-        dist = lambda v: min(2.0 * math.sin(v / 2.0), 1.0)
-    s_max = np.max(s, initial=0.0)
-    while len(v) < 2 or v[-1] < s_max:
-        v.append(v[-1] + min(ratio * dist(v[-1]), cap / rate))
-    c = point(np.array(v))
-    # Frobenius series at 0 in powers of z / |c_0|: (k - R0) a_k = (R1 - p'' (k-1) / 2) a_{k-1}
-    inv = np.linalg.inv(np.arange(1.0, _TERMS + 1)[:, None, None] * np.eye(m) - R0)
+    point, _, _, v0 = _path(N)
+    c0, half_pp = point(v0), 0.0 if N is None else -1.0
+    # (k - R0) b_k = |c_0| (R1 - p'' (k-1) / 2) b_{k-1}
+    inv = np.linalg.inv(np.arange(1.0, _TERMS + 1)[:, None, None] * np.eye(n + 1) - R0)
     b = [j0.astype(complex)]
     for k in range(1, _TERMS + 1):
-        b.append(inv[k - 1] @ (abs(c[0]) * (R1 @ b[-1] - half_pp * (k - 1) * b[-1])))
+        b.append(inv[k - 1] @ (abs(c0) * (R1 @ b[-1] - half_pp * (k - 1) * b[-1])))
     b = np.array(b)
-    # the expansions about all step starts c_j at once, in powers of (z - c_j) / h_j,
-    # as matrices cur[:, j, :] acting on J(c_j); rows evaluates J_0 at the points s
-    cj, step, h = c[:-1], np.diff(c), np.abs(np.diff(c))
-    p, dp = (cj, 1.0) if N is None else (cj - cj * cj, 1.0 - 2.0 * cj[:, None])
-    j = np.clip(np.searchsorted(v, s, side="right") - 1, 0, len(cj) - 1)
-    near = s < v[0]
-    u = np.where(near, point(s) / abs(c[0]), (point(s) - cj[j]) / h[j])
-    cur = np.repeat(np.eye(m, dtype=complex)[:, None, :], len(cj), axis=1)
-    P, rows, prev, r1_prev, f = cur.copy(), cur[0, j], 0.0, 0.0, (h / p)[:, None]
+    k, eye = np.arange(_TERMS)[:, None, None], np.eye(n + 1)
+    # with p' = 1 + c p'', M_k = [R0 - k, R1 - p'' k, R1 - p'' (k-1) / 2] / (k+1)
+    M = np.concatenate([R0 - k * eye, R1 - 2 * half_pp * k * eye,
+                        R1 - half_pp * (k - 1) * eye], axis=2) / (k + 1)
+    return _read_only(M, b[:, 0], b.T @ (c0 / abs(c0)) ** np.arange(_TERMS + 1))
+
+
+def _taylor(M, c, p, step, host, u):
+    """The Taylor series of the fundamental matrix about every step start c (a
+    1-d array, with p = p(c)), in powers of (z - c) / h, h = |step|:
+      (k+1) a_{k+1} = (h / p) [(R0 + c R1 - p' k) a_k + h (R1 - p'' (k-1) / 2) a_{k-1}],
+    one real matmul per term, M_k on the float view of [a_k; c a_k; h a_{k-1}],
+    with the m x m matrices a_k side by side. Returns the propagators over the
+    steps, sum_k (step / h)^k a_k, shape (c.size, m, m), and row 0 of sum_k
+    u^k a_k about the starts of index host."""
+    m, K = M.shape[1], c.size
+    h = np.abs(step)
+    w, f, c, h = (np.repeat(v, m) for v in (step / h, h / p, c, h.astype(complex)))
+    buffers = np.zeros((2, 3 * m, K * m), complex)
+    buffers[0, :m].reshape(m, K, m)[np.arange(m), :, np.arange(m)] = 1.0
+    np.multiply(c, buffers[0, :m], out=buffers[0, m:2 * m])
+    # per buffer: its float view, then its blocks a, c a and h a_{k-1}
+    blocks = [(b.view(float), b[:m], b[m:2 * m], b[2 * m:]) for b in buffers]
+    P, wk, scaled = buffers[0, :m].copy(), w.copy(), np.empty((m, K * m), complex)
+    rows, power, u = buffers[0, 0].reshape(K, m)[host], np.ones((u.size, 1), complex), u[:, None]
     for k in range(_TERMS):
-        r0_cur, r1_cur = (np.vstack([R0, R1]) @ cur.reshape(m, -1)).reshape(2, m, -1, m)
-        cur, prev, r1_prev = f * (r0_cur + cj[:, None] * r1_cur - k * dp * cur + h[:, None]
-                                  * (r1_prev - half_pp * (k - 1) * prev)) / (k + 1), cur, r1_cur
-        P += (step / h)[:, None] ** (k + 1) * cur
-        rows = rows + u[:, None] ** (k + 1) * cur[0, j]
-    J = [b.T @ (c[0] / abs(c[0])) ** np.arange(_TERMS + 1)]
-    for k in range(len(cj)):
-        J.append(P[:, k] @ J[-1])
-    return np.where(near, np.polynomial.polynomial.polyval(u, b[:, 0]),
-                    np.einsum("gi,gi->g", rows, np.array(J)[j]))
+        (Y, a, _, _), (_, new, c_new, h_a) = blocks[k % 2], blocks[1 - k % 2]
+        np.multiply(h, a, out=h_a)
+        np.matmul(M[k], Y, out=new.view(float))
+        np.multiply(f, new, out=new)
+        np.multiply(c, new, out=c_new)
+        np.multiply(wk, new, out=scaled)
+        P += scaled
+        wk *= w
+        power *= u
+        row = new[0].reshape(K, m)[host]   # row 0 of a_k at each host start
+        row *= power
+        rows += row
+    return P.reshape(m, K, m).transpose(1, 0, 2), rows
+
+
+def _holonomic(n: int, s, N, steps) -> np.ndarray:
+    """J_0 at the path points of parameters s >= 0, t = i s in the limit (N
+    None) and z = 1 - e^(i s) at finite N, one row per (ratio, cap) setting of
+    steps. The step starts of all settings are the entries of one Taylor
+    recursion, run in slices of _SLICE_ENTRIES / m^2 entries, which also sums
+    each point's series about the start of its step; then each setting chains
+    its steps from J(c_0), the cached start."""
+    # keyed by value: a float32 N must not leave its rounded start for a float N
+    M, b0, j_start = _start(n, None if N is None else float(N))
+    point, dist, rate, v0 = _path(N)
+    m, z, s_max = n + 1, point(s), np.max(s, initial=0.0)
+    paths, host, first = [], [], 0
+    for ratio, cap in steps:
+        v = [v0]
+        while len(v) < 2 or v[-1] < s_max:
+            v.append(v[-1] + min(ratio * dist(v[-1]), cap / (n * rate)))
+        paths.append(point(np.array(v)))
+        host.append(first + np.clip(np.searchsorted(v, s, side="right") - 1, 0, len(v) - 2))
+        first += len(v) - 1
+    c, step, host = (np.concatenate(a) for a in ([path[:-1] for path in paths],
+                                                  [np.diff(path) for path in paths], host))
+    u = (np.tile(z, len(steps)) - c[host]) / np.abs(step[host])
+    p = c if N is None else c - c * c
+    P, rows = np.empty((c.size, m, m), complex), np.empty((host.size, m), complex)
+    size = max(1, _SLICE_ENTRIES // (m * m))
+    for lo in range(0, c.size, size):
+        at, cut = np.flatnonzero((host >= lo) & (host < lo + size)), slice(lo, lo + size)
+        P[cut], rows[at] = _taylor(M, c[cut], p[cut], step[cut], host[at] - lo, u[at])
+    # J at every step start: each setting chains its steps from J(c_0)
+    J, first = [], 0
+    for path in paths:
+        J.append(j_start)
+        for A in P[first:first + path.size - 2]:
+            J.append(A @ J[-1])
+        first += path.size - 1
+    near = (z / abs(point(v0)))[:, None] ** np.arange(_TERMS + 1) @ b0
+    far = np.einsum("gi,gi->g", rows, np.array(J)[host]).reshape(len(steps), s.size)
+    return np.where(s < v0, near, far)
 
 
 _METHODS = {2: ("hankel", "holonomic"), 4: ("pfaffian", "holonomic"), 6: ("holonomic",)}
@@ -254,10 +320,11 @@ def rho2_even_beta(beta: int, x, N: int | float | None = None,
     The default engine serves every caller: the "hankel" (beta = 2) and
     "pfaffian" (beta = 4) quadratures take all x at once with quad_order (an
     integer in [beta, 256]) nodes and then twice as many; "holonomic" (beta =
-    6) serves every x from one continuation at each of two step settings. The
-    two must agree, to 1e-6 and 1e-10, or an AccuracyWarning is raised.
-    check_convergence=False returns the first alone. method="holonomic" at
-    beta = 2, 4 is the tests' second pipeline.
+    6) serves every x at two step settings from one engine call, one Taylor
+    recursion over the steps of both. The two must agree, to 1e-6 and 1e-10,
+    or an AccuracyWarning is raised; the second is returned.
+    check_convergence=False computes and returns the first alone.
+    method="holonomic" at beta = 2, 4 is the tests' second pipeline.
 
     The finite-N prefactor is the Gamma-free reduction of the Morris-product
     constant through the evenness product, so any real (including negative)
@@ -279,25 +346,22 @@ def rho2_even_beta(beta: int, x, N: int | float | None = None,
         raise ValueError(f"quad_order must lie in [{beta}, 256] for the {method} engine")
     if N is not None and np.any(np.abs(xs) >= abs(N) / 2.0):
         raise ValueError("separation must stay within one period, |x| < N/2")
-    flat = xs.ravel()
+    flat, rounds = xs.ravel(), 1 if check_convergence is False else 2
     if method == "holonomic":
         # even in x: run each path forwards, with theta = 2 pi x / N >= 0
         xs_path = np.abs(flat) * (1.0 if N is None or N > 0 else -1.0)
         pre = _integrand(beta, xs_path, N)[0]
         s = TWO_PI * np.abs(xs_path) / (1.0 if N is None else abs(N))
-        value, tol = (lambda k: pre * _holonomic(beta, s, N, *_STEPS[k])), 1e-10
+        rows, tol = pre * _holonomic(beta, s, N, _STEPS[:rounds]), 1e-10
     else:
         engine, step = _ENGINES[method], max(1, _SLICE_ENTRIES // (8 * n_nodes + 4))
         terms = [_integrand(beta, flat[i:i + step], N) for i in range(0, flat.size or 1, step)]
-        value, tol = (lambda k: np.concatenate([pre * engine(f, n_nodes * 2 ** k)
-                                                for pre, f in terms])), 1e-6
-    got = value(0)
-    if check_convergence is not False:
-        again = value(1)
-        if (moved := np.max(np.abs(again - got), initial=0.0)) > tol:
-            warnings.warn(f"rho2_even_beta not converged: the {method} engine's check "
-                          f"moved it by {moved:.2e}", AccuracyWarning)
-        got = again
+        rows, tol = [np.concatenate([pre * engine(f, n_nodes * 2 ** k) for pre, f in terms])
+                     for k in range(rounds)], 1e-6
+    got = rows[-1]
+    if rounds == 2 and (moved := np.max(np.abs(got - rows[0]), initial=0.0)) > tol:
+        warnings.warn(f"rho2_even_beta not converged: the {method} engine's check "
+                      f"moved it by {moved:.2e}", AccuracyWarning)
     if np.max(np.abs(got.imag), initial=0.0) > 1e-9:
         warnings.warn(f"imaginary residue {np.max(np.abs(got.imag)):.2e}", AccuracyWarning)
     got = got.real.reshape(xs.shape)

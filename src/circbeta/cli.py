@@ -183,17 +183,17 @@ def _identity_registry():
         "rho2-corr-beta1": _cheb(1, 1e-7, c(1), (0, 2), rho2_x, rho2(1)),
         "rho2-corr-beta2": _cheb(2, 1e-8, c(2), (0, 2), rho2_x, rho2(2)),
         "rho2-corr-beta4": _cheb(4, 1e-7, c(4), (0, 2), rho2_x, rho2(4)),
-        "rho2-second-beta2": _cheb(2, 1e-8, -np.pi ** 2 / 60, (2, 2), rho2_x, rho2_second),
-        "sff-x6-beta1": (1, 1e-10, lambda: max(astuple(sff.verify_x6(1)))),
-        "sff-x6-beta4": (4, 1e-10, lambda: max(astuple(sff.verify_x6(4)))),
+        "rho2-second-beta2": _cheb(2, 5e-10, -np.pi ** 2 / 60, (2, 2), rho2_x, rho2_second),
+        "sff-x6-beta1": (1, 3e-16, lambda: max(astuple(sff.verify_x6(1)))),
+        "sff-x6-beta4": (4, 2e-15, lambda: max(astuple(sff.verify_x6(4)))),
         # r4's zeros are off the circle; sff-zeros-r4 checks it against the oracle
-        "sff-symmetry": (None, 1e-10, lambda: 1.0 if not sff._series_antisymmetric() else
+        "sff-symmetry": (None, 2e-14, lambda: 1.0 if not sff._series_antisymmetric() else
                          sff.root_modulus_deviation(("p2", "p4", "q2", "q4", "r2"))),
         "sff-zeros-r4": (None, 1e-10, _r4_oracle_residual),
         "rho2-even-corr-beta2": _cheb(2, 1e-8, c(2), (0, 2), even_x, rho2_even(2)),
         "rho2-even-corr-beta4": _cheb(4, 3e-8, c(4), (0, 2), even_x, rho2_even(4)),
         "rho2-even-corr-beta6": _cheb(6, 2e-8, c(6), (0, 2), even_x, rho2_even(6)),
-        "moment-recurrence-beta2": (2, 1e-11,
+        "moment-recurrence-beta2": (2, 1e-12,
                                     lambda: beta_even.verify_moment_recurrence(2)),
     }
     return entries

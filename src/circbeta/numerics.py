@@ -38,6 +38,8 @@ def _legendre(n: int):
 
 # entries per temporary table of an array call: its arguments enter in slices
 _SLICE_ENTRIES = 65536
+# largest Gauss-Legendre order: building one takes O(n^2) memory and O(n^3) time
+_GAUSS_MAX_N = 1024
 
 
 def _whole(name: str, v, least: int | None = None) -> int:
@@ -53,10 +55,13 @@ def _whole(name: str, v, least: int | None = None) -> int:
 
 
 def gauss_legendre(n: int, lo: float, hi: float) -> QuadratureRule:
-    """n-point Gauss-Legendre rule on (lo, hi); the arrays are read-only."""
+    """n-point Gauss-Legendre rule on (lo, hi), 1 <= n <= 1024; the arrays are
+    read-only."""
     n = _whole("n", n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if n > _GAUSS_MAX_N:
+        raise ValueError(f"n must be at most {_GAUSS_MAX_N}, got {n}")
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ValueError(f"bad interval ({lo}, {hi})")
     x, w = _legendre(n)

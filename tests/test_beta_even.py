@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction as F
 
 import mpmath
@@ -15,8 +16,8 @@ from circbeta import (beta_even, correction_factor, correction_residual,
                       moment_integral, morris, recurrence_sides,
                       rho2_bulk_term, rho2_correction_limit, rho2_even_beta,
                       selberg, selberg_log, v2_coefficient, verify_moment_recurrence)
-from circbeta.beta_even import (_ENGINES, _METHODS, _integral_beta4, _system,
-                                rho2_correction_estimate, selberg_exact)
+from circbeta.beta_even import (_ENGINES, _METHODS, _STEPS, _TERMS, _integral_beta4,
+                                _integrand, _system, rho2_correction_estimate, selberg_exact)
 from circbeta.gap import AccuracyWarning
 from circbeta.sff import _partition_boxes
 from circbeta.spacing import P0_BETA2
@@ -58,6 +59,47 @@ def series_rho2(beta, x):
         pre = (mpmath.gamma(kap + 1) ** 3 * kap ** n * (2 * mpmath.pi * x) ** n
                / (mpmath.factorial(n) * mpmath.gamma(3 * kap + 1)))
         return float(mpmath.re(pre * mpmath.exp(-1j * mpmath.pi * n * x) * total))
+
+
+def one_setting_holonomic(n, s, N, ratio, cap):
+    """The engine's reference: J_0 at the path points of parameters s from one
+    continuation at a single step setting, each step's Taylor series summed
+    term by term into its propagator and each point's series accumulated
+    alongside, in complex arithmetic throughout."""
+    R0, R1, j0 = _system(n, N)
+    m, half_pp = n + 1, 0.0 if N is None else -1.0
+    point, dist, rate, v = (lambda v: 1j * v), (lambda v: v), n, [0.5]
+    if N is not None:
+        point, rate, v = (lambda v: -2j * np.sin(v / 2) * np.exp(0.5j * v)), n * abs(N), \
+            [min(0.05, 0.5 / abs(N))]
+        dist = lambda v: min(2.0 * math.sin(v / 2.0), 1.0)
+    s_max = np.max(s, initial=0.0)
+    while len(v) < 2 or v[-1] < s_max:
+        v.append(v[-1] + min(ratio * dist(v[-1]), cap / rate))
+    c = point(np.array(v))
+    inv = np.linalg.inv(np.arange(1.0, _TERMS + 1)[:, None, None] * np.eye(m) - R0)
+    b = [j0.astype(complex)]
+    for k in range(1, _TERMS + 1):
+        b.append(inv[k - 1] @ (abs(c[0]) * (R1 @ b[-1] - half_pp * (k - 1) * b[-1])))
+    b = np.array(b)
+    cj, step, h = c[:-1], np.diff(c), np.abs(np.diff(c))
+    p, dp = (cj, 1.0) if N is None else (cj - cj * cj, 1.0 - 2.0 * cj[:, None])
+    j = np.clip(np.searchsorted(v, s, side="right") - 1, 0, len(cj) - 1)
+    near = s < v[0]
+    u = np.where(near, point(s) / abs(c[0]), (point(s) - cj[j]) / h[j])
+    cur = np.repeat(np.eye(m, dtype=complex)[:, None, :], len(cj), axis=1)
+    P, rows, prev, r1_prev, f = cur.copy(), cur[0, j], 0.0, 0.0, (h / p)[:, None]
+    for k in range(_TERMS):
+        r0_cur, r1_cur = (np.vstack([R0, R1]) @ cur.reshape(m, -1)).reshape(2, m, -1, m)
+        cur, prev, r1_prev = f * (r0_cur + cj[:, None] * r1_cur - k * dp * cur + h[:, None]
+                                  * (r1_prev - half_pp * (k - 1) * prev)) / (k + 1), cur, r1_cur
+        P += (step / h)[:, None] ** (k + 1) * cur
+        rows = rows + u[:, None] ** (k + 1) * cur[0, j]
+    J = [b.T @ (c[0] / abs(c[0])) ** np.arange(_TERMS + 1)]
+    for k in range(len(cj)):
+        J.append(P[:, k] @ J[-1])
+    return np.where(near, np.polynomial.polynomial.polyval(u, b[:, 0]),
+                    np.einsum("gi,gi->g", rows, np.array(J)[j]))
 
 
 class TestSelberg:
@@ -282,8 +324,53 @@ class TestRho2EvenBeta:
         with pytest.raises(AccuracyWarning, match="not converged: the holonomic"):
             rho2_even_beta(6, 3.0)
 
+    @pytest.mark.parametrize("N", [None, 16, 17, 20.5, -20, 1e6])
+    def test_holonomic_matches_one_setting_reference(self, N):
+        # x on both sides of the path's first point, s = v0 at x = 1/(4 pi),
+        # and up to 6; after the prefactor, as rho2_even_beta applies it
+        xs = np.array([0.01, 0.05, 0.079, 0.08, 0.3, 0.7, 1.5, 2.2, 3.0, 4.5, 6.0])
+        xs_path = xs * (1.0 if N is None or N > 0 else -1.0)
+        pre = _integrand(6, xs_path, N)[0]
+        s = 2 * np.pi * xs / (1.0 if N is None else abs(N))
+        got = pre * beta_even._holonomic(6, s, N, _STEPS)
+        assert got.shape == (2, xs.size)
+        for row, setting in zip(got, _STEPS):
+            assert np.max(np.abs(row - pre * one_setting_holonomic(6, s, N, *setting))) <= 1e-13
+        assert np.max(np.abs(got[0] - got[1])) <= 1e-12
+
+    def test_holonomic_start_cached_read_only(self, monkeypatch):
+        # the start depends on (beta, N) alone; the step settings are read per call
+        assert beta_even._start.cache_info().maxsize <= 16
+        for array in beta_even._start(6, 20.0):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+        settings, calls = ((1 / 7, 2.5), (1 / 9, 3.5)), []
+        engine = beta_even._holonomic
+        monkeypatch.setattr(beta_even, "_holonomic",
+                            lambda *a: calls.append(a[3]) or engine(*a))
+        monkeypatch.setattr(beta_even, "_STEPS", settings)
+        rho2_even_beta(6, 0.7, 20.0)
+        rho2_even_beta(6, 0.7, 20.0, check_convergence=False)
+        assert calls == [settings, settings[:1]]
+
+    def test_holonomic_start_keyed_by_value(self):
+        # a float32 N, rounded through the engine, leaves no start for a float N
+        beta_even._start.cache_clear()
+        want = rho2_even_beta(6, 0.7, 20.5)
+        beta_even._start.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)
+            rho2_even_beta(6, 0.7, np.float32(20.5))
+        assert rho2_even_beta(6, 0.7, 20.5) == want
+
     def test_holonomic_range_bounded(self):
-        assert rho2_even_beta(6, 200.0) == pytest.approx(1.0, abs=0.02)
+        tracemalloc.start()
+        try:
+            assert rho2_even_beta(6, 200.0) == pytest.approx(1.0, abs=0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
         with pytest.raises(ValueError, match=r"\|x\| <= 200"):
             rho2_even_beta(6, 200.5)
 
@@ -415,14 +502,14 @@ class TestVerify421:
     @pytest.mark.parametrize("beta", [2, 4, 6])
     def test_estimate_is_one_continuation_per_N(self, beta, monkeypatch):
         # the 32 span nodes in one certified call per N: at beta = 2, 4 one
-        # quadrature call per N and order, at beta = 6 one continuation per N
-        # and step setting
+        # quadrature call per N and order, at beta = 6 one engine call per N
+        # for both step settings
         calls = []
         if beta == 6:
             engine = beta_even._holonomic
             monkeypatch.setattr(beta_even, "_holonomic",
                                 lambda *a: calls.append(a[2]) or engine(*a))
-            want = [32, 32, 48, 48, 64, 64, 96, 96]
+            want = [32, 48, 64, 96]
         else:
             method, n = _METHODS[beta][0], beta_even._DEFAULT_ORDER[beta]
             engine = _ENGINES[method]

@@ -74,14 +74,14 @@ class TestCommands:
 
     @pytest.mark.parametrize("argv", [[], ["--N", "20"]])
     def test_rho2_beta6_grid_one_continuation(self, argv, capsys, monkeypatch):
-        # the 30 default x share one continuation, and one more certifies them
+        # the 30 default x share one engine call, which certifies them too
         calls = []
         engine = beta_even._holonomic
         monkeypatch.setattr(beta_even, "_holonomic",
                             lambda *a: calls.append(a[1].size) or engine(*a))
         code, out = run(["rho2", "--beta", "6", *argv], capsys)
         assert code == 0 and len(out.strip().splitlines()) == 31
-        assert calls == [30, 30]
+        assert calls == [30]
 
     @pytest.mark.parametrize("beta", [1, 2, 4])
     def test_rho2_finite_grid_one_call(self, beta, capsys, monkeypatch):
@@ -195,8 +195,33 @@ class TestDeterminism:
 # For each row, a relative change delta of its constant c = -1/(6 beta) that
 # the row must report as FAIL. An entry may only be lowered.
 SENSITIVITY = {"e-corr-beta2": 1e-9, "e-corr-beta1": 1e-9, "e-corr-beta4": 1e-9,
-               "e-corr-pm": 1e-9, "sff-x6-beta1": 1e-9, "sff-x6-beta4": 1e-9,
+               "e-corr-pm": 1e-9, "sff-x6-beta1": 1e-14, "sff-x6-beta4": 1e-14,
                "p-series-beta2": 1e-12, "p-series-beta1": 1e-12}
+
+
+def _scale_constant(monkeypatch, delta):
+    # the constant a Chebyshev row hands to correction_residual
+    residual = numerics.correction_residual
+    monkeypatch.setattr(numerics, "correction_residual",
+                        lambda q0, q1, c, *a: residual(q0, q1, c * (1.0 + delta), *a))
+
+
+def _scale_p2_constant_term(monkeypatch, delta):
+    p2 = sff.POLYNOMIALS["p2"]
+    monkeypatch.setitem(sff.POLYNOMIALS, "p2", (p2[0] * (1 + Fraction(delta)), *p2[1:]))
+
+
+def _scale_integral_of_u2(monkeypatch, delta):
+    integral = beta_even.moment_integral
+    monkeypatch.setattr(beta_even, "moment_integral", lambda beta, theta, expo=(): integral(
+        beta, theta, expo) * (1.0 + delta if tuple(expo) == (2,) else 1.0))
+
+
+# Rows without c: a relative change delta of one quantity each checks, which
+# the row must report as FAIL. An entry may only be lowered.
+OTHER_SENSITIVITY = {"rho2-second-beta2": (1e-9, _scale_constant),
+                     "sff-symmetry": (1e-13, _scale_p2_constant_term),
+                     "moment-recurrence-beta2": (1e-11, _scale_integral_of_u2)}
 
 
 class TestVerify:
@@ -207,6 +232,13 @@ class TestVerify:
         for module in (numerics, spacing, sff):
             monkeypatch.setattr(module, "correction_factor",
                                 lambda beta: exact(beta) * (1.0 + delta))
+        code, out = run(["verify", "--identity", name], capsys)
+        assert code == 1 and f"{name} " in out and out.rstrip().endswith("FAIL")
+
+    @pytest.mark.parametrize("name", OTHER_SENSITIVITY)
+    def test_row_sees_its_quantity(self, name, monkeypatch, capsys):
+        delta, perturb = OTHER_SENSITIVITY[name]
+        perturb(monkeypatch, delta)
         code, out = run(["verify", "--identity", name], capsys)
         assert code == 1 and f"{name} " in out and out.rstrip().endswith("FAIL")
 

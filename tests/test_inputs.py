@@ -2,13 +2,14 @@
 counts with a ValueError instead of returning nan or a spurious number."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from circbeta import (KernelSpec, cbe_trace_moment, e_finite_cue, e_pm, e_tau,
-                      extract_correction, fredholm_det, kernel_eval, morris,
-                      oracle_series_coefficients, pfaffian, pfaffian_entries,
+                      extract_correction, fredholm_det, gauss_legendre, kernel_eval, morris,
+                      numerics, oracle_series_coefficients, pfaffian, pfaffian_entries,
                       rho2_bulk_finite, rho_n_cue, rho_n_pfaffian, selberg, sff_series,
                       solve_sigma0, verify_x6)
 from circbeta.sff import cbe_moment_expansion
@@ -61,6 +62,7 @@ def test_non_finite_refused(call, name, sol):
     (lambda: e_finite_cue(True, 1.0, 0.5), "N must be a positive integer"),
     (lambda: rho2_bulk_finite(2, True, 0.3), "N must be an integer >= 2"),
     (lambda: e_finite_cue(4097, 1.0, 0.5), "N must be at most 4096"),
+    (lambda: gauss_legendre(1025, 0.0, 1.0), "n must be at most 1024"),
     (lambda: extract_correction([20.5, 40, 80], 1.0, 1.0), "N must be a positive integer"),
     (lambda: extract_correction([True, 40, 80], 1.0, 1.0), "N must be a positive integer"),
     (lambda: extract_correction([20, 40, 4097], 1.0, 1.0), "N must be at most 4096"),
@@ -74,6 +76,20 @@ def test_non_finite_refused(call, name, sol):
 def test_bad_integer_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_gauss_legendre_bound_allocates_nothing(monkeypatch):
+    # refused before the rule is looked up: 1025 nodes would build a 1025 x 1025 matrix
+    looked_up, rule = [], numerics._legendre
+    monkeypatch.setattr(numerics, "_legendre", lambda n: looked_up.append(n) or rule(n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="at most 1024"):
+            gauss_legendre(1025, 0.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16384 and looked_up == []
 
 
 @pytest.mark.parametrize("call, message", [
