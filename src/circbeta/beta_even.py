@@ -15,23 +15,25 @@ import numpy as np
 
 from .correlations import _pfaffian, rho2_bulk_term
 from .gap import AccuracyWarning
-from .numerics import (_SLICE_ENTRIES, _read_only, _whole, chebyshev_interpolate,
-                       chebyshev_points, gauss_legendre, inverse_square_fit, spectral_derivative)
+from .numerics import (_CUE_MAX_N, _SLICE_ENTRIES, _TINY, _choice, _read_only, _real, _whole,
+                       chebyshev_interpolate, chebyshev_points, gauss_legendre,
+                       inverse_square_fit, spectral_derivative)
 
 F = Fraction
 TWO_PI = 2.0 * math.pi
+# Largest n of the evenness product, whose cost grows as kappa n^2 (0.15 s at
+# n = 64, kappa = 3 and a Fraction N); leading_xi_coefficient* take k <= n - 2
+_POINTS_MAX = 64
 
 
 # ---------------------------------------------------------------------------
 # Closed product constants
 
 def selberg_log(n: int, a: float, b: float, c: float) -> float:
-    """log of the Selberg integral int prod t^a (1-t)^b prod |t_k - t_j|^(2c)."""
-    if not all(map(math.isfinite, (a, b, c))):
-        raise ValueError(f"a, b and c must be finite, got ({a}, {b}, {c})")
-    if (n := _whole("n", n)) < 0:
-        raise ValueError(f"n must be nonnegative, got n = {n}")
-    if n == 0:
+    """log of the Selberg integral int prod t^a (1-t)^b prod |t_k - t_j|^(2c)
+    over n <= 4096 variables."""
+    a, b, c = _real("a", a), _real("b", b), _real("c", c)
+    if (n := _whole("n", n, 0, _CUE_MAX_N)) == 0:
         return 0.0
     if a <= -1 or b <= -1:
         raise ValueError("need a, b > -1")
@@ -44,7 +46,11 @@ def selberg_log(n: int, a: float, b: float, c: float) -> float:
 
 
 def selberg(n: int, a: float, b: float, c: float) -> float:
-    return math.exp(selberg_log(n, a, b, c))
+    """The Selberg integral; a value past the float range is refused."""
+    try:
+        return math.exp(selberg_log(n, a, b, c))
+    except OverflowError:
+        raise ValueError("the Selberg integral overflows a float; use selberg_log") from None
 
 
 def selberg_exact(n: int, a: int, b: int, c: int) -> Fraction:
@@ -58,12 +64,10 @@ def selberg_exact(n: int, a: int, b: int, c: int) -> Fraction:
 
 
 def morris(N: int, a: float, b: float, lam: float) -> float:
-    """Morris integral as a Gamma-function product, log-Gamma arithmetic."""
-    if not all(map(math.isfinite, (a, b, lam))):
-        raise ValueError(f"a, b and lam must be finite, got ({a}, {b}, {lam})")
-    if (N := _whole("N", N)) < 0:
-        raise ValueError(f"N must be nonnegative, got N = {N}")
-    if N == 0:
+    """Morris integral as a Gamma-function product, log-Gamma arithmetic, for
+    N <= 4096; a value past the float range is refused."""
+    a, b, lam = _real("a", a), _real("b", b), _real("lam", lam)
+    if (N := _whole("N", N, 0, _CUE_MAX_N)) == 0:
         return 1.0
     j = np.arange(N)
     args = np.concatenate([lam * j + a + b + 1, lam * (j + 1) + 1,
@@ -71,15 +75,22 @@ def morris(N: int, a: float, b: float, lam: float) -> float:
     if np.any(args <= 0):
         raise ValueError("Gamma pole in Morris product")
     lg = math.lgamma
-    return math.exp(math.fsum(lg(lam * j + a + b + 1) + lg(lam * (j + 1) + 1) - lg(lam * j + a + 1)
-                              - lg(lam * j + b + 1) - lg(1 + lam) for j in range(N)))
+    try:
+        return math.exp(math.fsum(lg(lam * j + a + b + 1) + lg(lam * (j + 1) + 1)
+                                  - lg(lam * j + a + 1) - lg(lam * j + b + 1) - lg(1 + lam)
+                                  for j in range(N)))
+    except OverflowError:
+        raise ValueError("the Morris integral overflows a float") from None
 
 
 def evenness_factor(n: int, kappa: float, N: float) -> float:
-    """prod_{k=1}^{n-1} prod_{l=1}^{k kappa} (kappa^2 N^2 - l^2); even in N,
-    and exact for an integer kappa with an int or Fraction N."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    """prod_{k=1}^{n-1} prod_{l=1}^{k kappa} (kappa^2 N^2 - l^2) for n <= 64
+    and kappa <= 3; even in N, and exact for an integer kappa with an int or
+    Fraction N."""
+    n = _whole("n", n, 1, _POINTS_MAX)
+    # checked, not converted: an int kappa with an int or Fraction N stays exact
+    _real("kappa", kappa, 0.0, 3.0)
+    _real("N", N)
     out = 1
     for k in range(1, n):
         top = kappa * k
@@ -92,6 +103,7 @@ def evenness_factor(n: int, kappa: float, N: float) -> float:
 
 def v2_coefficient(n: int, kappa: float) -> float:
     """Coefficient of 1/N^2 in the normalized large-N form of the factor."""
+    n, kappa = _whole("n", n, 1), _real("kappa", kappa, _TINY)
     return n / (12.0 * kappa) * (n - 1) * (kappa * (n - 1) + 1) * (kappa * n + 1)
 
 
@@ -161,9 +173,6 @@ def _integral_beta4(f, n_nodes: int):
 _TERMS = 24
 # (step / distance to the nearest singular point, cap on step * rate n|N| or n)
 _STEPS = ((1 / 6, 2.0), (1 / 8, 3.0))
-# steps grow as |x|; at 200 both settings take 0.14 s with a traced peak of
-# 14.5 MB (2 cores, BLAS on 1 thread)
-_X_MAX = 200.0
 
 
 def _system(n: int, N):
@@ -213,14 +222,14 @@ def _start(n: int, N):
     return _read_only(M, b[:, 0], b.T @ (c0 / abs(c0)) ** np.arange(_TERMS + 1))
 
 
-def _taylor(M, c, p, step, host, u):
+def _taylor(M, c, p, step, hosts):
     """The Taylor series of the fundamental matrix about every step start c (a
     1-d array, with p = p(c)), in powers of (z - c) / h, h = |step|:
       (k+1) a_{k+1} = (h / p) [(R0 + c R1 - p' k) a_k + h (R1 - p'' (k-1) / 2) a_{k-1}],
     one real matmul per term, M_k on the float view of [a_k; c a_k; h a_{k-1}],
     with the m x m matrices a_k side by side. Returns the propagators over the
-    steps, sum_k (step / h)^k a_k, shape (c.size, m, m), and row 0 of sum_k
-    u^k a_k about the starts of index host."""
+    steps, sum_k (step / h)^k a_k, shape (c.size, m, m), and row 0 of every a_k
+    about the starts of index hosts, shape (_TERMS + 1, hosts.size, m)."""
     m, K = M.shape[1], c.size
     h = np.abs(step)
     w, f, c, h = (np.repeat(v, m) for v in (step / h, h / p, c, h.astype(complex)))
@@ -230,7 +239,8 @@ def _taylor(M, c, p, step, host, u):
     # per buffer: its float view, then its blocks a, c a and h a_{k-1}
     blocks = [(b.view(float), b[:m], b[m:2 * m], b[2 * m:]) for b in buffers]
     P, wk, scaled = buffers[0, :m].copy(), w.copy(), np.empty((m, K * m), complex)
-    rows, power, u = buffers[0, 0].reshape(K, m)[host], np.ones((u.size, 1), complex), u[:, None]
+    rows = np.empty((_TERMS + 1, hosts.size, m), complex)
+    rows[0] = buffers[0, 0].reshape(K, m)[hosts]
     for k in range(_TERMS):
         (Y, a, _, _), (_, new, c_new, h_a) = blocks[k % 2], blocks[1 - k % 2]
         np.multiply(h, a, out=h_a)
@@ -240,10 +250,7 @@ def _taylor(M, c, p, step, host, u):
         np.multiply(wk, new, out=scaled)
         P += scaled
         wk *= w
-        power *= u
-        row = new[0].reshape(K, m)[host]   # row 0 of a_k at each host start
-        row *= power
-        rows += row
+        rows[k + 1] = new[0].reshape(K, m)[hosts]
     return P.reshape(m, K, m).transpose(1, 0, 2), rows
 
 
@@ -251,11 +258,11 @@ def _holonomic(n: int, s, N, steps) -> np.ndarray:
     """J_0 at the path points of parameters s >= 0, t = i s in the limit (N
     None) and z = 1 - e^(i s) at finite N, one row per (ratio, cap) setting of
     steps. The step starts of all settings are the entries of one Taylor
-    recursion, run in slices of _SLICE_ENTRIES / m^2 entries, which also sums
-    each point's series about the start of its step; then each setting chains
-    its steps from J(c_0), the cached start."""
-    # keyed by value: a float32 N must not leave its rounded start for a float N
-    M, b0, j_start = _start(n, None if N is None else float(N))
+    recursion, run in slices of _SLICE_ENTRIES / m^2 entries, which also keeps
+    row 0 of each term about every step start that holds a point; each setting
+    chains its steps from J(c_0), the cached start, and each point sums its
+    step's series, row 0 times J, by Horner's rule in (z - c) / h."""
+    M, b0, j_start = _start(n, N)
     point, dist, rate, v0 = _path(N)
     m, z, s_max = n + 1, point(s), np.max(s, initial=0.0)
     paths, host, first = [], [], 0
@@ -268,13 +275,14 @@ def _holonomic(n: int, s, N, steps) -> np.ndarray:
         first += len(v) - 1
     c, step, host = (np.concatenate(a) for a in ([path[:-1] for path in paths],
                                                   [np.diff(path) for path in paths], host))
+    hosts, at = np.unique(host, return_inverse=True)
     u = (np.tile(z, len(steps)) - c[host]) / np.abs(step[host])
     p = c if N is None else c - c * c
-    P, rows = np.empty((c.size, m, m), complex), np.empty((host.size, m), complex)
+    P, rows = np.empty((c.size, m, m), complex), np.empty((_TERMS + 1, hosts.size, m), complex)
     size = max(1, _SLICE_ENTRIES // (m * m))
     for lo in range(0, c.size, size):
-        at, cut = np.flatnonzero((host >= lo) & (host < lo + size)), slice(lo, lo + size)
-        P[cut], rows[at] = _taylor(M, c[cut], p[cut], step[cut], host[at] - lo, u[at])
+        mine, cut = (hosts >= lo) & (hosts < lo + size), slice(lo, lo + size)
+        P[cut], rows[:, mine] = _taylor(M, c[cut], p[cut], step[cut], hosts[mine] - lo)
     # J at every step start: each setting chains its steps from J(c_0)
     J, first = [], 0
     for path in paths:
@@ -282,14 +290,24 @@ def _holonomic(n: int, s, N, steps) -> np.ndarray:
         for A in P[first:first + path.size - 2]:
             J.append(A @ J[-1])
         first += path.size - 1
-    near = (z / abs(point(v0)))[:, None] ** np.arange(_TERMS + 1) @ b0
-    far = np.einsum("gi,gi->g", rows, np.array(J)[host]).reshape(len(steps), s.size)
-    return np.where(s < v0, near, far)
+    g = np.einsum("kgi,gi->kg", rows, np.array(J)[hosts])
+    far = g[_TERMS, at]
+    for k in range(_TERMS - 1, -1, -1):
+        far = far * u + g[k, at]
+    far = far.reshape(len(steps), s.size)
+    close = s < v0
+    far[:, close] = (z[close] / abs(point(v0)))[:, None] ** np.arange(_TERMS + 1) @ b0
+    return far
 
 
 _METHODS = {2: ("hankel", "holonomic"), 4: ("pfaffian", "holonomic"), 6: ("holonomic",)}
 _ENGINES = {"hankel": _integral_beta2, "pfaffian": _integral_beta4}
 _DEFAULT_ORDER = {2: 64, 4: 48}
+# largest |x| per engine. The holonomic steps grow as |x|: at 200 both settings
+# take 0.14 s with a traced peak of 14.5 MB (2 cores, BLAS on 1 thread). The
+# quadratures' nodes resolve e^(2 pi i x u) up to about 20: there the pfaffian
+# engine's check warns, and by 28 it is off by 4.7 in the limit.
+_X_MAX = {"hankel": 20.0, "pfaffian": 20.0, "holonomic": 200.0}
 
 
 def _integrand(beta: int, x, N):
@@ -315,7 +333,9 @@ def rho2_even_beta(beta: int, x, N: int | float | None = None,
                    check_convergence: bool | None = None):
     """Bulk-scaled two-point correlation (unit density) at separation x, a
     number or an array, for even beta, from the beta-dimensional integral
-    representation; N = None gives the limit curve.
+    representation; N = None gives the limit curve, and any finite real N
+    enters as a float. |x| is at most 20 for the quadratures and 200 for the
+    holonomic engine.
 
     The default engine serves every caller: the "hankel" (beta = 2) and
     "pfaffian" (beta = 4) quadratures take all x at once with quad_order (an
@@ -330,20 +350,16 @@ def rho2_even_beta(beta: int, x, N: int | float | None = None,
     constant through the evenness product, so any real (including negative)
     N is accepted and the value is even in N; its N -> oo form, with
     (kappa N)^beta for the product, gives the limit."""
-    if beta not in _METHODS:
-        raise ValueError("beta must be 2, 4, or 6")
-    xs = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xs)) or (N is not None and not math.isfinite(N)):
-        raise ValueError(f"x and N must be finite, got x = {x}, N = {N}")
+    beta = _choice("beta", beta, _METHODS)
+    method = _choice("method", method, ("auto",) + _METHODS[beta])
     method = _METHODS[beta][0] if method == "auto" else method
-    if method not in _METHODS[beta]:
-        raise ValueError(f"method {method!r} cannot serve beta = {beta}; use auto or "
-                         + " or ".join(_METHODS[beta]))
-    if method == "holonomic" and (quad_order is not None or np.any(np.abs(xs) > _X_MAX)):
-        raise ValueError(f"the holonomic engine takes no quad_order, and |x| <= {_X_MAX:g}")
-    n_nodes = _DEFAULT_ORDER.get(beta) if quad_order is None else _whole("quad_order", quad_order)
-    if method != "holonomic" and not beta <= n_nodes <= 256:   # <= 512 nodes to certify
-        raise ValueError(f"quad_order must lie in [{beta}, 256] for the {method} engine")
+    xs = np.asarray(_real("x", x, -_X_MAX[method], _X_MAX[method]))
+    N = None if N is None else _real("N", N)
+    if method == "holonomic" and quad_order is not None:
+        raise ValueError("the holonomic engine takes no quad_order")
+    # at most 512 nodes to certify
+    n_nodes = (_DEFAULT_ORDER.get(beta) if quad_order is None
+               else _whole("quad_order", quad_order, beta, 256))
     if N is not None and np.any(np.abs(xs) >= abs(N) / 2.0):
         raise ValueError("separation must stay within one period, |x| < N/2")
     flat, rounds = xs.ravel(), 1 if check_convergence is False else 2
@@ -381,22 +397,26 @@ def rho2_correction_estimate(beta: int, x):
 # ---------------------------------------------------------------------------
 # Moment integrals and the integration-by-parts recurrence
 
+# largest exponent of a moment integral: the beta = 2 rule integrates u^a
+# exactly only while the degree stays below 128, and the recurrence's sums
+# over the exponents grow with a_1
+_EXPONENT_MAX = 32
+
+
 def moment_integral(beta: int, theta: float, exponents=()) -> complex:
     """I^(m)(a_1..a_m): the weighted integral with the distinct-index
-    symmetrized monomial sum inserted; exponents = () gives the base integral.
+    symmetrized monomial sum inserted, at beta = 2 or 4 and for at most three
+    exponents, nonnegative integers; exponents = () gives the base integral.
 
     The sum is the coefficient of t_1...t_m in prod_j (1 + sum_i t_i u_j^a_i),
     of degree <= beta in each t_i. So the integral of f(u) = e^(i theta u)
     times 1 + sum_i t_i u^a_i, run through the engine of rho2_even_beta with
     each t_i over the beta-th roots of unity and weighted by conj(t_1...t_m),
     averages to it exactly: one engine call over the beta^m rows."""
-    if beta not in (2, 4):
-        raise NotImplementedError("moment integrals support beta = 2, 4")
-    if not all(float(a).is_integer() and a >= 0 for a in exponents):
-        raise ValueError(f"exponents must be nonnegative integers, got {exponents}")
-    m = len(exponents)
-    if m > 3:
-        raise NotImplementedError("m <= 3 only")
+    beta, theta = _choice("beta", beta, (2, 4)), _real("theta", theta)
+    exponents = [_whole("exponent", a, 0, _EXPONENT_MAX)
+                 for a in np.ravel(np.asarray(exponents, object))]
+    m = _whole("the number of exponents", len(exponents), 0, 3)
     if m > beta:
         return 0.0 + 0.0j
     # each t_i over the beta-th roots of unity, exact at beta = 2, 4: one row per choice
@@ -416,16 +436,12 @@ def _integrals(beta: int):
     return lambda theta, expo: cached(theta, tuple(sorted(expo)))
 
 
-def recurrence_sides(beta: int, theta: float, a: tuple):
-    """Left and right sides of the moment-integral recurrence for a_1 >= 2."""
-    return _sides(beta, theta, a, _integrals(beta))
-
-
-def _sides(beta: int, theta: float, a: tuple, integral):
-    a = tuple(int(v) for v in a)
+def _sides(beta: int, theta: float, a, integral):
+    """Left and right sides of the moment-integral recurrence for the
+    exponents a, a_1 >= 2, through integral (see _integrals)."""
+    a = tuple(_whole("exponent", v, 0, _EXPONENT_MAX) for v in np.ravel(np.asarray(a, object)))
     m = len(a)
-    if m < 1 or a[0] < 2:
-        raise ValueError("need a_1 >= 2")
+    _whole("a_1", a[0] if a else None, 2)
     rest = a[1:]
     I = lambda *expo: integral(theta, expo)
     lhs = -1j * theta * (I(a[0] - 1, *rest) - I(*a))
@@ -483,13 +499,15 @@ def _initial_condition_residual(beta: int, theta: float, integral) -> float:
 
 def verify_moment_recurrence(beta: int, cases=DEFAULT_RECURRENCE_CASES,
                              thetas=(1.0, 2.5)) -> float:
-    """Max residual of the integration-by-parts recurrence over the cases and
-    theta values, together with its initial-condition identities; each
-    distinct moment integral is computed once."""
+    """Max residual of the integration-by-parts recurrence over the cases (each
+    a tuple of exponents, a_1 >= 2) and theta values, together with its
+    initial-condition identities; each distinct moment integral is computed
+    once."""
+    beta, thetas = _choice("beta", beta, (2, 4)), np.atleast_1d(_real("thetas", thetas))
     integral = _integrals(beta)
     worst = 0.0
     for th in thetas:
-        for case in cases:
+        for case in np.atleast_1d(np.asarray(cases, object)):
             lhs, rhs = _sides(beta, th, case, integral)
             worst = max(worst, abs(lhs - rhs))
     worst = max(worst, _initial_condition_residual(beta, thetas[0], integral))
@@ -500,17 +518,18 @@ def verify_moment_recurrence(beta: int, cases=DEFAULT_RECURRENCE_CASES,
 # Leading small-s coefficient of xi^k at finite N
 
 def leading_xi_s_power(k: int, beta: int) -> int:
+    """The power of s, k + kappa (k + 2) (k + 1), that leads the xi^k term."""
+    k, beta = _whole("k", k, 0), _choice("beta", beta, _METHODS)
     kap = beta // 2
     return k + kap * (k + 2) * (k + 1)
 
 
 def leading_xi_coefficient_exact(k: int, beta: int, N) -> tuple[Fraction, int]:
-    """(rational, pi power) of the coefficient of xi^k s^(k + kappa(k+2)(k+1));
-    exact for integer kappa = beta/2 and rational N."""
-    if beta % 2 or beta < 2:
-        raise ValueError("even beta only")
-    if isinstance(N, float) and not math.isfinite(N):
-        raise ValueError(f"N must be finite, got N = {N}")
+    """(rational, pi power) of the coefficient of xi^k s^(k + kappa(k+2)(k+1)),
+    k <= 62 and beta in {2, 4, 6}; exact for integer kappa = beta/2 and
+    rational N."""
+    k, beta = _whole("k", k, 0, _POINTS_MAX - 2), _choice("beta", beta, _METHODS)
+    _real("N", N)   # checked, not converted: N stays exact
     kap, n, N = beta // 2, k + 2, F(N)
     if not n < N / 2:
         raise ValueError("need k + 2 < N/2")
@@ -527,8 +546,8 @@ def leading_xi_coefficient_exact(k: int, beta: int, N) -> tuple[Fraction, int]:
 
 def leading_xi_coefficient(k: int, beta: int, N: float) -> float:
     """Float leading coefficient; log-Gamma arithmetic, real N allowed."""
-    if beta % 2 or beta < 2:
-        raise ValueError("even beta only")
+    k, beta = _whole("k", k, 0, _POINTS_MAX - 2), _choice("beta", beta, _METHODS)
+    N = _real("N", N)
     kap = beta / 2.0
     n = k + 2
     if not n < N / 2:
@@ -545,8 +564,6 @@ def leading_xi_coefficient(k: int, beta: int, N: float) -> float:
 def rho2_correction_limit(beta: int, x: float) -> float:
     """Closed-form 1/N^2 coefficient in unit-density variables for beta = 2, 4
     (cross-check target for the Richardson route)."""
-    if beta == 2:
+    if _choice("beta", beta, (2, 4)) == 2:
         return rho2_bulk_term(2, 1, x)
-    if beta == 4:
-        return 4.0 * rho2_bulk_term(4, 1, 2.0 * x)
-    raise ValueError("closed forms available for beta = 2, 4")
+    return 4.0 * rho2_bulk_term(4, 1, 2.0 * x)

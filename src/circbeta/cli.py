@@ -23,11 +23,11 @@ FMT = "{:.17g}"
 def _parse_range(text: str):
     try:
         lo, hi, count = text.split(":")
-        lo, hi, count = float(lo), float(hi), int(count)
+        lo = numerics._real("lo", float(lo))
+        hi, count = numerics._real("hi", float(hi), lo), numerics._whole("count", int(count), 1)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad range {text!r}; want lo:hi:count") from exc
-    if count < 1 or not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
-        raise argparse.ArgumentTypeError(f"bad range {text!r}; want finite lo <= hi, count >= 1")
+        raise argparse.ArgumentTypeError(
+            f"bad range {text!r}; want lo:hi:count, finite lo <= hi, count >= 1") from exc
     return np.linspace(lo, hi, count)
 
 
@@ -56,9 +56,7 @@ def _emit(args, command, params, columns, rows):
 def _grid(args, single, fallback):
     value = getattr(args, single)
     if value is not None:
-        if not math.isfinite(value):
-            raise ValueError(f"--{single} must be finite, got {value}")
-        return np.array([value])
+        return np.array([numerics._real(f"--{single}", value)])
     if args.range is not None:
         return args.range
     return fallback

@@ -6,12 +6,12 @@ from __future__ import annotations
 import numpy as np
 
 from .kernels import pfaffian_entries, _cue_scaled
-from .numerics import _SLICE_ENTRIES, _whole, sine_integral
+from .numerics import _CUE_MAX_N, _SLICE_ENTRIES, _choice, _real, _whole, sine_integral
 
 
 def rho_n_cue(N: int, angles) -> float:
     """n-point density of the N-dimensional circular unitary ensemble."""
-    N, th = _whole("N", N), _angles(angles)
+    N, th = _whole("N", N), np.atleast_1d(_real("angles", angles))
     if th.size < 1 or th.size > N:
         raise ValueError("need 1 <= n <= N angles")
     if np.unique(th).size < th.size:
@@ -20,13 +20,6 @@ def rho_n_cue(N: int, angles) -> float:
     # kernel sin(N t / 2) / (2 pi sin(t / 2)) with diagonal N / 2 pi
     K = _cue_scaled(d * N / (2.0 * np.pi), N) * (N / (2.0 * np.pi))
     return float(np.linalg.det(K))
-
-
-def _angles(angles):
-    th = np.asarray(angles, float)
-    if not np.isfinite(th).all():
-        raise ValueError(f"angles must be finite, got {angles}")
-    return th
 
 
 def pfaffian(A):
@@ -41,9 +34,7 @@ def pfaffian(A):
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("matrix must be square")
     if A.shape[-1]:
-        size = np.abs(A).max(axis=(-2, -1))   # nan or inf if an entry is
-        if not np.isfinite(size).all():
-            raise ValueError("matrix entries must be finite")
+        size = _real("matrix entries", np.abs(A)).max(axis=(-2, -1))
         if np.any(np.abs(A + A.swapaxes(-1, -2)).max(axis=(-2, -1))
                   > 1e-12 * np.maximum(size, 1.0)):
             raise ValueError("matrix is not antisymmetric to tolerance")
@@ -79,10 +70,9 @@ def rho_n_pfaffian(beta: int, N: int, angles):
     symplectic (beta = 4) ensemble at angles shaped (..., n): the Pfaffian of
     the 2n x 2n matrix of kernel entries of each configuration. Configurations
     enter in slices whose trig tables hold at most _SLICE_ENTRIES entries; one
-    configuration gives a float."""
-    if beta not in (1, 4):
-        raise ValueError("beta must be 1 or 4")
-    N, th = _whole("N", N), _angles(angles)
+    configuration gives a float. N is at most 4096."""
+    beta, N = _choice("beta", beta, (1, 4)), _whole("N", N, most=_CUE_MAX_N)
+    th = np.asarray(_real("angles", angles))
     n = th.shape[-1] if th.ndim else 0
     if n < 1 or n > N:
         raise ValueError("need 1 <= n <= N angles")
@@ -107,15 +97,11 @@ def rho_n_pfaffian(beta: int, N: int, angles):
 def rho2_bulk_finite(beta: int, N: int, x):
     """Bulk-scaled two-point function at separation x, a number or an array,
     for finite N, in the convention matching rho2_bulk_term (unit density for
-    beta = 1, 2; density one half for beta = 4); N must be an integer >= 2.
-    An array of x is one stack of Pfaffians at beta = 1, 4; a number gives a
-    float."""
-    N = _whole("N", N, 2)
-    xs = np.asarray(x, float)
-    if not np.isfinite(xs).all():
-        raise ValueError(f"x must be finite, got x = {x}")
-    if beta not in (1, 2, 4):
-        raise ValueError("beta must be 1, 2, or 4")
+    beta = 1, 2; density one half for beta = 4); N must be an integer in
+    [2, 4096]. An array of x is one stack of Pfaffians at beta = 1, 4; a
+    number gives a float."""
+    N, xs = _whole("N", N, 2, _CUE_MAX_N), np.asarray(_real("x", x))
+    beta = _choice("beta", beta, (1, 2, 4))
     c = (2.0 if beta == 1 else 1.0) * np.pi / N
     val = (1.0 - _cue_scaled(xs, N) ** 2 if beta == 2 else
            c * c * rho_n_pfaffian(beta, N, np.stack([c * xs, np.zeros_like(xs)], axis=-1)))
@@ -126,11 +112,12 @@ def rho2_bulk_term(beta: int, order: int, x):
     """Closed-form bulk two-point expansion term rho_(2),order at (x, 0).
 
     For beta = 1 the x = 0 value is the one-sided limit (zero); x is otherwise
-    taken with sgn(x) = +-1.
+    taken with sgn(x) = +-1. The orders are 0, 1 and 2 at beta = 2, and 0 and
+    1 at beta = 1, 4.
     """
-    xa = np.asarray(x, float)
-    if not np.isfinite(xa).all():
-        raise ValueError(f"x must be finite, got x = {x}")
+    beta = _choice("beta", beta, (1, 2, 4))
+    order = _choice("order", order, (0, 1, 2) if beta == 2 else (0, 1))
+    xa = np.asarray(_real("x", x))
     u = np.pi * np.abs(xa)
     sinc2 = np.sinc(xa) ** 2
     if beta == 2:
@@ -138,13 +125,9 @@ def rho2_bulk_term(beta: int, order: int, x):
             val = 1.0 - sinc2
         elif order == 1:
             val = -np.sin(np.pi * xa) ** 2 / 3.0
-        elif order == 2:
-            val = -(np.pi * xa) ** 2 / 15.0 * np.sin(np.pi * xa) ** 2
         else:
-            raise ValueError("order must be 0, 1, or 2 for beta = 2")
+            val = -(np.pi * xa) ** 2 / 15.0 * np.sin(np.pi * xa) ** 2
         return val if np.ndim(x) else float(val)
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1 for beta = 1, 4")
     safe = np.where(u == 0.0, 1.0, u)
     sin_u, cos_u = np.sin(safe), np.cos(safe)
     si_u = sine_integral(safe)
@@ -154,15 +137,11 @@ def rho2_bulk_term(beta: int, order: int, x):
         else:
             val = (-4.0 * sin_u ** 2 - 2.0 * (sin_u - safe * cos_u) ** 2 / safe ** 2
                    - (np.pi - 2.0 * si_u) * (sin_u + safe * cos_u)) / 12.0
-        val = np.where(u == 0.0, 0.0, val)
-        return val if np.ndim(x) else float(val)
-    if beta == 4:
-        if order == 0:
-            val = 0.25 * (1.0 - sinc2) - si_u * (sin_u - safe * cos_u) / (4.0 * safe ** 2)
-        else:
-            val = -(1.0 + sin_u ** 2 + sin_u ** 2 / safe ** 2 - np.sin(2.0 * safe) / safe
-                    - si_u * (sin_u + safe * cos_u)) / 96.0
-        val = np.where(u == 0.0, 0.0, val)
-        return val if np.ndim(x) else float(val)
-    raise ValueError("beta must be 1, 2, or 4")
+    elif order == 0:
+        val = 0.25 * (1.0 - sinc2) - si_u * (sin_u - safe * cos_u) / (4.0 * safe ** 2)
+    else:
+        val = -(1.0 + sin_u ** 2 + sin_u ** 2 / safe ** 2 - np.sin(2.0 * safe) / safe
+                - si_u * (sin_u + safe * cos_u)) / 96.0
+    val = np.where(u == 0.0, 0.0, val)
+    return val if np.ndim(x) else float(val)
 

@@ -14,27 +14,21 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import KernelSpec
-from .numerics import _whole, gauss_legendre, inverse_square_fit
+from .numerics import _CUE_MAX_N, _choice, _real, _whole, gauss_legendre, inverse_square_fit
 
 
 class AccuracyWarning(UserWarning):
     pass
 
 
-@dataclass(frozen=True)
-class GapResult:
-    s: float
-    xi: float
-    beta: int
-    E0: float
-    E1: float
-    quad_order: int   # largest certified order n <= 512 (blocks n/2); 0 if none was needed
-
-
 # Matrix entries per stacked eigensolve: a sweep over many t goes through eigh
 # in slices of at most this many entries (one pair of blocks when it alone is
 # larger), which bounds the assembly temporaries and each cached spectrum.
 _STACK_ENTRIES = 16384
+# Largest s that _doubled accepts, whatever t = scale * s it maps to. At xi =
+# 1, s = 300 still gives E_0 = 0 at every beta; by s = 2000 beta = 4 gives
+# -9.2e117, and from s = 10^4 beta = 2 gives inf.
+_S_MAX = 300.0
 
 
 def _blocks(t, n: int):
@@ -94,19 +88,14 @@ def _fixed(t, xi: float, n: int, order: int, c):
     return e[0][0] * e[0][1] if order == 0 else e[1][0] * e[0][1] + e[0][0] * e[1][1]
 
 
-def _doubled(t, xi: float, order: int, c=None):
-    """(values, orders) at each entry of t of _fixed's E_order on (-t, t),
-    certified on that value: the first order-2n value within 1e-10 (absolute)
-    of the order-n one, n doubling from 16 up to 512 at each node on its own;
-    only the nodes not yet certified go on. The order is 0 where no quadrature
-    is needed."""
-    t, order = np.asarray(t, float), _whole("order", order)
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    if not np.all((t >= 0.0) & (t < np.inf)):
-        raise ValueError("s must be finite and nonnegative")
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError("xi must lie in [0, 1]")
+def _doubled(s, scale: float, xi: float, order: int, c=None):
+    """(values, orders) at each entry s in [0, 300] of _fixed's E_order on (-t,
+    t), t = scale * s, certified on that value: the first order-2n value
+    within 1e-10 (absolute) of the order-n one, n doubling from 16 up to 512
+    at each node on its own; only the nodes not yet certified go on. The order
+    is 0 where no quadrature is needed."""
+    t = np.asarray(_real("s", s, 0.0, _S_MAX)) * scale
+    xi, order = _real("xi", xi, 0.0, 1.0), _choice("order", order, (0, 1))
     flat = t.ravel()
     val, orders = np.full(flat.size, 0.0 if order else 1.0), np.zeros(flat.size, int)
     n, todo = 16, np.flatnonzero((flat > 0.0) & (xi != 0.0))
@@ -142,13 +131,12 @@ def _fredholm(kernel: KernelSpec, kernel_l: KernelSpec | None, s, xi: float):
     if kernel not in _SERVED or kernel_l not in (None, _SERVED[kernel][0]):
         raise ValueError(f"no Nystrom engine for {kernel} with {kernel_l}")
     _, scale, c = _SERVED[kernel]
-    return _scalar_or_array(_doubled(np.asarray(s, float) * scale, xi,
-                                     int(kernel_l is not None), c)[0])
+    return _scalar_or_array(_doubled(s, scale, xi, int(kernel_l is not None), c)[0])
 
 
 def fredholm_det(kernel: KernelSpec, s, xi: float):
     """det(I - xi K restricted to (0, s)), K the sine, plus or minus kernel, at
-    a scalar or an array s, certified to 1e-10 absolute by doubling the
+    a scalar or an array s in [0, 300], certified to 1e-10 absolute by doubling the
     Nystrom order from 16 (up to 512), else an AccuracyWarning is issued."""
     return _fredholm(kernel, None, s, xi)
 
@@ -161,58 +149,37 @@ def fredholm_trace_correction(kernel_k: KernelSpec, kernel_l: KernelSpec, s, xi:
 
 
 def e_pm(sign: int, order: int, s, xi: float):
-    """E_order^+- (s; xi) at a scalar or an array s: Fredholm data of the +-
-    kernels on (0, s/2), the Nystrom order doubling from 16 until certified
-    to 1e-10 absolute. sign is the int +1 or -1; a bool or float is refused."""
-    if isinstance(sign, bool) or not isinstance(sign, (int, np.integer)) or sign not in _PM:
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return _scalar_or_array(_doubled(np.asarray(s, float) / 2.0, xi, order, _PM[sign])[0])
+    """E_order^+- (s; xi) at a scalar or an array s in [0, 300]: Fredholm data
+    of the +- kernels on (0, s/2), the Nystrom order doubling from 16 until
+    certified to 1e-10 absolute. sign is the int +1 or -1; a bool or float is
+    refused."""
+    c = _PM[_choice("sign", sign, _PM)]
+    return _scalar_or_array(_doubled(s, 0.5, xi, order, c)[0])
 
 
 def _e_bulk(beta: int, order: int, s, xi: float):
     """(E_order, the Nystrom order certified), as arrays shaped like s."""
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError("xi must lie in [0, 1]")
-    s = np.asarray(s, float)
+    beta, xi = _choice("beta", beta, (1, 2, 4)), _real("xi", xi, 0.0, 1.0)
     if beta == 2:
-        return _doubled(s / 2.0, xi, order)
+        return _doubled(s, 0.5, xi, order)
     if beta == 1:
         # the +- blocks on (-s/2, s/2) at 2 xi - xi^2
-        return _doubled(s / 2.0, 2.0 * xi - xi * xi, order,
+        return _doubled(s, 0.5, 2.0 * xi - xi * xi, order,
                         np.array([1.0, 1.0 - xi]) / (2.0 - xi))
-    if beta != 4:
-        raise ValueError("beta must be 1, 2, or 4")
     # beta = 4: orthogonal-group dimension 2N+1, so the +- operators act on
     # (0, s) and the correction picks up a further factor 1/4
-    return _doubled(s, xi, order, np.full(2, 0.125 if order else 0.5))
+    return _doubled(s, 1.0, xi, order, np.full(2, 0.125 if order else 0.5))
 
 
 def e_bulk(beta: int, order: int, s, xi: float):
     """Bulk gap generating function term E_order for beta in {1, 2, 4}, at a
-    scalar or an array s.
+    scalar or an array s in [0, 300].
 
     order 0 is the limit, order 1 the coefficient of 1/N^2. The Nystrom order
     doubles from 16 until certified to 1e-10 absolute, at each s on its own,
     so values far below 1e-10 carry no certified relative digits.
     """
     return _scalar_or_array(_e_bulk(beta, order, s, xi)[0])
-
-
-def gap_probabilities(beta: int, s: float, xi: float) -> GapResult:
-    (e0, n0), (e1, n1) = _e_bulk(beta, 0, s, xi), _e_bulk(beta, 1, s, xi)
-    return GapResult(s, xi, beta, float(e0), float(e1), int(max(n0, n1)))
-
-
-# Largest N that e_finite_cue accepts: two LU factorisations of N/2 x N/2
-# blocks, about 0.4 s and 70 MB at this N on one core.
-_CUE_MAX_N = 4096
-
-
-def _cue_order(N) -> int:
-    N = _whole("N", N, 1)
-    if N > _CUE_MAX_N:
-        raise ValueError(f"N must be at most {_CUE_MAX_N}, got {N}")
-    return N
 
 
 def _cue_halves(N: int, phi: float, xi: float):
@@ -224,11 +191,8 @@ def _cue_halves(N: int, phi: float, xi: float):
     of B^+ is c_|j-m| alone, since e_m is its own mirror (a similarity, not
     orthogonal). LU, unlike Cholesky, serves every finite xi: I - xi B is
     indefinite for xi > 1."""
-    N = _cue_order(N)
-    if not 0.0 <= phi <= 2.0 * np.pi + 1e-12:
-        raise ValueError("phi must lie in [0, 2 pi]")
-    if not np.isfinite(xi):
-        raise ValueError(f"xi must be finite, got xi = {xi}")
+    N, phi = _whole("N", N, 1, _CUE_MAX_N), _real("phi", phi, 0.0, 2.0 * np.pi + 1e-12)
+    xi = _real("xi", xi)
     # conjugating (e^{i d phi} - 1) / (2 pi i d), d = j - k, by diag(e^{-i j phi/2})
     # leaves the real symmetric Toeplitz matrix c_|d| with the same spectrum
     d = np.arange(1, N)
@@ -271,9 +235,10 @@ def extract_correction(N_list, s: float, xi: float) -> CorrectionEstimate:
     of 1/N^2: limit, first correction, and the empirical order of what is
     left after removing them. The values of N must be distinct positive
     integers no larger than 4096; all are checked before any determinant."""
-    Ns = np.asarray(sorted(_cue_order(N) for N in N_list), float)
-    if Ns.size < 3:
-        raise ValueError("need at least 3 values of N")
+    s = _real("s", s, 0.0)
+    Ns = np.asarray(sorted(_whole("N", N, 1, _CUE_MAX_N)
+                           for N in np.ravel(np.asarray(N_list, object))), float)
+    _whole("the number of values of N", Ns.size, 3)
     if np.any(np.diff(Ns) == 0):
         raise ValueError("values of N must be distinct")
     F = np.array([e_finite_cue(int(N), 2.0 * np.pi * s / N, xi) for N in Ns])

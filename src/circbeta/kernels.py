@@ -1,5 +1,6 @@
-"""Scalar correlation kernels (finite-N circular unitary, bulk limit, 1/N^2
-correction, +- symmetrized) and the Pfaffian kernel entry functions."""
+"""The bulk-scaled finite-N circular unitary kernel, the names of the bulk
+kernels that the Nystrom engine serves, and the Pfaffian kernel entry
+functions."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _whole
+from .numerics import _CUE_MAX_N, _choice, _whole
 
 
 def _cue_scaled(d, N):
@@ -21,53 +22,19 @@ def _cue_scaled(d, N):
     return sign * np.sinc(e) / np.sinc(e / N)
 
 
-_FAMILIES = ("cue", "sine", "l", "plus", "minus", "l_plus", "l_minus")
+_FAMILIES = ("sine", "l", "plus", "minus", "l_plus", "l_minus")
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A scalar kernel on bulk-scaled coordinates (mean spacing one).
-
-    family: "cue" (finite N), "sine", "l" (the 1/N^2 correction kernel),
-    "plus"/"minus" (sine kernel +- its reflection), "l_plus"/"l_minus".
-    N is required for "cue" and refused for every other family.
-    """
+    """A bulk kernel on bulk-scaled coordinates (mean spacing one), by family:
+    "sine", "l" (the 1/N^2 correction kernel (pi/6) (x - y) sin pi(x - y)),
+    "plus"/"minus" (sine kernel +- its reflection), "l_plus"/"l_minus"."""
 
     family: str
-    N: int | None = None
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.family == "cue":
-            _whole("N", self.N, 1)
-        elif self.N is not None:
-            raise ValueError(f"kernel family {self.family!r} takes no N, got N = {self.N!r}")
-
-
-def _l_kernel(d):
-    d = np.asarray(d, float)
-    return (np.pi * d / 6.0) * np.sin(np.pi * d)
-
-
-def kernel_eval(spec: KernelSpec, x, y):
-    """Evaluate the kernel at (x, y); broadcasts over array arguments."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    fam = spec.family
-    if fam == "sine":
-        return np.sinc(x - y)
-    if fam == "cue":
-        return _cue_scaled(x - y, spec.N)
-    if fam == "l":
-        return _l_kernel(x - y)
-    if fam == "plus":
-        return np.sinc(x - y) + np.sinc(x + y)
-    if fam == "minus":
-        return np.sinc(x - y) - np.sinc(x + y)
-    if fam == "l_plus":
-        return _l_kernel(x - y) + _l_kernel(x + y)
-    return _l_kernel(x - y) - _l_kernel(x + y)
+        _choice("family", self.family, _FAMILIES)
 
 
 # ---------------------------------------------------------------------------
@@ -116,4 +83,6 @@ class PfaffianKernelEntries:
 
 
 def pfaffian_entries(N: int) -> PfaffianKernelEntries:
-    return PfaffianKernelEntries(_whole("N", N, 2))
+    """The entry functions for index N, 2 <= N <= 8192 (the index of the
+    symplectic kernel of dimension 4096 is 8192); each costs O(N) per entry."""
+    return PfaffianKernelEntries(_whole("N", N, 2, 2 * _CUE_MAX_N))

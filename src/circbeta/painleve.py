@@ -16,6 +16,8 @@ from operator import mul
 
 import numpy as np
 
+from .numerics import _TINY, _choice, _real
+
 
 class IntegrationFailure(RuntimeError):
     """ODE integration broke down; ``t_last`` holds the last good abscissa."""
@@ -47,18 +49,6 @@ def _origin_block(x, order: int):
             [(j + 1) * d[j + 1] for j in range(order + 1)],
             [0] + [a[j] / j for j in k],
             [0] + [-(2 * q[j - 1] + (j - 1) * d[j - 1]) / (12 * j) for j in k]]
-
-
-def sigma0_series(xi: float, n_terms: int) -> np.ndarray:
-    """Taylor coefficients [c_0 .. c_n_terms] of the gap transcendent at t = 0."""
-    return np.array(_origin_block(xi / math.pi, n_terms)[0], float)
-
-
-def sigma1_series(xi: float, n_terms: int) -> np.ndarray:
-    """Taylor coefficients [c_0 .. c_n_terms] of the first-correction
-    transcendent -(2 t s s' + t^2 s'') / 12 at t = 0."""
-    integral = np.array(_origin_block(xi / math.pi, n_terms)[4], float)
-    return np.arange(n_terms + 1) * integral
 
 
 @dataclass(frozen=True)
@@ -156,13 +146,9 @@ def _piecewise_dense(grid: np.ndarray, coeffs: np.ndarray):
 def solve_sigma0(xi: float, t_max: float) -> SigmaSolution:
     """Integrate the third-order form of the sigma equation from its Taylor
     block at t = 0 by Taylor-series steps, monitoring the second-order
-    residual pointwise."""
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError("xi must lie in [0, 1]")
-    if t_max > 6.0 * np.pi:   # at xi = 1 it drifts to another solution past about 8 pi
-        raise ValueError("t_max beyond supported range, 6 pi")
-    if not t_max > 0.0:
-        raise ValueError("t_max must be positive")
+    residual pointwise; xi in [0, 1] and t_max in (0, 6 pi]."""
+    # at xi = 1 the solution drifts to another one past about t = 8 pi
+    xi, t_max = _real("xi", xi, 0.0, 1.0), _real("t_max", t_max, _TINY, 6.0 * np.pi)
     # sigma_0, its first two derivatives and the two tau-function integrals,
     # one Taylor polynomial per step, the first about t = 0
     coeffs = np.array(_origin_block(xi / math.pi, _ORDER), float)
@@ -203,6 +189,8 @@ def solve_sigma0(xi: float, t_max: float) -> SigmaSolution:
 
 def sigma1_from_sigma0(sol: SigmaSolution) -> SigmaSolution:
     """Fill sigma_1 = -(2 t s s' + t^2 s'') / 12 pointwise."""
+    if not isinstance(sol, SigmaSolution):
+        raise TypeError(f"sol must be a SigmaSolution, got {sol!r}")
     t = sol.grid
     s1 = -(2.0 * t * sol.sigma0 * sol.sigma0_prime + t * t * sol.sigma0_doubleprime) / 12.0
     return SigmaSolution(sol.xi, t, sol.sigma0, sol.sigma0_prime,
@@ -213,11 +201,10 @@ def sigma1_from_sigma0(sol: SigmaSolution) -> SigmaSolution:
 def e_tau(sol: SigmaSolution, s: float, order: int) -> float:
     """Gap generating function from the tau-function integrals:
     order 0 gives exp int_0^(pi s) sigma_0/t, order 1 gives E_0 times the
-    corresponding sigma_1 integral."""
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    if not (math.isfinite(s) and s >= 0):
-        raise ValueError(f"s must be finite and nonnegative, got s = {s}")
+    corresponding sigma_1 integral; s from 0 to the end of sol's trajectory."""
+    if not isinstance(sol, SigmaSolution):
+        raise TypeError(f"sol must be a SigmaSolution, got {sol!r}")
+    s, order = _real("s", s, 0.0), _choice("order", order, (0, 1))
     upper = np.pi * s
     if upper > sol.t_max + 1e-12:
         raise ValueError(f"s = {s} beyond trajectory (t_max = {sol.t_max})")

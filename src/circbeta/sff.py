@@ -5,13 +5,13 @@ small-tau series, and the differential/functional identities."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .numerics import _whole, correction_factor, digamma
+from .numerics import (_TINY, _choice, _positive_rational, _real, _whole, correction_factor,
+                       digamma)
 
 F = Fraction
 TWO_PI = 2.0 * math.pi
@@ -20,7 +20,7 @@ TWO_PI = 2.0 * math.pi
 def sff_exact(beta: int, N: int, k: int) -> float:
     """Structure function S_{N, beta}(k); digamma-based for beta = 1, 4. N and k
     are integers (an integral float is accepted)."""
-    N, k = _whole("N", N, 2), abs(_whole("k", k))
+    beta, N, k = _choice("beta", beta, (1, 2, 4)), _whole("N", N, 2), abs(_whole("k", k))
     if beta == 2:
         return min(k, N) / TWO_PI
     if beta == 1:
@@ -29,19 +29,16 @@ def sff_exact(beta: int, N: int, k: int) -> float:
         else:
             v = 2.0 * N - k * digamma(k + (N + 1) / 2.0, k + (1 - N) / 2.0)
         return v / TWO_PI
-    if beta == 4:
-        if k >= 2 * N - 1:
-            return N / TWO_PI
-        arg = -N + k + 0.5
-        # psi(z) = psi(1 - z) at half-integers z, so stay on the positive side
-        return (k / 2.0) * (1.0 + 0.5 * digamma(N + 0.5, max(arg, 1.0 - arg))) / TWO_PI
-    raise ValueError("beta must be 1, 2, or 4")
+    if k >= 2 * N - 1:
+        return N / TWO_PI
+    arg = -N + k + 0.5
+    # psi(z) = psi(1 - z) at half-integers z, so stay on the positive side
+    return (k / 2.0) * (1.0 + 0.5 * digamma(N + 0.5, max(arg, 1.0 - arg))) / TWO_PI
 
 
 def sff_bulk_scaled(beta: int, N: int, tau: float) -> float:
     """(2 pi / N) S_{N, beta}(tau N); tau N is rounded to the integer lattice."""
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got tau = {tau}")
+    N, tau = _whole("N", N, 2), _real("tau", tau)
     return TWO_PI * sff_exact(beta, N, round(tau * N)) / N
 
 
@@ -81,15 +78,10 @@ def bulk_term_singular(beta: int, tau: float) -> bool:
 
 def sff_bulk_term(beta: int, order: int, tau: float) -> float:
     """Bulk expansion term S_order(tau); order 0 is the limit curve."""
-    t = abs(float(tau))
-    if not math.isfinite(t):
-        raise ValueError(f"tau must be finite, got tau = {tau}")
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1, or 2")
+    beta, order = _choice("beta", beta, (1, 2, 4)), _choice("order", order, (0, 1, 2))
+    t = abs(_real("tau", tau))
     if beta == 2:
         return min(t, 1.0) if order == 0 else 0.0
-    if beta not in (1, 4):
-        raise ValueError("beta must be 1, 2, or 4")
     if bulk_term_singular(beta, t):
         raise ValueError("logarithmic singularity at tau = 1 for beta = 4")
     s0, d2, d3, d4 = (_s0_derivs_beta1 if beta == 1 else _s0_derivs_beta4)(t)
@@ -158,25 +150,20 @@ def _poly_at(poly, kappa):
 # A Fraction that meets a float is converted to float first, so a float kappa
 # runs in floats, and an int or Fraction kappa stays exact
 def series_coefficient(order: int, m: int, kappa):
-    """Coefficient of tau^m in the order-th expansion term; exact when kappa
-    is an int or a Fraction."""
-    rec = _SERIES.get((order, m))
-    if rec is None:
-        raise ValueError(f"no stored coefficient at order {order}, power {m}")
-    pref, e, poly, kpow = rec
+    """Coefficient of tau^m in the order-th expansion term, for the powers m of
+    SERIES_POWERS[order] and kappa > 0; exact when kappa is an int or a
+    Fraction."""
+    order = _choice("order", order, SERIES_POWERS)
+    m = _choice("m", m, SERIES_POWERS[order])
+    _real("kappa", kappa, _TINY)   # checked, not converted: kappa stays exact
+    pref, e, poly, kpow = _SERIES[order, m]
     return pref * (kappa - 1) ** e * _poly_at(poly, kappa) / kappa ** kpow
 
 
 def sff_series(beta: float, order: int, tau: float) -> float:
-    """Truncated small-tau series of the order-th expansion term."""
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be finite and positive, got beta = {beta}")
-    if order not in SERIES_POWERS:
-        raise ValueError("order must be 0, 1, or 2")
-    kappa = beta / 2.0
-    t = abs(float(tau))
-    if not math.isfinite(t):
-        raise ValueError(f"tau must be finite, got tau = {tau}")
+    """Truncated small-tau series of the order-th expansion term, beta > 0."""
+    kappa = _real("beta", beta, _TINY) / 2.0
+    order, t = _choice("order", order, SERIES_POWERS), abs(_real("tau", tau))
     return float(sum(series_coefficient(order, m, kappa) * t ** m
                      for m in SERIES_POWERS[order]))
 
@@ -197,13 +184,9 @@ def sff_series(beta: float, order: int, tau: float) -> float:
 # an integer, so the kernels below run on Python integers over one common
 # denominator and build a Fraction only for each returned value.
 
-
-def _positive_rational(name: str, v) -> Fraction:
-    """v as an exact Fraction, if it is a finite positive real number (not a bool)."""
-    if isinstance(v, numbers.Real) and not isinstance(v, bool) \
-            and math.isfinite(v) and v > 0:
-        return F(v)
-    raise ValueError(f"{name} must be finite and positive, got {v!r}")
+# largest k of cbe_trace_moment: the partitions of k grow like e^(pi sqrt(2k/3)),
+# and at k = 20 a call takes 0.02 s at beta = 2 and 0.2 s at beta = 0.1
+_MOMENT_MAX_K = 20
 
 
 def _partitions(k: int, largest: int):
@@ -239,11 +222,10 @@ def _jack_terms(k: int, p: int, q: int):
 
 def cbe_trace_moment(beta, N: int, k: int) -> Fraction:
     """Exact E|Tr U^k|^2 = 2 pi S_{N, beta}(k) in the CβE of N x N matrices,
-    for rational beta > 0 and k >= 1 (integer arithmetic, exact)."""
+    for rational beta > 0, N >= 1 and 1 <= k <= 20 (integer arithmetic,
+    exact)."""
     kappa = _positive_rational("beta", beta) / 2
-    N, k = _whole("N", N), _whole("k", k)
-    if N < 1 or k < 1:
-        raise ValueError("need N >= 1 and k >= 1")
+    N, k = _whole("N", N, 1), _whole("k", k, 1, _MOMENT_MAX_K)
     p = kappa.numerator
     terms = [(num * math.prod(p * N + x for x, _ in shifts),
               den * math.prod(p * N + y for _, y in shifts))
@@ -269,17 +251,6 @@ def _moment_series(p: int, q: int, k: int, order: int):
     lcm = math.lcm(*(den for _, den, _ in terms))
     return [sum(num * (lcm // den) * series[r] for num, den, series in terms)
             for r in range(order + 1)], lcm
-
-
-def cbe_moment_expansion(kappa, k: int, order: int) -> list:
-    """Exact coefficients a_0, ..., a_order of N^-r in the large-N expansion
-    of E|Tr U^k|^2 at fixed k >= 1, beta = 2 kappa, for rational kappa > 0
-    (integer arithmetic, exact)."""
-    kappa = _positive_rational("kappa", kappa)
-    k, order = _whole("k", k, 1), _whole("order", order, 0)
-    p = kappa.numerator
-    sums, den = _moment_series(p, kappa.denominator, k, order)
-    return [F(s, den * p ** r) for r, s in enumerate(sums)]
 
 
 # highest power of 1/N the stored tables need: c_{j,m} sits at N^-(m + 2j - 1)
@@ -439,21 +410,3 @@ def root_modulus_deviation(names) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    antisymmetry_ok: bool
-    max_root_modulus_deviation: float
-
-
-def check_functional_symmetry_and_zeros() -> SymmetryReport:
-    """Verify term-by-term antisymmetry of the series under kappa -> 1/kappa,
-    tau -> -tau/kappa, and measure how far the zeros of the degree <= 4
-    polynomials lie from the unit circle.
-
-    p2, p4, q2, q4 and r2 have all zeros on the circle. r4 does not: its real
-    reciprocal root pair has moduli ~2.11 and ~0.47, and the exact CβE oracle
-    (oracle_series_coefficients) decides that this r4 is the true quartic, so
-    max_root_modulus_deviation is r4's ~1.108.
-    """
-    return SymmetryReport(_series_antisymmetric(),
-                          root_modulus_deviation(("p2", "p4", "q2", "q4", "r2", "r4")))

@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import correlations, gap
-from .numerics import (_whole, chebyshev_interpolate, chebyshev_points,
+from .numerics import (_choice, _real, chebyshev_interpolate, chebyshev_points,
                        correction_factor, spectral_derivative)
 
 F = Fraction
@@ -28,7 +28,9 @@ class SeriesTable:
     terms: tuple[Term, ...]
 
     def __call__(self, s: float, xi: float = 0.0, N: float | None = None) -> float:
-        nu = 0.0 if N is None else 1.0 / float(N) ** 2
+        """The series at s, xi and N >= 1 (N None for the limit)."""
+        s, xi = _real("s", s), _real("xi", xi)
+        nu = 0.0 if N is None else 1.0 / _real("N", N, 1.0) ** 2
         total = 0.0
         for sp, xp, pp, np_, frac in self.terms:
             total += float(frac) * s ** sp * xi ** xp * math.pi ** pp * nu ** np_
@@ -58,10 +60,6 @@ class SeriesTable:
                 key = (sp, xp, pp, np_)
                 out[key] = out.get(key, F(0)) + frac
         return {k: v for k, v in out.items() if v != 0}
-
-
-def tables_match_through(a: SeriesTable, b: SeriesTable, max_s_power: int) -> bool:
-    return a.coefficients_through(max_s_power) == b.coefficients_through(max_s_power)
 
 
 # Gap generating function of the finite-N circular unitary ensemble,
@@ -153,19 +151,14 @@ def _p_samples(beta: int, xi: float, s_max: float):
 def p_bulk(beta: int, order: int, s, xi: float):
     """Spacing generating function term P_order(s; xi) = E_order''(s; xi)/xi^2
     at a scalar or an array s, interpolated on one Chebyshev interval
-    [0, max(3, 1.1 max(s))].
+    [0, max(3, 1.1 max(s))]; that interval lies within e_bulk's reach, so s
+    is at most 300 / 1.1.
 
     At xi = 0 the generating function reduces to the two-point correlation,
     which is returned from the closed forms directly.
     """
-    order = _whole("order", order)
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    s = np.asarray(s, float)
-    if not np.all((s >= 0.0) & (s < np.inf)):
-        raise ValueError("s must be finite and nonnegative")
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError("xi must lie in [0, 1]")
+    beta, order = _choice("beta", beta, (1, 2, 4)), _choice("order", order, (0, 1))
+    s, xi = np.asarray(_real("s", s, 0.0, gap._S_MAX / 1.1)), _real("xi", xi, 0.0, 1.0)
     if xi == 0.0:
         if beta == 4:
             # density-one variables: 4 rho(2x) in the closed-form convention
@@ -180,9 +173,7 @@ def spacing_series_residual(beta: int) -> float:
     """Largest |P_1 - c (s^2 P_0)''| over the series coefficients through s^9,
     c = -1/(6 beta); 0.0 when the identity holds term by term, exactly."""
     tables = {2: (P0_BETA2, P1_BETA2), 1: (P0_BETA1, P1_BETA1)}
-    if beta not in tables:
-        raise ValueError("series tables exist for beta = 1, 2 only")
-    p0, p1 = tables[beta]
+    p0, p1 = tables[_choice("beta", beta, tables)]
     lhs = p0.s_squared().second_derivative().scaled(correction_factor(F(beta)))
     a, b = lhs.coefficients_through(9), p1.coefficients_through(9)
     return max((abs(float(a.get(key, 0) - b.get(key, 0))) for key in a.keys() | b.keys()
@@ -194,14 +185,14 @@ def spacing_series_residual(beta: int) -> float:
 
 def wigner_surmise(s):
     """32 s^2 exp(-4 s^2/pi) / pi^2: unit-normalized, unit-mean density."""
-    s = np.asarray(s, float)
+    s = np.asarray(_real("s", s))
     out = 32.0 * s * s * np.exp(-4.0 * s * s / np.pi) / np.pi ** 2
     return out if out.ndim else float(out)
 
 
 def surmise_correction(s):
     """-(1/12)(d^2/ds^2)(s^2 * wigner_surmise(s)), differentiated analytically."""
-    s = np.asarray(s, float)
+    s = np.asarray(_real("s", s))
     a = 4.0 / np.pi
     out = -(32.0 / (12.0 * np.pi ** 2)) * np.exp(-a * s * s) * (
         12.0 * s ** 2 - 18.0 * a * s ** 4 + 4.0 * a * a * s ** 6)

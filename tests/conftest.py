@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from circbeta.kernels import _cue_scaled
+
 
 class EighLog(list):
     """Shapes of the arrays passed to np.linalg.eigh."""
@@ -29,3 +31,29 @@ def eigh_log(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
     return log
+
+
+def _l_kernel(d):
+    d = np.asarray(d, float)
+    return (np.pi * d / 6.0) * np.sin(np.pi * d)
+
+
+def kernel_eval(family: str, x, y, N=None):
+    """The bulk kernel of the named family at (x, y), broadcasting over arrays;
+    "cue" is the bulk-scaled finite-N kernel of dimension N. The oracle that
+    gap._blocks and the Nystrom engine are checked against."""
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    if family == "sine":
+        return np.sinc(x - y)
+    if family == "cue":
+        return _cue_scaled(x - y, N)
+    if family == "l":
+        return _l_kernel(x - y)
+    if family == "plus":
+        return np.sinc(x - y) + np.sinc(x + y)
+    if family == "minus":
+        return np.sinc(x - y) - np.sinc(x + y)
+    if family == "l_plus":
+        return _l_kernel(x - y) + _l_kernel(x + y)
+    return _l_kernel(x - y) - _l_kernel(x + y)

@@ -13,8 +13,8 @@ import numpy as np
 
 import circbeta as cb
 from circbeta.cli import _identity_registry
-from circbeta.sff import POLYNOMIALS, root_modulus_deviation
-from circbeta.spacing import P0_BETA1, P0_BETA2, P1_BETA1, P1_BETA2, tables_match_through
+from circbeta.sff import POLYNOMIALS, _series_antisymmetric, root_modulus_deviation
+from circbeta.spacing import P0_BETA1, P0_BETA2, P1_BETA1, P1_BETA2
 
 
 def report(num, ok, detail, t0, budget):
@@ -63,10 +63,10 @@ def test_criterion_3_finite_N_ground_truth():
 
 def test_criterion_4_series_golden_data():
     t0 = time.time()
-    ok_b2 = tables_match_through(
-        P0_BETA2.s_squared().second_derivative().scaled(F(-1, 12)), P1_BETA2, 9)
-    ok_b1 = tables_match_through(
-        P0_BETA1.s_squared().second_derivative().scaled(F(-1, 6)), P1_BETA1, 9)
+    ok_b2, ok_b1 = (p0.s_squared().second_derivative().scaled(c).coefficients_through(9)
+                    == p1.coefficients_through(9)
+                    for p0, p1, c in ((P0_BETA2, P1_BETA2, F(-1, 12)),
+                                      (P0_BETA1, P1_BETA1, F(-1, 6))))
     worst = max(abs(cb.e_finite_cue(N, 2 * np.pi * 0.15 / N, 1.0)
                     - cb.E_CUE_SMALL_S(0.15, 1.0, N)) for N in (5, 10))
     ok = ok_b2 and ok_b1 and worst <= 1e-6
@@ -112,7 +112,7 @@ def test_criterion_6_structure_functions():
     x61 = cb.verify_x6(1)
     x64 = cb.verify_x6(4)
     closed = max(x61.residual1, x61.residual2, x64.residual1, x64.residual2)
-    rep = cb.check_functional_symmetry_and_zeros()
+    antisymmetric = _series_antisymmetric()
     zero_dev = {name: root_modulus_deviation((name,))
                 for name in ("p2", "p4", "q2", "q4", "r2")}
     zeros_ok = max(zero_dev.values()) <= 1e-10
@@ -122,13 +122,13 @@ def test_criterion_6_structure_functions():
         oracle_ok &= all(cb.series_coefficient(2, m, kap) == oracle[2, m] for m in (2, 3, 4))
     r4_moduli = np.sort(np.abs(np.roots([float(c) for c in reversed(POLYNOMIALS["r4"])])))
     r4_ok = bool(np.allclose(r4_moduli, [0.47443, 1.0, 1.0, 2.10778], rtol=0, atol=1e-5))
-    ok = (worst <= 1e-3 and closed <= 1e-10 and rep.antisymmetry_ok and zeros_ok
+    ok = (worst <= 1e-3 and closed <= 1e-10 and antisymmetric and zeros_ok
           and oracle_ok and r4_ok)
     report(6, ok, f"Richardson {worst:.2e}<=1e-3; closed-form {closed:.2e}<=1e-10; "
-           f"antisymmetry {rep.antisymmetry_ok}; root moduli dev {zero_dev}; "
+           f"antisymmetry {antisymmetric}; root moduli dev {zero_dev}; "
            f"second correction = oracle {oracle_ok}; r4 moduli {np.round(r4_moduli, 5)}",
            t0, 5.0)
-    assert worst <= 1e-3 and closed <= 1e-10 and rep.antisymmetry_ok
+    assert worst <= 1e-3 and closed <= 1e-10 and antisymmetric
     assert zeros_ok, f"zeros off the unit circle: {zero_dev}"
     assert oracle_ok, "stored second-correction coefficients differ from the oracle"
     assert r4_ok, f"r4 root moduli {r4_moduli} are not the decided ~0.474, 1, 1, ~2.108"

@@ -13,11 +13,12 @@ from scipy.special import gammaln
 from circbeta import (beta_even, correction_factor, correction_residual,
                       leading_xi_coefficient, leading_xi_coefficient_exact,
                       leading_xi_s_power, evenness_factor, gauss_legendre,
-                      moment_integral, morris, recurrence_sides,
+                      moment_integral, morris,
                       rho2_bulk_term, rho2_correction_limit, rho2_even_beta,
                       selberg, selberg_log, v2_coefficient, verify_moment_recurrence)
 from circbeta.beta_even import (_ENGINES, _METHODS, _STEPS, _TERMS, _integral_beta4,
-                                _integrand, _system, rho2_correction_estimate, selberg_exact)
+                                _integrals, _integrand, _sides, _system,
+                                rho2_correction_estimate, selberg_exact)
 from circbeta.gap import AccuracyWarning
 from circbeta.sff import _partition_boxes
 from circbeta.spacing import P0_BETA2
@@ -310,6 +311,21 @@ class TestRho2EvenBeta:
             assert np.max(np.abs(grid - single)) <= 1e-14
         assert rho2_even_beta(6, np.array([])).shape == (0,)
 
+    @pytest.mark.parametrize("N", [None, 40])
+    def test_beta6_grid_memory_bounded(self, N):
+        # each point sums its step's series into a scalar: 20000 points peak
+        # at 4.6 MB traced, where rows per point and term peaked at 22.6 MB
+        xs = np.linspace(0.1, 3.0, 20000)
+        tracemalloc.start()
+        try:
+            got = rho2_even_beta(6, xs, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6
+        some = xs[::3999]
+        assert np.max(np.abs(got[::3999] - [rho2_even_beta(6, x, N) for x in some])) <= 1e-14
+
     def test_beta6_large_N_certified(self):
         # the path starts at theta = 0.5/N; its points carry no cancellation
         xs = np.array([0.3, 0.7, 1.5, 3.0])
@@ -363,6 +379,15 @@ class TestRho2EvenBeta:
             rho2_even_beta(6, 0.7, np.float32(20.5))
         assert rho2_even_beta(6, 0.7, 20.5) == want
 
+    @pytest.mark.parametrize("beta", [2, 4, 6])
+    def test_N_enters_as_float(self, beta):
+        # a float32 or Fraction N gives the float N's value, bit for bit, and
+        # an int N the value of the equal float
+        want = rho2_even_beta(beta, 0.7, 20.5)
+        for N in (np.float32(20.5), F(41, 2)):
+            assert rho2_even_beta(beta, 0.7, N) == want
+        assert rho2_even_beta(beta, 0.7, 20) == rho2_even_beta(beta, 0.7, 20.0)
+
     def test_holonomic_range_bounded(self):
         tracemalloc.start()
         try:
@@ -371,14 +396,14 @@ class TestRho2EvenBeta:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
-        with pytest.raises(ValueError, match=r"\|x\| <= 200"):
+        with pytest.raises(ValueError, match=r"x must lie in \[-200, 200\]"):
             rho2_even_beta(6, 200.5)
 
     @pytest.mark.parametrize("beta, method", [
         (2, "bogus"), (2, "tensor"), (4, "hankel"), (2, "pfaffian"), (6, "hankel"),
         (6, "pfaffian"), (6, "tensor"), (4, "")])
     def test_method_validated(self, beta, method):
-        with pytest.raises(ValueError, match="cannot serve"):
+        with pytest.raises(ValueError, match="method must be"):
             rho2_even_beta(beta, 0.7, method=method)
 
     def test_beta6_taylor_coefficients_exact(self):
@@ -431,7 +456,8 @@ class TestRho2EvenBeta:
         (6, math.nan, None), (6, 0.7, math.nan), (6, 0.7, math.inf),
         (2, math.inf, None), (4, -math.inf, 16)])
     def test_non_finite_rejected(self, beta, x, N):
-        with pytest.raises(ValueError, match="must be finite"):
+        # x lies in a closed interval per engine, N need only be finite
+        with pytest.raises(ValueError, match=r"x must lie in \[|N must be finite"):
             rho2_even_beta(beta, x, N)
 
     def test_even_in_N_continued(self):
@@ -596,14 +622,14 @@ class TestMomentIntegrals:
         assert calls == [(beta ** len(a), 1)]
 
     def test_unsupported(self):
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(ValueError, match="beta must be 2 or 4"):
             moment_integral(6, 1.0, (1,))
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(ValueError, match="the number of exponents must be at most 3"):
             moment_integral(2, 1.0, (1, 1, 1, 1))
 
     @pytest.mark.parametrize("a", [(-1,), (2, -3), (1.5,), (1, 1, -2)])
     def test_divergent_exponents_rejected(self, a):
-        with pytest.raises(ValueError, match="nonnegative integers"):
+        with pytest.raises(ValueError, match="exponent must be an integer >= 0"):
             moment_integral(2, 1.0, a)
 
 
@@ -630,17 +656,17 @@ class TestRecurrence:
         assert len(calls) == 60
 
     def test_theta_zero_rhs_vanishes(self):
-        lhs, rhs = recurrence_sides(2, 0.0, (3, 1))
+        lhs, rhs = _sides(2, 0.0, (3, 1), _integrals(2))
         assert lhs == 0.0
         assert abs(rhs) < 1e-10
 
     def test_requires_a1_at_least_two(self):
         with pytest.raises(ValueError):
-            recurrence_sides(2, 1.0, (1,))
+            _sides(2, 1.0, (1,), _integrals(2))
 
     def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative integers"):
-            recurrence_sides(2, 1.0, (3, -1))
+        with pytest.raises(ValueError, match="exponent must be an integer >= 0"):
+            _sides(2, 1.0, (3, -1), _integrals(2))
 
 
 class TestAppendixB:

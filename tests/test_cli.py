@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import inspect
 import json
@@ -388,6 +389,18 @@ class TestBenchmarkContract:
         spec.loader.exec_module(module)
         return module
 
+    @pytest.mark.parametrize("name", ["workloads", "run"])
+    def test_library_names_it_uses_exist(self, name):
+        # every cb.<name> or circbeta.<name> attribute and every name imported
+        # from circbeta, read from the syntax tree
+        tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / f"{name}.py").read_text())
+        used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id in ("cb", "circbeta")}
+        used |= {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "circbeta"
+                 for alias in node.names}
+        assert used and [n for n in sorted(used) if not hasattr(circbeta, n)] == []
+
     def test_identities_are_registry_rows(self):
         assert set(self.load("workloads").IDENTITIES) <= set(cli._identity_registry())
 
@@ -406,6 +419,11 @@ class TestUsageErrors:
         (["gap", "--xi", "1.5", "--s", "1"], "xi must lie in [0, 1]"),
         (["rho2", "--beta", "6", "--N", "5", "--x", "2.5"],
          "separation must stay within one period"),
+        # each cap and bound refuses before any work: N = 4097 and s = 1e9
+        (["rho2", "--beta", "4", "--N", "4097"], "N must be at most 4096"),
+        (["rho2", "--beta", "1", "--N", "4097", "--x", "0.5"], "N must be at most 4096"),
+        (["gap", "--s", "1e9"], "s must lie in [0, 300]"),
+        (["spacing", "--s", "1e9"], "s must lie in [0, 272.727]"),
     ])
     def test_library_value_error_exits_2(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:

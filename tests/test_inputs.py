@@ -1,18 +1,26 @@
 """Library entry points refuse non-finite values and non-integral or negative
-counts with a ValueError instead of returning nan or a spurious number."""
+counts with a ValueError instead of returning nan or a spurious number; every
+export keeps that contract under a generated set of bad arguments."""
 
+import dataclasses
+import inspect
 import math
+import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from circbeta import (KernelSpec, cbe_trace_moment, e_finite_cue, e_pm, e_tau,
-                      extract_correction, fredholm_det, gauss_legendre, kernel_eval, morris,
-                      numerics, oracle_series_coefficients, pfaffian, pfaffian_entries,
-                      rho2_bulk_finite, rho_n_cue, rho_n_pfaffian, selberg, sff_series,
+import circbeta as cb
+from circbeta import (KernelSpec, cbe_trace_moment, chebyshev_diff_matrix, chebyshev_points,
+                      correction_residual, e_finite_cue, e_pm, e_tau, evenness_factor,
+                      extract_correction, fredholm_det, gauss_legendre,
+                      leading_xi_coefficient, leading_xi_coefficient_exact, morris, numerics,
+                      oracle_series_coefficients, pfaffian, pfaffian_entries, rho2_bulk_finite,
+                      rho_n_cue, rho_n_pfaffian, selberg, selberg_log, sff_exact, sff_series,
                       solve_sigma0, verify_x6)
-from circbeta.sff import cbe_moment_expansion
+from circbeta.painleve import SigmaSolution
 
 
 @pytest.fixture(scope="module")
@@ -46,19 +54,21 @@ def test_non_finite_refused(call, name, sol):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: selberg(-1, 0.0, 0.0, 2.0), "n must be nonnegative"),
+    pytest.param(lambda: selberg(-1, 0.0, 0.0, 2.0), "n must be an integer >= 0",
+                 id="<lambda>-n must be nonnegative"),
     (lambda: selberg(1.5, 0.0, 0.0, 2.0), "n must be an integer"),
-    (lambda: morris(-2, 0.0, 0.0, 1.0), "N must be nonnegative"),
+    pytest.param(lambda: morris(-2, 0.0, 0.0, 1.0), "N must be an integer >= 0",
+                 id="<lambda>-N must be nonnegative"),
     (lambda: morris(2.5, 0.0, 0.0, 1.0), "N must be an integer"),
-    (lambda: cbe_trace_moment(2, 2.5, 3), "N must be an integer"),
-    (lambda: cbe_trace_moment(2, 3, 1.5), "k must be an integer"),
+    (lambda: sff_exact(2, 2.5, 3), "N must be an integer"),
+    (lambda: sff_exact(2, 3, 1.5), "k must be an integer"),
     (lambda: rho_n_cue(2.5, [0.1, 0.5]), "N must be an integer"),
     (lambda: rho_n_pfaffian(1, 2.5, [0.3]), "N must be an integer"),
     (lambda: pfaffian_entries(7.5), "N must be an integer"),
-    (lambda: KernelSpec("cue", 2.5), "N must be a positive integer"),
-    (lambda: KernelSpec("cue", math.nan), "N must be a positive integer"),
-    (lambda: KernelSpec("cue", True), "N must be a positive integer"),
-    (lambda: KernelSpec("cue", 0), "N must be a positive integer"),
+    (lambda: e_finite_cue(2.5, 1.0, 0.5), "N must be a positive integer"),
+    (lambda: e_finite_cue(math.nan, 1.0, 0.5), "N must be a positive integer"),
+    (lambda: cbe_trace_moment(2, True, 3), "N must be a positive integer"),
+    (lambda: e_finite_cue(0, 1.0, 0.5), "N must be a positive integer"),
     (lambda: e_finite_cue(True, 1.0, 0.5), "N must be a positive integer"),
     (lambda: rho2_bulk_finite(2, True, 0.3), "N must be an integer >= 2"),
     (lambda: e_finite_cue(4097, 1.0, 0.5), "N must be at most 4096"),
@@ -70,12 +80,37 @@ def test_non_finite_refused(call, name, sol):
     (lambda: e_pm(1.0, 0, 1.0, 0.5), "sign must be"),
     (lambda: e_pm(np.float64(-1.0), 1, 1.0, 0.5), "sign must be"),
     (lambda: e_pm(0, 0, 1.0, 0.5), "sign must be"),
-    (lambda: KernelSpec("sine", 3), "takes no N"),
-    (lambda: KernelSpec("l_minus", 2.5), "takes no N"),
+    # one past each cap on a count whose cost grows with it
+    *(pytest.param(call, message, id=f"cap-{name}") for name, call, message in (
+        ("rho2_bulk_finite", lambda: rho2_bulk_finite(4, 4097, 0.3), "N must be at most 4096"),
+        ("rho_n_pfaffian", lambda: rho_n_pfaffian(1, 4097, [0.3, 0.5]), "N must be at most 4096"),
+        ("pfaffian_entries", lambda: pfaffian_entries(8193), "N must be at most 8192"),
+        ("morris", lambda: morris(4097, 1.0, 1.0, 1.0), "N must be at most 4096"),
+        ("selberg_log", lambda: selberg_log(4097, 0.5, 0.5, 1.0), "n must be at most 4096"),
+        ("chebyshev_points", lambda: chebyshev_points(1025, 0.0, 1.0), "n must be at most 1024"),
+        ("chebyshev_diff_matrix", lambda: chebyshev_diff_matrix(1025, 0.0, 1.0),
+         "n must be at most 1024"),
+        ("correction_residual", lambda: correction_residual(
+            np.sin, np.cos, 1.0, 0.0, 1.0, [0.5], 1025, 0, 0), "n must be at most 1024"),
+        ("cbe_trace_moment", lambda: cbe_trace_moment(2, 3, 21), "k must be at most 20"),
+        ("evenness_factor", lambda: evenness_factor(65, 1.0, 20.5), "n must be at most 64"),
+        ("evenness_factor-kappa", lambda: evenness_factor(3, 3.5, 20.5),
+         r"kappa must lie in \[0, 3\]"),
+        ("leading_xi_coefficient_exact", lambda: leading_xi_coefficient_exact(63, 2, 300),
+         "k must be at most 62"),
+        ("leading_xi_coefficient", lambda: leading_xi_coefficient(63, 2, 300),
+         "k must be at most 62"))),
 ])
 def test_bad_integer_refused(call, message):
-    with pytest.raises(ValueError, match=message):
-        call()
+    # refused before anything is built at the refused size
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 65536
 
 
 def test_gauss_legendre_bound_allocates_nothing(monkeypatch):
@@ -98,12 +133,10 @@ def test_gauss_legendre_bound_allocates_nothing(monkeypatch):
     (lambda: verify_x6(math.inf), "beta must be finite and positive"),
     (lambda: cbe_trace_moment(0, 3, 2), "beta must be finite and positive"),
     (lambda: cbe_trace_moment(True, 3, 2), "beta must be finite and positive"),
-    (lambda: cbe_moment_expansion(2, 3, -1), "order must be an integer >= 0"),
-    (lambda: cbe_moment_expansion(2, 3, 1.5), "order must be an integer >= 0"),
-    (lambda: cbe_moment_expansion(True, 3, 2), "kappa must be finite and positive"),
-    (lambda: cbe_moment_expansion(math.inf, 3, 2), "kappa must be finite and positive"),
-    (lambda: cbe_moment_expansion(2, 2.5, 2), "k must be a positive integer"),
-    (lambda: cbe_moment_expansion(2, 0, 2), "k must be a positive integer"),
+    (lambda: oracle_series_coefficients(True), "kappa must be finite and positive"),
+    (lambda: oracle_series_coefficients(math.inf), "kappa must be finite and positive"),
+    (lambda: cbe_trace_moment(2, 3, 2.5), "k must be a positive integer"),
+    (lambda: cbe_trace_moment(2, 3, 0), "k must be a positive integer"),
     (lambda: oracle_series_coefficients(0), "kappa must be finite and positive"),
     (lambda: oracle_series_coefficients(-1), "kappa must be finite and positive"),
     (lambda: oracle_series_coefficients(math.nan), "kappa must be finite and positive"),
@@ -133,9 +166,127 @@ def test_integral_floats_still_accepted():
     assert cbe_trace_moment(2, 3.0, 2.0) == 2
     assert rho_n_cue(3.0, [0.1, 0.5]) == pytest.approx(rho_n_cue(3, [0.1, 0.5]))
     assert rho_n_pfaffian(1, 9.0, [0.1, 0.5]) == rho_n_pfaffian(1, 9, [0.1, 0.5])
-    assert kernel_eval(KernelSpec("cue", 12.0), 0.3, 0.0) == \
-        kernel_eval(KernelSpec("cue", 12), 0.3, 0.0)
     for beta in (2, 4):
         assert rho2_bulk_finite(beta, 20.0, 0.3) == rho2_bulk_finite(beta, 20, 0.3)
     assert e_pm(np.int64(-1), 0, 1.0, 0.5) == e_pm(-1, 0, 1.0, 0.5)
-    assert KernelSpec("sine", None) == KernelSpec("sine")
+
+
+# ---------------------------------------------------------------------------
+# The contract of every export, generated: each parameter of one base call is
+# set in turn to each of BAD. A parameter that takes a number (or an array of
+# numbers) must make the call raise ValueError or return a value whose every
+# number is finite; one that takes a callable, a SigmaSolution or a
+# KernelSpec may also raise TypeError. Each call must finish within 1 s.
+
+BAD = (True, math.nan, math.inf, -math.inf, -1, 2.5, 1e9, "3")
+SOL = solve_sigma0(1.0, 3.0)
+SINE, LKER = KernelSpec("sine"), KernelSpec("l")
+SKEW = np.array([[0.0, 1.0, 2.0, 3.0], [-1.0, 0.0, 4.0, 5.0],
+                 [-2.0, -4.0, 0.0, 6.0], [-3.0, -5.0, -6.0, 0.0]])
+SERIES = (0.5, 0.5, 20.0)
+
+# one base call per export: its positional arguments
+BASE = {
+    "gauss_legendre": (8, 0.0, 1.0),
+    "sine_integral": (0.5,),
+    "chebyshev_points": (8, 0.0, 1.0),
+    "chebyshev_diff_matrix": (8, 0.0, 1.0),
+    "spectral_derivative": (np.linspace(0.0, 1.0, 8) ** 2, 2, 0.0, 1.0),
+    "chebyshev_interpolate": (np.arange(8.0), 0.0, 1.0, 0.3),
+    "correction_factor": (2,),
+    "correction_residual": (np.sin, np.cos, -1 / 12, 0.0, 1.0, np.linspace(0.1, 0.9, 5),
+                            16, 2, 0),
+    "KernelSpec": ("sine",),
+    "pfaffian_entries": (8,),
+    "rho_n_cue": (8, [0.1, 0.5]),
+    "rho_n_pfaffian": (1, 8, [0.1, 0.5]),
+    "pfaffian": (SKEW,),
+    "rho2_bulk_term": (1, 0, 0.5),
+    "rho2_bulk_finite": (1, 8, 0.5),
+    "fredholm_det": (SINE, 0.5, 0.5),
+    "fredholm_trace_correction": (SINE, LKER, 0.5, 0.5),
+    "e_bulk": (2, 0, 0.5, 0.5),
+    "e_pm": (1, 0, 0.5, 0.5),
+    "e_finite_cue": (8, 0.5, 0.5),
+    "extract_correction": ([20, 40, 80], 1.0, 0.5),
+    "solve_sigma0": (1.0, 3.0),
+    "sigma1_from_sigma0": (SOL,),
+    "e_tau": (SOL, 0.5, 0),
+    "E_CUE_SMALL_S": SERIES,
+    "P0_BETA2": SERIES,
+    "P1_BETA2": SERIES,
+    "P2_BETA2": SERIES,
+    "P0_BETA1": SERIES,
+    "P1_BETA1": SERIES,
+    "p_bulk": (2, 0, 0.5, 0.5),
+    "spacing_series_residual": (2,),
+    "wigner_surmise": (0.5,),
+    "surmise_correction": (0.5,),
+    "sff_exact": (1, 20, 7),
+    "sff_bulk_scaled": (1, 20, 0.35),
+    "sff_bulk_term": (1, 0, 0.5),
+    "sff_series": (3.0, 0, 0.5),
+    "series_coefficient": (0, 2, 1.5),
+    "verify_x6": (3,),
+    "cbe_trace_moment": (2, 5, 3),
+    "oracle_series_coefficients": (Fraction(3, 2),),
+    "selberg": (2, 0.5, 0.5, 1.0),
+    "selberg_log": (2, 0.5, 0.5, 1.0),
+    "morris": (2, 1.0, 1.0, 1.0),
+    "evenness_factor": (3, 1.0, 20.5),
+    "v2_coefficient": (3, 1.0),
+    "rho2_even_beta": (2, 0.5, 40, 64, "auto", True),
+    "moment_integral": (2, 1.0, (2, 1)),
+    "verify_moment_recurrence": (2, ((2,), (3, 1)), (1.0,)),
+    "leading_xi_coefficient": (1, 2, 20),
+    "leading_xi_coefficient_exact": (1, 2, 20),
+    "leading_xi_s_power": (1, 2),
+    "rho2_correction_limit": (2, 0.5),
+}
+
+
+def exported():
+    """circbeta's public names, less its modules and its exception classes."""
+    return {name for name, v in vars(cb).items()
+            if not name.startswith("_") and not inspect.ismodule(v)
+            and not (isinstance(v, type) and issubclass(v, Exception))}
+
+
+def finite(v) -> bool:
+    """Whether every number reachable through v's fields, arrays, tuples and
+    dict values is finite; a Fraction is."""
+    if dataclasses.is_dataclass(v):
+        return all(finite(getattr(v, f.name)) for f in dataclasses.fields(v))
+    if isinstance(v, (tuple, list)):
+        return all(map(finite, v))
+    if isinstance(v, dict):
+        return all(map(finite, v.values()))
+    if v is None or isinstance(v, (Fraction, str)) or callable(v):
+        return True
+    a = np.asarray(v)
+    return a.dtype.kind not in "fc" or bool(np.isfinite(a).all())
+
+
+def test_table_is_the_export_list():
+    assert set(BASE) == exported()
+
+
+@pytest.mark.parametrize("name", sorted(BASE))
+def test_export_keeps_the_contract(name):
+    fn, base = getattr(cb, name), BASE[name]
+    assert finite(fn(*base))
+    broken = []
+    for i, good in enumerate(base):
+        may_type = callable(good) or isinstance(good, (SigmaSolution, KernelSpec))
+        for bad in BAD:
+            args = base[:i] + (bad,) + base[i + 1:]
+            t0 = time.perf_counter()
+            try:
+                ok = finite(fn(*args))
+            except ValueError:
+                ok = True
+            except TypeError:
+                ok = may_type
+            if not ok or time.perf_counter() - t0 >= 1.0:
+                broken.append((i, bad))
+    assert broken == []

@@ -1,37 +1,37 @@
 import numpy as np
 import pytest
 
-from circbeta import KernelSpec, gauss_legendre, kernel_eval, pfaffian_entries
-from circbeta.kernels import _cue_scaled, _l_kernel
+from circbeta import KernelSpec, gauss_legendre, pfaffian_entries
+from circbeta.kernels import _cue_scaled
+from conftest import _l_kernel, kernel_eval
 
 ALL_FAMILIES = ["sine", "l", "plus", "minus", "l_plus", "l_minus"]
 
 
 class TestKernelEval:
     def test_sine_diagonal(self):
-        assert kernel_eval(KernelSpec("sine"), 0.7, 0.7) == pytest.approx(1.0)
+        assert kernel_eval("sine", 0.7, 0.7) == pytest.approx(1.0)
 
     def test_sine_value(self):
-        assert kernel_eval(KernelSpec("sine"), 0.5, 0.0) == pytest.approx(2.0 / np.pi)
+        assert kernel_eval("sine", 0.5, 0.0) == pytest.approx(2.0 / np.pi)
 
     def test_correction_kernel_at_unit_separation(self):
         # (pi/6) * 1 * sin(pi) = 0
-        assert kernel_eval(KernelSpec("l"), 1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert kernel_eval("l", 1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES + ["cue"])
     def test_symmetry(self, family):
-        spec = KernelSpec(family, N=17) if family == "cue" else KernelSpec(family)
         rng = np.random.default_rng(7)
         x, y = rng.uniform(-3, 3, 25), rng.uniform(-3, 3, 25)
-        assert np.allclose(kernel_eval(spec, x, y), kernel_eval(spec, y, x),
+        assert np.allclose(kernel_eval(family, x, y, N=17), kernel_eval(family, y, x, N=17),
                            atol=1e-14)
 
     def test_cue_bulk_limit(self):
         # scaled finite-N kernel approaches the sine kernel pointwise
         x, y = 0.8, 0.1
-        sine = kernel_eval(KernelSpec("sine"), x, y)
-        d1 = abs(kernel_eval(KernelSpec("cue", 100), x, y) - sine)
-        d2 = abs(kernel_eval(KernelSpec("cue", 1000), x, y) - sine)
+        sine = kernel_eval("sine", x, y)
+        d1 = abs(kernel_eval("cue", x, y, N=100) - sine)
+        d2 = abs(kernel_eval("cue", x, y, N=1000) - sine)
         assert d2 < d1 / 50
         assert d2 < 1e-6
 
@@ -42,17 +42,16 @@ class TestKernelEval:
 
     def test_cue_removable_singularities(self):
         # coincidence point and the periodic copies
-        assert kernel_eval(KernelSpec("cue", 12), 0.3, 0.3) == pytest.approx(1.0)
-        assert abs(kernel_eval(KernelSpec("cue", 12), 12.0, 0.0)) == pytest.approx(1.0)
+        assert kernel_eval("cue", 0.3, 0.3, N=12) == pytest.approx(1.0)
+        assert abs(kernel_eval("cue", 12.0, 0.0, N=12)) == pytest.approx(1.0)
 
     def test_pm_combinations(self):
         rng = np.random.default_rng(3)
         x, y = rng.uniform(0.05, 3, 30), rng.uniform(0.05, 3, 30)
-        sine = KernelSpec("sine")
-        kp = kernel_eval(KernelSpec("plus"), x, y)
-        km = kernel_eval(KernelSpec("minus"), x, y)
-        assert np.allclose(kp + km, 2 * kernel_eval(sine, x, y), atol=1e-13)
-        assert np.allclose(kp - km, 2 * kernel_eval(sine, x, -y), atol=1e-13)
+        kp = kernel_eval("plus", x, y)
+        km = kernel_eval("minus", x, y)
+        assert np.allclose(kp + km, 2 * kernel_eval("sine", x, y), atol=1e-13)
+        assert np.allclose(kp - km, 2 * kernel_eval("sine", x, -y), atol=1e-13)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -63,21 +62,21 @@ class TestKernelEval:
 
 class TestBulkExpansion:
     def test_order0_diagonal(self):
-        assert kernel_eval(KernelSpec("sine"), 0.0, 0.0) == pytest.approx(1.0)
+        assert kernel_eval("sine", 0.0, 0.0) == pytest.approx(1.0)
 
     def test_order1_equals_l_kernel(self):
         g = np.linspace(-2, 2, 20)
         X, Y = np.meshgrid(g, g)
-        assert np.allclose(kernel_eval(KernelSpec("l"), X, Y), _l_kernel(X - Y),
+        assert np.allclose(kernel_eval("l", X, Y), _l_kernel(X - Y),
                            atol=1e-15)
 
     def test_richardson_against_finite_N(self):
         x, y = 0.9, 0.2
-        target = kernel_eval(KernelSpec("l"), x, y)
+        target = kernel_eval("l", x, y)
         devs = {}
         for N in (40, 80):
-            devs[N] = N ** 2 * (kernel_eval(KernelSpec("cue", N), x, y)
-                                - kernel_eval(KernelSpec("sine"), x, y))
+            devs[N] = N ** 2 * (kernel_eval("cue", x, y, N=N)
+                                - kernel_eval("sine", x, y))
         assert devs[40] == pytest.approx(target, abs=3e-4)
         # the defect from the limit shrinks like 1/N^2 (4:1 between N=40 and 80)
         assert (devs[40] - target) / (devs[80] - target) == pytest.approx(4.0, rel=0.05)

@@ -65,7 +65,7 @@ class TestGaussLegendre:
 
     @pytest.mark.parametrize("n", [2.5, np.nan, np.inf, "4", None])
     def test_non_integer_order(self, n):
-        with pytest.raises(ValueError, match="n must be an integer"):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
             gauss_legendre(n, 0.0, 1.0)
 
     def test_integer_types(self):
@@ -102,28 +102,29 @@ class TestSineIntegral:
         got = sine_integral(self.GRID)
         assert np.max(np.abs(got - want)) <= 5e-16
 
+    @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan, [0.5, np.nan], True, "3"])
+    def test_non_finite_refused(self, x):
+        with pytest.raises(ValueError, match="x must be finite"):
+            sine_integral(x)
+
     def test_special_values(self):
-        assert sine_integral(np.inf) == np.pi / 2
-        assert sine_integral(-np.inf) == -np.pi / 2
-        assert np.isnan(sine_integral(np.nan))
         assert sine_integral(0.0) == 0.0 and sine_integral(-0.0) == 0.0
         assert np.all(sine_integral(-self.GRID) == -sine_integral(self.GRID))
 
     def test_no_floating_point_exceptions(self):
         # every element runs every formula on a clipped argument; underflow
         # (of 5e-324 squared) is ignored, as in numpy's default
-        grid = np.concatenate((self.GRID, [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300,
-                                           5e-324]))
+        grid = np.concatenate((self.GRID, [0.0, -0.0, 1e300, 5e-324]))
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             sine_integral(grid)
             for v in grid:
                 sine_integral(float(v))
 
     def test_array_matches_scalar_calls(self):
-        grid = np.concatenate((self.GRID, [np.inf, np.nan, 0.0]))
+        grid = np.concatenate((self.GRID, [0.0, 1e300]))
         got = sine_integral(grid)
         want = np.array([sine_integral(float(v)) for v in grid])
-        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(got, want)
         assert np.array_equal(sine_integral(grid[:12].reshape(3, 4)), got[:12].reshape(3, 4))
         assert np.ndim(sine_integral(1.5)) == 0
 
@@ -145,9 +146,9 @@ class TestDigamma:
 
     @pytest.mark.parametrize("x", [0.0, -1.5, np.nan, np.inf])
     def test_domain(self, x):
-        with pytest.raises(ValueError, match="finite x > 0"):
+        with pytest.raises(ValueError, match="x must be finite and positive"):
             digamma(x)
-        with pytest.raises(ValueError, match="finite x > 0"):
+        with pytest.raises(ValueError, match="minus must be finite and positive"):
             digamma(2.0, x)
 
 

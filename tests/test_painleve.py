@@ -6,10 +6,21 @@ from scipy.integrate import solve_ivp
 
 from circbeta import (E_CUE_SMALL_S, P0_BETA2, P1_BETA2, IntegrationFailure,
                       KernelSpec, e_bulk, e_tau, fredholm_det, gauss_legendre, painleve,
-                      sigma0_series, sigma1_from_sigma0, sigma1_series, solve_sigma0)
+                      sigma1_from_sigma0, solve_sigma0)
 from circbeta.painleve import _ORDER, _origin_block, _poly_eval, _residual_d1y
 
 EXACT_X = (Fraction(1), Fraction(1, 3), Fraction(2, 7))    # xi / pi
+
+
+def sigma0_series(xi, n_terms):
+    """Taylor coefficients [c_0 .. c_n_terms] of the gap transcendent at t = 0."""
+    return np.array(_origin_block(xi / np.pi, n_terms)[0], float)
+
+
+def sigma1_series(xi, n_terms):
+    """Taylor coefficients [c_0 .. c_n_terms] of the first-correction
+    transcendent -(2 t s s' + t^2 s'') / 12 at t = 0: t (int sigma_1/t)'."""
+    return np.arange(n_terms + 1) * np.array(_origin_block(xi / np.pi, n_terms)[4], float)
 
 
 @pytest.fixture
@@ -167,7 +178,7 @@ class TestSolve:
         # the second-order equation, which the residual monitor cannot see
         t = 6 * np.pi
         assert abs(solve_sigma0(1.0, t).sigma0[-1] - (-t * t / 4 - 0.25)) < 1e-3
-        with pytest.raises(ValueError, match="supported range"):
+        with pytest.raises(ValueError, match=r"t_max must lie in \(0, 18.8496\]"):
             solve_sigma0(1.0, t + 0.1)
 
     @pytest.mark.parametrize("xi", [0.25, 0.5, 0.8, 1.0])

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from scipy.special import digamma as scipy_digamma
 
-from circbeta import (cbe_trace_moment, check_functional_symmetry_and_zeros,
-                      oracle_series_coefficients, series_coefficient, sff,
+from circbeta import (cbe_trace_moment, oracle_series_coefficients, series_coefficient, sff,
                       sff_bulk_scaled, sff_bulk_term, sff_exact, sff_series,
                       verify_x6)
 from circbeta.sff import (_SERIES, ORACLE_ORDER, POLYNOMIALS, SERIES_POWERS, _d_coeff,
-                          _k_powers, _partition_boxes, cbe_moment_expansion)
+                          _k_powers, _partition_boxes, _series_antisymmetric,
+                          root_modulus_deviation)
 
 
 class TestExact:
@@ -205,19 +205,15 @@ class TestX6:
 
 
 class TestSymmetryAndZeros:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return check_functional_symmetry_and_zeros()
-
-    def test_antisymmetry(self, report):
-        assert report.antisymmetry_ok
+    def test_antisymmetry(self):
+        assert _series_antisymmetric()
 
     @pytest.mark.parametrize("name", ["p2", "p4", "q2", "q4", "r2"])
     def test_zeros_on_unit_circle(self, name):
         roots = np.roots([float(c) for c in reversed(POLYNOMIALS[name])])
         assert np.max(np.abs(np.abs(roots) - 1.0)) < 1e-10
 
-    def test_r4_zeros_defect_recorded(self, report):
+    def test_r4_zeros_defect_recorded(self):
         # the quartic in the second-correction series has a real reciprocal
         # root pair off the unit circle (moduli ~2.11 and ~0.47), unlike every
         # other stored polynomial; the oracle decides that this is the true
@@ -225,7 +221,7 @@ class TestSymmetryAndZeros:
         roots = np.roots([float(c) for c in reversed(POLYNOMIALS["r4"])])
         dev = np.max(np.abs(np.abs(roots) - 1.0))
         assert 1.0 < dev < 1.2
-        assert report.max_root_modulus_deviation == pytest.approx(dev)
+        assert root_modulus_deviation(("p2", "p4", "q2", "q4", "r2", "r4")) == dev
 
     def test_polynomials_palindromic(self):
         for name, poly in POLYNOMIALS.items():
@@ -276,8 +272,9 @@ class TestOracle:
         for kap in (F(3), F(5, 7)):
             oracle = oracles[kap]
             for k in (7, 8):
-                moments = cbe_moment_expansion(kap, k, ORACLE_ORDER)
-                for r, a_r in enumerate(moments):
+                sums, den = sff._moment_series(kap.numerator, kap.denominator, k, ORACLE_ORDER)
+                for r, s_r in enumerate(sums):
+                    a_r = F(s_r, den * kap.numerator ** r)
                     assert a_r == sum(c * k ** m for (j, m), c in oracle.items()
                                       if m + 2 * j - 1 == r), (kap, k, r)
 
@@ -363,7 +360,8 @@ class TestIntegerKernelsMatchFractionReference:
     @pytest.mark.parametrize("kappa", ORACLE_KAPPAS, ids=str)
     def test_moment_expansion(self, kappa):
         for k in range(1, 9):
-            got = cbe_moment_expansion(kappa, k, ORACLE_ORDER)
+            sums, den = sff._moment_series(kappa.numerator, kappa.denominator, k, ORACLE_ORDER)
+            got = [F(c, den * kappa.numerator ** r) for r, c in enumerate(sums)]
             assert got == _ref_moment_expansion(kappa, k, ORACLE_ORDER), k
             assert all(type(v) is F for v in got)
 
