@@ -306,7 +306,7 @@ _DEFAULT_ORDER = {2: 64, 4: 48}
 # largest |x| per engine. The holonomic steps grow as |x|: at 200 both settings
 # take 0.14 s with a traced peak of 14.5 MB (2 cores, BLAS on 1 thread). The
 # quadratures' nodes resolve e^(2 pi i x u) up to about 20: there the pfaffian
-# engine's check warns, and by 28 it is off by 4.7 in the limit.
+# engine's check warns; by 28 it is off by 4.7, and at N = 1000 by 0.04 at 30.
 _X_MAX = {"hankel": 20.0, "pfaffian": 20.0, "holonomic": 200.0}
 
 
@@ -334,8 +334,9 @@ def rho2_even_beta(beta: int, x, N: int | float | None = None,
     """Bulk-scaled two-point correlation (unit density) at separation x, a
     number or an array, for even beta, from the beta-dimensional integral
     representation; N = None gives the limit curve, and any finite real N
-    enters as a float. |x| is at most 20 for the quadratures and 200 for the
-    holonomic engine.
+    enters as a float. |x| is at most 200 for the holonomic engine and 20 for
+    the quadratures, which are exact, and take any |x| < N/2, at an integer N
+    in [2, 2 quad_order - 1] (beta = 2) or [2, quad_order - 1] (beta = 4).
 
     The default engine serves every caller: the "hankel" (beta = 2) and
     "pfaffian" (beta = 4) quadratures take all x at once with quad_order (an
@@ -353,13 +354,18 @@ def rho2_even_beta(beta: int, x, N: int | float | None = None,
     beta = _choice("beta", beta, _METHODS)
     method = _choice("method", method, ("auto",) + _METHODS[beta])
     method = _METHODS[beta][0] if method == "auto" else method
-    xs = np.asarray(_real("x", x, -_X_MAX[method], _X_MAX[method]))
     N = None if N is None else _real("N", N)
     if method == "holonomic" and quad_order is not None:
         raise ValueError("the holonomic engine takes no quad_order")
     # at most 512 nodes to certify
     n_nodes = (_DEFAULT_ORDER.get(beta) if quad_order is None
                else _whole("quad_order", quad_order, beta, 256))
+    # at an integer N >= 2 the integrand (1 - z u)^(N-2) is a polynomial, which the
+    # quadratures integrate exactly up to N = 2n - 1 (hankel, n Gauss nodes) and
+    # n - 1 (pfaffian, n + 1 Chebyshev points): there every |x| < N/2 is served
+    reach = (N / 2.0 if method in _ENGINES and N is not None and N.is_integer()
+             and 2 <= N < n_nodes * (2 if method == "hankel" else 1) else _X_MAX[method])
+    xs = np.asarray(_real("x", x, -reach, reach))
     if N is not None and np.any(np.abs(xs) >= abs(N) / 2.0):
         raise ValueError("separation must stay within one period, |x| < N/2")
     flat, rounds = xs.ravel(), 1 if check_convergence is False else 2

@@ -153,7 +153,7 @@ def e_pm(sign: int, order: int, s, xi: float):
     of the +- kernels on (0, s/2), the Nystrom order doubling from 16 until
     certified to 1e-10 absolute. sign is the int +1 or -1; a bool or float is
     refused."""
-    c = _PM[_choice("sign", sign, _PM)]
+    c = _PM[_choice("sign", sign, _PM, floats=False)]
     return _scalar_or_array(_doubled(s, 0.5, xi, order, c)[0])
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -48,18 +49,23 @@ _GAUSS_MAX_N = 1024
 _CUE_MAX_N = 4096
 # the least positive float: lo = _TINY makes a kind refuse 0 and admit any x > 0
 _TINY = math.ulp(0.0)
+# the largest float, _real's default bound either way: it admits every finite x
+_BIG = sys.float_info.max
 
 # The parameter kinds. Each public function checks each of its parameters by
 # one kind call at entry; only checks that tie two parameters together are
 # written out where they are used.
 
 
+def _is_whole(v) -> bool:
+    """Whether v is an int, a numpy integer or an integral float (never a bool)."""
+    return (type(v) is int or isinstance(v, np.integer)
+            or isinstance(v, (float, np.floating)) and math.isfinite(v) and v == int(v))
+
+
 def _whole(name: str, v, least: int | None = None, most: int | None = None) -> int:
-    """v as an int, if it is an integer (int, numpy integer or integral float,
-    never a bool) in [least, most], where those are given."""
-    whole = (type(v) is int or isinstance(v, np.integer)
-             or isinstance(v, (float, np.floating)) and math.isfinite(v) and v == int(v))
-    if whole and (least is None or v >= least):
+    """v as an int, if _is_whole(v) and v lies in [least, most], where given."""
+    if (type(v) is int or _is_whole(v)) and (least is None or v >= least):
         if most is None or v <= most:
             return int(v)
         raise ValueError(f"{name} must be at most {most}, got {v!r}")
@@ -68,36 +74,45 @@ def _whole(name: str, v, least: int | None = None, most: int | None = None) -> i
     raise ValueError(f"{name} must be {kind}, got {v!r}")
 
 
-def _choice(name: str, v, allowed):
-    """v, if it is a member of allowed, a fixed set of ints or strings, given
-    as an int, a numpy integer or a str (never a bool or a float)."""
-    if (type(v) in (int, str) or isinstance(v, np.integer)) and v in allowed:
-        return v
+def _choice(name: str, v, allowed, floats: bool = True):
+    """v, if it is a member of allowed, a fixed set of ints or strings: a str,
+    or an integer (see _is_whole) returned as an int. floats=False refuses an
+    integral float too, for a label such as e_pm's sign."""
+    plain = type(v) in (int, str)       # the common case, without a call
+    if (plain or _is_whole(v) and (floats or not isinstance(v, (float, np.floating)))) \
+            and v in allowed:
+        return v if plain else int(v)
     *head, last = map(str, allowed)
     raise ValueError(f"{name} must be {', '.join(head)}{',' * (len(head) > 1)} or {last}, "
                      f"got {v!r}")
 
 
-def _real(name: str, v, lo: float = -math.inf, hi: float = math.inf):
-    """v as a float, or as a float array, if it is a finite real number, or
-    an array of them, in [lo, hi] (hi finite only where lo is). A bool, a str
-    or an object array is refused before any conversion could turn it into a
-    number."""
+def _real(name: str, v, lo: float = -_BIG, hi: float = _BIG):
+    """v as a float, or as a float array, if it is a real number, or an array
+    of them, in [lo, hi]: never nan, an infinity only where a bound is one, and
+    by default any finite float. A bool, a str or an object array is refused
+    before any conversion could turn it into a number."""
     if type(v) in (float, int) or isinstance(v, numbers.Real) and not isinstance(v, bool):
-        out = float(v)
-        ok = math.isfinite(out) and lo <= out <= hi
+        try:
+            out = float(v)
+        except OverflowError:       # an int or Fraction past the float range
+            out = math.nan
+        ok = lo <= out <= hi
     else:
         out = np.asarray(v)
         ok = out.dtype.kind in "iuf"
         if ok:
             out = np.asarray(out, float)
-            ok = bool(np.isfinite(out).all() and (out >= lo).all() and (out <= hi).all())
+            ok = bool((out >= lo).all() and (out <= hi).all())
+            out = out if out.ndim else float(out)
     if ok:
         return out
-    if hi < math.inf:
+    if lo == -math.inf:
+        where = "be a real number, not nan"
+    elif hi < _BIG:
         where = f"lie in {'(0' if lo == _TINY else f'[{lo:g}'}, {hi:g}]"
     else:
-        where = "be finite" + {-math.inf: "", 0.0: " and nonnegative",
+        where = "be finite" + {-_BIG: "", 0.0: " and nonnegative",
                                _TINY: " and positive"}.get(lo, f" and >= {lo:g}")
     raise ValueError(f"{name} must {where}, got {v!r}")
 
@@ -131,8 +146,8 @@ def gauss_legendre(n: int, lo: float, hi: float) -> QuadratureRule:
 # range, so an array gives the bits of the scalar calls and nothing overflows.
 
 def sine_integral(x):
-    """Si(x) = integral of sin(t)/t from 0 to x, to 5e-16 absolute."""
-    x = np.asarray(_real("x", x))
+    """Si(x) = integral of sin(t)/t from 0 to x, to 5e-16 absolute; Si(+-inf) = +-pi/2."""
+    x = np.asarray(_real("x", x, -math.inf, math.inf))
     ax = np.abs(x)
     near = np.minimum(ax, 2.25)
     y = -near * near

@@ -3,8 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from circbeta.kernels import _cue_scaled
-
 
 class EighLog(list):
     """Shapes of the arrays passed to np.linalg.eigh."""
@@ -38,16 +36,13 @@ def _l_kernel(d):
     return (np.pi * d / 6.0) * np.sin(np.pi * d)
 
 
-def kernel_eval(family: str, x, y, N=None):
-    """The bulk kernel of the named family at (x, y), broadcasting over arrays;
-    "cue" is the bulk-scaled finite-N kernel of dimension N. The oracle that
-    gap._blocks and the Nystrom engine are checked against."""
+def kernel_eval(family: str, x, y):
+    """The bulk kernel of the named family at (x, y), broadcasting over arrays:
+    the oracle that gap._blocks and the Nystrom engine are checked against."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     if family == "sine":
         return np.sinc(x - y)
-    if family == "cue":
-        return _cue_scaled(x - y, N)
     if family == "l":
         return _l_kernel(x - y)
     if family == "plus":

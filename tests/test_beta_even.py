@@ -384,7 +384,7 @@ class TestRho2EvenBeta:
         # a float32 or Fraction N gives the float N's value, bit for bit, and
         # an int N the value of the equal float
         want = rho2_even_beta(beta, 0.7, 20.5)
-        for N in (np.float32(20.5), F(41, 2)):
+        for N in (np.float32(20.5), F(41, 2), np.array(20.5)):
             assert rho2_even_beta(beta, 0.7, N) == want
         assert rho2_even_beta(beta, 0.7, 20) == rho2_even_beta(beta, 0.7, 20.0)
 
@@ -398,6 +398,17 @@ class TestRho2EvenBeta:
         assert peak < 20e6
         with pytest.raises(ValueError, match=r"x must lie in \[-200, 200\]"):
             rho2_even_beta(6, 200.5)
+
+    def test_quadrature_reach(self):
+        # |x| <= 20, except at an integer N whose polynomial integrand the rule
+        # integrates exactly: N <= 2 quad_order - 1 at beta = 2, quad_order - 1 at 4
+        for beta, x, N in ((2, 30.0, 100), (2, 60.0, 127.0), (4, 23.0, 47)):
+            want = rho2_even_beta(beta, x, N, method="holonomic")
+            assert rho2_even_beta(beta, x, N) == pytest.approx(want, abs=1e-10)
+        for args in ((2, 20.5), (4, 20.5), (2, 30.0, 128), (2, 30.0, 100.5), (4, 23.0, 48),
+                     (4, 30.0, 1000), (2, 21.0, 80, 32)):
+            with pytest.raises(ValueError, match=r"x must lie in \[-20, 20\]"):
+                rho2_even_beta(*args)
 
     @pytest.mark.parametrize("beta, method", [
         (2, "bogus"), (2, "tensor"), (4, "hankel"), (2, "pfaffian"), (6, "hankel"),

@@ -393,7 +393,8 @@ class TestBenchmarkContract:
     def test_library_names_it_uses_exist(self, name):
         # every cb.<name> or circbeta.<name> attribute and every name imported
         # from circbeta, read from the syntax tree
-        tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / f"{name}.py").read_text())
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        tree = ast.parse((bench / f"{name}.py").read_text())
         used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name) and node.value.id in ("cb", "circbeta")}
         used |= {alias.name for node in ast.walk(tree)

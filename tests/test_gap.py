@@ -458,11 +458,12 @@ class TestSweeps:
                                    lambda o, s: p_bulk(2, o, s, 0.5)],
                              ids=["e_bulk-beta1", "e_bulk-beta4", "e_pm", "p_bulk"])
     def test_integral_order(self, f):
-        # a numpy integer order is the int order; a float or a bool is refused
+        # an integral float or numpy order is the int order; a bool is refused
         for order in (0, 1):
             want = f(order, self.grid)
+            assert np.array_equal(f(float(order), self.grid), want)
             assert np.array_equal(f(np.int64(order), self.grid), want)
-        for bad in (0.0, 1.0, 0.5, True, 2):
+        for bad in (0.5, True, 2, 2.0):
             with pytest.raises(ValueError, match="order must be 0 or 1"):
                 f(bad, self.grid)
 

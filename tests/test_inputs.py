@@ -46,6 +46,9 @@ def antisymmetric(a01, n=4):
     (lambda _: pfaffian(antisymmetric(math.nan)), "matrix entries"),
     (lambda _: pfaffian(antisymmetric(math.inf)), "matrix entries"),
     (lambda _: pfaffian(antisymmetric(-math.inf, 6)), "matrix entries"),
+    # past the float range: refused, not an OverflowError
+    (lambda _: cb.rho2_even_beta(6, 0.7, 10 ** 400), "N"),
+    (lambda _: cb.rho2_even_beta(6, 0.7, Fraction(10 ** 400, 3)), "N"),
 ])
 def test_non_finite_refused(call, name, sol):
     # each call gets the module's Painleve solution; only e_tau uses it
@@ -169,6 +172,11 @@ def test_integral_floats_still_accepted():
     for beta in (2, 4):
         assert rho2_bulk_finite(beta, 20.0, 0.3) == rho2_bulk_finite(beta, 20, 0.3)
     assert e_pm(np.int64(-1), 0, 1.0, 0.5) == e_pm(-1, 0, 1.0, 0.5)
+    # a beta or an order, a member of a fixed set, takes an integral float too
+    assert cb.e_bulk(2.0, 1.0, 1.0, 0.5) == cb.e_bulk(2, 1, 1.0, 0.5)
+    assert cb.p_bulk(np.float64(2.0), 1.0, 1.0, 0.5) == cb.p_bulk(2, 1, 1.0, 0.5)
+    assert sff_exact(2.0, 10, 3) == sff_exact(2, 10, 3)
+    assert cb.rho2_even_beta(6.0, 0.7) == cb.rho2_even_beta(6, 0.7)
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,16 @@ class TestKernelEval:
     def test_symmetry(self, family):
         rng = np.random.default_rng(7)
         x, y = rng.uniform(-3, 3, 25), rng.uniform(-3, 3, 25)
-        assert np.allclose(kernel_eval(family, x, y, N=17), kernel_eval(family, y, x, N=17),
-                           atol=1e-14)
+        k = ((lambda a, b: _cue_scaled(a - b, 17)) if family == "cue"
+             else (lambda a, b: kernel_eval(family, a, b)))
+        assert np.allclose(k(x, y), k(y, x), atol=1e-14)
 
     def test_cue_bulk_limit(self):
         # scaled finite-N kernel approaches the sine kernel pointwise
         x, y = 0.8, 0.1
         sine = kernel_eval("sine", x, y)
-        d1 = abs(kernel_eval("cue", x, y, N=100) - sine)
-        d2 = abs(kernel_eval("cue", x, y, N=1000) - sine)
+        d1 = abs(_cue_scaled(x - y, 100) - sine)
+        d2 = abs(_cue_scaled(x - y, 1000) - sine)
         assert d2 < d1 / 50
         assert d2 < 1e-6
 
@@ -42,8 +43,8 @@ class TestKernelEval:
 
     def test_cue_removable_singularities(self):
         # coincidence point and the periodic copies
-        assert kernel_eval("cue", 0.3, 0.3, N=12) == pytest.approx(1.0)
-        assert abs(kernel_eval("cue", 12.0, 0.0, N=12)) == pytest.approx(1.0)
+        assert _cue_scaled(0.0, 12) == pytest.approx(1.0)
+        assert abs(_cue_scaled(12.0, 12)) == pytest.approx(1.0)
 
     def test_pm_combinations(self):
         rng = np.random.default_rng(3)
@@ -75,8 +76,7 @@ class TestBulkExpansion:
         target = kernel_eval("l", x, y)
         devs = {}
         for N in (40, 80):
-            devs[N] = N ** 2 * (kernel_eval("cue", x, y, N=N)
-                                - kernel_eval("sine", x, y))
+            devs[N] = N ** 2 * (_cue_scaled(x - y, N) - kernel_eval("sine", x, y))
         assert devs[40] == pytest.approx(target, abs=3e-4)
         # the defect from the limit shrinks like 1/N^2 (4:1 between N=40 and 80)
         assert (devs[40] - target) / (devs[80] - target) == pytest.approx(4.0, rel=0.05)

@@ -102,26 +102,28 @@ class TestSineIntegral:
         got = sine_integral(self.GRID)
         assert np.max(np.abs(got - want)) <= 5e-16
 
-    @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan, [0.5, np.nan], True, "3"])
-    def test_non_finite_refused(self, x):
-        with pytest.raises(ValueError, match="x must be finite"):
+    @pytest.mark.parametrize("x", [np.nan, [0.5, np.nan], True, "3"])
+    def test_nan_refused(self, x):
+        with pytest.raises(ValueError, match="x must be a real number, not nan"):
             sine_integral(x)
 
     def test_special_values(self):
+        assert sine_integral(np.inf) == np.pi / 2
+        assert sine_integral(-np.inf) == -np.pi / 2
         assert sine_integral(0.0) == 0.0 and sine_integral(-0.0) == 0.0
         assert np.all(sine_integral(-self.GRID) == -sine_integral(self.GRID))
 
     def test_no_floating_point_exceptions(self):
         # every element runs every formula on a clipped argument; underflow
         # (of 5e-324 squared) is ignored, as in numpy's default
-        grid = np.concatenate((self.GRID, [0.0, -0.0, 1e300, 5e-324]))
+        grid = np.concatenate((self.GRID, [np.inf, -np.inf, 0.0, -0.0, 1e300, 5e-324]))
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             sine_integral(grid)
             for v in grid:
                 sine_integral(float(v))
 
     def test_array_matches_scalar_calls(self):
-        grid = np.concatenate((self.GRID, [0.0, 1e300]))
+        grid = np.concatenate((self.GRID, [np.inf, 0.0, 1e300]))
         got = sine_integral(grid)
         want = np.array([sine_integral(float(v)) for v in grid])
         assert np.array_equal(got, want)
