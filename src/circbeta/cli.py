@@ -10,7 +10,6 @@ import json
 import math
 import sys
 from dataclasses import astuple
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -178,16 +177,14 @@ def _identity_registry():
         "p-corr-beta4": _cheb(4, 1e-7, c(4), (0, 2), spacing_s, p_bulk(4)),
         "p-series-beta2": (2, 1e-14, lambda: spacing.spacing_series_residual(2)),
         "p-series-beta1": (1, 1e-14, lambda: spacing.spacing_series_residual(1)),
-        "rho2-corr-beta1": _cheb(1, 1e-7, c(1), (0, 2), rho2_x, rho2(1)),
-        "rho2-corr-beta2": _cheb(2, 1e-8, c(2), (0, 2), rho2_x, rho2(2)),
-        "rho2-corr-beta4": _cheb(4, 1e-7, c(4), (0, 2), rho2_x, rho2(4)),
+        "rho2-corr-beta1": _cheb(1, 2e-10, c(1), (0, 2), rho2_x, rho2(1)),
+        "rho2-corr-beta2": _cheb(2, 2e-11, c(2), (0, 2), rho2_x, rho2(2)),
+        "rho2-corr-beta4": _cheb(4, 3e-12, c(4), (0, 2), rho2_x, rho2(4)),
         "rho2-second-beta2": _cheb(2, 5e-10, -np.pi ** 2 / 60, (2, 2), rho2_x, rho2_second),
         "sff-x6-beta1": (1, 3e-16, lambda: max(astuple(sff.verify_x6(1)))),
         "sff-x6-beta4": (4, 2e-15, lambda: max(astuple(sff.verify_x6(4)))),
-        # r4's zeros are off the circle; sff-zeros-r4 checks it against the oracle
-        "sff-symmetry": (None, 2e-14, lambda: 1.0 if not sff._series_antisymmetric() else
-                         sff.root_modulus_deviation(("p2", "p4", "q2", "q4", "r2"))),
-        "sff-zeros-r4": (None, 1e-10, _r4_oracle_residual),
+        "sff-symmetry": (None, 2e-14, sff._symmetry_residual),
+        "sff-zeros-r4": (None, 1e-10, sff._r4_oracle_residual),
         "rho2-even-corr-beta2": _cheb(2, 1e-8, c(2), (0, 2), even_x, rho2_even(2)),
         "rho2-even-corr-beta4": _cheb(4, 3e-8, c(4), (0, 2), even_x, rho2_even(4)),
         "rho2-even-corr-beta6": _cheb(6, 2e-8, c(6), (0, 2), even_x, rho2_even(6)),
@@ -195,19 +192,6 @@ def _identity_registry():
                                     lambda: beta_even.verify_moment_recurrence(2)),
     }
     return entries
-
-
-def _r4_oracle_residual():
-    # r4's zeros lie off the unit circle, so the stored r2 (tau^3) and r4
-    # (tau^4) second-correction coefficients are checked against the exact
-    # CβE oracle instead
-    worst = 0.0
-    for kappa in (Fraction(3), Fraction(3, 2)):
-        oracle = sff.oracle_series_coefficients(kappa)
-        for m in (3, 4):
-            worst = max(worst, abs(float(sff.series_coefficient(2, m, kappa)
-                                         - oracle[2, m])))
-    return worst
 
 
 def cmd_verify(args):

@@ -137,7 +137,7 @@ _SERIES = {
     (2, 4): (F(7, 20), 1, R4, 7),
 }
 
-SERIES_POWERS = {0: tuple(range(1, 9)), 1: tuple(range(2, 7)), 2: (2, 3, 4)}
+SERIES_POWERS = {j: tuple(m for o, m in _SERIES if o == j) for j in range(3)}
 
 
 def _poly_at(poly, kappa):
@@ -346,59 +346,37 @@ def verify_x6(beta: float) -> X6Report:
     """
     kappa = _positive_rational("beta", beta).limit_denominator(10 ** 6) / 2
     c, d = correction_factor(2 * kappa), _d_coeff(kappa)
-    r2 = 0.0
-    for m in SERIES_POWERS[2]:
-        lhs = series_coefficient(2, m, kappa)
-        rhs = d * m * (m - 1) * (m + 1) * (m + 2) * series_coefficient(0, m, kappa)
-        r2 = max(r2, abs(float(lhs - rhs)))
-    r1 = 0.0
-    if beta in (1, 4):
-        # beta = 4 has a logarithmic singularity at tau = 1
-        tau_grid = np.linspace(0.1, 0.9, 9) if beta == 1 else \
-            np.concatenate([np.linspace(0.1, 0.9, 9), np.linspace(1.1, 1.9, 9)])
-        derivs = _s0_derivs_beta1 if beta == 1 else _s0_derivs_beta4
-        for t in tau_grid:
-            s1 = sff_bulk_term(beta, 1, float(t))
-            r1 = max(r1, abs(s1 - correction_factor(beta) * t * t * derivs(float(t))[1]))
-        return X6Report(r1, r2)
-    for m in SERIES_POWERS[1]:
-        lhs = series_coefficient(1, m, kappa)
-        rhs = c * m * (m - 1) * series_coefficient(0, m, kappa)
-        r1 = max(r1, abs(float(lhs - rhs)))
-    return X6Report(r1, r2)
+    r2 = _series_relation(2, kappa, lambda m: d * m * (m - 1) * (m + 1) * (m + 2))
+    if beta not in (1, 4):
+        return X6Report(_series_relation(1, kappa, lambda m: c * m * (m - 1)), r2)
+    # beta = 4 has a logarithmic singularity at tau = 1
+    tau_grid = np.linspace(0.1, 0.9, 9) if beta == 1 else \
+        np.concatenate([np.linspace(0.1, 0.9, 9), np.linspace(1.1, 1.9, 9)])
+    derivs = _s0_derivs_beta1 if beta == 1 else _s0_derivs_beta4
+    return X6Report(max(abs(sff_bulk_term(beta, 1, float(t))
+                            - correction_factor(beta) * t * t * derivs(float(t))[1])
+                        for t in tau_grid), r2)
+
+
+def _series_relation(order: int, kappa, factor) -> float:
+    """Largest |c_{order,m} - factor(m) c_{0,m}| over the stored powers m: a
+    relation between the order-th and the limit term, read off the series."""
+    return max(abs(float(series_coefficient(order, m, kappa)
+                         - factor(m) * series_coefficient(0, m, kappa)))
+               for m in SERIES_POWERS[order])
 
 
 # ---------------------------------------------------------------------------
 # Functional symmetry and zero locations of the series polynomials
 
-_SYMMETRY_KAPPAS = tuple(F(a, b) for a, b in
-                         ((2, 1), (3, 1), (5, 2), (7, 3), (9, 4), (13, 5),
-                          (4, 1), (11, 7), (17, 6), (23, 9)))
-
-
 def _series_antisymmetric() -> bool:
-    """Whether every stored series coefficient obeys c(1/kappa) = (-1)^(m+1)
-    kappa^(m + 2 order + 1) c(kappa) at each of _SYMMETRY_KAPPAS, exactly.
-
-    Each record pref (kappa - 1)^e P(kappa) / kappa^kpow is homogenised once:
-    at kappa = a/b it is (a - b)^e H(a, b) / (D b^(e + d) (a/b)^kpow), with
-    H(a, b) = D pref b^d P(a/b) an integer form of degree d. Both sides of the
-    relation are then cross-multiplied into integers; (a - b)^e cancels since
-    no listed kappa is 1.
-    """
-    for (order, m), (pref, e, poly, kpow) in _SERIES.items():
-        scaled = [pref * c for c in poly]
-        den = math.lcm(*(c.denominator for c in scaled))
-        form = [int(c * den) for c in scaled]
-        d, power = len(form) - 1, m + 2 * order + 1
-        for kap in _SYMMETRY_KAPPAS:
-            a, b = kap.numerator, kap.denominator
-            h_ab, h_ba = (sum(c * u ** i * v ** (d - i) for i, c in enumerate(form))
-                          for u, v in ((a, b), (b, a)))
-            if (-1) ** (e + m + 1) * h_ba * a ** (2 * kpow) * b ** (e + d + power) \
-                    != h_ab * a ** (e + d + power) * b ** (2 * kpow):
-                return False
-    return True
+    """Whether every stored coefficient obeys c(1/kappa) = (-1)^(m+1) kappa^(m +
+    2 order + 1) c(kappa) for every kappa > 0. A record pref (kappa - 1)^e
+    P(kappa) / kappa^K, P of degree d with P(0) != 0, does exactly when
+    reversed(P) = (-1)^(m + e + 1) P and 2K - e - d = m + 2 order + 1."""
+    return all(poly[0] != 0 and poly[::-1] == tuple((-1) ** (m + e + 1) * c for c in poly)
+               and 2 * kpow - e - (len(poly) - 1) == m + 2 * order + 1
+               for (order, m), (_, e, poly, kpow) in _SERIES.items())
 
 
 def root_modulus_deviation(names) -> float:
@@ -410,3 +388,21 @@ def root_modulus_deviation(names) -> float:
     return worst
 
 
+def _symmetry_residual() -> float:
+    """The sff-symmetry row: 1.0 unless every record is antisymmetric, else the
+    largest ||z| - 1| over the zeros of every polynomial but r4 (see below)."""
+    if not _series_antisymmetric():
+        return 1.0
+    return root_modulus_deviation(name for name in POLYNOMIALS if name != "r4")
+
+
+def _r4_oracle_residual() -> float:
+    # r4's zeros lie off the unit circle, so the stored r2 (tau^3) and r4
+    # (tau^4) second-correction coefficients are checked against the exact
+    # CβE oracle instead
+    worst = 0.0
+    for kappa in (F(3), F(3, 2)):
+        oracle = oracle_series_coefficients(kappa)
+        for m in (3, 4):
+            worst = max(worst, abs(float(series_coefficient(2, m, kappa) - oracle[2, m])))
+    return worst

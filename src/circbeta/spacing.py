@@ -136,6 +136,10 @@ P1_BETA1 = SeriesTable("p1_beta1", (
 
 # Chebyshev nodes of the one interval p_bulk interpolates on
 CHEB_NODES = 64
+# largest s of p_bulk. Against 128 nodes on the same span, over beta = 1, 2, 4,
+# xi = 0.5, 1 and both orders, the 64-node curves are off by at most 3e-10 up to
+# s = 6, but by 4.7e-9 up to 7, 2.6e-7 up to 8 and 3.4e-5 up to 10
+_S_MAX = 6.0
 
 
 @lru_cache(maxsize=64)
@@ -150,15 +154,14 @@ def _p_samples(beta: int, xi: float, s_max: float):
 
 def p_bulk(beta: int, order: int, s, xi: float):
     """Spacing generating function term P_order(s; xi) = E_order''(s; xi)/xi^2
-    at a scalar or an array s, interpolated on one Chebyshev interval
-    [0, max(3, 1.1 max(s))]; that interval lies within e_bulk's reach, so s
-    is at most 300 / 1.1.
+    at a scalar or an array s in [0, 6], interpolated on one Chebyshev
+    interval [0, max(3, 1.1 max(s))] (see _S_MAX).
 
     At xi = 0 the generating function reduces to the two-point correlation,
     which is returned from the closed forms directly.
     """
     beta, order = _choice("beta", beta, (1, 2, 4)), _choice("order", order, (0, 1))
-    s, xi = np.asarray(_real("s", s, 0.0, gap._S_MAX / 1.1)), _real("xi", xi, 0.0, 1.0)
+    s, xi = np.asarray(_real("s", s, 0.0, _S_MAX)), _real("xi", xi, 0.0, 1.0)
     if xi == 0.0:
         if beta == 4:
             # density-one variables: 4 rho(2x) in the closed-form convention

@@ -114,7 +114,7 @@ def test_criterion_6_structure_functions():
     closed = max(x61.residual1, x61.residual2, x64.residual1, x64.residual2)
     antisymmetric = _series_antisymmetric()
     zero_dev = {name: root_modulus_deviation((name,))
-                for name in ("p2", "p4", "q2", "q4", "r2")}
+                for name in ("p2", "p4", "q2", "q4", "r2", "p6", "q6")}
     zeros_ok = max(zero_dev.values()) <= 1e-10
     oracle_ok = True
     for kap in ORACLE_KAPPAS:

@@ -638,6 +638,15 @@ class TestMomentIntegrals:
         with pytest.raises(ValueError, match="the number of exponents must be at most 3"):
             moment_integral(2, 1.0, (1, 1, 1, 1))
 
+    @pytest.mark.parametrize("theta", [50.5, -60.0, 1e9])
+    def test_theta_past_the_bound_refused(self, theta):
+        # the rules resolve e^(i theta u) to |theta| = 50; at 1e9 the
+        # recurrence once returned 1.1e6 with no warning
+        with pytest.raises(ValueError, match=r"theta must lie in \[-50, 50\]"):
+            moment_integral(2, theta, (2,))
+        with pytest.raises(ValueError, match=r"thetas must lie in \[-49.5, 49.5\]"):
+            verify_moment_recurrence(2, ((2,), (3, 1)), theta)
+
     @pytest.mark.parametrize("a", [(-1,), (2, -3), (1.5,), (1, 1, -2)])
     def test_divergent_exponents_rejected(self, a):
         with pytest.raises(ValueError, match="exponent must be an integer >= 0"):
@@ -647,6 +656,11 @@ class TestMomentIntegrals:
 class TestRecurrence:
     def test_beta2_cases(self):
         assert verify_moment_recurrence(2) < 1e-8
+
+    def test_beta2_row_value(self):
+        # the moment-recurrence-beta2 row's residual, bit for bit as before
+        # theta was bounded
+        assert verify_moment_recurrence(2).hex() == "0x1.7e07d80b8d151p-44"
 
     def test_beta2_theta_range(self):
         assert verify_moment_recurrence(2, cases=((2,), (3, 1)),

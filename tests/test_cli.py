@@ -197,7 +197,12 @@ class TestDeterminism:
 # the row must report as FAIL. An entry may only be lowered.
 SENSITIVITY = {"e-corr-beta2": 1e-9, "e-corr-beta1": 1e-9, "e-corr-beta4": 1e-9,
                "e-corr-pm": 1e-9, "sff-x6-beta1": 1e-14, "sff-x6-beta4": 1e-14,
-               "p-series-beta2": 1e-12, "p-series-beta1": 1e-12}
+               "p-series-beta2": 1e-12, "p-series-beta1": 1e-12,
+               "rho2-corr-beta1": 1e-9, "rho2-corr-beta2": 1e-10, "rho2-corr-beta4": 1e-10,
+               # these floors wait on ROADMAP items 1 and 3
+               "p-corr-beta2": 1e-6, "p-corr-beta1": 1e-6, "p-corr-beta4": 1e-6,
+               "rho2-even-corr-beta2": 1e-7, "rho2-even-corr-beta4": 1e-7,
+               "rho2-even-corr-beta6": 1e-7}
 
 
 def _scale_constant(monkeypatch, delta):
@@ -424,7 +429,10 @@ class TestUsageErrors:
         (["rho2", "--beta", "4", "--N", "4097"], "N must be at most 4096"),
         (["rho2", "--beta", "1", "--N", "4097", "--x", "0.5"], "N must be at most 4096"),
         (["gap", "--s", "1e9"], "s must lie in [0, 300]"),
-        (["spacing", "--s", "1e9"], "s must lie in [0, 272.727]"),
+        (["spacing", "--s", "1e9"], "s must lie in [0, 6]"),
+        # past s = 6 the one 64-node span of p_bulk loses digits
+        (["spacing", "--beta", "4", "--xi", "0.5", "--range", "0.1:20:30"],
+         "s must lie in [0, 6]"),
     ])
     def test_library_value_error_exits_2(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:

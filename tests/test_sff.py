@@ -208,7 +208,7 @@ class TestSymmetryAndZeros:
     def test_antisymmetry(self):
         assert _series_antisymmetric()
 
-    @pytest.mark.parametrize("name", ["p2", "p4", "q2", "q4", "r2"])
+    @pytest.mark.parametrize("name", ["p2", "p4", "q2", "q4", "r2", "p6", "q6"])
     def test_zeros_on_unit_circle(self, name):
         roots = np.roots([float(c) for c in reversed(POLYNOMIALS[name])])
         assert np.max(np.abs(np.abs(roots) - 1.0)) < 1e-10

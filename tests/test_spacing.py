@@ -251,6 +251,15 @@ class TestPBulk:
             want = [p_bulk(beta, order, float(s), xi) for s in grid]
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_array_and_scalar_calls_agree_to_the_cap(self, beta):
+        # the array interpolates on [0, 6.6], each scalar on its own span
+        grid = np.linspace(0.1, 6.0, 9)
+        for xi in (0.5, 1.0):
+            for order in (0, 1):
+                want = [p_bulk(beta, order, float(s), xi) for s in grid]
+                assert np.max(np.abs(p_bulk(beta, order, grid, xi) - want)) <= 1e-9
+
     @pytest.mark.parametrize("xi", [0.0, 1.0])
     def test_list_input(self, xi):
         got = p_bulk(2, 0, [0.5, 1.0], xi)
@@ -259,9 +268,9 @@ class TestPBulk:
     @pytest.mark.parametrize("xi", [0.0, 1.0])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
     def test_rejects_bad_s(self, xi, bad):
-        with pytest.raises(ValueError, match=r"s must lie in \[0, 272.7"):
+        with pytest.raises(ValueError, match=r"s must lie in \[0, 6\]"):
             p_bulk(2, 0, bad, xi)
-        with pytest.raises(ValueError, match=r"s must lie in \[0, 272.7"):
+        with pytest.raises(ValueError, match=r"s must lie in \[0, 6\]"):
             p_bulk(2, 0, [0.5, bad], xi)
 
     @pytest.mark.parametrize("beta, order, xi", [
