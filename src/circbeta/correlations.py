@@ -14,7 +14,8 @@ def rho_n_cue(N: int, angles) -> float:
     N, th = _whole("N", N), np.atleast_1d(_real("angles", angles))
     if th.size < 1 or th.size > N:
         raise ValueError("need 1 <= n <= N angles")
-    if np.unique(th).size < th.size:
+    # an exact repeat, found without np.unique: its first call imports numpy.ma
+    if np.any(np.diff(np.sort(th)) == 0.0):
         return 0.0
     d = th[:, None] - th[None, :]
     # kernel sin(N t / 2) / (2 pi sin(t / 2)) with diagonal N / 2 pi

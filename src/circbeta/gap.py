@@ -25,7 +25,13 @@ class AccuracyWarning(UserWarning):
 # in slices of at most this many entries (one pair of blocks when it alone is
 # larger), which bounds the assembly temporaries and each cached spectrum.
 _STACK_ENTRIES = 16384
-# Largest s that _doubled accepts, whatever t = scale * s it maps to. At xi =
+# Nystrom orders a node may take; each is certified against the next. A node
+# on (-t, t) starts at the first at or above 2 t + 12: about where the rule
+# starts to resolve sinc there (the least order within 1e-14 of order 512 is
+# 12 at t = 1, 22 at t = 3, 46 at t = 10 and 70 at t = 20), whereas two
+# orders below it can agree on values far from the true one.
+_RUNGS = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
+# Largest s that _certified accepts, whatever t = scale * s it maps to. At xi =
 # 1, s = 300 still gives E_0 = 0 at every beta; by s = 2000 beta = 4 gives
 # -9.2e117, and from s = 10^4 beta = 2 gives inf.
 _S_MAX = 300.0
@@ -88,29 +94,35 @@ def _fixed(t, xi: float, n: int, order: int, c):
     return e[0][0] * e[0][1] if order == 0 else e[1][0] * e[0][1] + e[0][0] * e[1][1]
 
 
-def _doubled(s, scale: float, xi: float, order: int, c=None):
+def _certified(s, scale: float, xi: float, order: int, c=None):
     """(values, orders) at each entry s in [0, 300] of _fixed's E_order on (-t,
-    t), t = scale * s, certified on that value: the first order-2n value
-    within 1e-10 (absolute) of the order-n one, n doubling from 16 up to 512
-    at each node on its own; only the nodes not yet certified go on. The order
-    is 0 where no quadrature is needed."""
+    t), t = scale * s, certified on that value: the first value at a rung of
+    _RUNGS within 1e-10 (absolute) of the value at the rung below. Each node
+    starts at the first rung at or above 2 t + 12, but at most at 384, so that
+    it is compared at least once, and climbs on its own until certified or
+    past 512; _fixed runs once per rung, over the nodes at it. The order is 0
+    where no quadrature is needed."""
     t = np.asarray(_real("s", s, 0.0, _S_MAX)) * scale
     xi, order = _real("xi", xi, 0.0, 1.0), _choice("order", order, (0, 1))
     flat = t.ravel()
     val, orders = np.full(flat.size, 0.0 if order else 1.0), np.zeros(flat.size, int)
-    n, todo = 16, np.flatnonzero((flat > 0.0) & (xi != 0.0))
-    if todo.size:
-        val[todo], orders[todo] = _fixed(flat[todo], xi, n, order, c), n
-    while todo.size and n < 512:
-        n *= 2
-        new = _fixed(flat[todo], xi, n, order, c)
-        done = np.abs(new - val[todo]) < 1e-10
-        val[todo], orders[todo] = new, n
-        todo = todo[~done]
-    if todo.size:
+    nodes = np.flatnonzero((flat > 0.0) & (xi != 0.0))
+    start = np.minimum(np.searchsorted(_RUNGS, 2.0 * flat[nodes] + 12.0), len(_RUNGS) - 2)
+    # nan below a node's first rung: no value there can certify it
+    val[nodes], climbing = np.nan, np.zeros(flat.size, bool)
+    for k in range(start.min(initial=len(_RUNGS)), len(_RUNGS)):
+        climbing[nodes[start == k]] = True
+        if climbing.any():
+            new = _fixed(flat[climbing], xi, _RUNGS[k], order, c)
+            done = np.abs(new - val[climbing]) < 1e-10
+            val[climbing], orders[climbing] = new, _RUNGS[k]
+            climbing[climbing] = ~done
+        elif k >= start.max():
+            break
+    if climbing.any():
         what = "trace correction" if order else "Fredholm determinant"
-        warnings.warn(f"{what} not converged at order {n} at {todo.size} of "
-                      f"{flat.size} values of s", AccuracyWarning)
+        warnings.warn(f"{what} not converged at order {_RUNGS[-1]} at "
+                      f"{np.count_nonzero(climbing)} of {flat.size} values of s", AccuracyWarning)
     return val.reshape(t.shape), orders.reshape(t.shape)
 
 
@@ -131,13 +143,14 @@ def _fredholm(kernel: KernelSpec, kernel_l: KernelSpec | None, s, xi: float):
     if kernel not in _SERVED or kernel_l not in (None, _SERVED[kernel][0]):
         raise ValueError(f"no Nystrom engine for {kernel} with {kernel_l}")
     _, scale, c = _SERVED[kernel]
-    return _scalar_or_array(_doubled(s, scale, xi, int(kernel_l is not None), c)[0])
+    return _scalar_or_array(_certified(s, scale, xi, int(kernel_l is not None), c)[0])
 
 
 def fredholm_det(kernel: KernelSpec, s, xi: float):
     """det(I - xi K restricted to (0, s)), K the sine, plus or minus kernel, at
-    a scalar or an array s in [0, 300], certified to 1e-10 absolute by doubling the
-    Nystrom order from 16 (up to 512), else an AccuracyWarning is issued."""
+    a scalar or an array s in [0, 300], certified to 1e-10 absolute against the
+    next Nystrom order, from the first at which the rule resolves the kernel up
+    to 512, else an AccuracyWarning is issued."""
     return _fredholm(kernel, None, s, xi)
 
 
@@ -150,25 +163,24 @@ def fredholm_trace_correction(kernel_k: KernelSpec, kernel_l: KernelSpec, s, xi:
 
 def e_pm(sign: int, order: int, s, xi: float):
     """E_order^+- (s; xi) at a scalar or an array s in [0, 300]: Fredholm data
-    of the +- kernels on (0, s/2), the Nystrom order doubling from 16 until
-    certified to 1e-10 absolute. sign is the int +1 or -1; a bool or float is
-    refused."""
+    of the +- kernels on (0, s/2), certified to 1e-10 absolute like
+    fredholm_det. sign is the int +1 or -1; a bool or float is refused."""
     c = _PM[_choice("sign", sign, _PM, floats=False)]
-    return _scalar_or_array(_doubled(s, 0.5, xi, order, c)[0])
+    return _scalar_or_array(_certified(s, 0.5, xi, order, c)[0])
 
 
 def _e_bulk(beta: int, order: int, s, xi: float):
     """(E_order, the Nystrom order certified), as arrays shaped like s."""
     beta, xi = _choice("beta", beta, (1, 2, 4)), _real("xi", xi, 0.0, 1.0)
     if beta == 2:
-        return _doubled(s, 0.5, xi, order)
+        return _certified(s, 0.5, xi, order)
     if beta == 1:
         # the +- blocks on (-s/2, s/2) at 2 xi - xi^2
-        return _doubled(s, 0.5, 2.0 * xi - xi * xi, order,
-                        np.array([1.0, 1.0 - xi]) / (2.0 - xi))
+        return _certified(s, 0.5, 2.0 * xi - xi * xi, order,
+                          np.array([1.0, 1.0 - xi]) / (2.0 - xi))
     # beta = 4: orthogonal-group dimension 2N+1, so the +- operators act on
     # (0, s) and the correction picks up a further factor 1/4
-    return _doubled(s, 1.0, xi, order, np.full(2, 0.125 if order else 0.5))
+    return _certified(s, 1.0, xi, order, np.full(2, 0.125 if order else 0.5))
 
 
 def e_bulk(beta: int, order: int, s, xi: float):
@@ -176,8 +188,9 @@ def e_bulk(beta: int, order: int, s, xi: float):
     scalar or an array s in [0, 300].
 
     order 0 is the limit, order 1 the coefficient of 1/N^2. The Nystrom order
-    doubles from 16 until certified to 1e-10 absolute, at each s on its own,
-    so values far below 1e-10 carry no certified relative digits.
+    starts where the rule resolves the kernel and rises until two orders agree
+    to 1e-10 absolute, at each s on its own, so values far below 1e-10 carry
+    no certified relative digits.
     """
     return _scalar_or_array(_e_bulk(beta, order, s, xi)[0])
 

@@ -234,13 +234,18 @@ def chebyshev_diff_matrix(n: int, lo: float, hi: float) -> np.ndarray:
     return D * (2.0 / (hi - lo))
 
 
+@lru_cache(maxsize=8)
+def _diff_power(n: int, lo: float, hi: float, order: int) -> np.ndarray:
+    """chebyshev_diff_matrix(n, lo, hi) to the power order, 1 or 2, read-only."""
+    D = chebyshev_diff_matrix(n, lo, hi)
+    return _read_only(D @ D if order == 2 else D)[0]
+
+
 def spectral_derivative(values, order: int, lo: float, hi: float) -> np.ndarray:
     """Derivative of samples given on the Chebyshev grid over [lo, hi]."""
     v, order = np.asarray(_real("values", values)), _choice("order", order, (1, 2))
-    D = chebyshev_diff_matrix(_whole("the number of samples", v.size, 4), lo, hi)
-    if order == 2:
-        D = D @ D
-    return D @ v
+    n = _whole("the number of samples", v.size, 4)
+    return _diff_power(n, _real("lo", lo), _real("hi", hi), order) @ v
 
 
 def inverse_square_fit(Ns, values) -> np.ndarray:

@@ -51,6 +51,12 @@ class TestCommands:
         row = out.strip().splitlines()[1].split(",")
         assert float(row[1]) == pytest.approx(1 - (2 / np.pi) ** 2, rel=1e-12)
 
+    def test_gap_tiny_value_certified(self, capsys):
+        # orders 16 and 32 agree here on 5.5e-14 and 3.0e-27; order-256 LU gives 1.0992e-9
+        code, out = run(["gap", "--beta", "2", "--xi", "0.5", "--s", "30"], capsys)
+        assert code == 0
+        assert abs(float(out.strip().splitlines()[1].split(",")[1]) - 1.0992e-9) <= 1e-10
+
     def test_fig1_columns(self, capsys):
         code, out = run(["fig1", "--range", "0:3:4"], capsys)
         assert code == 0
@@ -507,12 +513,12 @@ class TestUsageErrors:
 
 class TestImportCost:
     @staticmethod
-    def _scipy_modules(code):
+    def _loaded(code, package="scipy"):
         src = os.path.dirname(os.path.dirname(circbeta.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         probe = (f"{code}\nimport sys\nprint(sorted(m for m in sys.modules "
-                 "if m == 'scipy' or m.startswith('scipy.')))")
+                 f"if m == {package!r} or m.startswith({package + '.'!r})))")
         out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                              capture_output=True, text=True).stdout
         return out.strip().splitlines()[-1]
@@ -522,7 +528,7 @@ class TestImportCost:
         "import circbeta.cli; circbeta.cli.build_parser()"])
     def test_unused_scipy_subpackages_stay_unloaded(self, code):
         # scipy added about 0.3 s to every process start; the library needs none of it
-        assert self._scipy_modules(code) == "[]"
+        assert self._loaded(code) == "[]"
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--identity", "rho2-corr-beta1"],      # the sine integral
@@ -534,4 +540,15 @@ class TestImportCost:
                 "with contextlib.redirect_stdout(io.StringIO()), "
                 "contextlib.redirect_stderr(io.StringIO()):\n"
                 f"    assert cli.main({argv!r}) == 0")
-        assert self._scipy_modules(code) == "[]"
+        assert self._loaded(code) == "[]"
+
+    def test_runs_load_no_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call, about 8 ms a process
+        code = ("import contextlib, io; from circbeta import cli, rho_n_cue\n"
+                "with contextlib.redirect_stdout(io.StringIO()), "
+                "contextlib.redirect_stderr(io.StringIO()):\n"
+                "    for argv in (['gap'], ['spacing'], ['fig1'], ['sff'], ['rho2'],\n"
+                "                 ['verify', '--identity', 'e-corr-beta4']):\n"
+                "        assert cli.main(argv) == 0\n"
+                "assert rho_n_cue(8, [0.1, 0.5, 0.1]) == 0.0 < rho_n_cue(8, [0.1, 0.5])")
+        assert self._loaded(code, "numpy.ma") == "[]"

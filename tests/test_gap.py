@@ -10,7 +10,7 @@ from circbeta import (AccuracyWarning, E_CUE_SMALL_S, KernelSpec, correction_fac
                       extract_correction, fredholm_det, fredholm_trace_correction,
                       gauss_legendre)
 from circbeta import gap
-from circbeta.gap import _STACK_ENTRIES, _blocks, _e_bulk, _fixed, _spectrum
+from circbeta.gap import _RUNGS, _STACK_ENTRIES, _blocks, _e_bulk, _fixed, _spectrum
 from circbeta.spacing import P0_BETA1, p_bulk
 from conftest import kernel_eval
 
@@ -329,12 +329,25 @@ class TestSpectralEngine:
 
     @pytest.mark.parametrize("beta", [1, 2, 4])
     def test_large_s_certified_against_order_256(self, beta):
-        # a fixed order 16 misses by up to 2e-3 here; the doubling must go on
+        # a fixed order 16 misses by up to 2e-3 here; at s = 20, t = 10 (beta
+        # = 1, 2) starts at 48 and t = 20 (beta = 4) at 64, the first rungs at
+        # or above 2 t + 12, and neither is certified before the next rung
         for s in (5.0, 10.0, 20.0):
             want = _lu_bulk(beta, s, 0.5, 256)
             assert abs(e_bulk(beta, 0, s, 0.5) - want[0]) <= 1e-10
             assert abs(e_bulk(beta, 1, s, 0.5) - want[1]) <= 1e-10
-        assert max(_e_bulk(beta, order, 20.0, 0.5)[1] for order in (0, 1)) > 32
+        for order in (0, 1):
+            assert _e_bulk(beta, order, 20.0, 0.5)[1] >= (96 if beta == 4 else 64)
+
+    @pytest.mark.parametrize("beta", [2, 4])
+    @pytest.mark.parametrize("s", [26.0, 28.0, 30.0])
+    def test_tiny_values_not_falsely_certified(self, beta, s):
+        # orders below where the rule resolves sinc on (-t, t) can agree within
+        # 1e-10 on values far below the true one: at beta = 4, s = 26, orders
+        # 32 and 64 give E_1 = -1.5e-28 and -9.5e-12 against -2.24e-7
+        want = _lu_bulk(beta, s, 0.5, 256)
+        for order in (0, 1):
+            assert abs(e_bulk(beta, order, s, 0.5) - want[order]) <= 1e-10
 
     @pytest.mark.parametrize("sign", [+1, -1])
     @pytest.mark.parametrize("xi", [0.3, 0.5, 1.0])
@@ -343,6 +356,12 @@ class TestSpectralEngine:
             want = _lu_pair(*PM[sign], s / 2, xi)
             assert abs(e_pm(sign, 0, s, xi) - want[0]) <= 1e-13
             assert abs(e_pm(sign, 1, s, xi) - want[1]) <= 1e-13
+
+    def test_e_pm_tiny_value_not_falsely_certified(self):
+        # the minus block on (-26, 26): E_1^- is -1.07e-6, and orders 32 and
+        # 64 agree on -9.6e-33 and -6.3e-15
+        want = _lu_pair(*PM[-1], 26.0, 0.5, 256)[1]
+        assert abs(e_pm(-1, 1, 52.0, 0.5) - want) <= 1e-10
 
     @pytest.mark.parametrize("xi", [0.3, 0.5, 1.0])
     def test_fredholm_against_lu(self, xi):
@@ -494,8 +513,8 @@ class TestSweeps:
         s = np.array([0.5, 5.0, 20.0])
         for order in (0, 1):
             values, orders = _e_bulk(beta, order, s, 0.5)
-            # the s = 0.5 node stops where it would alone; s = 20 goes on
-            assert orders[0] == 32 and orders[2] > 32
+            # the s = 0.5 node stops where it would alone; s = 20 starts higher
+            assert orders[0] == 24 and orders[2] > 32
             for k in range(s.size):
                 assert _e_bulk(beta, order, s[k], 0.5)[1] == orders[k]
                 assert abs(values[k] - _lu_bulk(beta, s[k], 0.5, 256)[order]) <= 1e-10
@@ -507,11 +526,12 @@ class TestSweeps:
             e_bulk(2, 0, [0.5, bad], 0.5)
 
     def test_unconverged_node_warns(self):
-        # order 512 does not resolve the plus block on (-100, 100)
+        # order 384 does not resolve the plus block on (-150, 150): orders 384
+        # and 512 differ by 5e-5 (at s = 100 and xi = 0.2 they agree)
         with pytest.warns(AccuracyWarning, match="1 of 2"):
-            values, orders = _e_bulk(4, 1, np.array([0.5, 100.0]), 0.2)
-        assert orders.tolist() == [32, 512]
-        assert values[0] == e_bulk(4, 1, 0.5, 0.2)
+            values, orders = _e_bulk(4, 1, np.array([0.5, 150.0]), 0.05)
+        assert orders.tolist() == [24, 512]
+        assert values[0] == e_bulk(4, 1, 0.5, 0.05)
 
     @pytest.mark.parametrize("beta, s", [(1, 140.0), (2, 75.0), (4, 70.0)])
     def test_reach(self, beta, s):
@@ -522,10 +542,12 @@ class TestSweeps:
 
     def test_stacks_within_entry_budget(self, eigh_log):
         _spectrum.cache_clear()
-        e_bulk(2, 1, np.linspace(0.0, 100.0, 130), 0.2)
+        # only t = s / 2 <= 2 starts at order 16: the second grid fills its stacks
+        for grid in (np.linspace(0.0, 100.0, 130), np.linspace(0.0, 4.0, 300)):
+            e_bulk(2, 1, grid, 0.2)
         sizes = [(math.prod(shape[:-2]), shape[-1]) for shape in eigh_log]
-        # a stack holds several blocks only while they fit the budget; the
-        # pair of blocks of 256 (131072 entries) goes alone
+        # a stack holds several blocks only while they fit the budget; a pair
+        # of blocks of 96 (18432 entries) or more goes alone
         assert all(k * m * m <= max(_STACK_ENTRIES, 2 * m * m) for k, m in sizes)
-        assert {m for _, m in sizes} >= {8, 16, 32, 64, 128, 256}
+        assert {m for _, m in sizes} >= {r // 2 for r in _RUNGS[:8]}
         assert max(k for k, _ in sizes) == 2 * (_STACK_ENTRIES // (2 * 8 ** 2))

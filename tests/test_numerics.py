@@ -7,6 +7,7 @@ import pytest
 from circbeta import (chebyshev_interpolate, chebyshev_points, correction_factor,
                       correction_residual, gauss_legendre, sine_integral,
                       spectral_derivative)
+from circbeta import numerics
 from circbeta.numerics import digamma
 
 
@@ -175,6 +176,23 @@ class TestSpectralDerivative:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             spectral_derivative([1.0, 2.0, 3.0], 1, 0.0, 1.0)
+
+    def test_matrices_cached_per_key(self, monkeypatch):
+        # each (n, lo, hi, order) builds its matrix once; the results are those
+        # of the matrix built afresh, bit for bit
+        builds = []
+        build = numerics.chebyshev_diff_matrix
+        monkeypatch.setattr(numerics, "chebyshev_diff_matrix",
+                            lambda *a: builds.append(a) or build(*a))
+        numerics._diff_power.cache_clear()
+        f = np.cos(chebyshev_points(24, 0.0, 1.7))
+        for _ in range(3):
+            for order in (1, 2):
+                D = build(24, 0.0, 1.7)
+                want = (D @ D if order == 2 else D) @ f
+                assert np.array_equal(spectral_derivative(f, order, 0.0, 1.7), want)
+        assert builds == [(24, 0.0, 1.7)] * 2
+        assert build(24, 0.0, 1.7).flags.writeable
 
     def test_gap_samples_against_finite_differences(self):
         # derivative of E0(s) cross-checked against central differences
