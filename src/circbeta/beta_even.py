@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .correlations import _pfaffian, rho2_bulk_term
+from .correlations import _pfaffian, _rho2_density_one
 from .gap import AccuracyWarning
 from .numerics import (_CUE_MAX_N, _SLICE_ENTRIES, _TINY, _choice, _read_only, _real, _whole,
                        chebyshev_interpolate, chebyshev_points, gauss_legendre,
@@ -21,9 +21,13 @@ from .numerics import (_CUE_MAX_N, _SLICE_ENTRIES, _TINY, _choice, _read_only, _
 
 F = Fraction
 TWO_PI = 2.0 * math.pi
-# Largest n of the evenness product, whose cost grows as kappa n^2 (0.15 s at
-# n = 64, kappa = 3 and a Fraction N); leading_xi_coefficient* take k <= n - 2
+# Largest n of the evenness product, a product of kappa n (n - 1) / 2 factors;
+# leading_xi_coefficient* take k <= n - 2
 _POINTS_MAX = 64
+# Largest |N|, and largest denominator of a Fraction N, of the exact routes,
+# whose integers grow as N^(kappa n (n - 1)): the worst call at this cap,
+# leading_xi_coefficient_exact(62, 6, (10^14 - 1)/10^7), takes 0.8 s (2 cores)
+_EXACT_N_MAX = 10 ** 7
 
 
 # ---------------------------------------------------------------------------
@@ -83,22 +87,41 @@ def morris(N: int, a: float, b: float, lam: float) -> float:
         raise ValueError("the Morris integral overflows a float") from None
 
 
+def _exact_n(N) -> Fraction:
+    """N, a real number, as a Fraction of magnitude and denominator at most
+    _EXACT_N_MAX."""
+    _real("N", N)
+    N = F(int(N)) if isinstance(N, np.integer) else F(N)
+    if abs(N) > _EXACT_N_MAX or N.denominator > _EXACT_N_MAX:
+        raise ValueError(f"N must be at most {_EXACT_N_MAX} in magnitude and in "
+                         f"denominator, got {N}")
+    return N
+
+
+def _evenness_product(n: int, kappa, p, q=1):
+    """prod (kappa^2 p^2 - l^2 q^2) over 1 <= l <= k kappa, 1 <= k < n: the
+    evenness product at N = p/q times q^(kappa n (n - 1))."""
+    return math.prod(kappa * kappa * p * p - el * el * q * q
+                     for k in range(1, n) for el in range(1, round(kappa * k) + 1))
+
+
 def evenness_factor(n: int, kappa: float, N: float) -> float:
     """prod_{k=1}^{n-1} prod_{l=1}^{k kappa} (kappa^2 N^2 - l^2) for n <= 64
-    and kappa <= 3; even in N, and exact for an integer kappa with an int or
-    Fraction N."""
+    and kappa <= 3; even in N. Exact for an integer kappa with an int or
+    Fraction N, which is then at most 10^7 in magnitude and in denominator;
+    otherwise a float, refused past the float range."""
     n = _whole("n", n, 1, _POINTS_MAX)
-    # checked, not converted: an int kappa with an int or Fraction N stays exact
     _real("kappa", kappa, 0.0, 3.0)
     _real("N", N)
-    out = 1
-    for k in range(1, n):
-        top = kappa * k
-        if abs(top - round(top)) > 1e-12:
-            raise ValueError("k * kappa must be integral")
-        for el in range(1, round(top) + 1):
-            out *= kappa * kappa * N * N - el * el
-    return out
+    if any(abs(kappa * k - round(kappa * k)) > 1e-12 for k in range(1, n)):
+        raise ValueError("k * kappa must be integral")
+    if not (isinstance(kappa, (int, np.integer)) and isinstance(N, (int, np.integer, F))):
+        if not math.isfinite(out := _evenness_product(n, kappa, N)):
+            raise ValueError("the evenness product overflows a float")
+        return out
+    N, kappa = _exact_n(N), int(kappa)
+    out = _evenness_product(n, kappa, N.numerator, N.denominator)
+    return out if N.denominator == 1 else F(out, N.denominator ** (kappa * n * (n - 1)))
 
 
 def v2_coefficient(n: int, kappa: float) -> float:
@@ -538,44 +561,33 @@ def leading_xi_s_power(k: int, beta: int) -> int:
 
 def leading_xi_coefficient_exact(k: int, beta: int, N) -> tuple[Fraction, int]:
     """(rational, pi power) of the coefficient of xi^k s^(k + kappa(k+2)(k+1)),
-    k <= 62 and beta in {2, 4, 6}; exact for integer kappa = beta/2 and
-    rational N."""
+    k <= 62 and beta in {2, 4, 6}, exact at any real N (a float enters as the
+    rational it holds) of magnitude and denominator at most 10^7."""
     k, beta = _whole("k", k, 0, _POINTS_MAX - 2), _choice("beta", beta, _METHODS)
-    _real("N", N)   # checked, not converted: N stays exact
-    kap, n, N = beta // 2, k + 2, F(N)
+    kap, n, N = beta // 2, k + 2, _exact_n(N)
     if not n < N / 2:
         raise ValueError("need k + 2 < N/2")
     pi_pow = kap * (k + 2) * (k + 1)
-    out = F((-1) ** k, math.factorial(k))
-    out *= F(2, 1) ** pi_pow / N ** pi_pow
-    out *= selberg_exact(k, beta, beta, kap)
+    out = F((-1) ** k * 2 ** pi_pow, math.factorial(k)) * selberg_exact(k, beta, beta, kap)
     out *= F(math.factorial(kap)) ** n / math.factorial(n * kap)
     for j in range(1, n):
         out *= F(math.factorial(kap * j), math.factorial(kap * (n + j)))
-    out *= evenness_factor(n, kap, N)
-    return out, pi_pow
+    # evenness_factor / N^pi_pow, in which q^pi_pow cancels
+    return out * F(_evenness_product(n, kap, N.numerator, N.denominator),
+                   N.numerator ** pi_pow), pi_pow
 
 
 def leading_xi_coefficient(k: int, beta: int, N: float) -> float:
-    """Float leading coefficient; log-Gamma arithmetic, real N allowed."""
-    k, beta = _whole("k", k, 0, _POINTS_MAX - 2), _choice("beta", beta, _METHODS)
-    N = _real("N", N)
-    kap = beta / 2.0
-    n = k + 2
-    if not n < N / 2:
-        raise ValueError("need k + 2 < N/2")
-    pw = kap * (k + 2) * (k + 1)
-    log_mag = (pw * math.log(2.0 * math.pi / N) - math.lgamma(k + 1)
-               + selberg_log(k, beta, beta, kap)
-               + n * math.lgamma(kap + 1) - math.lgamma(n * kap + 1))
-    for j in range(1, n):
-        log_mag += math.lgamma(kap * j + 1) - math.lgamma(kap * (n + j) + 1)
-    return (-1) ** k * math.exp(log_mag) * evenness_factor(n, kap, N)
+    """The float value r pi^p of leading_xi_coefficient_exact's record (r, p),
+    from logarithms, so that it is 0.0 below the float range (its magnitude
+    stays below 40)."""
+    r, pi_pow = leading_xi_coefficient_exact(k, beta, N)
+    size = math.exp(math.log(abs(r.numerator)) - math.log(r.denominator)
+                    + pi_pow * math.log(math.pi))
+    return size if r > 0 else -size
 
 
 def rho2_correction_limit(beta: int, x: float) -> float:
     """Closed-form 1/N^2 coefficient in unit-density variables for beta = 2, 4
     (cross-check target for the Richardson route)."""
-    if _choice("beta", beta, (2, 4)) == 2:
-        return rho2_bulk_term(2, 1, x)
-    return 4.0 * rho2_bulk_term(4, 1, 2.0 * x)
+    return _rho2_density_one(_choice("beta", beta, (2, 4)), 1, x)

@@ -62,19 +62,16 @@ def _grid(args, single, fallback):
 
 
 def cmd_gap(args):
+    """gap and spacing: orders 0 and 1 of E (e_bulk) or P (p_bulk) on the s grid."""
+    f, name = (gap.e_bulk, "E") if args.command == "gap" else (spacing.p_bulk, "P")
     grid = _grid(args, "s", np.linspace(0.1, 3.0, 30))
-    e0, e1 = (gap.e_bulk(args.beta, order, grid, args.xi) for order in (0, 1))
-    rows = [[float(s), float(a), float(b)] for s, a, b in zip(grid, e0, e1)]
-    return _emit(args, "gap", {"beta": args.beta, "xi": args.xi},
-                 ["s", "E0", "E1"], rows)
+    v0, v1 = (f(args.beta, order, grid, args.xi) for order in (0, 1))
+    rows = [[float(s), float(a), float(b)] for s, a, b in zip(grid, v0, v1)]
+    return _emit(args, args.command, {"beta": args.beta, "xi": args.xi},
+                 ["s", f"{name}0", f"{name}1"], rows)
 
 
-def cmd_spacing(args):
-    grid = _grid(args, "s", np.linspace(0.1, 3.0, 30))
-    p0, p1 = (spacing.p_bulk(args.beta, order, grid, args.xi) for order in (0, 1))
-    rows = [[float(s), float(a), float(b)] for s, a, b in zip(grid, p0, p1)]
-    return _emit(args, "spacing", {"beta": args.beta, "xi": args.xi},
-                 ["s", "P0", "P1"], rows)
+cmd_spacing = cmd_gap
 
 
 def cmd_sff(args):
@@ -142,8 +139,8 @@ def _cheb(beta, tol, c, powers, span, samplers):
 
 def _identity_registry():
     c = numerics.correction_factor
-    gap_s = (0.0, 1.05 * 3.0, np.linspace(0.1, 3.0, 31), spacing.CHEB_NODES)
-    # one span: the p-rows differentiate the e-rows' e_bulk samples
+    # p_bulk's first interval: the e-rows, p-rows and default curves share its nodes
+    gap_s = (0.0, spacing._SPANS[0], np.linspace(0.1, 3.0, 31), spacing.CHEB_NODES)
     spacing_s = (*gap_s[:2], np.linspace(0.2, 2.5, 24), spacing.CHEB_NODES)
     rho2_x = (0.1, 1.1 * 3.0, np.linspace(0.2, 3.0, 15), 96)
     even_x = (0.1, 1.1 * 2.0, np.linspace(0.2, 2.0, 7), 32)
@@ -238,17 +235,13 @@ def build_parser():
                                  description="circular beta ensemble numerics")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gap", help="gap generating function terms E0, E1")
-    p.add_argument("--beta", type=int, choices=(1, 2, 4), default=2)
-    p.add_argument("--xi", type=float, default=1.0)
-    p.add_argument("--s", type=float, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("spacing", help="spacing generating function terms P0, P1")
-    p.add_argument("--beta", type=int, choices=(1, 2, 4), default=2)
-    p.add_argument("--xi", type=float, default=1.0)
-    p.add_argument("--s", type=float, default=None)
-    _add_common(p)
+    for name, what in (("gap", "gap generating function terms E0, E1"),
+                       ("spacing", "spacing generating function terms P0, P1")):
+        p = sub.add_parser(name, help=what)
+        p.add_argument("--beta", type=int, choices=(1, 2, 4), default=2)
+        p.add_argument("--xi", type=float, default=1.0)
+        p.add_argument("--s", type=float, default=None)
+        _add_common(p)
 
     p = sub.add_parser("sff", help="structure function terms and exact values")
     p.add_argument("--beta", type=int, choices=(1, 2, 4), default=2)

@@ -146,3 +146,9 @@ def rho2_bulk_term(beta: int, order: int, x):
     val = np.where(u == 0.0, 0.0, val)
     return val if np.ndim(x) else float(val)
 
+
+def _rho2_density_one(beta: int, order: int, x):
+    """rho2_bulk_term in density-one variables: 4 rho(2x) at beta = 4."""
+    if beta == 4:
+        return 4.0 * rho2_bulk_term(4, order, 2.0 * x)
+    return rho2_bulk_term(beta, order, x)

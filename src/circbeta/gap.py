@@ -1,6 +1,6 @@
 """Gap-probability generating functions: Nystrom Fredholm determinants and
-trace corrections of the bulk kernels over whole arrays of s, all from the
-even and odd parity blocks of the sine kernel on (-t, t), eigensolved in
+trace corrections of the sine and +- kernels over whole arrays of s, all from
+the even and odd parity blocks of the sine kernel on (-t, t), eigensolved in
 stacks cached per sweep and order; the exact finite-N circular-unitary
 generating function; and the beta = 1, 4 combination formulas."""
 
@@ -130,41 +130,29 @@ def _scalar_or_array(values):
     return values if values.ndim else float(values)
 
 
-# The +- kernels as weights c of the parity blocks, and the kernels fredholm_*
-# serve: (correction kernel, t per unit of s, c). The sine kernel on (0, s) is
-# both blocks on (-s/2, s/2), the +- kernels on (0, s) one block on (-s, s).
+# The +- kernels as weights c of the parity blocks on (-s/2, s/2)
 _PM = {+1: np.array([1.0, 0.0]), -1: np.array([0.0, 1.0])}
-_SERVED = {KernelSpec("sine"): (KernelSpec("l"), 0.5, None),
-           KernelSpec("plus"): (KernelSpec("l_plus"), 1.0, _PM[+1]),
-           KernelSpec("minus"): (KernelSpec("l_minus"), 1.0, _PM[-1])}
-
-
-def _fredholm(kernel: KernelSpec, kernel_l: KernelSpec | None, s, xi: float):
-    if kernel not in _SERVED or kernel_l not in (None, _SERVED[kernel][0]):
-        raise ValueError(f"no Nystrom engine for {kernel} with {kernel_l}")
-    _, scale, c = _SERVED[kernel]
-    return _scalar_or_array(_certified(s, scale, xi, int(kernel_l is not None), c)[0])
 
 
 def fredholm_det(kernel: KernelSpec, s, xi: float):
-    """det(I - xi K restricted to (0, s)), K the sine, plus or minus kernel, at
-    a scalar or an array s in [0, 300], certified to 1e-10 absolute against the
-    next Nystrom order, from the first at which the rule resolves the kernel up
-    to 512, else an AccuracyWarning is issued."""
-    return _fredholm(kernel, None, s, xi)
+    """det(I - xi K) on (0, s), K the sine kernel alone: e_bulk(2, 0, s, xi)."""
+    if kernel != KernelSpec("sine"):
+        raise ValueError(f"no Nystrom engine for {kernel}")
+    return e_bulk(2, 0, s, xi)
 
 
 def fredholm_trace_correction(kernel_k: KernelSpec, kernel_l: KernelSpec, s, xi: float):
-    """-det(I - xi K) Tr((I - xi K)^{-1} xi L) on (0, s), shared Nystrom grid,
-    for the pairs (sine, l), (plus, l_plus) and (minus, l_minus), at a scalar
-    or an array s, certified like fredholm_det."""
-    return _fredholm(kernel_k, kernel_l, s, xi)
+    """-det(I - xi K) Tr((I - xi K)^{-1} xi L) on (0, s), (K, L) the pair (sine,
+    l) alone: e_bulk(2, 1, s, xi)."""
+    if (kernel_k, kernel_l) != (KernelSpec("sine"), KernelSpec("l")):
+        raise ValueError(f"no Nystrom engine for {kernel_k} with {kernel_l}")
+    return e_bulk(2, 1, s, xi)
 
 
 def e_pm(sign: int, order: int, s, xi: float):
     """E_order^+- (s; xi) at a scalar or an array s in [0, 300]: Fredholm data
-    of the +- kernels on (0, s/2), certified to 1e-10 absolute like
-    fredholm_det. sign is the int +1 or -1; a bool or float is refused."""
+    of the +- kernels on (0, s/2), certified to 1e-10 absolute like e_bulk.
+    sign is the int +1 or -1; a bool or float is refused."""
     c = _PM[_choice("sign", sign, _PM, floats=False)]
     return _scalar_or_array(_certified(s, 0.5, xi, order, c)[0])
 

@@ -22,14 +22,14 @@ def _cue_scaled(d, N):
     return sign * np.sinc(e) / np.sinc(e / N)
 
 
-_FAMILIES = ("sine", "l", "plus", "minus", "l_plus", "l_minus")
+_FAMILIES = ("sine", "l")
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     """A bulk kernel on bulk-scaled coordinates (mean spacing one), by family:
-    "sine", "l" (the 1/N^2 correction kernel (pi/6) (x - y) sin pi(x - y)),
-    "plus"/"minus" (sine kernel +- its reflection), "l_plus"/"l_minus"."""
+    "sine" or "l" (the 1/N^2 correction kernel (pi/6) (x - y) sin pi(x - y)).
+    gap.e_pm serves the +- kernels, the sine kernel +- its reflection."""
 
     family: str
 

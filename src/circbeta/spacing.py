@@ -134,11 +134,12 @@ P1_BETA1 = SeriesTable("p1_beta1", (
 # ---------------------------------------------------------------------------
 # Spacing generating function from the gap pipelines
 
-# Chebyshev nodes of the one interval p_bulk interpolates on
+# The intervals p_bulk interpolates on, of CHEB_NODES nodes each: the first
+# serves every s <= 3, the second every 3 < s <= 6. s stops at 6: against 128
+# nodes, over beta = 1, 2, 4, xi = 0.5, 1 and both orders, the 64-node curves
+# are off by at most 3e-10 up to s = 6, but by 2.6e-7 up to 8
 CHEB_NODES = 64
-# largest s of p_bulk. Against 128 nodes on the same span, over beta = 1, 2, 4,
-# xi = 0.5, 1 and both orders, the 64-node curves are off by at most 3e-10 up to
-# s = 6, but by 4.7e-9 up to 7, 2.6e-7 up to 8 and 3.4e-5 up to 10
+_SPANS = (1.1 * 3.0, 1.1 * 6.0)
 _S_MAX = 6.0
 
 
@@ -154,8 +155,8 @@ def _p_samples(beta: int, xi: float, s_max: float):
 
 def p_bulk(beta: int, order: int, s, xi: float):
     """Spacing generating function term P_order(s; xi) = E_order''(s; xi)/xi^2
-    at a scalar or an array s in [0, 6], interpolated on one Chebyshev
-    interval [0, max(3, 1.1 max(s))] (see _S_MAX).
+    at a scalar or an array s in [0, 6], each s interpolated on its own on
+    [0, 3.3] (s <= 3) or [0, 6.6] (see _SPANS).
 
     At xi = 0 the generating function reduces to the two-point correlation,
     which is returned from the closed forms directly.
@@ -163,13 +164,12 @@ def p_bulk(beta: int, order: int, s, xi: float):
     beta, order = _choice("beta", beta, (1, 2, 4)), _choice("order", order, (0, 1))
     s, xi = np.asarray(_real("s", s, 0.0, _S_MAX)), _real("xi", xi, 0.0, 1.0)
     if xi == 0.0:
-        if beta == 4:
-            # density-one variables: 4 rho(2x) in the closed-form convention
-            return 4.0 * correlations.rho2_bulk_term(4, order, 2.0 * s)
-        return correlations.rho2_bulk_term(beta, order, s)
-    hi = max(3.0, 1.1 * float(np.max(s)))
-    samples = _p_samples(beta, float(xi), float(hi))[order]
-    return chebyshev_interpolate(samples, 0.0, hi, s)
+        return correlations._rho2_density_one(beta, order, s)
+    out, far = np.empty(s.shape), s > 3.0
+    for part, hi in ((~far, _SPANS[0]), (far, _SPANS[1])):
+        if part.any():
+            out[part] = chebyshev_interpolate(_p_samples(beta, xi, hi)[order], 0.0, hi, s[part])
+    return out if out.ndim else float(out)
 
 
 def spacing_series_residual(beta: int) -> float:

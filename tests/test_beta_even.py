@@ -745,11 +745,56 @@ class TestAppendixB:
         with pytest.raises(ValueError, match="N must be finite"):
             leading_xi_coefficient_exact(0, 2, N)
 
+    def test_float_view_past_the_evenness_float_range(self):
+        # the evenness product alone overflows a float here; the old float
+        # route multiplied that inf by an underflowed 0 and returned nan
+        frac, pw = leading_xi_coefficient_exact(10, 2, 10 ** 4)
+        with mpmath.workdps(30):
+            want = float(mpmath.mpf(frac.numerator) / frac.denominator * mpmath.pi ** pw)
+        assert leading_xi_coefficient(10, 2, 1e4) == pytest.approx(want, rel=1e-12)
+        assert want == pytest.approx(4.6434e-117, rel=1e-4)
+
+    def test_float_view_never_nan(self):
+        for k in (1, 10, 20, 40):
+            for beta in (2, 4, 6):
+                for N in (2 * k + 5, 1e3, 1e4):
+                    assert math.isfinite(leading_xi_coefficient(k, beta, N))
+        # below the float range: 0.0
+        assert leading_xi_coefficient(62, 6, 1000.0) == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: evenness_factor(64, 3, 10 ** 100),
+    lambda: evenness_factor(64, 3, 10 ** 300),
+    lambda: evenness_factor(64, 3, F(10 ** 106 + 1, 10 ** 100)),
+    lambda: leading_xi_coefficient_exact(62, 6, 10 ** 100),
+    lambda: leading_xi_coefficient_exact(62, 6, 2 ** 53),
+    lambda: leading_xi_coefficient_exact(62, 6, F(10 ** 15 + 1, 10 ** 8)),
+    lambda: leading_xi_coefficient(62, 6, 1e100),
+], ids=["evenness-1e100", "evenness-1e300", "evenness-denominator", "exact-1e100",
+        "exact-2^53", "exact-denominator", "float-1e100"])
+def test_exact_n_past_the_cap_refused_at_once(call):
+    # the exact routes' integers grow as N^(kappa n (n - 1)): at 10^100 the
+    # calls took 7.5 s to 29 s
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="N must be at most 10000000"):
+        call()
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_exact_n_at_the_cap_accepted():
+    assert leading_xi_coefficient_exact(0, 2, 10 ** 7)[0] == F(1, 3) * (1 - F(1, 10 ** 14))
+    assert evenness_factor(2, 1, F(10 ** 7 - 1, 10 ** 7)) == F(10 ** 7 - 1, 10 ** 7) ** 2 - 1
+    # a float N is multiplied in floats at any size
+    assert evenness_factor(2, 3.0, 1e40) == pytest.approx(729e240, rel=1e-14)
+
 
 def test_evenness_factor_exact_matches_float():
     # an integer kappa with an int or Fraction N stays exact
     exact = evenness_factor(3, 2, 10)
     assert type(exact) is int and exact == evenness_factor(3, 2.0, 10.0)
+    # numpy integers too: in int64 the product wrapped around
+    assert evenness_factor(3, np.int64(2), np.int64(10 ** 5)) == evenness_factor(3, 2, 10 ** 5)
     half = evenness_factor(3, 2, F(21, 2))
     assert type(half) is F and float(half) == pytest.approx(evenness_factor(3, 2.0, 10.5),
                                                             rel=1e-15)

@@ -134,11 +134,11 @@ class TestCommands:
                              ids=["spacing-beta1", "fig1"])
     def test_one_sweep_per_curve(self, argv, capsys, eigh_log):
         # one Chebyshev interval for the grid, both orders from each eigensolve
-        # of the parity blocks: 126 pairs of order 8 and 16, work 580,608
+        # of the parity blocks: 252 blocks of order 8 and 12, work 282,240
         gap._spectrum.cache_clear()
         spacing._p_samples.cache_clear()
         assert run(argv, capsys)[0] == 0
-        assert eigh_log.work <= 700_000
+        assert eigh_log.work <= 310_000
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sff_beta4_singular_point(self, fmt, capsys):
@@ -330,8 +330,8 @@ class TestVerify:
         spacing._p_samples.cache_clear()
         code, out = run(["verify"], capsys)
         # e-corr-beta1 and e-corr-pm reuse the sweeps of e-corr-beta2, the
-        # p-rows those of the e-rows: 588 blocks of order 8 to 32, work 3,913,728
-        assert eigh_log.matrices <= 630 and eigh_log.work <= 4_700_000
+        # p-rows those of the e-rows: 504 blocks of order 8 to 16, work 765,184
+        assert eigh_log.matrices <= 550 and eigh_log.work <= 840_000
         assert code == 0
         assert "FAIL" not in out
         lines = out.strip().splitlines()

@@ -50,6 +50,15 @@ class TestFredholmDet:
         with pytest.raises(ValueError):
             fredholm_det(SINE, -1.0, 0.5)
 
+    @pytest.mark.parametrize("xi", [0.5, 1.0])
+    def test_is_e_bulk_beta2(self, xi):
+        # one route: the sine kernel's Fredholm data are e_bulk at beta = 2
+        s = np.array([0.3, 1.7, 40.0])
+        assert np.array_equal(fredholm_det(SINE, s, xi), e_bulk(2, 0, s, xi))
+        assert np.array_equal(fredholm_trace_correction(SINE, LKER, s, xi),
+                              e_bulk(2, 1, s, xi))
+        assert fredholm_det(SINE, 1.7, xi) == e_bulk(2, 0, 1.7, xi)
+
 
 class TestTraceCorrection:
     def test_xi_zero(self):
@@ -289,25 +298,25 @@ def test_sine_kernel_splits_into_pm(xi):
 
 
 def _lu_pair(kernel, kernel_l, s, xi, n=64):
-    """det(I - xi A) and -det(I - xi A) Tr((I - xi A)^{-1} xi B) by LU."""
+    """det(I - xi A) and -det(I - xi A) Tr((I - xi A)^{-1} xi B) by LU, A and
+    B the named kernel families (see kernel_eval) on (0, s)."""
     rule = gauss_legendre(n, 0.0, 1.0)
     x = s * rule.nodes
     sw = np.sqrt(s * rule.weights)
-    M = np.eye(n) - xi * (sw[:, None] * kernel_eval(kernel.family, x[:, None], x[None, :])
+    M = np.eye(n) - xi * (sw[:, None] * kernel_eval(kernel, x[:, None], x[None, :])
                           * sw[None, :])
-    B = xi * (sw[:, None] * kernel_eval(kernel_l.family, x[:, None], x[None, :])
+    B = xi * (sw[:, None] * kernel_eval(kernel_l, x[:, None], x[None, :])
               * sw[None, :])
     e0 = float(np.linalg.det(M))
     return e0, -e0 * float(np.trace(np.linalg.solve(M, B)))
 
 
-PM = {+1: (KernelSpec("plus"), KernelSpec("l_plus")),
-      -1: (KernelSpec("minus"), KernelSpec("l_minus"))}
+PM = {+1: ("plus", "l_plus"), -1: ("minus", "l_minus")}
 
 
 def _lu_bulk(beta, s, xi, n=64):
     if beta == 2:
-        return _lu_pair(SINE, LKER, s, xi, n)
+        return _lu_pair("sine", "l", s, xi, n)
     if beta == 1:
         xh = 2 * xi - xi * xi
         m, p = _lu_pair(*PM[-1], s / 2, xh, n), _lu_pair(*PM[+1], s / 2, xh, n)
@@ -366,7 +375,7 @@ class TestSpectralEngine:
     @pytest.mark.parametrize("xi", [0.3, 0.5, 1.0])
     def test_fredholm_against_lu(self, xi):
         for s in self.s_values:
-            want = _lu_pair(SINE, LKER, s, xi)
+            want = _lu_pair("sine", "l", s, xi)
             got = sine_fixed(s, xi, 64)
             assert abs(got[0][0] - want[0]) <= 1e-13
             assert abs(got[1][0] - want[1]) <= 1e-13
@@ -454,10 +463,14 @@ class TestSpectralEngine:
         assert _spectrum.cache_info().misses == misses
 
     def test_unserved_kernels_refused(self):
-        with pytest.raises(ValueError, match="l_minus"):
-            fredholm_det(KernelSpec("l_minus"), 1.0, 0.5)
-        with pytest.raises(ValueError, match="l_plus"):
-            fredholm_trace_correction(SINE, KernelSpec("l_plus"), 1.0, 0.5)
+        # KernelSpec names the sine and l kernels alone; e_pm serves the +- ones
+        for family in ("plus", "minus", "l_plus", "l_minus"):
+            with pytest.raises(ValueError, match=family):
+                KernelSpec(family)
+        with pytest.raises(ValueError, match="no Nystrom engine"):
+            fredholm_det(LKER, 1.0, 0.5)
+        with pytest.raises(ValueError, match="no Nystrom engine"):
+            fredholm_trace_correction(SINE, SINE, 1.0, 0.5)
 
     def test_one_eigensolve_serves_every_xi_and_order(self, eigh_log):
         e_bulk(2, 0, 2.345, 0.5)

@@ -102,7 +102,18 @@ def test_non_finite_refused(call, name, sol):
         ("leading_xi_coefficient_exact", lambda: leading_xi_coefficient_exact(63, 2, 300),
          "k must be at most 62"),
         ("leading_xi_coefficient", lambda: leading_xi_coefficient(63, 2, 300),
-         "k must be at most 62"))),
+         "k must be at most 62"),
+        ("evenness_factor-N", lambda: evenness_factor(64, 3, 10 ** 7 + 1),
+         "N must be at most 10000000"),
+        ("evenness_factor-denominator", lambda: evenness_factor(64, 3, Fraction(1, 10 ** 7 + 1)),
+         "N must be at most 10000000"),
+        ("leading_xi_coefficient_exact-N", lambda: leading_xi_coefficient_exact(0, 2, 10 ** 8),
+         "N must be at most 10000000"),
+        ("leading_xi_coefficient-N", lambda: leading_xi_coefficient(0, 2, 1e8),
+         "N must be at most 10000000"),
+        # a float N enters as the rational it holds: 1000.1 has denominator 2^43
+        ("leading_xi_coefficient-denominator", lambda: leading_xi_coefficient(0, 2, 1000.1),
+         "N must be at most 10000000"))),
 ])
 def test_bad_integer_refused(call, message):
     # refused before anything is built at the refused size
@@ -144,6 +155,8 @@ def test_gauss_legendre_bound_allocates_nothing(monkeypatch):
     (lambda: oracle_series_coefficients(-1), "kappa must be finite and positive"),
     (lambda: oracle_series_coefficients(math.nan), "kappa must be finite and positive"),
     (lambda: oracle_series_coefficients("3"), "kappa must be finite and positive"),
+    # past the float range, as selberg and morris refuse theirs: it returned inf
+    (lambda: evenness_factor(20, 1.0, 100.0), "evenness product overflows a float"),
 ])
 def test_exact_path_refused(call, message):
     with pytest.raises(ValueError, match=message):
@@ -153,7 +166,7 @@ def test_exact_path_refused(call, message):
 @pytest.mark.parametrize("call", [
     lambda: fredholm_det(KernelSpec("sine"), 1.0, math.nan),
     lambda: fredholm_det(KernelSpec("sine"), 1.0, math.inf),
-    lambda: fredholm_det(KernelSpec("plus"), [0.5, 1.0], -0.1),
+    lambda: fredholm_det(KernelSpec("sine"), [0.5, 1.0], -0.1),
     lambda: e_pm(+1, 0, 1.0, 1.5),
     lambda: e_pm(-1, 0, [0.5, 1.0], math.nan),
 ])

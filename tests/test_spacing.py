@@ -253,12 +253,22 @@ class TestPBulk:
 
     @pytest.mark.parametrize("beta", [1, 2, 4])
     def test_array_and_scalar_calls_agree_to_the_cap(self, beta):
-        # the array interpolates on [0, 6.6], each scalar on its own span
-        grid = np.linspace(0.1, 6.0, 9)
+        # each s, alone or in an array, is interpolated on the span that its
+        # own value picks: [0, 3.3] up to s = 3, else [0, 6.6]
+        grid = np.linspace(0.1, 6.0, 40)
         for xi in (0.5, 1.0):
             for order in (0, 1):
                 want = [p_bulk(beta, order, float(s), xi) for s in grid]
-                assert np.max(np.abs(p_bulk(beta, order, grid, xi) - want)) <= 1e-9
+                assert np.array_equal(p_bulk(beta, order, grid, xi), want)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_scalar_calls_share_one_span(self, beta):
+        # 20 scalar calls past s = 3 build at most one new span per (beta, xi)
+        for xi in (0.5, 1.0):
+            _p_samples.cache_clear()
+            for s in np.linspace(3.05, 6.0, 20):
+                p_bulk(beta, 0, float(s), xi)
+            assert _p_samples.cache_info().misses <= 1
 
     @pytest.mark.parametrize("xi", [0.0, 1.0])
     def test_list_input(self, xi):
