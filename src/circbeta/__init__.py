@@ -15,9 +15,8 @@ from .spacing import (E_CUE_SMALL_S, P0_BETA2, P1_BETA2, P2_BETA2, P0_BETA1, P1_
                       spacing_series_residual, wigner_surmise, surmise_correction)
 from .sff import (sff_exact, sff_bulk_scaled, sff_bulk_term, sff_series,
                   series_coefficient, verify_x6, cbe_trace_moment, oracle_series_coefficients)
-from .beta_even import (selberg, selberg_log, morris, evenness_factor,
-                        v2_coefficient, rho2_even_beta, moment_integral, verify_moment_recurrence,
-                        leading_xi_coefficient, leading_xi_coefficient_exact,
-                        leading_xi_s_power, rho2_correction_limit)
+from .beta_even import (selberg, selberg_log, morris, evenness_factor, rho2_even_beta,
+                        moment_integral, verify_moment_recurrence,
+                        leading_xi_coefficient_exact, rho2_correction_limit)
 
 __version__ = "0.1.0"

@@ -15,16 +15,16 @@ import numpy as np
 
 from .correlations import _pfaffian, _rho2_density_one
 from .gap import AccuracyWarning
-from .numerics import (_CUE_MAX_N, _SLICE_ENTRIES, _TINY, _choice, _read_only, _real, _whole,
+from .numerics import (_CUE_MAX_N, _SLICE_ENTRIES, _choice, _read_only, _real, _whole,
                        chebyshev_interpolate, chebyshev_points, gauss_legendre,
                        inverse_square_fit, spectral_derivative)
 
 F = Fraction
 TWO_PI = 2.0 * math.pi
 # Largest n of the evenness product, a product of kappa n (n - 1) / 2 factors;
-# leading_xi_coefficient* take k <= n - 2
+# leading_xi_coefficient_exact takes k <= n - 2
 _POINTS_MAX = 64
-# Largest |N|, and largest denominator of a Fraction N, of the exact routes,
+# Largest |N|, and largest denominator of a Fraction N, of the exact record,
 # whose integers grow as N^(kappa n (n - 1)): the worst call at this cap,
 # leading_xi_coefficient_exact(62, 6, (10^14 - 1)/10^7), takes 0.8 s (2 cores)
 _EXACT_N_MAX = 10 ** 7
@@ -87,17 +87,6 @@ def morris(N: int, a: float, b: float, lam: float) -> float:
         raise ValueError("the Morris integral overflows a float") from None
 
 
-def _exact_n(N) -> Fraction:
-    """N, a real number, as a Fraction of magnitude and denominator at most
-    _EXACT_N_MAX."""
-    _real("N", N)
-    N = F(int(N)) if isinstance(N, np.integer) else F(N)
-    if abs(N) > _EXACT_N_MAX or N.denominator > _EXACT_N_MAX:
-        raise ValueError(f"N must be at most {_EXACT_N_MAX} in magnitude and in "
-                         f"denominator, got {N}")
-    return N
-
-
 def _evenness_product(n: int, kappa, p, q=1):
     """prod (kappa^2 p^2 - l^2 q^2) over 1 <= l <= k kappa, 1 <= k < n: the
     evenness product at N = p/q times q^(kappa n (n - 1))."""
@@ -106,28 +95,15 @@ def _evenness_product(n: int, kappa, p, q=1):
 
 
 def evenness_factor(n: int, kappa: float, N: float) -> float:
-    """prod_{k=1}^{n-1} prod_{l=1}^{k kappa} (kappa^2 N^2 - l^2) for n <= 64
-    and kappa <= 3; even in N. Exact for an integer kappa with an int or
-    Fraction N, which is then at most 10^7 in magnitude and in denominator;
-    otherwise a float, refused past the float range."""
+    """prod_{k=1}^{n-1} prod_{l=1}^{k kappa} (kappa^2 N^2 - l^2) in floats, for
+    n <= 64 and kappa <= 3; even in N, and refused past the float range."""
     n = _whole("n", n, 1, _POINTS_MAX)
-    _real("kappa", kappa, 0.0, 3.0)
-    _real("N", N)
+    kappa, N = _real("kappa", kappa, 0.0, 3.0), _real("N", N)
     if any(abs(kappa * k - round(kappa * k)) > 1e-12 for k in range(1, n)):
         raise ValueError("k * kappa must be integral")
-    if not (isinstance(kappa, (int, np.integer)) and isinstance(N, (int, np.integer, F))):
-        if not math.isfinite(out := _evenness_product(n, kappa, N)):
-            raise ValueError("the evenness product overflows a float")
-        return out
-    N, kappa = _exact_n(N), int(kappa)
-    out = _evenness_product(n, kappa, N.numerator, N.denominator)
-    return out if N.denominator == 1 else F(out, N.denominator ** (kappa * n * (n - 1)))
-
-
-def v2_coefficient(n: int, kappa: float) -> float:
-    """Coefficient of 1/N^2 in the normalized large-N form of the factor."""
-    n, kappa = _whole("n", n, 1), _real("kappa", kappa, _TINY)
-    return n / (12.0 * kappa) * (n - 1) * (kappa * (n - 1) + 1) * (kappa * n + 1)
+    if not math.isfinite(out := _evenness_product(n, kappa, N)):
+        raise ValueError("the evenness product overflows a float")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -552,19 +528,18 @@ def verify_moment_recurrence(beta: int, cases=DEFAULT_RECURRENCE_CASES,
 # ---------------------------------------------------------------------------
 # Leading small-s coefficient of xi^k at finite N
 
-def leading_xi_s_power(k: int, beta: int) -> int:
-    """The power of s, k + kappa (k + 2) (k + 1), that leads the xi^k term."""
-    k, beta = _whole("k", k, 0), _choice("beta", beta, _METHODS)
-    kap = beta // 2
-    return k + kap * (k + 2) * (k + 1)
-
-
 def leading_xi_coefficient_exact(k: int, beta: int, N) -> tuple[Fraction, int]:
-    """(rational, pi power) of the coefficient of xi^k s^(k + kappa(k+2)(k+1)),
-    k <= 62 and beta in {2, 4, 6}, exact at any real N (a float enters as the
-    rational it holds) of magnitude and denominator at most 10^7."""
+    """(r, p): the coefficient r pi^p of xi^k s^(k + p), p = kappa (k+2)(k+1),
+    that leads the xi^k term of the spacing function at finite N, for k <= 62
+    and beta in {2, 4, 6}; exact at any real N (a float enters as the rational
+    it holds) of magnitude and denominator at most 10^7."""
     k, beta = _whole("k", k, 0, _POINTS_MAX - 2), _choice("beta", beta, _METHODS)
-    kap, n, N = beta // 2, k + 2, _exact_n(N)
+    _real("N", N)
+    N = F(int(N)) if isinstance(N, np.integer) else F(N)
+    if abs(N) > _EXACT_N_MAX or N.denominator > _EXACT_N_MAX:
+        raise ValueError(f"N must be at most {_EXACT_N_MAX} in magnitude and in "
+                         f"denominator, got {N}")
+    kap, n = beta // 2, k + 2
     if not n < N / 2:
         raise ValueError("need k + 2 < N/2")
     pi_pow = kap * (k + 2) * (k + 1)
@@ -575,16 +550,6 @@ def leading_xi_coefficient_exact(k: int, beta: int, N) -> tuple[Fraction, int]:
     # evenness_factor / N^pi_pow, in which q^pi_pow cancels
     return out * F(_evenness_product(n, kap, N.numerator, N.denominator),
                    N.numerator ** pi_pow), pi_pow
-
-
-def leading_xi_coefficient(k: int, beta: int, N: float) -> float:
-    """The float value r pi^p of leading_xi_coefficient_exact's record (r, p),
-    from logarithms, so that it is 0.0 below the float range (its magnitude
-    stays below 40)."""
-    r, pi_pow = leading_xi_coefficient_exact(k, beta, N)
-    size = math.exp(math.log(abs(r.numerator)) - math.log(r.denominator)
-                    + pi_pow * math.log(math.pi))
-    return size if r > 0 else -size
 
 
 def rho2_correction_limit(beta: int, x: float) -> float:

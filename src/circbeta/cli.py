@@ -129,16 +129,23 @@ def _orders(f):
     return (lambda xs: f(0, xs)), (lambda xs: f(1, xs))
 
 
-def _cheb(beta, tol, c, powers, span, samplers):
-    """Registry entry whose residual is the largest over the (Q0, Q1) samplers
-    of Q1 - c x^outer (x^inner Q0)'', powers = (outer, inner), on span =
-    (lo, hi, grid, n_cheb): a Chebyshev interval reaching past the grid."""
-    return beta, tol, lambda: max(numerics.correction_residual(q0, q1, c, *span, *powers)
-                                  for q0, q1 in samplers)
+def _row(beta, tol, residual):
+    """Registry entry (beta, tol, thunk) whose residual is residual(beta): a
+    row's beta is written once, and its label, constant and samplers read it."""
+    return beta, tol, lambda: residual(beta)
+
+
+def _cheb(beta, tol, powers, span, samplers, c=None):
+    """Registry entry whose residual is the largest over the (Q0, Q1) pairs of
+    samplers(beta) of Q1 - c x^outer (x^inner Q0)'', powers = (outer, inner), c
+    = -1/(6 beta) unless given, on span = (lo, hi, grid, n_cheb): a Chebyshev
+    interval reaching past the grid."""
+    c = numerics.correction_factor(beta) if c is None else c
+    return _row(beta, tol, lambda b: max(numerics.correction_residual(q0, q1, c, *span, *powers)
+                                         for q0, q1 in samplers(b)))
 
 
 def _identity_registry():
-    c = numerics.correction_factor
     # p_bulk's first interval: the e-rows, p-rows and default curves share its nodes
     gap_s = (0.0, spacing._SPANS[0], np.linspace(0.1, 3.0, 31), spacing.CHEB_NODES)
     spacing_s = (*gap_s[:2], np.linspace(0.2, 2.5, 24), spacing.CHEB_NODES)
@@ -161,32 +168,36 @@ def _identity_registry():
         return [(lambda xs: beta_even.rho2_even_beta(beta, xs),
                  lambda xs: beta_even.rho2_correction_estimate(beta, xs))]
 
-    e_pm = [_orders(lambda o, xs, sg=sg: gap.e_pm(sg, o, xs, 0.8)) for sg in (+1, -1)]
-    rho2_second = [(lambda xs: correlations.rho2_bulk_term(2, 0, xs),
-                    lambda xs: correlations.rho2_bulk_term(2, 2, xs))]
+    def e_pm(beta):
+        # the +- kernels carry the beta = 1 constant
+        return [_orders(lambda o, xs, sg=sg: gap.e_pm(sg, o, xs, 0.8)) for sg in (+1, -1)]
+
+    def rho2_second(beta):
+        # Q0 the limit, Q1 the second correction
+        return [_orders(lambda o, xs: correlations.rho2_bulk_term(beta, 2 * o, xs))]
+
     entries = {
-        "e-corr-beta2": _cheb(2, 2e-12, c(2), (2, 0), gap_s, e_bulk(2)),
-        "e-corr-beta1": _cheb(1, 2e-11, c(1), (2, 0), gap_s, e_bulk(1)),
-        "e-corr-beta4": _cheb(4, 1e-12, c(4), (2, 0), gap_s, e_bulk(4)),
-        "e-corr-pm": _cheb(1, 2e-11, c(1), (2, 0), gap_s, e_pm),
-        "p-corr-beta2": _cheb(2, 1e-7, c(2), (0, 2), spacing_s, p_bulk(2)),
-        "p-corr-beta1": _cheb(1, 1e-7, c(1), (0, 2), spacing_s, p_bulk(1)),
-        "p-corr-beta4": _cheb(4, 1e-7, c(4), (0, 2), spacing_s, p_bulk(4)),
-        "p-series-beta2": (2, 1e-14, lambda: spacing.spacing_series_residual(2)),
-        "p-series-beta1": (1, 1e-14, lambda: spacing.spacing_series_residual(1)),
-        "rho2-corr-beta1": _cheb(1, 2e-10, c(1), (0, 2), rho2_x, rho2(1)),
-        "rho2-corr-beta2": _cheb(2, 2e-11, c(2), (0, 2), rho2_x, rho2(2)),
-        "rho2-corr-beta4": _cheb(4, 3e-12, c(4), (0, 2), rho2_x, rho2(4)),
-        "rho2-second-beta2": _cheb(2, 5e-10, -np.pi ** 2 / 60, (2, 2), rho2_x, rho2_second),
-        "sff-x6-beta1": (1, 3e-16, lambda: max(astuple(sff.verify_x6(1)))),
-        "sff-x6-beta4": (4, 2e-15, lambda: max(astuple(sff.verify_x6(4)))),
+        "e-corr-beta2": _cheb(2, 2e-12, (2, 0), gap_s, e_bulk),
+        "e-corr-beta1": _cheb(1, 2e-11, (2, 0), gap_s, e_bulk),
+        "e-corr-beta4": _cheb(4, 1e-12, (2, 0), gap_s, e_bulk),
+        "e-corr-pm": _cheb(1, 2e-11, (2, 0), gap_s, e_pm),
+        "p-corr-beta2": _cheb(2, 1e-7, (0, 2), spacing_s, p_bulk),
+        "p-corr-beta1": _cheb(1, 1e-7, (0, 2), spacing_s, p_bulk),
+        "p-corr-beta4": _cheb(4, 1e-7, (0, 2), spacing_s, p_bulk),
+        "p-series-beta2": _row(2, 1e-14, spacing.spacing_series_residual),
+        "p-series-beta1": _row(1, 1e-14, spacing.spacing_series_residual),
+        "rho2-corr-beta1": _cheb(1, 2e-10, (0, 2), rho2_x, rho2),
+        "rho2-corr-beta2": _cheb(2, 2e-11, (0, 2), rho2_x, rho2),
+        "rho2-corr-beta4": _cheb(4, 3e-12, (0, 2), rho2_x, rho2),
+        "rho2-second-beta2": _cheb(2, 5e-10, (2, 2), rho2_x, rho2_second, -np.pi ** 2 / 60),
+        "sff-x6-beta1": _row(1, 3e-16, lambda b: max(astuple(sff.verify_x6(b)))),
+        "sff-x6-beta4": _row(4, 2e-15, lambda b: max(astuple(sff.verify_x6(b)))),
         "sff-symmetry": (None, 2e-14, sff._symmetry_residual),
-        "sff-zeros-r4": (None, 1e-10, sff._r4_oracle_residual),
-        "rho2-even-corr-beta2": _cheb(2, 1e-8, c(2), (0, 2), even_x, rho2_even(2)),
-        "rho2-even-corr-beta4": _cheb(4, 3e-8, c(4), (0, 2), even_x, rho2_even(4)),
-        "rho2-even-corr-beta6": _cheb(6, 2e-8, c(6), (0, 2), even_x, rho2_even(6)),
-        "moment-recurrence-beta2": (2, 1e-12,
-                                    lambda: beta_even.verify_moment_recurrence(2)),
+        "sff-zeros-r4": (None, 1e-15, sff._r4_oracle_residual),
+        "rho2-even-corr-beta2": _cheb(2, 1e-8, (0, 2), even_x, rho2_even),
+        "rho2-even-corr-beta4": _cheb(4, 3e-8, (0, 2), even_x, rho2_even),
+        "rho2-even-corr-beta6": _cheb(6, 2e-8, (0, 2), even_x, rho2_even),
+        "moment-recurrence-beta2": _row(2, 1e-12, beta_even.verify_moment_recurrence),
     }
     return entries
 

@@ -1,5 +1,6 @@
 """Spacing-distribution generating functions from the gap data, golden
-small-s series tables in exact rational-pi arithmetic, the Wigner-surmise
+small-s series tables in exact rational-pi arithmetic (at beta = 2, those of
+the spacing function are derived from the gap series), the Wigner-surmise
 approximation, and the exact series form of the correction-to-limit identity."""
 
 from __future__ import annotations
@@ -81,31 +82,18 @@ E_CUE_SMALL_S = SeriesTable("e_cue_small_s", (
     (11, 3, 8, 4, F(76, 29767500)),
 ))
 
-P0_BETA2 = SeriesTable("p0_beta2", (
-    (2, 0, 2, 0, F(1, 3)),
-    (4, 0, 4, 0, F(-2, 45)),
-    (6, 0, 6, 0, F(1, 315)),
-    (7, 1, 6, 0, F(-1, 4050)),
-    (8, 0, 8, 0, F(-2, 14175)),
-    (9, 1, 8, 0, F(11, 496125)),
-))
 
-P1_BETA2 = SeriesTable("p1_beta2", (
-    (2, 0, 2, 0, F(-1, 3)),
-    (4, 0, 4, 0, F(1, 9)),
-    (6, 0, 6, 0, F(-2, 135)),
-    (7, 1, 6, 0, F(1, 675)),
-    (8, 0, 8, 0, F(1, 945)),
-    (9, 1, 8, 0, F(-121, 595350)),
-))
+def _spacing_table(nu: int) -> SeriesTable:
+    """The 1/N^(2 nu) part of E_CUE_SMALL_S carried to the spacing function,
+    P = E''/xi^2, through s^9."""
+    gap_part = SeriesTable("", tuple(t for t in E_CUE_SMALL_S.terms if t[3] == nu))
+    terms = gap_part.second_derivative().terms
+    return SeriesTable(f"p{nu}_beta2", tuple((sp, xp - 2, pp, 0, frac)
+                                             for sp, xp, pp, _, frac in terms))
 
-P2_BETA2 = SeriesTable("p2_beta2", (
-    (4, 0, 4, 0, F(-1, 15)),
-    (6, 0, 6, 0, F(1, 45)),
-    (7, 1, 6, 0, F(-1, 450)),
-    (8, 0, 8, 0, F(-2, 675)),
-    (9, 1, 8, 0, F(44, 70875)),
-))
+
+# The beta = 2 spacing series: the limit and the 1/N^2 and 1/N^4 terms
+P0_BETA2, P1_BETA2, P2_BETA2 = (_spacing_table(nu) for nu in range(3))
 
 P0_BETA1 = SeriesTable("p0_beta1", (
     (1, 0, 2, 0, F(1, 6)),

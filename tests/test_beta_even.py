@@ -10,18 +10,16 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from circbeta import (beta_even, correction_factor, correction_residual,
-                      leading_xi_coefficient, leading_xi_coefficient_exact,
-                      leading_xi_s_power, evenness_factor, gauss_legendre,
-                      moment_integral, morris,
+from circbeta import (P0_BETA2, P1_BETA2, P2_BETA2, beta_even, correction_factor,
+                      correction_residual, leading_xi_coefficient_exact, evenness_factor,
+                      gauss_legendre, moment_integral, morris, p_bulk,
                       rho2_bulk_term, rho2_correction_limit, rho2_even_beta,
-                      selberg, selberg_log, v2_coefficient, verify_moment_recurrence)
+                      selberg, selberg_log, verify_moment_recurrence)
 from circbeta.beta_even import (_ENGINES, _METHODS, _STEPS, _TERMS, _integral_beta4,
                                 _integrals, _integrand, _sides, _system,
                                 rho2_correction_estimate, selberg_exact)
 from circbeta.gap import AccuracyWarning
 from circbeta.sff import _partition_boxes
-from circbeta.spacing import P0_BETA2
 
 
 def tensor2(f, n=80):
@@ -178,6 +176,26 @@ class TestMorris:
             morris(*args)
 
 
+def _h_coefficients(k, beta, count):
+    """The first count coefficients, in h = 1/N^2, of the rational part of
+    leading_xi_coefficient_exact(k, beta, N), a polynomial of degree D =
+    kappa (k+2)(k+1)/2 in h: its Lagrange interpolant through the D + 1
+    records at N = 2k + 5, ..., 2k + 5 + D, expanded exactly about h = 0."""
+    n = k + 2
+    Ns = range(2 * n + 1, 2 * n + 2 + beta // 2 * n * (n - 1) // 2)
+    hs = [F(1, N * N) for N in Ns]
+    out = [F(0)] * count
+    for i, (N, hi) in enumerate(zip(Ns, hs)):
+        # y_i prod_{j != i} (h - h_j) / (h_i - h_j), truncated after h^(count-1)
+        poly = [leading_xi_coefficient_exact(k, beta, N)[0]] + [F(0)] * (count - 1)
+        for j, hj in enumerate(hs):
+            if j != i:
+                poly = [((poly[m - 1] if m else 0) - hj * poly[m]) / (hi - hj)
+                        for m in range(count)]
+        out = [a + b for a, b in zip(out, poly)]
+    return out
+
+
 class TestEvennessFactor:
     def test_empty(self):
         assert evenness_factor(1, 2.0, 9.0) == 1.0
@@ -190,18 +208,22 @@ class TestEvennessFactor:
         n, kappa, N = 3, 1.0, 100.0
         count = kappa * n * (n - 1)
         got = evenness_factor(n, kappa, N) / (kappa * N) ** count
-        v2 = v2_coefficient(n, kappa)
         l2 = [l ** 2 / kappa ** 2 for k in range(1, n)
               for l in range(1, int(kappa * k) + 1)]
-        v4 = sum(x * x for x in l2)
+        v2, v4 = sum(l2), sum(x * x for x in l2)
         series = 1 - v2 / N ** 2 + (v2 ** 2 - v4) / (2 * N ** 4)
         assert got == pytest.approx(series, rel=1e-6)
 
     @pytest.mark.parametrize("n,kappa", [(2, 1), (3, 1), (2, 2), (4, 2)])
     def test_v2_closed_form(self, n, kappa):
+        # the record's N-dependence is the evenness product over N^p: its h^1
+        # coefficient over its h^0 one is -sum l^2/kappa^2 over the product's
+        # factors, and that sum is n (n-1) (kappa (n-1) + 1) (kappa n + 1) / (12 kappa)
         direct = sum(F(l * l, kappa * kappa) for k in range(1, n)
                      for l in range(1, kappa * k + 1))
-        assert F(v2_coefficient(n, kappa)).limit_denominator(10 ** 9) == direct
+        assert direct == F(n * (n - 1) * (kappa * (n - 1) + 1) * (kappa * n + 1), 12 * kappa)
+        a0, a1 = _h_coefficients(n - 2, 2 * kappa, 2)
+        assert a1 / a0 == -direct
 
     @pytest.mark.parametrize("n,kappa", [(2, 1), (3, 1), (2, 2)])
     def test_second_order_coefficient_exact(self, n, kappa):
@@ -217,10 +239,13 @@ class TestEvennessFactor:
 
     @pytest.mark.parametrize("n,kappa", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 3)])
     def test_conjectured_identity_at_series_level(self, n, kappa):
-        # (1/(6 beta)) m (m-1) with m = n + kappa n (n-1) equals v2
-        m = n + kappa * n * (n - 1)
-        assert F(m * (m - 1), 6 * 2 * kappa) == F(
-            v2_coefficient(n, kappa)).limit_denominator(10 ** 9)
+        # P_1 = c (s^2 P_0)'' on the leading term of xi^k, k = n - 2: the
+        # record's h^1 coefficient over its h^0 one is c (p_s + 2)(p_s + 1),
+        # p_s = k + p its s power, c = -1/(6 beta); fitted exactly in h
+        k, beta = n - 2, 2 * kappa
+        p_s = k + leading_xi_coefficient_exact(k, beta, 2 * n + 1)[1]
+        a0, a1 = _h_coefficients(k, beta, 2)
+        assert a1 / a0 == correction_factor(F(beta)) * (p_s + 2) * (p_s + 1)
 
     def test_requires_integral_products(self):
         with pytest.raises(ValueError):
@@ -708,73 +733,54 @@ class TestAppendixB:
             assert frac == -F(1, 4050) * (1 - F(4, N * N)) * (1 - F(1, N * N)) ** 2
 
     def test_s_powers(self):
-        assert leading_xi_s_power(0, 2) == 2
-        assert leading_xi_s_power(1, 2) == 7
-        assert leading_xi_s_power(0, 4) == 4
+        # xi^k leads with s^(k + p), p the record's pi power
+        for k, beta, s_power in ((0, 2, 2), (1, 2, 7), (0, 4, 4)):
+            assert k + leading_xi_coefficient_exact(k, beta, 20)[1] == s_power
 
     def test_limit_matches_leading_spacing_coefficient(self):
-        got = leading_xi_coefficient(0, 2, 10 ** 7)
-        assert got == pytest.approx(np.pi ** 2 / 3, rel=1e-10)
-        table = {k: v for k, v in P0_BETA2.coefficients_through(2).items()}
-        assert table[(2, 0, 2, 0)] == F(1, 3)
-
-    def test_float_matches_exact(self):
-        for k, N in ((0, 12), (1, 20)):
-            frac, pw = leading_xi_coefficient_exact(k, 2, N)
-            assert leading_xi_coefficient(k, 2, N) == pytest.approx(
-                float(frac) * np.pi ** pw, rel=1e-12)
+        # the record's h^0, h^1 and h^2 coefficients, h = 1/N^2, are the
+        # (k + p, k, p, 0) entries of P0, P1 and P2_BETA2: -1/4050, 1/675 and
+        # -1/450 at k = 1. The tables come from the gap series, the record
+        # from the Selberg integral and the evenness product
+        for k in (0, 1):
+            pw = leading_xi_coefficient_exact(k, 2, 20)[1]
+            got = _h_coefficients(k, 2, 3)
+            want = [table.coefficients_through(9).get((k + pw, k, pw, 0), F(0))
+                    for table in (P0_BETA2, P1_BETA2, P2_BETA2)]
+            assert got == want
+        assert _h_coefficients(1, 2, 3) == [F(-1, 4050), F(1, 675), F(-1, 450)]
 
     def test_beta4_runs(self):
         frac, pw = leading_xi_coefficient_exact(0, 4, 16)
         assert pw == 4
-        assert leading_xi_coefficient(0, 4, 16) == pytest.approx(
-            float(frac) * np.pi ** pw, rel=1e-11)
+        assert frac == F(16, 135) * (1 - F(1, 256)) * (1 - F(1, 1024))
+        # the limit leads the beta = 4 two-point function, 16 pi^4 s^4 / 135
+        s = 1e-2
+        assert p_bulk(4, 0, s, 0.0) == pytest.approx(16 * np.pi ** 4 * s ** 4 / 135, rel=1e-2)
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            leading_xi_coefficient(2, 2, 7)
+            leading_xi_coefficient_exact(2, 2, 7)
 
     @pytest.mark.parametrize("N", [3, F(3), 3.0, F(7, 2), -12])
     def test_exact_precondition_for_every_N(self, N):
-        for coefficient in (leading_xi_coefficient_exact, leading_xi_coefficient):
-            with pytest.raises(ValueError, match="k \\+ 2 < N/2"):
-                coefficient(0, 2, N)
+        with pytest.raises(ValueError, match="k \\+ 2 < N/2"):
+            leading_xi_coefficient_exact(0, 2, N)
 
     @pytest.mark.parametrize("N", [math.inf, -math.inf, math.nan])
     def test_exact_refuses_non_finite_N(self, N):
         with pytest.raises(ValueError, match="N must be finite"):
             leading_xi_coefficient_exact(0, 2, N)
 
-    def test_float_view_past_the_evenness_float_range(self):
-        # the evenness product alone overflows a float here; the old float
-        # route multiplied that inf by an underflowed 0 and returned nan
-        frac, pw = leading_xi_coefficient_exact(10, 2, 10 ** 4)
-        with mpmath.workdps(30):
-            want = float(mpmath.mpf(frac.numerator) / frac.denominator * mpmath.pi ** pw)
-        assert leading_xi_coefficient(10, 2, 1e4) == pytest.approx(want, rel=1e-12)
-        assert want == pytest.approx(4.6434e-117, rel=1e-4)
-
-    def test_float_view_never_nan(self):
-        for k in (1, 10, 20, 40):
-            for beta in (2, 4, 6):
-                for N in (2 * k + 5, 1e3, 1e4):
-                    assert math.isfinite(leading_xi_coefficient(k, beta, N))
-        # below the float range: 0.0
-        assert leading_xi_coefficient(62, 6, 1000.0) == 0.0
-
 
 @pytest.mark.parametrize("call", [
-    lambda: evenness_factor(64, 3, 10 ** 100),
-    lambda: evenness_factor(64, 3, 10 ** 300),
-    lambda: evenness_factor(64, 3, F(10 ** 106 + 1, 10 ** 100)),
     lambda: leading_xi_coefficient_exact(62, 6, 10 ** 100),
     lambda: leading_xi_coefficient_exact(62, 6, 2 ** 53),
     lambda: leading_xi_coefficient_exact(62, 6, F(10 ** 15 + 1, 10 ** 8)),
-    lambda: leading_xi_coefficient(62, 6, 1e100),
-], ids=["evenness-1e100", "evenness-1e300", "evenness-denominator", "exact-1e100",
-        "exact-2^53", "exact-denominator", "float-1e100"])
+    lambda: leading_xi_coefficient_exact(62, 6, 1e100),
+], ids=["exact-1e100", "exact-2^53", "exact-denominator", "float-1e100"])
 def test_exact_n_past_the_cap_refused_at_once(call):
-    # the exact routes' integers grow as N^(kappa n (n - 1)): at 10^100 the
+    # the exact record's integers grow as N^(kappa n (n - 1)): at 10^100 the
     # calls took 7.5 s to 29 s
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="N must be at most 10000000"):
@@ -784,17 +790,14 @@ def test_exact_n_past_the_cap_refused_at_once(call):
 
 def test_exact_n_at_the_cap_accepted():
     assert leading_xi_coefficient_exact(0, 2, 10 ** 7)[0] == F(1, 3) * (1 - F(1, 10 ** 14))
-    assert evenness_factor(2, 1, F(10 ** 7 - 1, 10 ** 7)) == F(10 ** 7 - 1, 10 ** 7) ** 2 - 1
-    # a float N is multiplied in floats at any size
+    # the evenness factor is multiplied in floats at any N
     assert evenness_factor(2, 3.0, 1e40) == pytest.approx(729e240, rel=1e-14)
 
 
 def test_evenness_factor_exact_matches_float():
-    # an integer kappa with an int or Fraction N stays exact
+    # an int, numpy integer or Fraction argument gives the float of the same value
     exact = evenness_factor(3, 2, 10)
-    assert type(exact) is int and exact == evenness_factor(3, 2.0, 10.0)
+    assert type(exact) is float and exact == evenness_factor(3, 2.0, 10.0)
     # numpy integers too: in int64 the product wrapped around
-    assert evenness_factor(3, np.int64(2), np.int64(10 ** 5)) == evenness_factor(3, 2, 10 ** 5)
-    half = evenness_factor(3, 2, F(21, 2))
-    assert type(half) is F and float(half) == pytest.approx(evenness_factor(3, 2.0, 10.5),
-                                                            rel=1e-15)
+    assert evenness_factor(3, np.int64(2), np.int64(10 ** 5)) == evenness_factor(3, 2.0, 1e5)
+    assert evenness_factor(3, 2, F(21, 2)) == evenness_factor(3, 2.0, 10.5)

@@ -229,10 +229,18 @@ def _scale_integral_of_u2(monkeypatch, delta):
         beta, theta, expo) * (1.0 + delta if tuple(expo) == (2,) else 1.0))
 
 
+def _scale_r4_middle_coefficient(monkeypatch, delta):
+    pref, e, r4, kpow = sff._SERIES[2, 4]
+    middle = len(r4) // 2
+    r4 = r4[:middle] + (r4[middle] * (1 + Fraction(delta)),) + r4[middle + 1:]
+    monkeypatch.setitem(sff._SERIES, (2, 4), (pref, e, r4, kpow))
+
+
 # Rows without c: a relative change delta of one quantity each checks, which
 # the row must report as FAIL. An entry may only be lowered.
 OTHER_SENSITIVITY = {"rho2-second-beta2": (1e-9, _scale_constant),
                      "sff-symmetry": (1e-13, _scale_p2_constant_term),
+                     "sff-zeros-r4": (1e-12, _scale_r4_middle_coefficient),
                      "moment-recurrence-beta2": (1e-11, _scale_integral_of_u2)}
 
 
@@ -312,6 +320,18 @@ class TestVerify:
         for beta in (2, 1, 4):
             assert run(["verify", "--identity", f"p-corr-beta{beta}"], capsys)[0] == 0
         assert gap._spectrum.cache_info().misses == misses
+
+    @pytest.mark.parametrize("beta", [1, 2, 4, 6])
+    def test_beta_filter_selects_the_rows_named_for_it(self, beta, capsys, monkeypatch):
+        # each row's residual stubbed: the selection alone is under test
+        registry = {name: (b, tol, lambda: 0.0)
+                    for name, (b, tol, _) in cli._identity_registry().items()}
+        monkeypatch.setattr(cli, "_identity_registry", lambda: registry)
+        code, out = run(["verify", "--beta", str(beta)], capsys)
+        assert code == 0
+        want = {name for name in registry if name.endswith(f"-beta{beta}")}
+        assert {line.split()[0] for line in out.strip().splitlines()} == (
+            want | {"e-corr-pm"} if beta == 1 else want)
 
     def test_beta_filter_passes(self, capsys):
         code, out = run(["verify", "--beta", "4"], capsys)

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from circbeta import (E_CUE_SMALL_S, P0_BETA1, P0_BETA2, P1_BETA1, P1_BETA2,
-                      P2_BETA2, correction_factor, correction_residual,
-                      gauss_legendre, p_bulk, rho2_bulk_term,
-                      spacing_series_residual, surmise_correction,
-                      wigner_surmise)
+                      P2_BETA2, chebyshev_points, correction_factor, correction_residual,
+                      gauss_legendre, p_bulk, rho2_bulk_term, spacing_series_residual,
+                      spectral_derivative, surmise_correction, wigner_surmise)
 from circbeta.spacing import CHEB_NODES, SeriesTable, _p_samples
 
 
@@ -182,12 +181,13 @@ class TestSeriesIdentities:
     def test_beta1_exact(self):
         assert spacing_series_residual(1) == 0.0
 
-    @pytest.mark.parametrize("nu_power, table", [(0, P0_BETA2), (1, P1_BETA2)])
+    @pytest.mark.parametrize("nu_power, table", [(0, P0_BETA2), (1, P1_BETA2), (2, P2_BETA2)])
     def test_spacing_tables_are_gap_derivatives(self, nu_power, table):
-        # P = E''/xi^2 term by term, for the nu^0 and nu^1 parts of the gap series
+        # P = E''/xi^2 term by term, for the nu^0, nu^1 and nu^2 parts of the
+        # gap series built by the cluster expansion, not the stored one
         part = SeriesTable("e_part", tuple((sp, xp - 2, pp, 0, frac)
-                                           for sp, xp, pp, np_, frac in E_CUE_SMALL_S.terms
-                                           if np_ == nu_power))
+                                           for (sp, xp, pp, np_), frac
+                                           in _cue_gap_series(11).items() if np_ == nu_power))
         assert part.second_derivative().coefficients_through(9) == table.coefficients_through(9)
 
     def test_wrong_factor_fails(self):
@@ -334,11 +334,12 @@ class TestWignerSurmise:
             == pytest.approx(0.0, abs=1e-9)
 
     def test_correction_against_finite_differences(self):
-        h = 1e-4
-        for s in (0.4, 1.0, 2.2):
-            g = lambda t: t * t * wigner_surmise(t)
-            fd = -(g(s + h) - 2 * g(s) + g(s - h)) / (12.0 * h * h)
-            assert surmise_correction(s) == pytest.approx(fd, abs=1e-6)
+        # -(1/12)(s^2 P_W)'', differentiated spectrally on 40 Chebyshev nodes
+        # of [0, 3]: they agree to about 4e-14, and a relative change of 1e-6
+        # to the 4/pi in surmise_correction moves it by 1.2e-6
+        xs = chebyshev_points(40, 0.0, 3.0)
+        want = -spectral_derivative(xs * xs * wigner_surmise(xs), 2, 0.0, 3.0) / 12.0
+        assert np.max(np.abs(surmise_correction(xs) - want)) <= 1e-12
 
     def test_graphical_accuracy_of_correction(self):
         grid = np.linspace(0.0, 3.0, 61)
