@@ -5,7 +5,7 @@ the 1/N^2 correction identities connecting them."""
 from .numerics import (gauss_legendre, sine_integral, chebyshev_points, chebyshev_diff_matrix,
                        spectral_derivative, chebyshev_interpolate, correction_factor,
                        correction_residual)
-from .kernels import KernelSpec, pfaffian_entries
+from .kernels import KernelSpec
 from .correlations import (rho_n_cue, rho_n_pfaffian, pfaffian,
                            rho2_bulk_term, rho2_bulk_finite)
 from .gap import (AccuracyWarning, fredholm_det, fredholm_trace_correction, e_bulk, e_pm,

@@ -9,7 +9,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import astuple
 from functools import lru_cache
 
 import numpy as np
@@ -118,7 +117,7 @@ def cmd_rho2(args):
 
 def cmd_fig1(args):
     grid = args.range if args.range is not None else np.linspace(0.0, 3.0, 61)
-    exact = np.where(grid > 0, spacing.p_bulk(2, 1, np.maximum(grid, 0.0), 1.0), 0.0)
+    exact = np.where(grid > 0, spacing.p_bulk(2, 1, grid, 1.0), 0.0)
     rows = [[float(v) for v in row] for row in zip(grid, exact, spacing.surmise_correction(grid))]
     return _emit(args, "fig1", {"xi": 1.0}, ["s", "exact_correction",
                                              "surmise_correction"], rows)
@@ -190,8 +189,8 @@ def _identity_registry():
         "rho2-corr-beta2": _cheb(2, 2e-11, (0, 2), rho2_x, rho2),
         "rho2-corr-beta4": _cheb(4, 3e-12, (0, 2), rho2_x, rho2),
         "rho2-second-beta2": _cheb(2, 5e-10, (2, 2), rho2_x, rho2_second, -np.pi ** 2 / 60),
-        "sff-x6-beta1": _row(1, 3e-16, lambda b: max(astuple(sff.verify_x6(b)))),
-        "sff-x6-beta4": _row(4, 2e-15, lambda b: max(astuple(sff.verify_x6(b)))),
+        "sff-x6-beta1": _row(1, 3e-16, lambda b: max(sff.verify_x6(b))),
+        "sff-x6-beta4": _row(4, 2e-15, lambda b: max(sff.verify_x6(b))),
         "sff-symmetry": (None, 2e-14, sff._symmetry_residual),
         "sff-zeros-r4": (None, 1e-15, sff._r4_oracle_residual),
         "rho2-even-corr-beta2": _cheb(2, 1e-8, (0, 2), even_x, rho2_even),

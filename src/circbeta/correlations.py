@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import pfaffian_entries, _cue_scaled
+from .kernels import _cue_scaled, _pfaffian_entries, _pfaffian_step
 from .numerics import _CUE_MAX_N, _SLICE_ENTRIES, _choice, _real, _whole, sine_integral
 
 
 def rho_n_cue(N: int, angles) -> float:
-    """n-point density of the N-dimensional circular unitary ensemble."""
-    N, th = _whole("N", N), np.atleast_1d(_real("angles", angles))
+    """n-point density of the N-dimensional circular unitary ensemble; N is at
+    most 4096."""
+    N, th = _whole("N", N, most=_CUE_MAX_N), np.atleast_1d(_real("angles", angles))
     if th.size < 1 or th.size > N:
         raise ValueError("need 1 <= n <= N angles")
     # an exact repeat, found without np.unique: its first call imports numpy.ma
@@ -70,27 +71,29 @@ def rho_n_pfaffian(beta: int, N: int, angles):
     """n-point density of the N-dimensional circular orthogonal (beta = 1) or
     symplectic (beta = 4) ensemble at angles shaped (..., n): the Pfaffian of
     the 2n x 2n matrix of kernel entries of each configuration. Configurations
-    enter in slices whose trig tables hold at most _SLICE_ENTRIES entries; one
+    enter in slices of at most _SLICE_ENTRIES matrix entries (one
+    configuration when its matrix alone holds more), and the kernel entries'
+    trig tables hold at most _SLICE_ENTRIES entries each, whatever n. One
     configuration gives a float. N is at most 4096."""
     beta, N = _choice("beta", beta, (1, 4)), _whole("N", N, most=_CUE_MAX_N)
     th = np.asarray(_real("angles", angles))
     n = th.shape[-1] if th.ndim else 0
     if n < 1 or n > N:
         raise ValueError("need 1 <= n <= N angles")
-    ent = pfaffian_entries(N if beta == 1 else 2 * N)
-    pref = 1.0 if beta == 1 else 0.5
-    top_left, diag = ent.j if beta == 1 else ent.i, np.arange(2 * n)
+    pref, diag = (1.0 if beta == 1 else 0.5), np.arange(2 * n)
 
     def density(th):
         d = th[..., :, None] - th[..., None, :]
-        S, A = pref * ent.s(d), np.empty(d.shape[:-2] + (2 * n, 2 * n))
-        A[..., 0::2, 0::2], A[..., 1::2, 1::2] = pref * top_left(d), -pref * ent.d(d)
+        s, ds, i = _pfaffian_entries(N if beta == 1 else 2 * N, d)
+        top_left = i - _pfaffian_step(N, d) if beta == 1 else i
+        S, A = pref * s, np.empty(d.shape[:-2] + (2 * n, 2 * n))
+        A[..., 0::2, 0::2], A[..., 1::2, 1::2] = pref * top_left, -pref * ds
         A[..., 0::2, 1::2], A[..., 1::2, 0::2] = S, -S
         A[..., diag, diag] = 0.0
         return _pfaffian(A)
 
     flat = th.reshape(-1, n)
-    step = max(1, _SLICE_ENTRIES // (n * n * N))   # at most N frequencies per entry
+    step = max(1, _SLICE_ENTRIES // (4 * n * n))
     out = np.concatenate([density(flat[i:i + step]) for i in range(0, len(flat) or 1, step)])
     return out.reshape(th.shape[:-1])[()]
 

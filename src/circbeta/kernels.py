@@ -1,6 +1,6 @@
 """The bulk-scaled finite-N circular unitary kernel, the names of the bulk
-kernels that the Nystrom engine serves, and the Pfaffian kernel entry
-functions."""
+kernels that the Nystrom engine serves, and the entries of the Pfaffian
+matrix kernel."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _CUE_MAX_N, _choice, _whole
+from .numerics import _SLICE_ENTRIES, _choice
 
 
 def _cue_scaled(d, N):
@@ -40,49 +40,37 @@ class KernelSpec:
 # ---------------------------------------------------------------------------
 # Pfaffian kernel entries: exact finite trigonometric sums
 
-@dataclass(frozen=True)
-class PfaffianKernelEntries:
-    """Entry functions s, d, i, j, eps of the 2x2 matrix kernel for index N.
-
-    s is the scaled Dirichlet kernel with s(0) = N/2pi, d = s', i(t) = int_0^t s,
-    j = i - eps with eps the parity-dependent step function.
-    """
-
-    N: int
-
-    def _freqs(self):
-        if self.N % 2:
-            return np.arange(1, (self.N - 1) // 2 + 1, dtype=float)
-        return np.arange(self.N // 2, dtype=float) + 0.5
-
-    def _trig_sum(self, trig, theta, power):
-        """sum over the frequencies f of f^power trig(f theta) / pi, at any shape of theta."""
-        f = self._freqs()
-        return trig(np.multiply.outer(theta, f)) @ f ** power / np.pi
-
-    def s(self, theta):
-        return self._trig_sum(np.cos, theta, 0) + (0.5 / np.pi if self.N % 2 else 0.0)
-
-    def d(self, theta):
-        return -self._trig_sum(np.sin, theta, 1)
-
-    def i(self, theta):
-        base = self._trig_sum(np.sin, theta, -1)
-        return base + np.asarray(theta, float) / (2.0 * np.pi) if self.N % 2 else base
-
-    def eps(self, theta):
-        ratio = np.asarray(theta, float) / (2.0 * np.pi)
-        m = np.rint(ratio)
-        on_boundary = np.abs(ratio - m) <= 1e-12
-        if self.N % 2:
-            return np.where(on_boundary, m, np.floor(ratio) + 0.5)
-        return np.where(on_boundary, 0.0, 0.5 * (-1.0) ** np.floor(ratio))
-
-    def j(self, theta):
-        return self.i(theta) - self.eps(theta)
+def _pfaffian_entries(N: int, theta):
+    """The entries (s, d, i) of the 2x2 matrix kernel of index N at theta of any
+    shape: s is the scaled Dirichlet kernel with s(0) = N / 2pi, d = s' and
+    i(t) = int_0^t s. Each is a sum over the frequencies f of cos(f theta) or
+    f^(+-1) sin(f theta), over pi, read from one cosine and one sine table. The
+    rows of theta's last axis enter in slices of at most _SLICE_ENTRIES table
+    entries, and a row in pieces when it alone holds more; O(N) per entry."""
+    f = (np.arange(1, (N - 1) // 2 + 1, dtype=float) if N % 2
+         else np.arange(N // 2, dtype=float) + 0.5)
+    theta = np.asarray(theta, float)
+    rows = theta.reshape(-1, theta.shape[-1] if theta.ndim else 1)
+    width = min(rows.shape[1], _SLICE_ENTRIES // max(f.size, 1))
+    step = _SLICE_ENTRIES // (width * max(f.size, 1))
+    sums = np.empty((3,) + rows.shape)
+    for a in range(0, rows.shape[0], step):
+        for b in range(0, rows.shape[1], width):
+            angles = np.multiply.outer(rows[a:a + step, b:b + width], f)
+            cos, sin = np.cos(angles), np.sin(angles)
+            sums[:, a:a + step, b:b + width] = cos @ f ** 0, -(sin @ f), sin @ f ** -1
+    s, d, i = sums.reshape((3,) + theta.shape) / np.pi
+    if N % 2:
+        return s + 0.5 / np.pi, d, i + theta / (2.0 * np.pi)
+    return s, d, i
 
 
-def pfaffian_entries(N: int) -> PfaffianKernelEntries:
-    """The entry functions for index N, 2 <= N <= 8192 (the index of the
-    symplectic kernel of dimension 4096 is 8192); each costs O(N) per entry."""
-    return PfaffianKernelEntries(_whole("N", N, 2, 2 * _CUE_MAX_N))
+def _pfaffian_step(N: int, theta):
+    """The parity-dependent step eps of index N at theta, with j = i - eps the
+    top-left entry of the beta = 1 matrix kernel."""
+    ratio = np.asarray(theta, float) / (2.0 * np.pi)
+    m = np.rint(ratio)
+    on_boundary = np.abs(ratio - m) <= 1e-12
+    if N % 2:
+        return np.where(on_boundary, m, np.floor(ratio) + 0.5)
+    return np.where(on_boundary, 0.0, 0.5 * (-1.0) ** np.floor(ratio))

@@ -279,7 +279,8 @@ def correction_residual(q0, q1, c, lo: float, hi: float, grid, n_cheb: int,
 
 def chebyshev_interpolate(values, lo: float, hi: float, x):
     """Barycentric evaluation of the Chebyshev interpolant at x (scalar or
-    array) in [lo, hi]."""
+    array) in [lo, hi]; the queries enter in slices of at most _SLICE_ENTRIES
+    table entries."""
     v = np.asarray(_real("values", values))
     n = v.size
     nodes = chebyshev_points(n, lo, hi)
@@ -287,12 +288,14 @@ def chebyshev_interpolate(values, lo: float, hi: float, x):
     w[0] *= 0.5
     w[-1] *= 0.5
     xq = np.atleast_1d(_real("x", x, *sorted((float(lo), float(hi)))))
-    diff = xq[:, None] - nodes[None, :]
-    hit = np.abs(diff) <= 1e-14
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = w[None, :] / diff
-        r = np.where(np.isfinite(r), r, 0.0)
-        num, den = np.sum(r * v[None, :], axis=1), np.sum(r, axis=1)
-    # a query within 1e-14 of a node takes that (first) node's sample
-    out = np.where(hit.any(axis=1), v[hit.argmax(axis=1)], num / den)
+    out, step = np.empty(xq.size), max(1, _SLICE_ENTRIES // n)
+    for a in range(0, xq.size, step):
+        diff = xq[a:a + step, None] - nodes[None, :]
+        hit = np.abs(diff) <= 1e-14
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = w[None, :] / diff
+            r = np.where(np.isfinite(r), r, 0.0)
+            num, den = np.sum(r * v[None, :], axis=1), np.sum(r, axis=1)
+        # a query within 1e-14 of a node takes that (first) node's sample
+        out[a:a + step] = np.where(hit.any(axis=1), v[hit.argmax(axis=1)], num / den)
     return out if np.ndim(x) else float(out[0])

@@ -5,7 +5,6 @@ small-tau series, and the differential/functional identities."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -320,14 +319,9 @@ def _d_coeff(kappa):
     return (kappa ** 3 - 1) / (720 * kappa ** 3 * (kappa - 1))
 
 
-@dataclass(frozen=True)
-class X6Report:
-    residual1: float
-    residual2: float
-
-
-def verify_x6(beta: float) -> X6Report:
-    """Residuals of the two correction-to-limit differential relations.
+def verify_x6(beta: float) -> tuple[float, float]:
+    """Residuals (residual1, residual2) of the two correction-to-limit
+    differential relations.
 
     residual1 checks S_1 = c tau^2 S_0'' with c = -1/(12 kappa). For beta in
     {1, 4} the closed-form S_1 is compared with the analytic S_0'' at nine
@@ -348,14 +342,14 @@ def verify_x6(beta: float) -> X6Report:
     c, d = correction_factor(2 * kappa), _d_coeff(kappa)
     r2 = _series_relation(2, kappa, lambda m: d * m * (m - 1) * (m + 1) * (m + 2))
     if beta not in (1, 4):
-        return X6Report(_series_relation(1, kappa, lambda m: c * m * (m - 1)), r2)
+        return _series_relation(1, kappa, lambda m: c * m * (m - 1)), r2
     # beta = 4 has a logarithmic singularity at tau = 1
     tau_grid = np.linspace(0.1, 0.9, 9) if beta == 1 else \
         np.concatenate([np.linspace(0.1, 0.9, 9), np.linspace(1.1, 1.9, 9)])
     derivs = _s0_derivs_beta1 if beta == 1 else _s0_derivs_beta4
-    return X6Report(max(abs(sff_bulk_term(beta, 1, float(t))
-                            - correction_factor(beta) * t * t * derivs(float(t))[1])
-                        for t in tau_grid), r2)
+    return max(abs(sff_bulk_term(beta, 1, float(t))
+                   - correction_factor(beta) * t * t * derivs(float(t))[1])
+               for t in tau_grid), r2
 
 
 def _series_relation(order: int, kappa, factor) -> float:

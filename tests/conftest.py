@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,15 @@ def eigh_log(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
     return log
+
+
+def traced_peak(call):
+    """(call(), the peak of the memory traced while it ran, in bytes)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _l_kernel(d):

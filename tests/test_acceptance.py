@@ -109,9 +109,7 @@ def test_criterion_6_structure_functions():
             dev = 100 ** 2 * (cb.sff_bulk_scaled(beta, 100, tau)
                               - cb.sff_bulk_term(beta, 0, tau))
             worst = max(worst, abs(dev - cb.sff_bulk_term(beta, 1, tau)))
-    x61 = cb.verify_x6(1)
-    x64 = cb.verify_x6(4)
-    closed = max(x61.residual1, x61.residual2, x64.residual1, x64.residual2)
+    closed = max(*cb.verify_x6(1), *cb.verify_x6(4))
     antisymmetric = _series_antisymmetric()
     zero_dev = {name: root_modulus_deviation((name,))
                 for name in ("p2", "p4", "q2", "q4", "r2", "p6", "q6")}

@@ -1,7 +1,6 @@
 import itertools
 import math
 import time
-import tracemalloc
 import warnings
 from fractions import Fraction as F
 
@@ -20,6 +19,7 @@ from circbeta.beta_even import (_ENGINES, _METHODS, _STEPS, _TERMS, _integral_be
                                 rho2_correction_estimate, selberg_exact)
 from circbeta.gap import AccuracyWarning
 from circbeta.sff import _partition_boxes
+from conftest import traced_peak
 
 
 def tensor2(f, n=80):
@@ -341,12 +341,7 @@ class TestRho2EvenBeta:
         # each point sums its step's series into a scalar: 20000 points peak
         # at 4.6 MB traced, where rows per point and term peaked at 22.6 MB
         xs = np.linspace(0.1, 3.0, 20000)
-        tracemalloc.start()
-        try:
-            got = rho2_even_beta(6, xs, N)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = traced_peak(lambda: rho2_even_beta(6, xs, N))
         assert peak <= 10e6
         some = xs[::3999]
         assert np.max(np.abs(got[::3999] - [rho2_even_beta(6, x, N) for x in some])) <= 1e-14
@@ -414,12 +409,8 @@ class TestRho2EvenBeta:
         assert rho2_even_beta(beta, 0.7, 20) == rho2_even_beta(beta, 0.7, 20.0)
 
     def test_holonomic_range_bounded(self):
-        tracemalloc.start()
-        try:
-            assert rho2_even_beta(6, 200.0) == pytest.approx(1.0, abs=0.02)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = traced_peak(lambda: rho2_even_beta(6, 200.0))
+        assert got == pytest.approx(1.0, abs=0.02)
         assert peak < 20e6
         with pytest.raises(ValueError, match=r"x must lie in \[-200, 200\]"):
             rho2_even_beta(6, 200.5)
@@ -594,12 +585,7 @@ class TestVerify421:
         # x goes through the quadrature engines in slices: the unsliced
         # temporaries of 4000 points would be 16 MB (beta = 2) and 50 MB (beta = 4)
         xs = np.linspace(0.1, 3.0, 4000)
-        tracemalloc.start()
-        try:
-            got = rho2_even_beta(beta, xs, 40)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = traced_peak(lambda: rho2_even_beta(beta, xs, 40))
         assert peak < 4e6
         some = xs[::397]
         assert np.max(np.abs(got[::397] - [rho2_even_beta(beta, x, 40) for x in some])) <= 1e-14

@@ -262,6 +262,15 @@ class TestVerify:
         code, out = run(["verify", "--identity", name], capsys)
         assert code == 1 and f"{name} " in out and out.rstrip().endswith("FAIL")
 
+    @pytest.mark.parametrize("name", ["sff-x6-beta1", "sff-x6-beta4"])
+    def test_x6_row_sees_d(self, name, monkeypatch, capsys):
+        # d(kappa) scaled by 1 + 1e-12 reads 1.9e-11 at beta = 1 and 3.6e-14
+        # at beta = 4, against bounds of 3e-16 and 2e-15
+        d = sff._d_coeff
+        monkeypatch.setattr(sff, "_d_coeff", lambda kappa: d(kappa) * (1 + Fraction(1e-12)))
+        code, out = run(["verify", "--identity", name], capsys)
+        assert code == 1 and f"{name} " in out and out.rstrip().endswith("FAIL")
+
     @pytest.mark.parametrize("field", [1, 3], ids=["kappa-1-power", "kappa-power"])
     def test_symmetry_row_sees_a_corrupted_record(self, field, monkeypatch, capsys):
         record = list(sff._SERIES[1, 4])
@@ -459,6 +468,8 @@ class TestUsageErrors:
         # past s = 6 the one 64-node span of p_bulk loses digits
         (["spacing", "--beta", "4", "--xi", "0.5", "--range", "0.1:20:30"],
          "s must lie in [0, 6]"),
+        # fig1 refuses s < 0 as spacing does, instead of writing 0 there
+        (["fig1", "--range=-1:0.5:4"], "s must lie in [0, 6]"),
     ])
     def test_library_value_error_exits_2(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 from circbeta import (correction_factor, correction_residual, pfaffian,
                       rho2_bulk_finite, rho2_bulk_term, rho_n_cue, rho_n_pfaffian,
                       sine_integral)
+from conftest import traced_peak
 
 
 def pfaffian_combinatorial(A: np.ndarray):
@@ -128,7 +128,7 @@ class TestPfaffian:
 class TestRhoNPfaffian:
     @pytest.mark.parametrize("beta", [1, 4])
     def test_density(self, beta):
-        for N in (6, 7, 20):
+        for N in (1, 6, 7, 20):
             assert rho_n_pfaffian(beta, N, [0.9]) == pytest.approx(
                 N / (2 * np.pi), rel=1e-12)
 
@@ -173,16 +173,21 @@ class TestRhoNPfaffian:
         # the configurations go through the trig tables in slices: unsliced,
         # 20,000 points would peak at 132 MB (beta = 1) and 260 MB (beta = 4)
         xs = np.linspace(0.1, 3.0, 20_000)
-        tracemalloc.start()
-        try:
-            got = rho2_bulk_finite(beta, 200, xs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = traced_peak(lambda: rho2_bulk_finite(beta, 200, xs))
         assert peak < 4e6
         some = xs[::1999]
         assert np.max(np.abs(got[::1999] - [rho2_bulk_finite(beta, 200, x) for x in some])) \
             <= 1e-15
+
+    @pytest.mark.parametrize("beta, n, want", [(1, 100, 2.590046366315214e+281),
+                                               (4, 50, 4.587167899401116e+140)])
+    def test_many_angles_bounded(self, beta, n, want):
+        # one configuration's trig tables, unsliced, would hold n^2 N/2 (beta =
+        # 1) or n^2 N (beta = 4) entries: 328 MB and 164 MB at these n; want
+        # is the value they gave
+        got, peak = traced_peak(lambda: rho_n_pfaffian(beta, 4096, np.linspace(0.1, 6.0, n)))
+        assert peak <= 8e6
+        assert got == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("beta,x", [(1, 0.7), (4, 0.7), (1, 1.3), (4, 1.3)])
     def test_correction_convergence(self, beta, x):

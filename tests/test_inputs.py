@@ -19,7 +19,7 @@ from circbeta import (KernelSpec, cbe_trace_moment, chebyshev_diff_matrix, cheby
                       correction_residual, e_finite_cue, e_pm, e_tau, evenness_factor,
                       extract_correction, fredholm_det, gauss_legendre,
                       leading_xi_coefficient_exact, morris, numerics,
-                      oracle_series_coefficients, pfaffian, pfaffian_entries, rho2_bulk_finite,
+                      oracle_series_coefficients, pfaffian, rho2_bulk_finite,
                       rho_n_cue, rho_n_pfaffian, selberg, selberg_log, sff_exact, sff_series,
                       solve_sigma0, verify_x6)
 from circbeta.painleve import SigmaSolution
@@ -69,7 +69,6 @@ def test_non_finite_refused(call, name, sol):
     (lambda: sff_exact(2, 3, 1.5), "k must be an integer"),
     (lambda: rho_n_cue(2.5, [0.1, 0.5]), "N must be an integer"),
     (lambda: rho_n_pfaffian(1, 2.5, [0.3]), "N must be an integer"),
-    (lambda: pfaffian_entries(7.5), "N must be an integer"),
     (lambda: e_finite_cue(2.5, 1.0, 0.5), "N must be a positive integer"),
     (lambda: e_finite_cue(math.nan, 1.0, 0.5), "N must be a positive integer"),
     (lambda: cbe_trace_moment(2, True, 3), "N must be a positive integer"),
@@ -89,7 +88,7 @@ def test_non_finite_refused(call, name, sol):
     *(pytest.param(call, message, id=f"cap-{name}") for name, call, message in (
         ("rho2_bulk_finite", lambda: rho2_bulk_finite(4, 4097, 0.3), "N must be at most 4096"),
         ("rho_n_pfaffian", lambda: rho_n_pfaffian(1, 4097, [0.3, 0.5]), "N must be at most 4096"),
-        ("pfaffian_entries", lambda: pfaffian_entries(8193), "N must be at most 8192"),
+        ("rho_n_cue", lambda: rho_n_cue(4097, [0.3, 0.5]), "N must be at most 4096"),
         ("morris", lambda: morris(4097, 1.0, 1.0, 1.0), "N must be at most 4096"),
         ("selberg_log", lambda: selberg_log(4097, 0.5, 0.5, 1.0), "n must be at most 4096"),
         ("chebyshev_points", lambda: chebyshev_points(1025, 0.0, 1.0), "n must be at most 1024"),
@@ -212,7 +211,6 @@ BASE = {
     "correction_residual": (np.sin, np.cos, -1 / 12, 0.0, 1.0, np.linspace(0.1, 0.9, 5),
                             16, 2, 0),
     "KernelSpec": ("sine",),
-    "pfaffian_entries": (8,),
     "rho_n_cue": (8, [0.1, 0.5]),
     "rho_n_pfaffian": (1, 8, [0.1, 0.5]),
     "pfaffian": (SKEW,),
@@ -296,7 +294,6 @@ CALLERS = {
     "correction_factor": "cli",
     "correction_residual": "cli",
     "KernelSpec": "bench/workloads",
-    "pfaffian_entries": "correlations",
     "rho_n_cue": "the n-point determinant of the CUE: the beta = 2 oracle of rho_n_pfaffian",
     "rho_n_pfaffian": "correlations",
     "pfaffian": "the library's one Pfaffian, at any shape, which beta_even and "

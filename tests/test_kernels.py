@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from circbeta import KernelSpec, gauss_legendre, pfaffian_entries
-from circbeta.kernels import _cue_scaled
+from circbeta import KernelSpec, gauss_legendre
+from circbeta.kernels import _cue_scaled, _pfaffian_entries, _pfaffian_step
 from conftest import _l_kernel, kernel_eval
 
 ALL_FAMILIES = ["sine", "l", "plus", "minus", "l_plus", "l_minus"]
@@ -82,53 +82,74 @@ class TestBulkExpansion:
         assert (devs[40] - target) / (devs[80] - target) == pytest.approx(4.0, rel=0.05)
 
 
+def entries(N, theta):
+    """(s, d, i, j) of the matrix kernel of index N at theta."""
+    s, d, i = _pfaffian_entries(N, theta)
+    return s, d, i, i - _pfaffian_step(N, theta)
+
+
 class TestPfaffianEntries:
     @pytest.mark.parametrize("N", [7, 8])
     def test_peak_value(self, N):
-        ent = pfaffian_entries(N)
-        assert float(ent.s(0.0)) == pytest.approx(N / (2 * np.pi), abs=1e-13)
+        assert float(entries(N, 0.0)[0]) == pytest.approx(N / (2 * np.pi), abs=1e-13)
 
     def test_parity_step_even(self):
-        ent = pfaffian_entries(8)
-        assert float(ent.eps(1.0)) == 0.5
-        assert float(ent.eps(2 * np.pi + 1.0)) == -0.5
-        assert float(ent.eps(2 * np.pi)) == 0.0
-        assert float(ent.eps(-1.0)) == -0.5
+        assert float(_pfaffian_step(8, 1.0)) == 0.5
+        assert float(_pfaffian_step(8, 2 * np.pi + 1.0)) == -0.5
+        assert float(_pfaffian_step(8, 2 * np.pi)) == 0.0
+        assert float(_pfaffian_step(8, -1.0)) == -0.5
 
     def test_parity_step_odd(self):
-        ent = pfaffian_entries(7)
-        assert float(ent.eps(1.0)) == 0.5
-        assert float(ent.eps(2 * np.pi + 0.5)) == 1.5
-        assert float(ent.eps(2 * np.pi)) == 1.0
-        assert float(ent.eps(0.0)) == 0.0
+        assert float(_pfaffian_step(7, 1.0)) == 0.5
+        assert float(_pfaffian_step(7, 2 * np.pi + 0.5)) == 1.5
+        assert float(_pfaffian_step(7, 2 * np.pi)) == 1.0
+        assert float(_pfaffian_step(7, 0.0)) == 0.0
 
     @pytest.mark.parametrize("N", [7, 10])
     def test_derivative_relation(self, N):
-        ent = pfaffian_entries(N)
         h = 1e-5
         for th in (0.4, 1.3, 2.8):
-            fd = (float(ent.s(th + h)) - float(ent.s(th - h))) / (2 * h)
-            assert float(ent.d(th)) == pytest.approx(fd, abs=1e-7)
+            fd = (entries(N, th + h)[0] - entries(N, th - h)[0]) / (2 * h)
+            assert float(entries(N, th)[1]) == pytest.approx(fd, abs=1e-7)
 
     @pytest.mark.parametrize("N", [7, 10])
     def test_parities(self, N):
-        ent = pfaffian_entries(N)
         th = np.linspace(0.1, 5.0, 9)
-        assert np.allclose(ent.s(th), ent.s(-th), atol=1e-14)
-        assert np.allclose(ent.d(th), -ent.d(-th), atol=1e-14)
-        assert np.allclose(ent.i(th), -ent.i(-th), atol=1e-14)
+        (s, d, i, _), (s_, d_, i_, _) = entries(N, th), entries(N, -th)
+        assert np.allclose(s, s_, atol=1e-14)
+        assert np.allclose(d, -d_, atol=1e-14)
+        assert np.allclose(i, -i_, atol=1e-14)
 
     @pytest.mark.parametrize("N", [7, 10])
     def test_integral_against_quadrature(self, N):
-        ent = pfaffian_entries(N)
         rule = gauss_legendre(64, 0.0, 2 * np.pi)
-        oracle = rule.integrate(ent.s)
-        assert float(ent.i(2 * np.pi)) == pytest.approx(oracle, abs=1e-10)
+        oracle = rule.integrate(lambda th: entries(N, th)[0])
+        assert float(entries(N, 2 * np.pi)[2]) == pytest.approx(oracle, abs=1e-10)
 
     def test_j_subtracts_step(self):
-        ent = pfaffian_entries(9)
-        assert float(ent.j(1.2)) == pytest.approx(float(ent.i(1.2)) - 0.5, abs=1e-15)
+        _, _, i, j = entries(9, 1.2)
+        assert float(j) == pytest.approx(float(i) - 0.5, abs=1e-15)
 
-    def test_needs_two(self):
-        with pytest.raises(ValueError):
-            pfaffian_entries(1)
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4), (2, 3, 40), (40, 40)])
+    def test_each_row_is_one_product(self, shape):
+        # each row of theta's last axis that fits one slice gets each sum from
+        # one (n, F) @ (F,) product over the whole row, whichever slice holds
+        # it: the bits do not depend on theta's shape
+        th = np.random.default_rng(5).uniform(-6.0, 6.0, shape)
+        rows = th.reshape(-1, shape[-1] if shape else 1)
+        f = np.arange(1.0, 101.0)                       # the frequencies of index 201
+        cos, sin = np.cos(np.multiply.outer(rows, f)), np.sin(np.multiply.outer(rows, f))
+        want = (cos @ f ** 0 / np.pi + 0.5 / np.pi, -(sin @ f / np.pi),
+                sin @ f ** -1 / np.pi + rows / (2.0 * np.pi))
+        for got, w in zip(_pfaffian_entries(201, th), want):
+            assert got.shape == shape and np.array_equal(got.reshape(rows.shape), w)
+
+    def test_long_row_in_pieces(self):
+        # one row of 100 entries at index 8192 spans 409,600 table entries, so
+        # it goes through the tables in pieces of 16 entries
+        th = np.linspace(-6.0, 6.0, 100)
+        f = np.arange(4096) + 0.5
+        angles = np.multiply.outer(th, f)
+        want = (np.cos(angles).sum(-1), -np.sin(angles) @ f, np.sin(angles) @ (1 / f))
+        for got, w in zip(_pfaffian_entries(8192, th), want):
+            assert np.allclose(got, w / np.pi, rtol=1e-12, atol=1e-9)

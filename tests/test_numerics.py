@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from circbeta import (chebyshev_interpolate, chebyshev_points, correction_factor,
-                      correction_residual, gauss_legendre, sine_integral,
+                      correction_residual, gauss_legendre, p_bulk, sine_integral,
                       spectral_derivative)
 from circbeta import numerics
 from circbeta.numerics import digamma
+from conftest import traced_peak
 
 
 def adaptive_simpson(f, a, b, tol=1e-13):
@@ -285,3 +286,21 @@ def test_chebyshev_interpolation_matches_row_loops():
     for xq in (xs[5], xs[5] + 5e-15, 1.234):
         assert chebyshev_interpolate(vals, 0.0, 3.3, xq) == \
             _interpolate_row_loops(vals, 0.0, 3.3, xq)[0]
+
+
+def test_chebyshev_interpolation_in_slices():
+    # 5000 queries at 33 nodes enter in three slices; each row's sums are
+    # those of the whole table
+    xs = chebyshev_points(33, 0.0, 3.3)
+    vals = np.cos(2.0 * xs) * np.exp(-xs)
+    q = np.concatenate((np.random.default_rng(8).uniform(0.0, 3.3, 4990), xs[::4]))
+    assert np.array_equal(chebyshev_interpolate(vals, 0.0, 3.3, q),
+                          _interpolate_row_loops(vals, 0.0, 3.3, q))
+
+
+def test_chebyshev_interpolation_bounded():
+    # 10^5 queries: unsliced, the query-by-node tables peaked at 168 MB traced
+    s = np.linspace(0.0, 3.0, 10 ** 5)
+    got, peak = traced_peak(lambda: p_bulk(2, 0, s, 1.0))
+    assert peak <= 16e6
+    assert np.array_equal(got[::9999], p_bulk(2, 0, s[::9999], 1.0))

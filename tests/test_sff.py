@@ -175,26 +175,24 @@ class TestX6:
     def test_closed_forms(self):
         # the first relation against the closed forms; the second is checked
         # on the series, where it holds exactly at kappa = 1/2 and 2
-        r1 = verify_x6(1)
-        r4 = verify_x6(4)
-        assert max(r1.residual1, r4.residual1) < 1e-10
-        assert r1.residual2 == 0.0 and r4.residual2 == 0.0
+        (first1, second1), (first4, second4) = verify_x6(1), verify_x6(4)
+        assert max(first1, first4) < 1e-10
+        assert second1 == 0.0 and second4 == 0.0
 
     def test_series_level_beta2(self):
-        r = verify_x6(2)
-        assert r.residual1 == 0.0 and r.residual2 == 0.0
+        assert verify_x6(2) == (0.0, 0.0)
 
     def test_series_level_beta6(self):
         # first relation holds exactly at every stored order; the second holds
         # exactly at tau^2 but not beyond, since the tau^3/tau^4 coefficients
         # are decided by the oracle (TestOracle), not by d(kappa)
-        r = verify_x6(6)
-        assert r.residual1 == 0.0
+        first, second = verify_x6(6)
+        assert first == 0.0
         kap = F(3)
         d = (kap ** 3 - 1) / (720 * kap ** 3 * (kap - 1))
         lhs2 = series_coefficient(2, 2, kap)
         assert lhs2 == d * 2 * 1 * 3 * 4 * series_coefficient(0, 2, kap)
-        assert 1e-4 < r.residual2 < 1e-2
+        assert 1e-4 < second < 1e-2
 
     def test_general_beta_tau2_exact(self):
         for kap in (F(3, 2), F(5, 2), F(4)):
