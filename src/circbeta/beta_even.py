@@ -356,6 +356,9 @@ def rho2_even_beta(beta: int, x, N: int | float | None = None,
     N = None if N is None else _real("N", N)
     if method == "holonomic" and quad_order is not None:
         raise ValueError("the holonomic engine takes no quad_order")
+    if check_convergence is not None and not isinstance(check_convergence, (bool, np.bool_)):
+        raise ValueError("check_convergence must be True, False or None, got "
+                         f"{check_convergence!r}")
     # at most 512 nodes to certify
     n_nodes = (_DEFAULT_ORDER.get(beta) if quad_order is None
                else _whole("quad_order", quad_order, beta, 256))
@@ -367,7 +370,7 @@ def rho2_even_beta(beta: int, x, N: int | float | None = None,
     xs = np.asarray(_real("x", x, -reach, reach))
     if N is not None and np.any(np.abs(xs) >= abs(N) / 2.0):
         raise ValueError("separation must stay within one period, |x| < N/2")
-    flat, rounds = xs.ravel(), 1 if check_convergence is False else 2
+    flat, rounds = xs.ravel(), 2 if check_convergence in (None, True) else 1
     if method == "holonomic":
         # even in x: run each path forwards, with theta = 2 pi x / N >= 0
         xs_path = np.abs(flat) * (1.0 if N is None or N > 0 else -1.0)
@@ -410,6 +413,9 @@ _EXPONENT_MAX = 32
 # moves against twice its order by 9e-11 (relative) at 50, 1.6e-8 at 60 and 0.26
 # at 80, and the recurrence reads 2.5e-15, 1.3e-12 and 1.3e-5 (beta = 2: 3e-11 to 150)
 _THETA_MAX = 50.0
+# the recurrence's cases (a_1 >= 2, and distinct from the other exponents) and thetas
+_CASES = ((2,), (3,), (4,), (2, 1), (3, 1), (3, 2), (4, 1))
+_THETAS = (1.0, 2.5)
 
 
 def moment_integral(beta: int, theta: float, exponents=()) -> complex:
@@ -437,52 +443,30 @@ def moment_integral(beta: int, theta: float, exponents=()) -> complex:
     return complex(total / beta ** m)
 
 
-def _integrals(beta: int):
-    """moment_integral(beta, theta, exponents) as a function of (theta,
-    exponents) that computes each distinct integral once; I^(m) is symmetric
-    in its exponents, so they are keyed sorted."""
-    cached = lru_cache(maxsize=None)(
-        lambda theta, expo: moment_integral(beta, theta, expo))
-    return lambda theta, expo: cached(theta, tuple(sorted(expo)))
-
-
 def _sides(beta: int, theta: float, a, integral):
     """Left and right sides of the moment-integral recurrence for the
-    exponents a, a_1 >= 2, through integral (see _integrals)."""
-    a = tuple(_whole("exponent", v, 0, _EXPONENT_MAX) for v in np.ravel(np.asarray(a, object)))
-    m = len(a)
-    _whole("a_1", a[0] if a else None, 2)
-    rest = a[1:]
+    exponents a, a_1 >= 2 and distinct from the others (an equal pair breaks
+    it), through integral(theta, exponents)."""
     I = lambda *expo: integral(theta, expo)
-    lhs = -1j * theta * (I(a[0] - 1, *rest) - I(*a))
+
+    def half(tot, lo, rest):
+        # 1/2 sum_{k=lo}^{tot-lo} I(k, tot-k, rest): I is symmetric in its exponents
+        return 0.5 * sum(I(k, tot - k, *rest) for k in range(lo, tot - lo + 1))
+    a0, rest = a[0], a[1:]
+    lhs = -1j * theta * (I(a0 - 1, *rest) - I(*a))
     rhs = 0.0 + 0.0j
     for j in (1, 2):
-        p = a[0] - j
-        sub = sum(I(k, p - k, *rest) for k in range(p // 2 + 1))
-        if p % 2 == 0:
-            sub -= 0.5 * I(p // 2, p // 2, *rest)
-        rhs += (4.0 / beta) * (-1) ** j * sub
-    for idx in range(1, m):
-        ak = a[idx]
-        sgn = float(np.sign(a[0] - ak))
-        if sgn == 0.0:
-            continue
+        rhs += (4.0 / beta) * (-1) ** j * half(a0 - j, 0, rest)
+    for idx, ak in enumerate(a[1:], 1):
+        sgn = float(np.sign(a0 - ak))
         others = a[1:idx] + a[idx + 1:]
         inner = 0.0 + 0.0j
         for j in (1, 2):
-            tot = a[0] + ak - j
-            sub = sum(I(el, tot - el, *others)
-                      for el in range(min(a[0] + 1 - j, ak), tot // 2 + 1))
-            if tot % 2 == 0:
-                sub -= 0.5 * I(tot // 2, tot // 2, *others)
-            inner += (-1) ** j * sub
+            inner += (-1) ** j * half(a0 + ak - j, min(a0 + 1 - j, ak), others)
         rhs += (4.0 / beta) * sgn * inner
-    rhs += (2.0 / beta + a[0] - 2) * I(a[0] - 2, *rest)
-    rhs -= (4.0 / beta + a[0] - 2) * I(a[0] - 1, *rest)
+    rhs += (2.0 / beta + a0 - 2) * I(a0 - 2, *rest)
+    rhs -= (4.0 / beta + a0 - 2) * I(a0 - 1, *rest)
     return lhs, rhs
-
-
-DEFAULT_RECURRENCE_CASES = ((2,), (3,), (4,), (2, 1), (3, 1), (3, 2), (4, 1))
 
 
 def _initial_condition_residual(beta: int, theta: float, integral) -> float:
@@ -492,9 +476,8 @@ def _initial_condition_residual(beta: int, theta: float, integral) -> float:
     [theta - 1/2, theta + 1/2], to the distinct-index sums."""
     I = lambda *expo: integral(theta, expo)
     worst = 0.0
+    # I^(m) vanishes for m > beta, where the reduction reads 0 = 0
     for rest in ((1,), (2,), (1, 1)):
-        if len(rest) + 1 > beta:
-            continue
         worst = max(worst, abs(I(0, *rest) - (beta - len(rest)) * I(*rest)))
     lo, hi = theta - 0.5, theta + 0.5
     base = np.array([integral(t, ()) for t in chebyshev_points(16, lo, hi)])
@@ -507,22 +490,19 @@ def _initial_condition_residual(beta: int, theta: float, integral) -> float:
     return worst
 
 
-def verify_moment_recurrence(beta: int, cases=DEFAULT_RECURRENCE_CASES,
-                             thetas=(1.0, 2.5)) -> float:
-    """Max residual of the integration-by-parts recurrence over the cases (each
-    a tuple of exponents, a_1 >= 2) and theta values, together with its
-    initial-condition identities; each distinct moment integral is computed
-    once. |theta| <= 49.5 keeps its Chebyshev samples at theta +- 1/2 in reach."""
+def verify_moment_recurrence(beta: int) -> float:
+    """Max residual of the integration-by-parts recurrence over _CASES and
+    _THETAS, together with its initial-condition identities. Each distinct
+    moment integral is computed once per call: I^(m) is symmetric in its
+    exponents, so they are keyed sorted."""
     beta = _choice("beta", beta, (2, 4))
-    thetas = np.atleast_1d(_real("thetas", thetas, 0.5 - _THETA_MAX, _THETA_MAX - 0.5))
-    integral = _integrals(beta)
+    cached = lru_cache(maxsize=None)(lambda theta, expo: moment_integral(beta, theta, expo))
+    integral = lambda theta, expo: cached(theta, tuple(sorted(expo)))
     worst = 0.0
-    for th in thetas:
-        for case in np.atleast_1d(np.asarray(cases, object)):
-            lhs, rhs = _sides(beta, th, case, integral)
-            worst = max(worst, abs(lhs - rhs))
-    worst = max(worst, _initial_condition_residual(beta, thetas[0], integral))
-    return worst
+    for th, case in itertools.product(_THETAS, _CASES):
+        lhs, rhs = _sides(beta, th, case, integral)
+        worst = max(worst, abs(lhs - rhs))
+    return max(worst, _initial_condition_residual(beta, _THETAS[0], integral))
 
 
 # ---------------------------------------------------------------------------

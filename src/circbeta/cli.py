@@ -232,12 +232,17 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
-def _add_common(p, with_range=True):
+def _add_common(p, with_range=True, single=None):
+    """--format and --out; with_range adds --range, mutually exclusive with the
+    single-point option --<single> when single names one."""
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     if with_range:
-        p.add_argument("--range", type=_parse_range, default=None,
-                       help="grid as lo:hi:count")
+        grid = p.add_mutually_exclusive_group()
+        if single:
+            grid.add_argument(f"--{single}", type=float, default=None)
+        grid.add_argument("--range", type=_parse_range, default=None,
+                          help="grid as lo:hi:count")
 
 
 def build_parser():
@@ -250,21 +255,18 @@ def build_parser():
         p = sub.add_parser(name, help=what)
         p.add_argument("--beta", type=int, choices=(1, 2, 4), default=2)
         p.add_argument("--xi", type=float, default=1.0)
-        p.add_argument("--s", type=float, default=None)
-        _add_common(p)
+        _add_common(p, single="s")
 
     p = sub.add_parser("sff", help="structure function terms and exact values")
     p.add_argument("--beta", type=int, choices=(1, 2, 4), default=2)
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--order", type=int, choices=(0, 1, 2), default=None)
-    p.add_argument("--tau", type=float, default=None)
-    _add_common(p)
+    _add_common(p, single="tau")
 
     p = sub.add_parser("rho2", help="two-point correlation, finite N or limit")
     p.add_argument("--beta", type=int, choices=(1, 2, 4, 6), default=2)
     p.add_argument("--N", type=int, default=None)
-    p.add_argument("--x", type=float, default=None)
-    _add_common(p)
+    _add_common(p, single="x")
 
     p = sub.add_parser("verify", help="run identity checks against tolerances")
     p.add_argument("--identity", default=None)

@@ -11,7 +11,7 @@ from .numerics import _CUE_MAX_N, _SLICE_ENTRIES, _choice, _real, _whole, sine_i
 
 def rho_n_cue(N: int, angles) -> float:
     """n-point density of the N-dimensional circular unitary ensemble; N is at
-    most 4096."""
+    most 4096, and a density past the float range is refused."""
     N, th = _whole("N", N, most=_CUE_MAX_N), np.atleast_1d(_real("angles", angles))
     if th.size < 1 or th.size > N:
         raise ValueError("need 1 <= n <= N angles")
@@ -21,7 +21,11 @@ def rho_n_cue(N: int, angles) -> float:
     d = th[:, None] - th[None, :]
     # kernel sin(N t / 2) / (2 pi sin(t / 2)) with diagonal N / 2 pi
     K = _cue_scaled(d * N / (2.0 * np.pi), N) * (N / (2.0 * np.pi))
-    return float(np.linalg.det(K))
+    with np.errstate(over="ignore"):
+        out = float(np.linalg.det(K))
+    if not np.isfinite(out):
+        raise ValueError("the density overflows a float")
+    return out
 
 
 def pfaffian(A):
@@ -74,7 +78,8 @@ def rho_n_pfaffian(beta: int, N: int, angles):
     enter in slices of at most _SLICE_ENTRIES matrix entries (one
     configuration when its matrix alone holds more), and the kernel entries'
     trig tables hold at most _SLICE_ENTRIES entries each, whatever n. One
-    configuration gives a float. N is at most 4096."""
+    configuration gives a float. N is at most 4096; a density past the float
+    range is refused."""
     beta, N = _choice("beta", beta, (1, 4)), _whole("N", N, most=_CUE_MAX_N)
     th = np.asarray(_real("angles", angles))
     n = th.shape[-1] if th.ndim else 0
@@ -94,7 +99,11 @@ def rho_n_pfaffian(beta: int, N: int, angles):
 
     flat = th.reshape(-1, n)
     step = max(1, _SLICE_ENTRIES // (4 * n * n))
-    out = np.concatenate([density(flat[i:i + step]) for i in range(0, len(flat) or 1, step)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.concatenate([density(flat[i:i + step]) for i in range(0, len(flat) or 1, step)])
+    # past the float range the elimination leaves an inf, or a nan after one
+    if not np.isfinite(out).all():
+        raise ValueError("the density overflows a float")
     return out.reshape(th.shape[:-1])[()]
 
 

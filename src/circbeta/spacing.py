@@ -182,9 +182,10 @@ def wigner_surmise(s):
 
 
 def surmise_correction(s):
-    """-(1/12)(d^2/ds^2)(s^2 * wigner_surmise(s)), differentiated analytically."""
+    """c (d^2/ds^2)(s^2 * wigner_surmise(s)), c = correction_factor(2) = -1/12,
+    differentiated analytically."""
     s = np.asarray(_real("s", s))
     a = 4.0 / np.pi
-    out = -(32.0 / (12.0 * np.pi ** 2)) * np.exp(-a * s * s) * (
+    out = correction_factor(2) * 32.0 / np.pi ** 2 * np.exp(-a * s * s) * (
         12.0 * s ** 2 - 18.0 * a * s ** 4 + 4.0 * a * a * s ** 6)
     return out if out.ndim else float(out)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 import warnings
 from fractions import Fraction as F
@@ -15,8 +16,8 @@ from circbeta import (P0_BETA2, P1_BETA2, P2_BETA2, beta_even, correction_factor
                       rho2_bulk_term, rho2_correction_limit, rho2_even_beta,
                       selberg, selberg_log, verify_moment_recurrence)
 from circbeta.beta_even import (_ENGINES, _METHODS, _STEPS, _TERMS, _integral_beta4,
-                                _integrals, _integrand, _sides, _system,
-                                rho2_correction_estimate, selberg_exact)
+                                _integrand, _sides, _system, rho2_correction_estimate,
+                                selberg_exact)
 from circbeta.gap import AccuracyWarning
 from circbeta.sff import _partition_boxes
 from conftest import traced_peak
@@ -479,6 +480,23 @@ class TestRho2EvenBeta:
         with pytest.raises(ValueError, match="quad_order"):
             rho2_even_beta(beta, 0.7, 16, **kwargs)
 
+    @pytest.mark.parametrize("check, orders", [
+        (None, [64, 128]), (True, [64, 128]), (np.True_, [64, 128]),
+        (False, [64]), (np.False_, [64])])
+    def test_check_convergence_rounds(self, check, orders, monkeypatch):
+        # a numpy bool is taken as its value: np.False_ runs one engine order
+        calls = []
+        engine = _ENGINES["hankel"]
+        monkeypatch.setitem(_ENGINES, "hankel", lambda f, n: calls.append(n) or engine(f, n))
+        rho2_even_beta(2, 0.7, check_convergence=check)
+        assert calls == orders
+
+    @pytest.mark.parametrize("check", [0, 1, "no", 0.0, [False]])
+    def test_check_convergence_refused(self, check):
+        with pytest.raises(ValueError, match="check_convergence must be True, False or None, "
+                                             f"got {re.escape(repr(check))}"):
+            rho2_even_beta(2, 0.7, check_convergence=check)
+
     @pytest.mark.parametrize("beta, x, N", [
         (6, math.nan, None), (6, 0.7, math.nan), (6, 0.7, math.inf),
         (2, math.inf, None), (4, -math.inf, 16)])
@@ -655,8 +673,6 @@ class TestMomentIntegrals:
         # recurrence once returned 1.1e6 with no warning
         with pytest.raises(ValueError, match=r"theta must lie in \[-50, 50\]"):
             moment_integral(2, theta, (2,))
-        with pytest.raises(ValueError, match=r"thetas must lie in \[-49.5, 49.5\]"):
-            verify_moment_recurrence(2, ((2,), (3, 1)), theta)
 
     @pytest.mark.parametrize("a", [(-1,), (2, -3), (1.5,), (1, 1, -2)])
     def test_divergent_exponents_rejected(self, a):
@@ -664,22 +680,30 @@ class TestMomentIntegrals:
             moment_integral(2, 1.0, a)
 
 
+def recurrence_residual(beta, cases, thetas):
+    """The largest |lhs - rhs| of the recurrence over the cases and thetas,
+    each integral looked up through moment_integral."""
+    integral = lambda theta, expo: moment_integral(beta, theta, expo)
+    return max(abs(lhs - rhs) for lhs, rhs in
+               (_sides(beta, th, a, integral) for th in thetas for a in cases))
+
+
 class TestRecurrence:
     def test_beta2_cases(self):
         assert verify_moment_recurrence(2) < 1e-8
 
     def test_beta2_row_value(self):
-        # the moment-recurrence-beta2 row's residual, bit for bit as before
-        # theta was bounded
+        # the moment-recurrence-beta2 row's residual, bit for bit
         assert verify_moment_recurrence(2).hex() == "0x1.7e07d80b8d151p-44"
 
+    def test_beta4_row_value(self):
+        assert verify_moment_recurrence(4).hex() == "0x1.6b760d3eb0d86p-46"
+
     def test_beta2_theta_range(self):
-        assert verify_moment_recurrence(2, cases=((2,), (3, 1)),
-                                thetas=(7.0, 4 * np.pi)) < 1e-8
+        assert recurrence_residual(2, ((2,), (3, 1)), (7.0, 4 * np.pi)) < 1e-8
 
     def test_beta4_cases(self):
-        assert verify_moment_recurrence(4, cases=((2,), (3,), (2, 1)),
-                                        thetas=(1.0,)) < 1e-13
+        assert recurrence_residual(4, ((2,), (3,), (2, 1)), (1.0,)) < 1e-13
 
     def test_beta4_each_integral_once(self, monkeypatch):
         # the 44 distinct moment integrals over the default cases, keyed by
@@ -692,17 +716,9 @@ class TestRecurrence:
         assert len(calls) == 60
 
     def test_theta_zero_rhs_vanishes(self):
-        lhs, rhs = _sides(2, 0.0, (3, 1), _integrals(2))
+        lhs, rhs = _sides(2, 0.0, (3, 1), lambda theta, expo: moment_integral(2, theta, expo))
         assert lhs == 0.0
         assert abs(rhs) < 1e-10
-
-    def test_requires_a1_at_least_two(self):
-        with pytest.raises(ValueError):
-            _sides(2, 1.0, (1,), _integrals(2))
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError, match="exponent must be an integer >= 0"):
-            _sides(2, 1.0, (3, -1), _integrals(2))
 
 
 class TestAppendixB:

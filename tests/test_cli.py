@@ -109,6 +109,19 @@ class TestCommands:
         assert run(["fig1"], capsys)[0] == 0
         assert calls == [61]
 
+    def test_fig1_surmise_reads_the_correction_factor(self, capsys, monkeypatch):
+        # the surmise column's -1/12 is correction_factor(2): doubling it
+        # doubles that column alone
+        def columns():
+            out = run(["fig1", "--range", "0:3:7"], capsys)[1]
+            return list(zip(*(map(float, r.split(",")) for r in out.strip().splitlines()[1:])))
+        _, exact, surmise = columns()
+        monkeypatch.setattr(spacing, "correction_factor",
+                            lambda beta: 2 * numerics.correction_factor(beta))
+        _, exact_moved, surmise_moved = columns()
+        assert exact_moved == exact and any(surmise)
+        assert surmise_moved == tuple(2 * v for v in surmise)
+
     @pytest.mark.parametrize("beta, N", [(2, 0), (1, 1), (4, 1)])
     def test_rho2_small_N_exits_2(self, beta, N, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -506,6 +519,19 @@ class TestUsageErrors:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and "unrecognized arguments: --limit" in err
+
+    @pytest.mark.parametrize("argv, single", [
+        (["gap", "--s", "1.0", "--range", "0.5:2:3"], "--s"),
+        (["spacing", "--range", "0.5:2:3", "--s", "1.0"], "--s"),
+        (["sff", "--tau", "0.5", "--range", "0.1:0.3:2"], "--tau"),
+        (["rho2", "--x", "0.5", "--range", "0.1:0.3:2"], "--x")])
+    def test_single_point_with_range_exits_2(self, argv, single, capsys):
+        # the single point used to win silently: one row written, exit 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "not allowed with argument" in err and single in err
 
     def test_bad_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,16 @@ class TestRhoNCue:
         base = rho_n_cue(12, th)
         assert rho_n_cue(12, th[[2, 0, 1]]) == pytest.approx(base, abs=1e-12)
         assert rho_n_cue(12, th + 0.83) == pytest.approx(base, rel=1e-10)
+
+    def test_past_the_float_range_refused(self):
+        # the density grows as (N / 2 pi)^n: at n = 200 it read inf, with no
+        # more than numpy's overflow warning, which must not escape
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the density overflows a float"):
+                rho_n_cue(4096, np.linspace(0.1, 6.0, 200))
+        assert rho_n_cue(4096, np.linspace(0.1, 6.0, 100)) \
+            == pytest.approx(2.6073728756383203e+281, rel=1e-13)
 
 
 class TestPfaffian:
@@ -188,6 +199,15 @@ class TestRhoNPfaffian:
         got, peak = traced_peak(lambda: rho_n_pfaffian(beta, 4096, np.linspace(0.1, 6.0, n)))
         assert peak <= 8e6
         assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("beta, N, n", [(1, 4096, 120), (4, 1000, 150)])
+    def test_past_the_float_range_refused(self, beta, N, n):
+        # these read inf, with no more than numpy's overflow warning, which must
+        # not escape; test_many_angles_bounded holds the largest finite values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the density overflows a float"):
+                rho_n_pfaffian(beta, N, np.linspace(0.1, 6.0, n))
 
     @pytest.mark.parametrize("beta,x", [(1, 0.7), (4, 0.7), (1, 1.3), (4, 1.3)])
     def test_correction_convergence(self, beta, x):

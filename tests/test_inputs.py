@@ -249,7 +249,7 @@ BASE = {
     "evenness_factor": (3, 1.0, 20.5),
     "rho2_even_beta": (2, 0.5, 40, 64, "auto", True),
     "moment_integral": (2, 1.0, (2, 1)),
-    "verify_moment_recurrence": (2, ((2,), (3, 1)), (1.0,)),
+    "verify_moment_recurrence": (2,),
     "leading_xi_coefficient_exact": (1, 2, 20),
     "rho2_correction_limit": (2, 0.5),
 }
@@ -294,7 +294,8 @@ CALLERS = {
     "correction_factor": "cli",
     "correction_residual": "cli",
     "KernelSpec": "bench/workloads",
-    "rho_n_cue": "the n-point determinant of the CUE: the beta = 2 oracle of rho_n_pfaffian",
+    "rho_n_cue": "the n-point density of the CUE at finite N, the determinant of its "
+                 "kernel sin(N t / 2) / (2 pi sin(t / 2))",
     "rho_n_pfaffian": "correlations",
     "pfaffian": "the library's one Pfaffian, at any shape, which beta_even and "
                 "correlations reach through _pfaffian",
