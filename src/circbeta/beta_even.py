@@ -26,7 +26,7 @@ TWO_PI = 2.0 * math.pi
 _POINTS_MAX = 64
 # Largest |N|, and largest denominator of a Fraction N, of the exact record,
 # whose integers grow as N^(kappa n (n - 1)): the worst call at this cap,
-# leading_xi_coefficient_exact(62, 6, (10^14 - 1)/10^7), takes 0.8 s (2 cores)
+# leading_xi_coefficient_exact(62, 6, (10^14 - 1)/10^7), takes 0.6 s (2 cores)
 _EXACT_N_MAX = 10 ** 7
 
 
@@ -89,9 +89,14 @@ def morris(N: int, a: float, b: float, lam: float) -> float:
 
 def _evenness_product(n: int, kappa, p, q=1):
     """prod (kappa^2 p^2 - l^2 q^2) over 1 <= l <= k kappa, 1 <= k < n: the
-    evenness product at N = p/q times q^(kappa n (n - 1))."""
-    return math.prod(kappa * kappa * p * p - el * el * q * q
-                     for k in range(1, n) for el in range(1, round(kappa * k) + 1))
+    evenness product at N = p/q times q^(kappa n (n - 1)). The factors are
+    multiplied pairwise, level by level, so that exact integers of like size
+    meet; up to three factors this is the order of math.prod."""
+    out = [kappa * kappa * p * p - el * el * q * q
+           for k in range(1, n) for el in range(1, round(kappa * k) + 1)]
+    while len(out) > 1:
+        out = [a * b for a, b in zip(out[::2], out[1::2])] + out[len(out) & ~1:]
+    return out[0] if out else 1
 
 
 def evenness_factor(n: int, kappa: float, N: float) -> float:
@@ -413,7 +418,7 @@ _EXPONENT_MAX = 32
 # moves against twice its order by 9e-11 (relative) at 50, 1.6e-8 at 60 and 0.26
 # at 80, and the recurrence reads 2.5e-15, 1.3e-12 and 1.3e-5 (beta = 2: 3e-11 to 150)
 _THETA_MAX = 50.0
-# the recurrence's cases (a_1 >= 2, and distinct from the other exponents) and thetas
+# the recurrence's cases (a_1 >= 2) and thetas
 _CASES = ((2,), (3,), (4,), (2, 1), (3, 1), (3, 2), (4, 1))
 _THETAS = (1.0, 2.5)
 
@@ -445,8 +450,16 @@ def moment_integral(beta: int, theta: float, exponents=()) -> complex:
 
 def _sides(beta: int, theta: float, a, integral):
     """Left and right sides of the moment-integral recurrence for the
-    exponents a, a_1 >= 2 and distinct from the others (an equal pair breaks
-    it), through integral(theta, exponents)."""
+    exponents a, a_1 >= 2, through integral(theta, exponents).
+
+    The integration by parts in u_1 pairs, for each other exponent b = a_k and
+    j = 1, 2, the term x^A y^b / (x - y), A = a_1 + 1 - j, with its swap:
+    (x^A y^b - x^b y^A) / (2 (x - y)) = +-1/2 sum_{i=min}^{max-1} x^i
+    y^(A+b-1-i) over min(A, b) <= i < max(A, b), with + when A > b, - when
+    A < b, and no terms when A = b. If a_1 > b, both A >= b; otherwise both
+    A <= b. So sgn = +1 when a_1 > a_k and -1 otherwise: at an equal pair the
+    j = 1 sum is empty and the j = 2 sum, 1/2 I(a_1 - 1, a_1 - 1, rest),
+    takes sgn = -1."""
     I = lambda *expo: integral(theta, expo)
 
     def half(tot, lo, rest):
@@ -458,7 +471,7 @@ def _sides(beta: int, theta: float, a, integral):
     for j in (1, 2):
         rhs += (4.0 / beta) * (-1) ** j * half(a0 - j, 0, rest)
     for idx, ak in enumerate(a[1:], 1):
-        sgn = float(np.sign(a0 - ak))
+        sgn = 1.0 if a0 > ak else -1.0
         others = a[1:idx] + a[idx + 1:]
         inner = 0.0 + 0.0j
         for j in (1, 2):

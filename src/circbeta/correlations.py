@@ -35,7 +35,8 @@ def pfaffian(A):
     a12. Otherwise each pair of rows is eliminated, over the whole stack at
     once, by skew-symmetric Gaussian elimination with partial pivoting
     (Parlett and Reid, BIT 10 (1970) 386; Wimmer, ACM TOMS 38 (2012) 30).
-    Entries must be finite."""
+    Entries must be finite, and a Pfaffian whose elimination passes the float
+    range is refused."""
     A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("matrix must be square")
@@ -44,7 +45,11 @@ def pfaffian(A):
         if np.any(np.abs(A + A.swapaxes(-1, -2)).max(axis=(-2, -1))
                   > 1e-12 * np.maximum(size, 1.0)):
             raise ValueError("matrix is not antisymmetric to tolerance")
-    return _pfaffian(A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _pfaffian(A)
+    if not np.isfinite(out).all():
+        raise ValueError("the Pfaffian overflows a float")
+    return out
 
 
 def _pfaffian(A):

@@ -693,8 +693,8 @@ class TestRecurrence:
         assert verify_moment_recurrence(2) < 1e-8
 
     def test_beta2_row_value(self):
-        # the moment-recurrence-beta2 row's residual, bit for bit
-        assert verify_moment_recurrence(2).hex() == "0x1.7e07d80b8d151p-44"
+        # the moment-recurrence-beta2 row's residual, bit for bit (4.1e-14)
+        assert verify_moment_recurrence(2).hex() == "0x1.71e72cd501fd6p-45"
 
     def test_beta4_row_value(self):
         assert verify_moment_recurrence(4).hex() == "0x1.6b760d3eb0d86p-46"
@@ -704,6 +704,12 @@ class TestRecurrence:
 
     def test_beta4_cases(self):
         assert recurrence_residual(4, ((2,), (3,), (2, 1)), (1.0,)) < 1e-13
+
+    @pytest.mark.parametrize("beta", [2, 4])
+    def test_equal_pairs(self, beta):
+        # an exponent equal to a_1 takes the sign of one above it
+        cases = ((2, 2), (3, 3), (4, 4), (5, 5))
+        assert recurrence_residual(beta, cases, (1.0, 2.5)) <= 1e-14
 
     def test_beta4_each_integral_once(self, monkeypatch):
         # the 44 distinct moment integrals over the default cases, keyed by

@@ -258,6 +258,11 @@ OTHER_SENSITIVITY = {"rho2-second-beta2": (1e-9, _scale_constant),
 
 
 class TestVerify:
+    def test_every_row_has_one_sensitivity_entry(self):
+        # a row in neither table is never shown to fail
+        assert not set(SENSITIVITY) & set(OTHER_SENSITIVITY)
+        assert set(SENSITIVITY) | set(OTHER_SENSITIVITY) == set(cli._identity_registry())
+
     @pytest.mark.parametrize("name, delta", SENSITIVITY.items())
     def test_row_sees_its_constant(self, name, delta, monkeypatch, capsys):
         exact = numerics.correction_factor
@@ -598,6 +603,16 @@ class TestImportCost:
                 "contextlib.redirect_stderr(io.StringIO()):\n"
                 f"    assert cli.main({argv!r}) == 0")
         assert self._loaded(code) == "[]"
+
+    @pytest.mark.parametrize("code", [
+        "import circbeta; from circbeta import cli",
+        "import contextlib, io; from circbeta import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--identity', 'e-corr-beta2']) == 0"],
+        ids=["import", "verify-run"])
+    def test_numpy_polynomial_stays_unloaded(self, code):
+        # importing it cost about 3.3 ms; numerics builds its Gauss-Legendre rules itself
+        assert self._loaded(code, "numpy.polynomial") == "[]"
 
     def test_runs_load_no_numpy_ma(self):
         # np.unique imports numpy.ma on its first call, about 8 ms a process

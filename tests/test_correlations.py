@@ -135,6 +135,20 @@ class TestPfaffian:
         assert pfaffian(np.zeros((0, 0))) == 1.0
         assert pfaffian(np.zeros((3, 0, 0))).tolist() == [1.0] * 3
 
+    def test_past_the_float_range_refused(self):
+        # 40^190 is a float and 40^200 is not; two entries 1e200 give 1e400,
+        # and an overflow warning must not escape on the way to the refusal
+        block = np.array([[0.0, 40.0], [-40.0, 0.0]])
+        assert pfaffian(np.kron(np.eye(190), block)) == pytest.approx(40.0 ** 190, rel=1e-13)
+        big = np.zeros((4, 4))
+        big[0, 1], big[2, 3] = 1e200, 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for A in (np.kron(np.eye(200), block), big - big.T,
+                      np.stack([np.zeros((4, 4)), big - big.T])):
+                with pytest.raises(ValueError, match="the Pfaffian overflows a float"):
+                    pfaffian(A)
+
 
 class TestRhoNPfaffian:
     @pytest.mark.parametrize("beta", [1, 4])

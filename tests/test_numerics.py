@@ -76,6 +76,44 @@ class TestGaussLegendre:
             assert np.array_equal(gauss_legendre(n, 0.0, 1.0).nodes, want.nodes)
 
 
+def _legendre_oracle(n):
+    """Nodes and weights of the n-point rule on (-1, 1) to 40 digits: Newton
+    on the three-term recurrence from numpy's leggauss nodes."""
+    from numpy.polynomial.legendre import leggauss
+    with mpmath.workdps(40):
+        def p(x):
+            # (P_n(x), P_{n-1}(x))
+            prev, cur = mpmath.mpf(0), mpmath.mpf(1)
+            for k in range(1, n + 1):
+                prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
+            return cur, prev
+        nodes, weights = [], []
+        for x in map(mpmath.mpf, leggauss(n)[0]):
+            for _ in range(4):
+                pn, pm = p(x)
+                x -= pn * (1 - x * x) / (n * (pm - x * pn))
+            nodes.append(x)
+            weights.append(2 * (1 - x * x) / (n * p(x)[1]) ** 2)
+        return nodes, weights
+
+
+class TestLegendreBuilder:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 17, 24, 48, 64, 127, 128])
+    def test_against_mpmath(self, n):
+        x, w = numerics._legendre(n)
+        nodes, weights = _legendre_oracle(n)
+        assert np.all(np.diff(x) > 0)
+        assert max(abs(float(a - b)) for a, b in zip(x, nodes)) <= 1e-15
+        assert max(abs(float((a - b) / b)) for a, b in zip(w, weights)) <= 1e-13
+
+    def test_largest_order_bounded(self):
+        # the tables of theta by frequency enter in slices; leggauss peaked at 8.5 MB
+        numerics._legendre.cache_clear()
+        rule, peak = traced_peak(lambda: gauss_legendre(1024, 0.0, 1.0))
+        assert peak <= 2e6
+        assert rule.weights.sum() == pytest.approx(1.0, rel=1e-14)
+
+
 class TestSineIntegral:
     def test_zero(self):
         assert sine_integral(0.0) == 0.0
